@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .homalg import (
     ChainMap,
+    CheckReport,
     CochainComplex,
     SESOfComplexes,
     TruncationInsufficient,
@@ -706,30 +707,6 @@ def ce_resolution_of_complex(cplx: CochainComplex, depth=None):
     return build_ce_triple(ses, depth).doubles["A"]
 
 
-class CEReport:
-    """Itemized verification of the Cartan-Eilenberg property."""
-
-    def __init__(self):
-        self.items = []
-
-    def add(self, name, ok, detail=""):
-        self.items.append((name, bool(ok), detail))
-
-    @property
-    def ok(self):
-        return all(ok for _, ok, _ in self.items)
-
-    def failures(self):
-        return [(n, d) for n, ok, d in self.items if not ok]
-
-    def render(self):
-        lines = []
-        for name, ok, detail in self.items:
-            lines.append("%-38s %s%s" % (name, "PASS" if ok else "FAIL",
-                                         (" " + detail) if detail and not ok else ""))
-        return "\n".join(lines)
-
-
 def _induced_column(ctx, double: AugmentedDouble, q, extract):
     """Column complex of extracted subobjects (Z, B or H) with induced maps."""
     objs, monos = [], []
@@ -765,10 +742,10 @@ def _exact_aug_sequence(ctx, base_obj, base_map, objs, maps, allow_empty=True):
     return ctx.is_zero_obj(Q)
 
 
-def verify_ce(double: AugmentedDouble) -> CEReport:
+def verify_ce(double: AugmentedDouble) -> CheckReport:
     """Machine-check of the four defining properties of a CE resolution."""
     ctx = double.ctx
-    rep = CEReport()
+    rep = CheckReport()
     if not double.rows:
         rep.add("zero resolution of zero complex",
                 all(ctx.is_zero_obj(double.base.obj(q)) for q in double.base.degrees()))

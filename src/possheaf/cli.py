@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import homalg
+from .homalg import CheckReport
 from .ceres import build_ce_triple, compute_invariants, verify_ce
 from .exactla import field_from_name
 from .forge import GenConfig, gen_poset, gen_ses_sheaves, gen_sheaf
@@ -43,38 +44,37 @@ class _Run:
     def __init__(self, command, fmt):
         self.command = command
         self.fmt = fmt
-        self.checks = []
+        self.report = CheckReport()
         self.lines = []
         self.tables = {}
+        self.to_stderr = False    # set by commands whose stdout is a document
 
     def say(self, text):
         self.lines.append(text)
 
     def check(self, name, ok, detail=""):
-        self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
-        self.say("%-52s %s%s" % (name, "PASS" if ok else "FAIL",
-                                 (" " + detail) if detail else ""))
+        self.report.add(name, ok, detail)
+        self.say(CheckReport.line(name, ok, detail))
 
     def table(self, name, rows):
         self.tables[name] = rows
 
-    @property
-    def ok(self):
-        return all(c["ok"] for c in self.checks)
-
     def emit(self):
+        out = sys.stderr if self.to_stderr else sys.stdout
         if self.fmt == "report":
-            doc = {"command": self.command, "ok": self.ok,
-                   "checks": self.checks, "tables": self.tables}
-            print(json.dumps(doc, indent=2))
+            checks = [{"name": name, "ok": ok, "detail": detail}
+                      for name, ok, detail in self.report.items]
+            doc = {"command": self.command, "ok": self.report.ok,
+                   "checks": checks, "tables": self.tables}
+            print(json.dumps(doc, indent=2), file=out)
         else:
             for name, rows in self.tables.items():
-                print(name)
+                print(name, file=out)
                 for row in rows:
-                    print("  " + "  ".join(str(x) for x in row))
+                    print("  " + "  ".join(str(x) for x in row), file=out)
             for line in self.lines:
-                print(line)
-        return 0 if self.ok else 1
+                print(line, file=out)
+        return 0 if self.report.ok else 1
 
 
 def _load(args):
@@ -276,13 +276,23 @@ def cmd_forge(args, run):
                             "pi": morphism_to_dict(epi, "B", "C")}
         doc["sequences"] = {"S": {"kind": "sheaves", "iota": "iota", "pi": "pi"}}
     print(json.dumps(doc, indent=2))
+    run.to_stderr = True
     run.check("instance generated", True)
+
+
+def _field_name(name):
+    """argparse type for --field: the name, once it names a field."""
+    try:
+        field_from_name(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("invalid field %r: %s" % (name, exc)) from exc
+    return name
 
 
 def build_parser():
     top = argparse.ArgumentParser(prog="possheaf",
                                   description="exact spectral sequences of sheaves on finite posets")
-    top.add_argument("--field", default="q", help="q or fp:<prime>")
+    top.add_argument("--field", default="q", type=_field_name, help="q or fp:<prime>")
     top.add_argument("--format", default="text", choices=["text", "report"])
     top.add_argument("--max-degree", type=int, default=None)
     sub = top.add_subparsers(dest="command", required=True)

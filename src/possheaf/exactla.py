@@ -273,17 +273,26 @@ def vstack(mats) -> Matrix:
     return Matrix(field, sum(m.rows for m in mats), cols, data)
 
 
-def block_diag(field, mats) -> Matrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
+def place_blocks(field, rows: int, cols: int, blocks) -> Matrix:
+    """The rows x cols matrix that is zero outside the given blocks.
+
+    Each block is (row offset, column offset, Matrix) and is copied in at
+    that offset; blocks must not overlap.
+    """
     out = Matrix.zeros(field, rows, cols).data
-    r0 = c0 = 0
-    for m in mats:
+    for r0, c0, m in blocks:
         for i, row in enumerate(m.data):
-            out[r0 + i][c0:c0 + m.cols] = list(row)
+            out[r0 + i][c0:c0 + m.cols] = row
+    return Matrix(field, rows, cols, out)
+
+
+def block_diag(field, mats) -> Matrix:
+    blocks, r0, c0 = [], 0, 0
+    for m in mats:
+        blocks.append((r0, c0, m))
         r0 += m.rows
         c0 += m.cols
-    return Matrix(field, rows, cols, out)
+    return place_blocks(field, r0, c0, blocks)
 
 
 def rref(m: Matrix):

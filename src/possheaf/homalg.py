@@ -21,6 +21,30 @@ class TruncationInsufficient(Exception):
     """A resolution did not become exact within the allowed length."""
 
 
+class CheckReport:
+    """Named PASS/FAIL checks, each with an optional detail, in order."""
+
+    def __init__(self):
+        self.items = []
+
+    def add(self, name, ok, detail=""):
+        self.items.append((name, bool(ok), detail))
+
+    @property
+    def ok(self):
+        return all(ok for _, ok, _ in self.items)
+
+    def failures(self):
+        return [(name, detail) for name, ok, detail in self.items if not ok]
+
+    @staticmethod
+    def line(name, ok, detail=""):
+        return "%-52s %s%s" % (name, "PASS" if ok else "FAIL", (" " + detail) if detail else "")
+
+    def render(self):
+        return "\n".join(self.line(*item) for item in self.items)
+
+
 class CochainComplex:
     """Bounded complex: objects X^q and differentials d^q for lo <= q <= hi."""
 

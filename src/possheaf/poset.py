@@ -96,12 +96,6 @@ class Poset:
         """Minimal open U_x = {y : y >= x}, as a set of identifiers."""
         return {self.elements[j] for j in self.up[self.idx(x)]}
 
-    def up_idx(self, i):
-        return self.up[i]
-
-    def down_idx(self, i):
-        return self.down[i]
-
     def is_open(self, names) -> bool:
         idxs = {self.idx(x) for x in names}
         return all(self.up[i] <= idxs for i in idxs)

@@ -24,6 +24,7 @@ from .exactla import (
     hstack,
     image_basis,
     kernel_basis,
+    place_blocks,
     quotient_basis,
     rank,
     solve,
@@ -585,20 +586,8 @@ class SheafContext:
 # global sections ---------------------------------------------------------
 
 def global_sections(F: Sheaf) -> Subspace:
-    """Gamma(F) as the kernel of the difference map over covers."""
-    p = F.poset
-    if not p.covers:
-        return Subspace.full(F.field, F.total_dim)
-    rows = []
-    for (i, j) in p.covers:
-        row = Matrix.zeros(F.field, F.dims[j], F.total_dim).data
-        rmat = F.rho[(i, j)]
-        for r in range(F.dims[j]):
-            for c in range(F.dims[i]):
-                row[r][F.offsets[i] + c] = rmat.data[r][c]
-            row[r][F.offsets[j] + r] = -F.field.one()
-        rows.append(Matrix(F.field, F.dims[j], F.total_dim, row))
-    return kernel_basis(vstack(rows))
+    """Gamma(F): sections over the whole space, in total stalk coordinates."""
+    return sections_over(F, range(len(F.poset)))
 
 
 def sections_over(F: Sheaf, open_idx) -> Subspace:
@@ -630,21 +619,19 @@ def gamma_struct_map(phi: SheafMorphism, srcI: InjectiveSheaf, tgtI: InjectiveSh
     """Gamma(phi) in structured coordinates (one slot per coinduced summand)."""
     field = phi.source.field
     p = phi.source.poset
-    out = Matrix.zeros(field, tgtI.mult_total, srcI.mult_total).data
+    blocks = []
     roff = 0
     for jt, (xt, vt) in enumerate(tgtI.summands):
         toff = tgtI.slot[xt][jt]
+        rows = phi.comps[xt].data[toff:toff + vt]
         coff = 0
         for js, (xs, vs) in enumerate(srcI.summands):
             if xs in p.up[xt]:  # xt <= xs: source section present at xt
                 soff = srcI.slot[xt][js]
-                blk = phi.comps[xt]
-                for r in range(vt):
-                    for c in range(vs):
-                        out[roff + r][coff + c] = blk.data[toff + r][soff + c]
+                blocks.append((roff, coff, Matrix(field, vt, vs, [r[soff:soff + vs] for r in rows])))
             coff += vs
         roff += vt
-    return Matrix(field, tgtI.mult_total, srcI.mult_total, out)
+    return place_blocks(field, tgtI.mult_total, srcI.mult_total, blocks)
 
 
 def gamma_struct_basis(I: InjectiveSheaf) -> Matrix:
@@ -696,11 +683,7 @@ def sheaf_cohomology_dims(F: Sheaf, max_q=None) -> list:
     res = homalg.injective_resolution(ctx, F)
     vec = gamma_of_complex(res.complex, VectorContext(F.field))
     top = res.length() if max_q is None else max(res.length(), max_q)
-    return [vctx_h_dim(vec, q) for q in range(top + 1)]
-
-
-def vctx_h_dim(vec: homalg.CochainComplex, q: int) -> int:
-    return homalg.cohomology(vec, q).H
+    return [homalg.cohomology(vec, q).H for q in range(top + 1)]
 
 
 # opens, restriction, acyclicity -------------------------------------------

@@ -15,7 +15,17 @@ total cohomology of the filtration piece F^p.
 
 from __future__ import annotations
 
-from .exactla import Matrix, NoSolution, Subspace, hstack, kernel_basis, quotient_basis, rank, solve
+from .exactla import (
+    Matrix,
+    NoSolution,
+    Subspace,
+    hstack,
+    kernel_basis,
+    place_blocks,
+    quotient_basis,
+    rank,
+    solve,
+)
 
 
 class SquareNotCommuting(Exception):
@@ -100,6 +110,13 @@ class Subquotient:
         z = Subspace.zero(field, ambient_dim)
         return cls(field, ambient_dim, z, z)
 
+    @classmethod
+    def cohomology(cls, field, ambient_dim, d_out=None, d_in=None):
+        """ker d_out / im d_in inside k^ambient_dim; a missing map counts as zero."""
+        Z = kernel_basis(d_out) if d_out is not None else Subspace.full(field, ambient_dim)
+        B = Subspace.from_columns(d_in) if d_in is not None else Subspace.zero(field, ambient_dim)
+        return cls(field, ambient_dim, Z, B)
+
     def project(self, vecs: Matrix) -> Matrix:
         """Coordinates of ambient vectors (must lie in Z) in the rep basis."""
         if vecs.cols and not self.Z.contains_matrix(vecs):
@@ -164,49 +181,29 @@ class CoupleTower:
         self.A1 = {}
         self.E1 = {}
         for p in range(D + 2):
+            f = self.filt[p]
             for n in range(self.nmax + 1):
-                self.A1[(p, n - p)] = self._h_of_filtration(p, n)
+                self.A1[(p, n - p)] = Subquotient.cohomology(
+                    self.field, f.dim.get(n, 0), f.diff.get(n), f.diff.get(n - 1))
         for p in range(D + 1):
             for q in range(D + 1):
-                zv = kernel_basis(dc.v(p, q))
-                bv = Subspace.from_columns(dc.v(p, q - 1)) if q > 0 else \
-                    Subspace.zero(self.field, dc.dim(p, q))
-                self.E1[(p, q)] = Subquotient(self.field, dc.dim(p, q), zv, bv)
+                self.E1[(p, q)] = Subquotient.cohomology(
+                    self.field, dc.dim(p, q), dc.v(p, q), dc.v(p, q - 1) if q > 0 else None)
         self.couples = [ExactCouple(self, 1, dict(self.A1), dict(self.E1))]
 
     def _total_diff(self, n) -> Matrix:
+        """Tot^n -> Tot^{n+1}: d_h plus (-1)^p d_v."""
         dc = self.dc
-        rows = self.tot_dim.get(n + 1, 0)
-        out = Matrix.zeros(self.field, rows, self.tot_dim[n]).data
-        nxt = set(self.cells.get(n + 1, []))
+        blocks = []
         for (p, q) in self.cells[n]:
             coff = self.offsets[(n, p, q)]
-            if (p + 1, q) in nxt:
-                h = dc.h(p, q)
-                roff = self.offsets[(n + 1, p + 1, q)]
-                for r in range(h.rows):
-                    for c in range(h.cols):
-                        out[roff + r][coff + c] = h.data[r][c]
-            if (p, q + 1) in nxt:
-                v = dc.v(p, q)
-                roff = self.offsets[(n + 1, p, q + 1)]
-                sign = self.field.one() if p % 2 == 0 else -self.field.one()
-                for r in range(v.rows):
-                    for c in range(v.cols):
-                        out[roff + r][coff + c] = sign * v.data[r][c]
-        return Matrix(self.field, rows, self.tot_dim[n], out)
-
-    def _h_of_filtration(self, p, n) -> Subquotient:
-        f = self.filt[p]
-        d_out = f.diff.get(n)
-        if d_out is None:
-            d_out = Matrix.zeros(self.field, 0, f.dim.get(n, 0))
-        Z = kernel_basis(d_out)
-        if n - 1 in f.diff:
-            B = Subspace.from_columns(f.diff[n - 1])
-        else:
-            B = Subspace.zero(self.field, f.dim.get(n, 0))
-        return Subquotient(self.field, f.dim.get(n, 0), Z, B)
+            roff = self.offsets.get((n + 1, p + 1, q))
+            if roff is not None:
+                blocks.append((roff, coff, dc.h(p, q)))
+            roff = self.offsets.get((n + 1, p, q + 1))
+            if roff is not None:
+                blocks.append((roff, coff, dc.v(p, q) if p % 2 == 0 else -dc.v(p, q)))
+        return place_blocks(self.field, self.tot_dim.get(n + 1, 0), self.tot_dim[n], blocks)
 
     def filt_dim(self, p, n):
         p = min(max(p, 0), self.D + 1)
@@ -499,35 +496,47 @@ class SpectralSequence:
         return sorted((p, q, d) for (p, q), d in dims.items())
 
 
-def total_complex(dc: DoubleComplex):
-    """The total complex as a plain cochain complex of vector spaces."""
-    from .homalg import CochainComplex
-    from .sheafcat import VectorContext
+def global_sign(pairs):
+    """(sign, ok): one sign s in {1, -1} with lhs = s * rhs for every pair.
 
-    tower = CoupleTower(dc)
-    objs = {n: tower.tot_dim[n] for n in range(tower.nmax + 1)}
-    diffs = {n: tower.tot_diff[n] for n in range(tower.nmax)}
-    return CochainComplex(VectorContext(dc.field), objs, diffs)
-
-
-def cohomology_of_total(dc: DoubleComplex, n: int) -> int:
-    """dim H^n of the total complex."""
-    tower = CoupleTower(dc)
-    sq = tower.A1.get((0, n))
-    return sq.dim if sq is not None else 0
-
-
-def pages_from_filtration(dc: DoubleComplex, mode: str = "p") -> SpectralSequence:
-    """Spectral sequence of the column (by-p) or row (by-q) filtration.
-
-    The by-q branch runs the same engine on the transposed grid, so its
-    E_r^{p,q} has p counting the other direction's cohomology.
+    Pairs with both sides zero say nothing; the sign is 0 when all are.
     """
-    if mode == "p":
-        return SpectralSequence(dc)
-    if mode == "q":
-        return SpectralSequence(dc.transpose())
-    raise ValueError("mode must be 'p' or 'q'")
+    sign = None
+    for lhs, rhs in pairs:
+        if lhs.is_zero() and rhs.is_zero():
+            continue
+        if lhs == rhs:
+            cand = 1
+        elif lhs == -rhs:
+            cand = -1
+        else:
+            return None, False
+        if sign is None:
+            sign = cand
+        elif sign != cand:
+            return None, False
+    return (sign if sign is not None else 0), True
+
+
+def tot_block_map(t_src: CoupleTower, t_dst: CoupleTower, entries, n) -> Matrix:
+    """Entrywise maps R^{p,q} -> R'^{p,q} assembled on Tot^n -> Tot^n.
+
+    entries maps (p, q) to a matrix; a missing entry is the zero map.
+    """
+    blocks = []
+    for (p, q) in t_src.cells.get(n, []):
+        m = entries.get((p, q))
+        roff = t_dst.offsets.get((n, p, q))
+        if m is not None and roff is not None:
+            blocks.append((roff, t_src.offsets[(n, p, q)], m))
+    return place_blocks(t_src.field, t_dst.tot_dim.get(n, 0), t_src.tot_dim.get(n, 0), blocks)
+
+
+def filtration_slice(t_src: CoupleTower, t_dst: CoupleTower, mat, p, n) -> Matrix:
+    """Restrict a Tot^n-level map to the F^p coordinate blocks."""
+    rows = t_dst.filt[t_dst.clamp(p)].positions.get(n, [])
+    cols = t_src.filt[t_src.clamp(p)].positions.get(n, [])
+    return mat.rows_slice(rows).cols_slice(cols)
 
 
 class CoupleMorphism:
@@ -567,26 +576,6 @@ class CoupleMorphism:
                              self.src.tower.page(1).e_sq(p, q).dim)
         return m
 
-    def _find_sign(self, pairs, name):
-        """One global sign making lhs = sign * rhs across all bidegrees."""
-        sign = None
-        for lhs, rhs in pairs:
-            if lhs.is_zero() and rhs.is_zero():
-                continue
-            if lhs == rhs:
-                cand = 1
-            elif lhs == -rhs:
-                cand = -1
-            else:
-                raise NotACoupleMorphism(
-                    "intertwining with %s fails beyond a global sign" % name)
-            if sign is None:
-                sign = cand
-            elif sign != cand:
-                raise NotACoupleMorphism(
-                    "intertwining sign with %s is not global" % name)
-        return sign if sign is not None else 0
-
     def verify_intertwining(self):
         s1, d1 = self.src.tower.page(1), self.dst.tower.page(1)
         dp, dq = self.bidegree
@@ -603,9 +592,12 @@ class CoupleMorphism:
                 continue
             kpairs.append((self.a_map(p + 1, q) * s1.k_map(p, q),
                            d1.k_map(p + dp, q + dq) * self.e_map(p, q)))
-        self.signs["i"] = self._find_sign(ipairs, "i")
-        self.signs["j"] = self._find_sign(jpairs, "j")
-        self.signs["k"] = self._find_sign(kpairs, "k")
+        for name, pairs in (("i", ipairs), ("j", jpairs), ("k", kpairs)):
+            sign, ok = global_sign(pairs)
+            if not ok:
+                raise NotACoupleMorphism(
+                    "intertwining with %s does not hold up to one global sign" % name)
+            self.signs[name] = sign
 
     def page_map(self, r, p, q) -> Matrix:
         """Induced map E_r^{p,q}(src) -> E_r^{p+dp,q+dq}(dst)."""
@@ -646,60 +638,27 @@ class CoupleMorphism:
 
 
 def map_of_spectral_sequences(src: SpectralSequence, dst: SpectralSequence,
-                              entry_maps, bidegree=(0, 0)) -> CoupleMorphism:
-    """Couple morphism induced by entrywise maps R^{p,q} -> R'^{p+dp,q+dq}.
+                              entry_maps) -> CoupleMorphism:
+    """Couple morphism induced by entrywise maps R^{p,q} -> R'^{p,q}.
 
     The entry maps must commute with both differentials up to one global
     sign (checked); A-level maps are induced on filtration cohomology.
     """
-    dp, dq = bidegree
     t_src, t_dst = src.tower, dst.tower
-    field = src.field
-
-    def entry(p, q):
-        m = entry_maps.get((p, q))
-        if m is None:
-            m = Matrix.zeros(field, dst.dc.dim(p + dp, q + dq), src.dc.dim(p, q))
-        return m
-
     a_maps, e_maps = {}, {}
     for (p, q), asq in t_src.A1.items():
         n = p + q
-        tgt = t_dst.A1.get((p + dp, q + dq))
+        tgt = t_dst.A1.get((p, q))
         if tgt is None or asq.dim == 0:
             continue
-        big = _filtered_block_map(t_src, t_dst, entry, p, n, dp, dq)
-        a_maps[(p, q)] = asq.induced_map(tgt, big)
+        tot = tot_block_map(t_src, t_dst, entry_maps, n)
+        a_maps[(p, q)] = asq.induced_map(tgt, filtration_slice(t_src, t_dst, tot, p, n))
     for (p, q), esq in t_src.E1.items():
-        tgt = t_dst.E1.get((p + dp, q + dq))
+        tgt = t_dst.E1.get((p, q))
         if tgt is None or esq.dim == 0:
             continue
-        e_maps[(p, q)] = esq.induced_map(tgt, entry(p, q))
-    return CoupleMorphism(src, dst, bidegree, a_maps, e_maps)
-
-
-def _filtered_block_map(t_src, t_dst, entry, p, n, dp, dq):
-    """Entrywise maps assembled on F^p Tot^n -> F^{p+dp} Tot^{n+dq} coordinates."""
-    field = t_src.field
-    src_pos = t_src.filt[t_src.clamp(p)].positions.get(n, [])
-    tgt_pos = t_dst.filt[t_dst.clamp(p + dp)].positions.get(n + dq, [])
-    tpos = {g: i for i, g in enumerate(tgt_pos)}
-    out = Matrix.zeros(field, len(tgt_pos), len(src_pos)).data
-    src_lookup = {}
-    for (pp, qq) in t_src.cells[n]:
-        base = t_src.offsets[(n, pp, qq)]
-        for c in range(t_src.dc.dim(pp, qq)):
-            src_lookup[base + c] = (pp, qq, c)
-    for col, g in enumerate(src_pos):
-        pp, qq, c = src_lookup[g]
-        m = entry(pp, qq)
-        if m.rows == 0:
-            continue
-        tbase = t_dst.offsets.get((n + dq, pp + dp, qq + dq))
-        if tbase is None:
-            continue
-        for rr in range(m.rows):
-            gi = tbase + rr
-            if gi in tpos:
-                out[tpos[gi]][col] = m.data[rr][c]
-    return Matrix(field, len(tgt_pos), len(src_pos), out)
+        m = entry_maps.get((p, q))
+        if m is None:
+            m = Matrix.zeros(src.field, dst.dc.dim(p, q), src.dc.dim(p, q))
+        e_maps[(p, q)] = esq.induced_map(tgt, m)
+    return CoupleMorphism(src, dst, (0, 0), a_maps, e_maps)

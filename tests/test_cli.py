@@ -105,7 +105,9 @@ def test_selftest(capsys):
 
 def test_forge_roundtrip(tmp_path, capsys):
     assert main(["forge", "--seed", "3", "--kind", "ses"]) == 0
-    doc = json.loads(capsys.readouterr().out.split("instance generated")[0])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert "instance generated" in captured.err
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(doc))
     inst = Instance.load(str(path))
@@ -122,6 +124,16 @@ def test_output_determinism(capsys):
 
 def test_unknown_name_exits_nonzero(capsys):
     assert main(["cohomology", PSEUDOCIRCLE, "--sheaf", "nope"]) == 1
+
+
+@pytest.mark.parametrize("field", ["fp:4", "fp:x", "r"])
+def test_bad_field_is_a_usage_error(field, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--field", field, "validate", PSEUDOCIRCLE])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid field %r" % field in captured.err
+    assert captured.out == ""
 
 
 def test_ce_command_on_complex_sequence(tmp_path, capsys):

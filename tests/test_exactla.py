@@ -15,6 +15,7 @@ from possheaf.exactla import (
     hstack,
     image_basis,
     kernel_basis,
+    place_blocks,
     preimage,
     quotient_basis,
     rank,
@@ -120,6 +121,13 @@ def test_empty_shapes():
 def test_block_diag():
     b = block_diag(QQ, [Matrix.identity(QQ, 1), M([[2, 0], [0, 3]])])
     assert b == M([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+
+
+def test_place_blocks_at_offsets():
+    a, b = M([[1, 2], [3, 4]]), M([[5]])
+    out = place_blocks(QQ, 3, 4, [(1, 2, a), (0, 0, b)])
+    assert out == M([[5, 0, 0, 0], [0, 0, 1, 2], [0, 0, 3, 4]])
+    assert place_blocks(QQ, 2, 0, []) == Matrix.zeros(QQ, 2, 0)
 
 
 def rand_matrix(rng, rows, cols):

@@ -1,0 +1,52 @@
+"""Byte-for-byte comparison of CLI output against recorded golden files.
+
+The goldens in tests/golden/ pin every PASS/FAIL line, table, recorded
+sign and --format report document of the pseudocircle commands below, so
+a refactor that changes any of them fails here.  Each file is the stdout
+of `possheaf <argv>`; no output names the instance file's path.
+"""
+
+import contextlib
+import io
+import os
+
+import pytest
+
+from possheaf.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+PSEUDOCIRCLE = os.path.join(HERE, "..", "instances", "pseudocircle.json")
+
+COMMANDS = {
+    "gss": ["gss", PSEUDOCIRCLE, "--sheaf", "k"],
+    "leray": ["leray", PSEUDOCIRCLE, "--map", "collapse", "--sheaf", "k"],
+    "delta": ["delta", PSEUDOCIRCLE, "--map", "collapse", "--sequence", "S"],
+    "verify-main": ["verify-main", PSEUDOCIRCLE, "--map", "collapse", "--sequence", "S"],
+    "verify-main-fp": ["--field", "fp:32003", "verify-main", PSEUDOCIRCLE,
+                       "--map", "collapse", "--sequence", "S"],
+    "verify-cz": ["verify-cz", PSEUDOCIRCLE, "--map", "collapse", "--sequence", "S"],
+}
+FORMATS = {"text": [], "report": ["--format", "report"]}
+CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]
+
+
+def golden_path(name, fmt):
+    return os.path.join(GOLDEN, "%s.%s" % (name, "json" if fmt == "report" else "txt"))
+
+
+def run_cli(name, fmt):
+    """(exit code, stdout) of one golden command."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(FORMATS[fmt] + COMMANDS[name])
+    return rc, buf.getvalue()
+
+
+@pytest.mark.parametrize("name,fmt", CASES, ids=["%s-%s" % c for c in CASES])
+def test_output_matches_golden(name, fmt):
+    rc, out = run_cli(name, fmt)
+    with open(golden_path(name, fmt)) as fh:
+        expected = fh.read()
+    assert rc == 0
+    assert out == expected

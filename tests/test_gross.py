@@ -14,7 +14,6 @@ from possheaf.gross import (
     first_ss_check,
     grothendieck_ss,
     higher_direct_image,
-    leray_delta,
     leray_pair,
     leray_ss,
     verify_main_theorem,
@@ -149,7 +148,8 @@ def test_torus_delta_and_main_theorem():
     pr1 = MonotoneMap.product_projection(X4, X4, 0)
     ctx = SheafContext(pr1.source, QQ)
     k, m, e = injective_middle(ctx)
-    family, rep = leray_delta(pr1, m, e)
+    family = delta_morphism(leray_pair(pr1, QQ), m, e)
+    rep = verify_main_theorem(family)
     assert rep.ok, rep.render()
     assert family.mor.signs == {"i": 1, "j": 1, "k": -1}
 

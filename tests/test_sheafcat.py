@@ -1,8 +1,11 @@
+import os
+
 import pytest
 
 from oracle import order_complex_cohomology_dims
 from possheaf.exactla import QQ, Matrix, rank
 from possheaf.homalg import injective_resolution
+from possheaf.instancefile import Instance
 from possheaf.poset import MonotoneMap, Poset, chain, fence_x4, product
 from possheaf.sheafcat import (
     InjectiveSheaf,
@@ -21,6 +24,7 @@ from possheaf.sheafcat import (
     hom_basis,
     is_acyclic_on_all_opens,
     restrict_to_open,
+    sections_over,
     sheaf_cohomology_dims,
 )
 
@@ -29,6 +33,15 @@ X4 = fence_x4()
 
 def ctx_x4():
     return SheafContext(X4, QQ)
+
+
+@pytest.mark.parametrize("fixture", ["pseudocircle", "torus"])
+def test_global_sections_are_sections_over_everything(fixture):
+    here = os.path.dirname(os.path.abspath(__file__))
+    inst = Instance.load(os.path.join(here, "..", "instances", fixture + ".json"))
+    assert inst.sheaves
+    for F in inst.sheaves.values():
+        assert global_sections(F) == sections_over(F, range(len(F.poset)))
 
 
 def test_constant_sheaf_sections_connected():

@@ -2,12 +2,14 @@ import pytest
 
 from possheaf.exactla import QQ, Matrix, rank
 from possheaf.specseq import (
+    CoupleMorphism,
     CoupleTower,
     DoubleComplex,
+    NotACoupleMorphism,
     SquareNotCommuting,
     Subquotient,
+    global_sign,
     map_of_spectral_sequences,
-    pages_from_filtration,
     SpectralSequence,
 )
 
@@ -155,23 +157,49 @@ def test_zero_couple_morphism():
 
 
 def test_by_q_mode_runs_on_transpose():
-    ss = pages_from_filtration(staircase(), mode="q")
+    ss = SpectralSequence(staircase().transpose())
     assert ss.convergence_ok()
     for n in range(5):
         assert ss.total_h_dim(n) == 0
 
 
 def test_total_complex_and_cohomology():
-    from possheaf.homalg import cohomology
-    from possheaf.specseq import cohomology_of_total, total_complex
+    # H^n(F^0) of the tower against plain cohomology of its total complex
+    from possheaf.homalg import CochainComplex, cohomology
+    from possheaf.sheafcat import VectorContext
 
+    for dc, dims in ((staircase(), [0, 0, 0, 0]), (one_entry(), [1, 0])):
+        tower = CoupleTower(dc)
+        tot = CochainComplex(VectorContext(QQ),
+                             {n: tower.tot_dim[n] for n in range(tower.nmax + 1)},
+                             {n: tower.tot_diff[n] for n in range(tower.nmax)})
+        for n, d in enumerate(dims):
+            assert tower.A1[(0, n)].dim == cohomology(tot, n).H == d
+
+
+def M(rows):
+    return Matrix.from_int_rows(QQ, rows)
+
+
+def test_global_sign():
+    a, b, z = M([[1, 2]]), M([[0, 3]]), M([[0, 0]])
+    assert global_sign([(a, a), (b, b), (z, z)]) == (1, True)
+    assert global_sign([(a, -a), (-b, b)]) == (-1, True)
+    assert global_sign([(a, a), (b, -b)]) == (None, False)
+    assert global_sign([(z, z), (z, z)]) == (0, True)
+    assert global_sign([(a, b)]) == (None, False)
+
+
+def test_broken_e_map_is_not_a_couple_morphism():
     dc = staircase()
-    tot = total_complex(dc)
-    tot.validate()
-    for n in range(4):
-        assert cohomology_of_total(dc, n) == cohomology(tot, n).H == 0
-    one = one_entry()
-    assert cohomology_of_total(one, 0) == 1
+    ss1, ss2 = SpectralSequence(dc), SpectralSequence(dc)
+    entry_maps = {(p, q): Matrix.identity(QQ, dc.dim(p, q))
+                  for p in range(3) for q in range(3) if dc.dim(p, q)}
+    mor = map_of_spectral_sequences(ss1, ss2, entry_maps)
+    assert CoupleMorphism(ss1, ss2, (0, 0), mor.a_maps, mor.e_maps).signs == mor.signs
+    broken = {key: m.scale(QQ.from_int(2)) for key, m in mor.e_maps.items()}
+    with pytest.raises(NotACoupleMorphism):
+        CoupleMorphism(ss1, ss2, (0, 0), mor.a_maps, broken)
 
 
 def test_graded_iso_invertible_on_nontrivial_total():
