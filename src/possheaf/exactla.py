@@ -1,12 +1,16 @@
-"""Exact dense linear algebra over the rationals or a prime field.
+"""Exact linear algebra over the rationals or a prime field.
 
 This is the substrate for every morphism in the engine.  All arithmetic is
-exact; matrices are dense row-major lists of field elements.  Subspaces are
-kept in a canonical column-reduced form so that every basis-dependent choice
-made downstream is deterministic.
+exact.  Matrices are stored dense, as row-major lists of field elements, but
+the kernels skip zeros: a product multiplies only pairs of nonzero entries,
+and an elimination step updates a row only where the pivot row is nonzero.
+Subspaces are kept in a canonical column-reduced form so that every
+basis-dependent choice made downstream is deterministic.
 """
 
 from __future__ import annotations
+
+import re
 
 try:
     from gmpy2 import mpq as _mpq
@@ -59,22 +63,37 @@ class FpElement:
         return "%d" % self.val
 
 
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_scalar(s):
+    """(numerator, denominator) of a scalar string "n" or "n/d", d nonzero."""
+    m = _SCALAR.fullmatch(str(s))
+    if m is None:
+        raise ValueError("scalar %r is not of the form n or n/d" % (s,))
+    den = int(m.group(2) or 1)
+    if den == 0:
+        raise ValueError("scalar %r has a zero denominator" % (s,))
+    return int(m.group(1)), den
+
+
 class RationalField:
     """Arbitrary-precision rationals (gmpy2.mpq, Fraction as fallback)."""
 
     name = "q"
+    _zero, _one = _mpq(0), _mpq(1)   # elements are immutable, so shared
 
     def zero(self):
-        return _mpq(0)
+        return self._zero
 
     def one(self):
-        return _mpq(1)
+        return self._one
 
     def from_int(self, n):
         return _mpq(n)
 
     def parse(self, s):
-        return _mpq(str(s))
+        return _mpq(*_parse_scalar(s))
 
     def fmt(self, x) -> str:
         return str(x)
@@ -97,22 +116,20 @@ class PrimeField:
             raise ValueError("modulus must be a prime < 2**31, got %r" % p)
         self.p = p
         self.name = "fp:%d" % p
+        self._zero, self._one = FpElement(0, p), FpElement(1, p)
 
     def zero(self):
-        return FpElement(0, self.p)
+        return self._zero
 
     def one(self):
-        return FpElement(1, self.p)
+        return self._one
 
     def from_int(self, n):
         return FpElement(n, self.p)
 
     def parse(self, s):
-        s = str(s)
-        if "/" in s:
-            num, den = s.split("/")
-            return FpElement(int(num), self.p) / FpElement(int(den), self.p)
-        return FpElement(int(s), self.p)
+        num, den = _parse_scalar(s)
+        return FpElement(num, self.p) / FpElement(den, self.p)
 
     def fmt(self, x) -> str:
         return str(x.val)
@@ -139,8 +156,16 @@ def field_from_name(name: str):
     raise ValueError("unknown field %r" % name)
 
 
+def _nonzeros(row, start=0):
+    """The (column, entry) pairs of row's nonzero entries from column start on."""
+    return [(j, x) for j, x in enumerate(row[start:], start) if x]
+
+
 class Matrix:
-    """Dense matrix over an exact field; represents a map k^cols -> k^rows."""
+    """Matrix over an exact field; represents a map k^cols -> k^rows.
+
+    Storage is dense (`data` is a list of row lists); the kernels skip zeros.
+    """
 
     __slots__ = ("field", "rows", "cols", "data", "_rank")
 
@@ -184,14 +209,14 @@ class Matrix:
         return cls(field, rows, cols, [[zero] * cols for _ in range(rows)])
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(any(row) for row in self.data)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and all(self.data[i][j] == other.data[i][j] for i in range(self.rows) for j in range(self.cols))
+            and all(_nonzeros(r1) == _nonzeros(r2) for r1, r2 in zip(self.data, other.data))
         )
 
     def __neg__(self):
@@ -202,7 +227,8 @@ class Matrix:
             raise ValueError("shape mismatch in add: %dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         return Matrix(
             self.field, self.rows, self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.data, other.data)],
         )
 
     def __sub__(self, other):
@@ -218,20 +244,27 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul: %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         zero = self.field.zero()
+        bnz = [_nonzeros(brow) for brow in other.data]
         out = []
-        bdata = other.data
         for arow in self.data:
-            acc = [zero] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bdata[k]
-                    acc = [c + a * b for c, b in zip(acc, brow)]
-            out.append(acc)
+            acc = {}
+            for a, brow in zip(arow, bnz):
+                if brow and a:
+                    for j, b in brow:
+                        if j in acc:
+                            acc[j] = acc[j] + a * b
+                        else:
+                            acc[j] = a * b
+            row = [zero] * other.cols
+            for j, c in acc.items():
+                row[j] = c
+            out.append(row)
         return Matrix(self.field, self.rows, other.cols, out)
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        if not self.rows:
+            return Matrix(self.field, self.cols, 0, [[] for _ in range(self.cols)])
+        return Matrix(self.field, self.cols, self.rows, [list(c) for c in zip(*self.data)])
 
     def col(self, j: int) -> "Matrix":
         return Matrix(self.field, self.rows, 1, [[row[j]] for row in self.data])
@@ -295,22 +328,22 @@ def block_diag(field, mats) -> Matrix:
     return place_blocks(field, r0, c0, blocks)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
+def _eliminate(field, a, limit):
+    """Gauss-Jordan elimination of the dense rows `a`, in place.
 
-    Returns (reduced, pivots, transform) with transform * m = reduced and
-    transform invertible.  The reduced form is canonical: row-equivalent
-    matrices produce identical output.
+    Pivots are taken only in the first `limit` columns, and are returned.  A
+    row update touches only the nonzero entries of the pivot row.
     """
-    field = m.field
-    a = [list(r) for r in m.data]
-    t = Matrix.identity(field, m.rows).data
+    zero, one = field.zero(), field.one()
+    nrows = len(a)
     pivots = []
     prow = 0
-    for pcol in range(m.cols):
+    for pcol in range(limit):
+        if prow == nrows:
+            break
         # find a pivot at or below prow
         sel = None
-        for i in range(prow, m.rows):
+        for i in range(prow, nrows):
             if a[i][pcol]:
                 sel = i
                 break
@@ -318,23 +351,36 @@ def rref(m: Matrix):
             continue
         if sel != prow:
             a[prow], a[sel] = a[sel], a[prow]
-            t[prow], t[sel] = t[sel], t[prow]
-        pv = a[prow][pcol]
-        if pv != field.one():
-            inv = field.one() / pv
-            a[prow] = [inv * x for x in a[prow]]
-            t[prow] = [inv * x for x in t[prow]]
-        row_p, trow_p = a[prow], t[prow]
-        for i in range(m.rows):
-            if i != prow and a[i][pcol]:
-                f = a[i][pcol]
-                a[i] = [x - f * y for x, y in zip(a[i], row_p)]
-                t[i] = [x - f * y for x, y in zip(t[i], trow_p)]
+        row_p = a[prow]
+        nz = _nonzeros(row_p, pcol + 1)
+        pv = row_p[pcol]
+        if pv != one:
+            inv = one / pv
+            nz = [(j, inv * x) for j, x in nz]
+            for j, x in nz:
+                row_p[j] = x
+            row_p[pcol] = one
+        for i in range(nrows):
+            row_i = a[i]
+            f = row_i[pcol]
+            if f and i != prow:
+                row_i[pcol] = zero
+                for j, y in nz:
+                    row_i[j] = row_i[j] - f * y
         pivots.append(pcol)
         prow += 1
-        if prow == m.rows:
-            break
-    return Matrix(field, m.rows, m.cols, a), pivots, Matrix(field, m.rows, m.rows, t)
+    return pivots
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form.
+
+    Returns (reduced, pivots).  The reduced form is canonical: row-equivalent
+    matrices produce identical output.
+    """
+    a = [list(r) for r in m.data]
+    pivots = _eliminate(m.field, a, m.cols)
+    return Matrix(m.field, m.rows, m.cols, a), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -347,24 +393,24 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix:
     """Solve m @ x = rhs columnwise, zeroing the non-pivot coordinates.
 
     Raises NoSolution naming the first right-hand-side column with no
-    preimage.  Solvability is exactly the vanishing of the transformed
-    right-hand side beyond the rank: with x supported on pivot columns,
-    reduced @ x reproduces those entries and transform is invertible.
+    preimage.  [m | rhs] is reduced with pivots only in m's columns; a
+    column is solvable exactly when its entries vanish in the rows with no
+    pivot, and then its solution is read off the pivot rows.  It is the
+    only one supported on the (independent) pivot columns.
     """
     if m.rows != rhs.rows:
         raise ValueError("solve shape mismatch")
     field = m.field
-    _, pivots, t = rref(m)
+    a = [mrow + rrow for mrow, rrow in zip(m.data, rhs.data)]
+    pivots = _eliminate(field, a, m.cols)
     nr = len(pivots)
-    c = t * rhs
+    for j in range(m.cols, m.cols + rhs.cols):
+        if any(a[i][j] for i in range(nr, m.rows)):
+            raise NoSolution("no preimage for column %d" % (j - m.cols))
     zero = field.zero()
-    for j in range(rhs.cols):
-        for i in range(nr, m.rows):
-            if c.data[i][j]:
-                raise NoSolution("no preimage for column %d" % j)
     xdata = [[zero] * rhs.cols for _ in range(m.cols)]
     for i, pc in enumerate(pivots):
-        xdata[pc] = list(c.data[i])
+        xdata[pc] = a[i][m.cols:]
     return Matrix(field, m.cols, rhs.cols, xdata)
 
 
@@ -385,7 +431,7 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, cols: Matrix) -> "Subspace":
-        red, pivots, _ = rref(cols.transpose())
+        red, pivots = rref(cols.transpose())
         basis = red.rows_slice(range(len(pivots))).transpose()
         return cls(cols.field, cols.rows, basis, pivots)
 
@@ -412,12 +458,20 @@ class Subspace:
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
 
     def coords_of(self, vecs: Matrix) -> Matrix:
-        """Express columns of vecs in this basis; NoSolution if not members."""
-        if self.dim == 0:
-            if not vecs.is_zero():
+        """Express columns of vecs in this basis; NoSolution if not members.
+
+        The basis is the identity on its pivot rows, so the coordinates of
+        a member are its pivot entries; one product checks membership.
+        """
+        coords = vecs.rows_slice(self.pivots)
+        back = self.basis * coords
+        if back != vecs:
+            if self.dim == 0:
                 raise NoSolution("nonzero vector in zero subspace")
-            return Matrix.zeros(self.field, 0, vecs.cols)
-        return solve(self.basis, vecs)
+            bad = min(j for brow, vrow in zip(back.data, vecs.data)
+                      for j, (x, y) in enumerate(zip(brow, vrow)) if x != y)
+            raise NoSolution("no preimage for column %d" % bad)
+        return coords
 
     def contains_matrix(self, vecs: Matrix) -> bool:
         try:
@@ -441,14 +495,17 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         """Complementary subspace spanned by non-pivot standard vectors."""
-        nonpiv = [i for i in range(self.ambient_dim) if i not in set(self.pivots)]
-        return Subspace.from_columns(Matrix.identity(self.field, self.ambient_dim).cols_slice(nonpiv))
+        pset = set(self.pivots)
+        nonpiv = [i for i in range(self.ambient_dim) if i not in pset]
+        # standard vectors in increasing order are already column-reduced
+        basis = Matrix.identity(self.field, self.ambient_dim).cols_slice(nonpiv)
+        return Subspace(self.field, self.ambient_dim, basis, nonpiv)
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the kernel of m."""
     field = m.field
-    red, pivots, _ = rref(m)
+    red, pivots = rref(m)
     pset = set(pivots)
     free = [j for j in range(m.cols) if j not in pset]
     zero, one = field.zero(), field.one()
@@ -480,23 +537,31 @@ def quotient_basis(s: Subspace, t: Subspace):
     """Representatives and projection for the quotient s / t, t a subspace of s.
 
     Returns (reps, proj): reps is n x k whose columns complete t inside s by
-    the pivot rule; proj is k x n with proj*t = 0 and proj*reps = identity.
+    the pivot rule; proj is k x n with proj*t = 0 and proj*reps = identity,
+    and proj is zero on the standard vectors off s's pivots.
     """
-    if not s.contains(t):
-        raise ContainmentViolation("quotient_basis: T not contained in S")
-    field = s.field
-    n = s.ambient_dim
-    # representatives: the s-columns that become pivots after t's (t.basis has
-    # full column rank, so its columns claim the first t.dim pivots)
-    _, pivots, _ = rref(hstack([t.basis, s.basis]))
-    sel = [p - t.dim for p in pivots if p >= t.dim]
+    try:
+        ts = s.coords_of(t.basis)   # t in s-coordinates: d x t.dim, full column rank
+    except NoSolution:
+        raise ContainmentViolation("quotient_basis: T not contained in S") from None
+    field, d = s.field, s.dim
+    # representatives: the s-columns that become pivots after t's, i.e. the
+    # e_j outside span(ts, e_0..e_{j-1}).  The other j are the positions of
+    # the last nonzero entries of vectors of t: the pivots of ts^T read with
+    # its columns reversed.
+    _, last = rref(ts.transpose().cols_slice(range(d - 1, -1, -1)))
+    rest = sorted(d - 1 - p for p in last)
+    rset = set(rest)
+    sel = [j for j in range(d) if j not in rset]
     reps = s.basis.cols_slice(sel)
-    k = reps.cols
-    # projection: kill t and a complement of s, identity on reps
-    comp = s.complement()
-    mfull = hstack([t.basis, reps, comp.basis])
-    if mfull.cols != n:
-        raise ContainmentViolation("quotient_basis: degenerate frame")
-    inv = solve(mfull, Matrix.identity(field, n))
-    proj = inv.rows_slice(range(t.dim, t.dim + k))
-    return reps, proj
+    # projection, in s-coordinates: the identity on sel, and -y^T on rest,
+    # where ts[rest]^T y = ts[sel]^T so that it kills ts (ts[rest] is invertible)
+    y = solve(ts.rows_slice(rest).transpose(), ts.rows_slice(sel).transpose()).data
+    one = field.one()
+    proj = Matrix.zeros(field, len(sel), s.ambient_dim).data
+    for r, j in enumerate(sel):
+        row = proj[r]
+        row[s.pivots[j]] = one
+        for c, i in enumerate(rest):
+            row[s.pivots[i]] = -y[c][r]
+    return reps, Matrix(field, len(sel), s.ambient_dim, proj)

@@ -165,3 +165,17 @@ def test_ce_command_on_complex_sequence(tmp_path, capsys):
     assert main(["ce", str(path), "--sequence", "S"]) == 0
     out = capsys.readouterr().out
     assert "nineteen derived sequences exact" in out
+
+
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+@pytest.mark.parametrize("entry", ["0.5", "1e3"])
+def test_decimal_entry_is_a_bad_matrix_entry(tmp_path, capsys, field, entry):
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    doc["sheaves"]["k"]["restrictions"]["a<c"] = [[entry]]
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--field", field, "cohomology", str(path), "--sheaf", "k"]) == 1
+    out = capsys.readouterr().out
+    assert "bad matrix entry" in out and repr(entry) in out
+    assert "does not commute" not in out
