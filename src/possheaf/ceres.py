@@ -221,6 +221,11 @@ _LAYOUT = {
 }
 
 
+# per complex of the SES: the column of a triple that resolves it, and the
+# tags of that column's cocycle and cohomology parts
+COLUMNS = {"A": ("I", "ZI", "HI"), "B": ("J", "ZJ", "HJ"), "C": ("K", "ZK", "HK")}
+
+
 class InjectiveTriple:
     """One row: 0 -> I* -> J* -> K* -> 0 of injectives under the input SES."""
 
@@ -539,7 +544,8 @@ class InjectiveTriple:
     def _verify_monos(self):
         ctx, inv = self.ctx, self.inv
         for name, src in (("A", inv.ses.A), ("B", inv.ses.B), ("C", inv.ses.C)):
-            tgt = self.cplx[{"A": "I", "B": "J", "C": "K"}[name]]
+            col, ztag, _ = COLUMNS[name]
+            tgt = self.cplx[col]
             for q in inv.main_degrees():
                 if not ctx.is_mono(self.aug[name].comp(q)):
                     raise InternalCommutativityFailure(
@@ -554,10 +560,9 @@ class InjectiveTriple:
                     if not ctx.is_mono(m):
                         raise InternalCommutativityFailure(
                             "induced map on %s of %s not mono at %d" % (kind, name, q))
-                zname = {"A": "ZI", "B": "ZJ", "C": "ZK"}[name]
-                if ctx.obj_dim(ht.Z) != ctx.obj_dim(self.sum_at(zname, q).obj):
+                if ctx.obj_dim(ht.Z) != ctx.obj_dim(self.sum_at(ztag, q).obj):
                     raise InternalCommutativityFailure(
-                        "tagged %s@%d differs from the computed cocycles" % (zname, q))
+                        "tagged %s@%d differs from the computed cocycles" % (ztag, q))
 
     def as_ses(self) -> SESOfComplexes:
         return SESOfComplexes(self.iota, self.pi)
@@ -582,7 +587,7 @@ class AugmentedDouble:
         self.rows = rows              # list of CochainComplex, index p
         self.dh = dh                  # dh[p]: ChainMap rows[p] -> rows[p+1]
         self.augmentation = augmentation  # ChainMap base -> rows[0]
-        self.tag_rows = tag_rows      # list of (column_name, InjectiveTriple)
+        self.tag_rows = tag_rows      # list of (COLUMNS entry, InjectiveTriple)
 
     def depth(self):
         return len(self.rows)
@@ -662,7 +667,7 @@ def build_ce_triple(ses: SESOfComplexes, depth=None) -> CETriple:
                 epis, prev_row = prev_epis[name]
                 comps = {q: ctx.compose(triple.aug[name].comp(q), epis[q])
                          for q in prev_row.degrees()}
-                dh[name].append(ChainMap(prev_row, triple.cplx[_col(name)], comps))
+                dh[name].append(ChainMap(prev_row, triple.cplx[COLUMNS[name][0]], comps))
         triples.append(triple)
         row_iotas.append(triple.iota)
         row_pis.append(triple.pi)
@@ -681,19 +686,15 @@ def build_ce_triple(ses: SESOfComplexes, depth=None) -> CETriple:
         except ValueError as exc:
             raise InternalExactnessFailure(
                 "cokernel SES after row %d: %s" % (len(triples) - 1, exc)) from exc
-        prev_epis = {name: (epis, triple.cplx[_col(name)])
+        prev_epis = {name: (epis, triple.cplx[COLUMNS[name][0]])
                      for name, epis in (("A", epiA), ("B", epiB), ("C", epiC))}
     doubles = {}
     for name, base in (("A", ses.A), ("B", ses.B), ("C", ses.C)):
-        rows = [t.cplx[_col(name)] for t in triples]
+        rows = [t.cplx[COLUMNS[name][0]] for t in triples]
         aug = triples[0].aug[name] if triples else None
         doubles[name] = AugmentedDouble(ctx, base, rows, dh[name], aug,
-                                        [(_col(name), t) for t in triples])
+                                        [(COLUMNS[name], t) for t in triples])
     return CETriple(ses, triples, doubles, row_iotas, row_pis)
-
-
-def _col(name):
-    return {"A": "I", "B": "J", "C": "K"}[name]
 
 
 def ce_resolution_of_complex(cplx: CochainComplex, depth=None):
@@ -811,13 +812,11 @@ def verify_ce(double: AugmentedDouble) -> CheckReport:
             ok = False
         rep.add("cohomology column resolves at q=%d" % q, ok)
         # tagged subobjects are injective by construction: Z/B/H dims match tags
-        for p, (cname, triple) in enumerate(double.tag_rows):
-            zname = {"I": "ZI", "J": "ZJ", "K": "ZK"}[cname]
-            hname = {"I": "HI", "J": "HJ", "K": "HK"}[cname]
-            if q in triple.sums[zname]:
+        for p, ((_, ztag, htag), triple) in enumerate(double.tag_rows):
+            if q in triple.sums[ztag]:
                 okz = ctx.obj_dim(cohomology(double.rows[p], q).Z) == \
-                    ctx.obj_dim(triple.sum_at(zname, q).obj)
+                    ctx.obj_dim(triple.sum_at(ztag, q).obj)
                 okh = ctx.obj_dim(cohomology(double.rows[p], q).H) == \
-                    ctx.obj_dim(triple.sum_at(hname, q).obj)
+                    ctx.obj_dim(triple.sum_at(htag, q).obj)
                 rep.add("tagged Z/H match at p=%d q=%d" % (p, q), okz and okh)
     return rep

@@ -12,13 +12,15 @@ import json
 import sys
 
 from . import homalg
-from .homalg import CheckReport
+from .homalg import CheckReport, TruncationInsufficient
 from .ceres import build_ce_triple, compute_invariants, verify_ce
 from .exactla import field_from_name
 from .forge import GenConfig, gen_poset, gen_ses_sheaves, gen_sheaf
 from .gross import (
+    AcyclicityViolation,
     E2Identification,
     FunctorPair,
+    PreconditionFailed,
     acyclic_middle_analysis,
     delta_morphism,
     first_ss_check,
@@ -280,6 +282,13 @@ def cmd_forge(args, run):
     run.check("instance generated", True)
 
 
+def _degree(text):
+    """argparse type for --max-degree: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("invalid degree %r: must be a nonnegative integer" % text)
+    return int(text)
+
+
 def _field_name(name):
     """argparse type for --field: the name, once it names a field."""
     try:
@@ -294,7 +303,7 @@ def build_parser():
                                   description="exact spectral sequences of sheaves on finite posets")
     top.add_argument("--field", default="q", type=_field_name, help="q or fp:<prime>")
     top.add_argument("--format", default="text", choices=["text", "report"])
-    top.add_argument("--max-degree", type=int, default=None)
+    top.add_argument("--max-degree", type=_degree, default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, func, file_arg=True, **opts):
@@ -323,13 +332,23 @@ def build_parser():
     return top
 
 
+# input and hypothesis failures that end a run as a named FAIL (exit 1); any
+# other exception is an engine bug and stays a traceback
+_DOMAIN_ERRORS = {
+    InstanceError: "input error",
+    PreconditionFailed: "precondition failed",
+    TruncationInsufficient: "truncation insufficient",
+    AcyclicityViolation: "acyclicity violated",
+}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     run = _Run(args.command, args.format)
     try:
         args.func(args, run)
-    except InstanceError as exc:
-        run.check("input error", False, str(exc))
+    except tuple(_DOMAIN_ERRORS) as exc:
+        run.check(_DOMAIN_ERRORS[type(exc)], False, str(exc))
     return run.emit()
 
 

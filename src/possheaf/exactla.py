@@ -177,15 +177,6 @@ class Matrix:
         self._rank = None
 
     @classmethod
-    def from_rows(cls, field, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return cls(field, len(rows), ncols, rows)
-
-    @classmethod
     def from_int_rows(cls, field, rows, cols=None):
         data = [[field.from_int(x) for x in r] for r in rows]
         ncols = len(rows[0]) if rows else (cols or 0)
@@ -265,9 +256,6 @@ class Matrix:
         if not self.rows:
             return Matrix(self.field, self.cols, 0, [[] for _ in range(self.cols)])
         return Matrix(self.field, self.cols, self.rows, [list(c) for c in zip(*self.data)])
-
-    def col(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.rows, 1, [[row[j]] for row in self.data])
 
     def cols_slice(self, idx) -> "Matrix":
         return Matrix(self.field, self.rows, len(idx), [[row[j] for j in idx] for row in self.data])

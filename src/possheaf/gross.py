@@ -43,7 +43,6 @@ from .specseq import (
     DoubleComplex,
     SpectralSequence,
     Subquotient,
-    filtration_slice,
     global_sign,
     tot_block_map,
 )
@@ -167,9 +166,9 @@ def _linked_resolutions(pair: FunctorPair, iota, pi) -> homalg.HorseshoeData:
     return homalg.horseshoe(ctx, iota, pi, res_a, res_c)
 
 
-def _struct_offsets(triple, colname, q):
+def _struct_offsets(triple, col, q):
     """Row offsets of each tagged part in Gamma-structured coordinates."""
-    ts = triple.sum_at(colname, q)
+    ts = triple.sum_at(col, q)
     offs, off = [], 0
     for key in ts.keys:
         obj = triple.fam[key]
@@ -178,11 +177,11 @@ def _struct_offsets(triple, colname, q):
     return offs, off
 
 
-def _h_block_rows(triple, colname, q):
+def _h_block_rows(triple, tags, q):
     """Structured-coordinate rows of the cohomology part of the row object."""
-    hname = {"I": "HI", "J": "HJ", "K": "HK"}[colname]
-    hkeys = set(triple.sums[hname][q].keys)
-    offs, _ = _struct_offsets(triple, colname, q)
+    col, _, htag = tags
+    hkeys = set(triple.sums[htag][q].keys)
+    offs, _ = _struct_offsets(triple, col, q)
     rows = []
     for key, off, mult in offs:
         if key in hkeys:
@@ -361,11 +360,10 @@ class E2Identification:
         for q in range(qlo, qhi + 1):
             objs, diffs, isos = {}, {}, {}
             for p in range(depth):
-                colname, triple = double.tag_rows[p]
-                hname = {"I": "HI", "J": "HJ", "K": "HK"}[colname]
-                if q not in triple.sums[hname]:
+                (_, _, htag), triple = double.tag_rows[p]
+                if q not in triple.sums[htag]:
                     continue
-                hsheaf = triple.sum_at(hname, q).obj
+                hsheaf = triple.sum_at(htag, q).obj
                 objs[p] = hsheaf
                 isos[p] = self._tagged_to_computed(p, q, hsheaf)
             for p in range(depth - 1):
@@ -385,12 +383,11 @@ class E2Identification:
         """Iso from the tagged H object to the computed cohomology of the row."""
         ctx = self.pair.tgt_ctx
         double = self.double
-        colname, triple = double.tag_rows[p]
-        hname = {"I": "HI", "J": "HJ", "K": "HK"}[colname]
+        (col, _, htag), triple = double.tag_rows[p]
         row = double.rows[p]
         h = homalg.cohomology(row, q)
-        hts = triple.sum_at(hname, q)
-        incl = hts.structural_to(triple.sum_at(colname, q))  # H-part into the row object
+        hts = triple.sum_at(htag, q)
+        incl = hts.structural_to(triple.sum_at(col, q))  # H-part into the row object
         zlift = ctx.lift_through_mono(incl, h.z_mono)
         iso = ctx.compose(h.proj, zlift)
         return iso
@@ -408,8 +405,8 @@ class E2Identification:
             mat = Matrix.zeros(pair.field, hdim, e2.dim)
             self.matrices[key] = mat
             return mat
-        colname, triple = self.double.tag_rows[p]
-        hrows = _h_block_rows(triple, colname, q)
+        tags, triple = self.double.tag_rows[p]
+        hrows = _h_block_rows(triple, tags, q)
         reps_struct = (e2.reps).rows_slice(hrows)   # block-read the H-part
         # express in the canonical cocycle/quotient coordinates of the H complex
         zsub = Subquotient.cohomology(pair.field, vec.obj(p), vec.diff(p),
@@ -467,10 +464,6 @@ class DeltaFamily:
         """H^n(Tot T) -> H^{n+1}(Tot R), the total-degree connecting map."""
         return self.mor.a_map(0, n)
 
-    def bidegrees(self, r):
-        out = set(self.ssT.page_dims(r)) | {(p, q - 1) for (p, q) in self.ssR.page_dims(r)}
-        return sorted((p, q) for (p, q) in out if p >= 0 and q >= -1)
-
 
 def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) -> DeltaFamily:
     """Construct the coboundary morphism of exact couples for a sheaf SES."""
@@ -504,8 +497,6 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
             pi_e[(p, q)] = gamma_struct_map(trip.pi.comp(q),
                                             trip.cplx["J"].obj(q), trip.cplx["K"].obj(q))
     tR, tS, tT = ssR.tower, ssS.tower, ssT.tower
-    iota_tot = {n: tot_block_map(tR, tS, iota_e, n) for n in range(tR.nmax + 1)}
-    pi_tot = {n: tot_block_map(tS, tT, pi_e, n) for n in range(tS.nmax + 1)}
     # A-level: connecting maps of 0 -> F^p R -> F^p S -> F^p T -> 0
     a_maps = {}
     for (p, q), asq in tT.A1.items():
@@ -515,11 +506,10 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
         tgt = tR.A1.get((p, q + 1))
         if tgt is None:
             continue
-        pi_fp = filtration_slice(tS, tT, pi_tot[n], p, n)
-        iota_fp1 = filtration_slice(tR, tS, iota_tot[n + 1], p, n + 1)
-        dS = tS.filt[tS.clamp(p)].diff[n]
+        pi_fp = tot_block_map(tS, tT, pi_e, n, p)
+        iota_fp1 = tot_block_map(tR, tS, iota_e, n + 1, p)
         s = solve(pi_fp, asq.reps)
-        a_maps[(p, q)] = tgt.project(solve(iota_fp1, dS * s))
+        a_maps[(p, q)] = tgt.project(solve(iota_fp1, tS.fdiff[(p, n)] * s))
     # E-level: connecting maps of the column SESs, with the (-1)^p sign
     e_maps = {}
     for (p, q), esq in tT.E1.items():

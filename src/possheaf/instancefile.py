@@ -231,11 +231,6 @@ def morphism_to_dict(phi: SheafMorphism, source_name, target_name):
     return {"source": source_name, "target": target_name, "components": comps}
 
 
-def map_to_dict(f: MonotoneMap, source_name, target_name):
-    return {"source": source_name, "target": target_name,
-            "values": {e: f.apply(e) for e in f.source.elements}}
-
-
 def validate_instance(path, field=None):
     """Parse and run every invariant check; returns (ok, messages)."""
     messages = []

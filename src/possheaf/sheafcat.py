@@ -258,9 +258,6 @@ class Sheaf:
     def is_zero(self):
         return self.total_dim == 0
 
-    def stalk_slice(self, i):
-        return range(self.offsets[i], self.offsets[i] + self.dims[i])
-
     def __repr__(self):
         return "Sheaf(dims=%s)" % (self.dims,)
 

@@ -9,8 +9,11 @@ checkable matrix statement.
 
 Conventions: squares of the double complex commute; the total differential
 carries the sign (-1)^p on the vertical part.  The filtration is by column
-degree p.  E_1^{p,q} is the vertical cohomology of column p, A_1^{p,q} the
-total cohomology of the filtration piece F^p.
+degree p.  Tot^n lists its cells by increasing p, so F^p Tot^n is the
+trailing block of Tot^n and the cell (p, n - p) is its head: filtration
+inclusions and cell projections are offsets, not eliminations.  E_1^{p,q} is
+the vertical cohomology of column p, A_1^{p,q} the total cohomology of the
+filtration piece F^p.
 """
 
 from __future__ import annotations
@@ -132,19 +135,15 @@ class Subquotient:
         return other.proj * (ambient_map * self.reps)
 
 
-class _Filtered:
-    """Coordinate data of one filtration level F^p of the total complex."""
-
-    __slots__ = ("positions", "dim", "diff")
-
-    def __init__(self, positions, dim, diff):
-        self.positions = positions  # per n: global Tot^n coordinate indices
-        self.dim = dim              # per n: dimension
-        self.diff = diff            # per n: matrix F^p Tot^n -> F^p Tot^{n+1}
-
-
 class CoupleTower:
-    """Level-one exact couple of the column filtration, plus derived stages."""
+    """Level-one exact couple of the column filtration, plus derived stages.
+
+    Tot^n lists its cells (p, n - p) by increasing p, so the filtration piece
+    F^p Tot^n is the trailing block of Tot^n from `start(p, n)` on, and the
+    cell (p, q) is the head of F^p Tot^{p+q}.  Every filtration map is an
+    offset: an inclusion F^p -> F^p' (p >= p') puts zero rows on top, and a
+    cell is read off the first rows of its filtration piece.
+    """
 
     def __init__(self, dc: DoubleComplex):
         self.dc = dc
@@ -164,27 +163,16 @@ class CoupleTower:
                 off += dc.dim(p, q)
             self.tot_dim[n] = off
         self.tot_diff = {n: self._total_diff(n) for n in range(self.nmax + 1)}
-        self.filt = []
-        for p in range(D + 2):
-            positions, dimn, diffs = {}, {}, {}
-            for n in range(self.nmax + 2):
-                pos = []
-                for (pp, qq) in self.cells[n]:
-                    if pp >= p:
-                        base = self.offsets[(n, pp, qq)]
-                        pos.extend(range(base, base + dc.dim(pp, qq)))
-                positions[n] = pos
-                dimn[n] = len(pos)
-            for n in range(self.nmax + 1):
-                diffs[n] = self.tot_diff[n].rows_slice(positions[n + 1]).cols_slice(positions[n])
-            self.filt.append(_Filtered(positions, dimn, diffs))
+        self.fdiff = {}     # (p, n): the differential F^p Tot^n -> F^p Tot^{n+1}
         self.A1 = {}
-        self.E1 = {}
         for p in range(D + 2):
-            f = self.filt[p]
             for n in range(self.nmax + 1):
+                self.fdiff[(p, n)] = (
+                    self.tot_diff[n].rows_slice(range(self.start(p, n + 1), self.tot_dim[n + 1]))
+                    .cols_slice(range(self.start(p, n), self.tot_dim[n])))
                 self.A1[(p, n - p)] = Subquotient.cohomology(
-                    self.field, f.dim.get(n, 0), f.diff.get(n), f.diff.get(n - 1))
+                    self.field, self.filt_dim(p, n), self.fdiff[(p, n)], self.fdiff.get((p, n - 1)))
+        self.E1 = {}
         for p in range(D + 1):
             for q in range(D + 1):
                 self.E1[(p, q)] = Subquotient.cohomology(
@@ -205,37 +193,40 @@ class CoupleTower:
                 blocks.append((roff, coff, dc.v(p, q) if p % 2 == 0 else -dc.v(p, q)))
         return place_blocks(self.field, self.tot_dim.get(n + 1, 0), self.tot_dim[n], blocks)
 
-    def filt_dim(self, p, n):
-        p = min(max(p, 0), self.D + 1)
-        return self.filt[p].dim.get(n, 0)
+    def start(self, p, n) -> int:
+        """The first Tot^n coordinate of F^p Tot^n: the offset of its first cell."""
+        for (pp, qq) in self.cells.get(n, ()):
+            if pp >= p:
+                return self.offsets[(n, pp, qq)]
+        return self.tot_dim.get(n, 0)
 
-    def clamp(self, p):
-        return min(max(p, 0), self.D + 1)
+    def filt_dim(self, p, n) -> int:
+        return self.tot_dim.get(n, 0) - self.start(p, n)
 
-    def inclusion_matrix(self, p_from, p_to, n) -> Matrix:
-        """Coordinate inclusion F^{p_from} -> F^{p_to} at degree n, p_from >= p_to."""
-        src = self.filt[self.clamp(p_from)].positions.get(n, [])
-        tgt = self.filt[self.clamp(p_to)].positions.get(n, [])
-        tpos = {g: i for i, g in enumerate(tgt)}
-        out = Matrix.zeros(self.field, len(tgt), len(src)).data
-        for c, g in enumerate(src):
-            out[tpos[g]][c] = self.field.one()
-        return Matrix(self.field, len(tgt), len(src), out)
+    def include(self, m, n, p_from, p_to) -> Matrix:
+        """F^{p_from} Tot^n coordinates of the columns of m as F^{p_to} ones, p_from >= p_to."""
+        return place_blocks(self.field, self.filt_dim(p_to, n), m.cols,
+                            [(self.start(p_from, n) - self.start(p_to, n), 0, m)])
 
-    def column_inclusion(self, p, q) -> Matrix:
-        """Coordinates of the cell (p,q) inside F^p at degree n = p + q."""
-        n = p + q
-        pos = self.filt[self.clamp(p)].positions.get(n, [])
-        base = self.offsets.get((n, p, q), 0)
-        dim = self.dc.dim(p, q)
-        ppos = {g: i for i, g in enumerate(pos)}
-        out = Matrix.zeros(self.field, len(pos), dim).data
-        for c in range(dim):
-            out[ppos[base + c]][c] = self.field.one()
-        return Matrix(self.field, len(pos), dim, out)
+    def restrict(self, m, n, p_from, p_to) -> Matrix:
+        """F^{p_from} Tot^n columns of m that lie in F^{p_to} (p_from <= p_to), in its coordinates.
 
-    def column_projection(self, p, q) -> Matrix:
-        return self.column_inclusion(p, q).transpose()
+        Drops the top rows; NoSolution names the first column with a nonzero
+        entry there.
+        """
+        top = self.start(p_to, n) - self.start(p_from, n)
+        bad = [j for row in m.data[:top] for j, x in enumerate(row) if x]
+        if bad:
+            raise NoSolution("no preimage for column %d" % min(bad))
+        return m.rows_slice(range(top, m.rows))
+
+    def from_cell(self, m, p, q) -> Matrix:
+        """Cell (p, q) coordinates as F^p Tot^{p+q} ones: zero rows below."""
+        return place_blocks(self.field, self.filt_dim(p, p + q), m.cols, [(0, 0, m)])
+
+    def to_cell(self, m, p, q) -> Matrix:
+        """The cell (p, q) part of F^p Tot^{p+q} columns: their first rows."""
+        return m.rows_slice(range(self.dc.dim(p, q)))
 
     def page(self, r) -> "ExactCouple":
         while len(self.couples) < r:
@@ -258,6 +249,7 @@ class ExactCouple:
         self.level = level
         self.A = A
         self.E = E
+        self._d = {}        # (p, q) -> d_r, computed once
 
     def a_sq(self, p, q) -> Subquotient:
         sq = self.A.get((p, q))
@@ -277,7 +269,7 @@ class ExactCouple:
         src, tgt = self.a_sq(p, q), self.a_sq(p - 1, q + 1)
         if src.dim == 0 or tgt.dim == 0:
             return Matrix.zeros(t.field, tgt.dim, src.dim)
-        incl = t.inclusion_matrix(p, p - 1, p + q)
+        incl = t.include(Matrix.identity(t.field, src.ambient_dim), p + q, p, p - 1)
         return src.induced_map(tgt, incl)
 
     def j_map(self, p, q) -> Matrix:
@@ -291,13 +283,12 @@ class ExactCouple:
         z1 = t.A1.get((p2, q2))
         if z1 is None or z1.Z.dim == 0:
             return Matrix.zeros(t.field, tgt.dim, src.dim)
-        incl = t.inclusion_matrix(p2, p, n)
+        z1_in = t.include(z1.Z.basis, n, p2, p)
         base1 = t.A1[(p, q)]
-        frame = (hstack([incl * z1.Z.basis, base1.B.basis]) if base1.B.dim
-                 else incl * z1.Z.basis)
+        frame = hstack([z1_in, base1.B.basis]) if base1.B.dim else z1_in
         sol = solve(frame, src.reps)
         a = z1.Z.basis * sol.rows_slice(range(z1.Z.dim))
-        return tgt.project(t.column_projection(p2, q2) * a)
+        return tgt.project(t.to_cell(a, p2, q2))
 
     def k_map(self, p, q) -> Matrix:
         t = self.tower
@@ -305,42 +296,44 @@ class ExactCouple:
         if src.dim == 0 or tgt.dim == 0:
             return Matrix.zeros(t.field, tgt.dim, src.dim)
         n = p + q
-        colinc = t.column_inclusion(p, q)
-        dF = t.filt[t.clamp(p)].diff[n]
-        incl_back = t.inclusion_matrix(p + 1, p, n + 1)
-        dx = dF * (colinc * src.reps)               # lies in the F^{p+1} block
-        return tgt.project(solve(incl_back, dx))
+        dx = t.fdiff[(p, n)] * t.from_cell(src.reps, p, q)     # lies in F^{p+1}
+        return tgt.project(t.restrict(dx, n + 1, p, p + 1))
 
     def d_map(self, p, q) -> Matrix:
         """d_r = j . k, of bidegree (r, 1-r)."""
-        return self.j_map(p + 1, q) * self.k_map(p, q)
+        d = self._d.get((p, q))
+        if d is None:
+            d = self._d[(p, q)] = self.j_map(p + 1, q) * self.k_map(p, q)
+        return d
 
     def derive(self) -> "ExactCouple":
+        """The next couple.  An entry that nothing can change is carried over
+        as it is: a zero entry, or an E entry whose d_r in and out are zero."""
         t, r = self.tower, self.level
         newA, newE = {}, {}
         for (p, q), sq in self.A.items():
-            if sq.ambient_dim == 0:
+            if sq.dim == 0:
                 newA[(p, q)] = sq
                 continue
             src = self.a_sq(p + 1, q - 1)
             if src.dim:
-                incl = t.inclusion_matrix(p + 1, p, p + q)
-                Z = sq.B.sum(Subspace.from_columns(incl * src.reps))
+                incl = t.include(src.reps, p + q, p + 1, p)
+                Z = sq.B.sum(Subspace.from_columns(incl))
             else:
                 Z = sq.B
             newA[(p, q)] = Subquotient(t.field, sq.ambient_dim, Z, sq.B)
         for (p, q), sq in self.E.items():
-            if sq.ambient_dim == 0:
+            if sq.dim == 0:
                 newE[(p, q)] = sq
                 continue
             dout = self.d_map(p, q)
             din = self.d_map(p - r, q + r - 1)
-            if sq.dim:
-                kerd = kernel_basis(dout)
-                Z = sq.B.sum(Subspace.from_columns(sq.reps * kerd.basis))
-                B = sq.B.sum(Subspace.from_columns(sq.reps * din)) if din.cols else sq.B
-            else:
-                Z, B = sq.Z, sq.B
+            if dout.is_zero() and din.is_zero():
+                newE[(p, q)] = sq
+                continue
+            kerd = kernel_basis(dout)
+            Z = sq.B.sum(Subspace.from_columns(sq.reps * kerd.basis))
+            B = sq.B.sum(Subspace.from_columns(sq.reps * din)) if din.cols else sq.B
             if not Z.contains(B):
                 raise ExactnessLost("derived boundaries escape cocycles at (%d,%d)" % (p, q))
             newE[(p, q)] = Subquotient(t.field, sq.ambient_dim, Z, B)
@@ -423,8 +416,7 @@ class SpectralSequence:
                 if ap is None or ap.Z.dim == 0:
                     levels.append(Subspace.zero(self.field, h.dim))
                     continue
-                incl = t.inclusion_matrix(p, 0, n)
-                levels.append(Subspace.from_columns(h.project(incl * ap.Z.basis)))
+                levels.append(Subspace.from_columns(h.project(t.include(ap.Z.basis, n, p, 0))))
             out[n] = levels
         self._filtration = out
         return out
@@ -446,17 +438,10 @@ class SpectralSequence:
             mat = Matrix.zeros(self.field, grad.dim, 0)
             self._graded_isos[key] = mat
             return mat
-        colinc = t.column_inclusion(p, q)
-        fp1 = t.filt[t.clamp(p + 1)]
-        dnext = fp1.diff[n] if n in fp1.diff else Matrix.zeros(self.field, 0, fp1.dim.get(n, 0))
-        incl_p1_p = t.inclusion_matrix(p + 1, p, n)
-        incl_p_0 = t.inclusion_matrix(p, 0, n)
-        incl_p1_p_next = t.inclusion_matrix(p + 1, p, n + 1)
-        dF = t.filt[t.clamp(p)].diff[n]
-        x = colinc * einf.reps
-        dx_in_p1 = solve(incl_p1_p_next, dF * x)   # D x lands in F^{p+1}
-        s = solve(dnext, dx_in_p1)                 # s in F^{p+1} with D s = D x
-        vec = incl_p_0 * (x - incl_p1_p * s)
+        x = t.from_cell(einf.reps, p, q)
+        dx = t.restrict(t.fdiff[(p, n)] * x, n + 1, p, p + 1)   # D x lands in F^{p+1}
+        s = solve(t.fdiff[(p + 1, n)], dx)                       # s in F^{p+1} with D s = D x
+        vec = t.include(x - t.include(s, n, p + 1, p), n, p, 0)
         mat = grad.project(h.project(vec))
         self._graded_isos[key] = mat
         return mat
@@ -518,25 +503,19 @@ def global_sign(pairs):
     return (sign if sign is not None else 0), True
 
 
-def tot_block_map(t_src: CoupleTower, t_dst: CoupleTower, entries, n) -> Matrix:
-    """Entrywise maps R^{p,q} -> R'^{p,q} assembled on Tot^n -> Tot^n.
+def tot_block_map(t_src: CoupleTower, t_dst: CoupleTower, entries, n, p) -> Matrix:
+    """Entrywise maps R^{p,q} -> R'^{p,q} assembled on F^p Tot^n -> F^p Tot^n.
 
     entries maps (p, q) to a matrix; a missing entry is the zero map.
     """
+    r0, c0 = t_dst.start(p, n), t_src.start(p, n)
     blocks = []
-    for (p, q) in t_src.cells.get(n, []):
-        m = entries.get((p, q))
-        roff = t_dst.offsets.get((n, p, q))
-        if m is not None and roff is not None:
-            blocks.append((roff, t_src.offsets[(n, p, q)], m))
-    return place_blocks(t_src.field, t_dst.tot_dim.get(n, 0), t_src.tot_dim.get(n, 0), blocks)
-
-
-def filtration_slice(t_src: CoupleTower, t_dst: CoupleTower, mat, p, n) -> Matrix:
-    """Restrict a Tot^n-level map to the F^p coordinate blocks."""
-    rows = t_dst.filt[t_dst.clamp(p)].positions.get(n, [])
-    cols = t_src.filt[t_src.clamp(p)].positions.get(n, [])
-    return mat.rows_slice(rows).cols_slice(cols)
+    for (pp, qq) in t_src.cells.get(n, []):
+        m = entries.get((pp, qq))
+        roff = t_dst.offsets.get((n, pp, qq))
+        if pp >= p and m is not None and roff is not None:
+            blocks.append((roff - r0, t_src.offsets[(n, pp, qq)] - c0, m))
+    return place_blocks(t_src.field, t_dst.filt_dim(p, n), t_src.filt_dim(p, n), blocks)
 
 
 class CoupleMorphism:
@@ -651,8 +630,7 @@ def map_of_spectral_sequences(src: SpectralSequence, dst: SpectralSequence,
         tgt = t_dst.A1.get((p, q))
         if tgt is None or asq.dim == 0:
             continue
-        tot = tot_block_map(t_src, t_dst, entry_maps, n)
-        a_maps[(p, q)] = asq.induced_map(tgt, filtration_slice(t_src, t_dst, tot, p, n))
+        a_maps[(p, q)] = asq.induced_map(tgt, tot_block_map(t_src, t_dst, entry_maps, n, p))
     for (p, q), esq in t_src.E1.items():
         tgt = t_dst.E1.get((p, q))
         if tgt is None or esq.dim == 0:

@@ -179,3 +179,38 @@ def test_decimal_entry_is_a_bad_matrix_entry(tmp_path, capsys, field, entry):
     out = capsys.readouterr().out
     assert "bad matrix entry" in out and repr(entry) in out
     assert "does not commute" not in out
+
+
+def test_negative_max_degree_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-degree", "-5", "resolve", PSEUDOCIRCLE, "--sheaf", "k"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid degree '-5'" in captured.err
+    assert captured.out == ""
+
+
+def test_failed_precondition_is_a_named_fail(tmp_path, capsys):
+    # a forged sequence pushed to a point: its middle sheaf is not acyclic on
+    # every open, so verify-cz stops at its precondition
+    assert main(["forge", "--seed", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["posets"]["pt"] = {"elements": ["*"], "covers": []}
+    doc["maps"] = {"collapse": {"source": "P", "target": "pt",
+                                "values": {x: "*" for x in doc["posets"]["P"]["elements"]}}}
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-cz", str(path), "--map", "collapse", "--sequence", "S"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("precondition failed") and "FAIL middle sheaf is not acyclic" in out
+
+
+def test_engine_bug_stays_a_traceback(monkeypatch):
+    import possheaf.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("engine bug")
+
+    monkeypatch.setattr(cli, "sheaf_cohomology_dims", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["cohomology", PSEUDOCIRCLE, "--sheaf", "k"])

@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of CLI output against recorded golden files.
 
 The goldens in tests/golden/ pin every PASS/FAIL line, table, recorded
-sign and --format report document of the pseudocircle commands below, so
-a refactor that changes any of them fails here.  Each file is the stdout
+sign and --format report document of the pseudocircle and torus commands
+below, so a refactor that changes any of them fails here.  The torus runs
+are the ones whose filtration pieces span more than two columns.  Each file is the stdout
 of `possheaf <argv>`; no output names the instance file's path.
 """
 
@@ -17,6 +18,7 @@ from possheaf.cli import main
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 PSEUDOCIRCLE = os.path.join(HERE, "..", "instances", "pseudocircle.json")
+TORUS = os.path.join(HERE, "..", "instances", "torus.json")
 
 COMMANDS = {
     "gss": ["gss", PSEUDOCIRCLE, "--sheaf", "k"],
@@ -26,6 +28,9 @@ COMMANDS = {
     "verify-main-fp": ["--field", "fp:32003", "verify-main", PSEUDOCIRCLE,
                        "--map", "collapse", "--sequence", "S"],
     "verify-cz": ["verify-cz", PSEUDOCIRCLE, "--map", "collapse", "--sequence", "S"],
+    "torus-leray": ["leray", TORUS, "--map", "pr1", "--sheaf", "k"],
+    "torus-verify-main-fp": ["--field", "fp:32003", "verify-main", TORUS,
+                             "--map", "pr1", "--sequence", "S"],
 }
 FORMATS = {"text": [], "report": ["--format", "report"]}
 CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]
