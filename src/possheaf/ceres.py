@@ -23,6 +23,7 @@ from .homalg import (
     CochainComplex,
     SESOfComplexes,
     TruncationInsufficient,
+    augmented_exact,
     cohomology,
     connecting,
     induced_on_cohomology,
@@ -727,22 +728,6 @@ def _induced_column(ctx, double: AugmentedDouble, q, extract):
     return base_obj, base_map, objs, maps
 
 
-def _exact_aug_sequence(ctx, base_obj, base_map, objs, maps, allow_empty=True):
-    """Exactness of 0 -> X -> C^0 -> C^1 -> ... -> 0 including the tail."""
-    if not objs:
-        return ctx.is_zero_obj(base_obj)
-    if base_map is None or not ctx.is_mono(base_map):
-        return False
-    seq = [base_map] + maps
-    for k in range(len(seq) - 1):
-        mid = objs[k]
-        if not ctx.is_exact_pair(seq[k], seq[k + 1], mid):
-            return False
-    tail_src = seq[-1]
-    Q, _ = ctx.cokernel(tail_src)
-    return ctx.is_zero_obj(Q)
-
-
 def verify_ce(double: AugmentedDouble) -> CheckReport:
     """Machine-check of the four defining properties of a CE resolution."""
     ctx = double.ctx
@@ -778,8 +763,8 @@ def verify_ce(double: AugmentedDouble) -> CheckReport:
     for q in double.degrees():
         objs = [double.rows[p].obj(q) for p in range(double.depth())]
         maps = [double.dh[p].comp(q) for p in range(double.depth() - 1)]
-        ok = _exact_aug_sequence(ctx, double.base.obj(q), double.augmentation.comp(q),
-                                 objs, maps)
+        ok = augmented_exact(ctx, double.base.obj(q), double.augmentation.comp(q),
+                             objs, maps)
         rep.add("augmented row exact at q=%d" % q, ok)
     # bullets 3 and 4: cocycles, coboundaries and cohomology columns resolve
     def z_extract(cplx, q):
@@ -793,7 +778,7 @@ def verify_ce(double: AugmentedDouble) -> CheckReport:
     for q in double.degrees():
         for label, extract in (("cocycle", z_extract), ("coboundary", b_extract)):
             base_obj, base_map, objs, maps = _induced_column(ctx, double, q, extract)
-            ok = _exact_aug_sequence(ctx, base_obj, base_map, objs, maps)
+            ok = augmented_exact(ctx, base_obj, base_map, objs, maps)
             rep.add("%s column resolves at q=%d" % (label, q), ok)
         # cohomology column via Z-level maps descended to H
         hobjs, hmaps = [], []
@@ -807,7 +792,7 @@ def verify_ce(double: AugmentedDouble) -> CheckReport:
             for p in range(double.depth() - 1):
                 hmaps.append(ctx.descend_along_epi(
                     hobjs[p].proj, ctx.compose(hobjs[p + 1].proj, zmaps[p])))
-            ok = _exact_aug_sequence(ctx, hbase.H, hb, [h.H for h in hobjs], hmaps)
+            ok = augmented_exact(ctx, hbase.H, hb, [h.H for h in hobjs], hmaps)
         except ctx.LiftError:
             ok = False
         rep.add("cohomology column resolves at q=%d" % q, ok)

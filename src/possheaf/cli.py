@@ -200,19 +200,18 @@ def cmd_leray(args, run):
     run.check("convergence: E_inf matches total cohomology", data.ss.convergence_ok())
 
 
-def _family_for(args, run, inst):
+def _sequence_for(args, inst):
+    """The functor pair of --map and the maps (iota, pi) of --sequence."""
     kind, *data = _get(inst.sequences, args.sequence, "sequence")
     if kind != "sheaves":
         raise InstanceError("sequence %r is not a sequence of sheaves" % args.sequence)
     iota, pi = data
     f = _get(inst.maps, args.map, "map")
-    pair = FunctorPair(f, f.source, inst.field)
-    return pair, iota, pi, delta_morphism(pair, iota, pi)
+    return FunctorPair(f, f.source, inst.field), iota, pi
 
 
 def cmd_delta(args, run):
-    inst = _load(args)
-    _, _, _, family = _family_for(args, run, inst)
+    family = delta_morphism(*_sequence_for(args, _load(args)))
     run.say("recorded couple signs: %s" % family.mor.signs)
     for r in range(2, family.r_inf + 1):
         rows = []
@@ -224,17 +223,14 @@ def cmd_delta(args, run):
 
 
 def cmd_verify_main(args, run):
-    inst = _load(args)
-    _, _, _, family = _family_for(args, run, inst)
-    rep = verify_main_theorem(family)
+    rep = verify_main_theorem(delta_morphism(*_sequence_for(args, _load(args))))
     for name, ok, detail in rep.items:
         run.check(name, ok, detail)
 
 
 def cmd_verify_cz(args, run):
-    inst = _load(args)
-    pair, iota, pi, family = _family_for(args, run, inst)
-    rep, _ = acyclic_middle_analysis(pair, iota, pi, family)
+    # the family is built only once the middle sheaf passes its precondition
+    rep = acyclic_middle_analysis(*_sequence_for(args, _load(args)))
     for name, ok, detail in rep.items:
         run.check(name, ok, detail)
 

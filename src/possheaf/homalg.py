@@ -254,20 +254,27 @@ class Resolution:
 
     def verify_exact(self) -> bool:
         """Exactness of 0 -> X -> I^0 -> I^1 -> ... -> I^top -> 0."""
-        ctx = self.ctx
-        if not ctx.is_mono(self.augmentation):
+        cplx = self.complex
+        return augmented_exact(self.ctx, self.target, self.augmentation,
+                               [cplx.obj(q) for q in cplx.degrees()],
+                               [cplx.diff(q) for q in range(cplx.lo, cplx.hi)])
+
+
+def augmented_exact(ctx, base_obj, aug, objs, maps) -> bool:
+    """Exactness of 0 -> X -> C^0 -> C^1 -> ... -> C^top -> 0.
+
+    aug: X -> C^0 and maps[k]: C^k -> C^{k+1}; with no objects, X must be zero.
+    """
+    if not objs:
+        return ctx.is_zero_obj(base_obj)
+    if aug is None or not ctx.is_mono(aug):
+        return False
+    seq = [aug] + maps
+    for k in range(len(seq) - 1):
+        if not ctx.is_exact_pair(seq[k], seq[k + 1], objs[k]):
             return False
-        if not ctx.is_exact_pair(self.augmentation, self.complex.diff(0), self.complex.obj(0)):
-            return False
-        for q in range(1, self.complex.hi + 1):
-            if not ctx.is_exact_pair(self.complex.diff(q - 1), self.complex.diff(q), self.complex.obj(q)):
-                return False
-        top = self.complex.hi
-        tail = self.augmentation if top == 0 else self.complex.diff(top - 1)
-        q_obj, _ = ctx.cokernel(tail)
-        if not ctx.is_zero_obj(q_obj):
-            return False
-        return True
+    Q, _ = ctx.cokernel(seq[-1])
+    return ctx.is_zero_obj(Q)
 
 
 def injective_resolution(ctx, X, max_len=None) -> Resolution:

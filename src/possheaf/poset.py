@@ -31,44 +31,20 @@ class Poset:
                 raise UnknownElement("cover (%r, %r) uses unknown element" % (x, y))
             self.covers.append((self.index[x], self.index[y]))
         n = len(self.elements)
+        self.succ = [set() for _ in range(n)]   # succ[i] = {j : i covered by j}
+        for i, j in self.covers:
+            self.succ[i].add(j)
         # reflexive-transitive closure of the cover relation
         leq = [set([i]) for i in range(n)]
-        succ = [set() for _ in range(n)]
-        for i, j in self.covers:
-            succ[i].add(j)
-        order = self._toposort(succ, n)
-        for i in reversed(order):
-            for j in succ[i]:
+        for i in reversed(self.linear_extension()):
+            for j in self.succ[i]:
                 leq[i] |= leq[j]
         self.up = leq  # up[i] = {j : i <= j}
         self.down = [set() for _ in range(n)]
         for i in range(n):
             for j in self.up[i]:
                 self.down[j].add(i)
-        for i in range(n):
-            for j in self.up[i]:
-                if j != i and i in self.up[j]:
-                    raise ValueError("cover graph has a cycle through %r" % self.elements[i])
         self._check_transitive_reduction()
-
-    @staticmethod
-    def _toposort(succ, n):
-        indeg = [0] * n
-        for i in range(n):
-            for j in succ[i]:
-                indeg[j] += 1
-        stack = [i for i in range(n) if indeg[i] == 0]
-        order = []
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    stack.append(j)
-        if len(order) != n:
-            raise ValueError("cover graph has a cycle")
-        return order
 
     def _check_transitive_reduction(self):
         cov = set(self.covers)
@@ -117,35 +93,30 @@ class Poset:
 
     def longest_chain_length(self) -> int:
         """Edge count of the longest chain."""
-        n = len(self.elements)
-        succ = [set() for _ in range(n)]
-        for i, j in self.covers:
-            succ[i].add(j)
-        depth = [0] * n
-        for i in reversed(self._toposort(succ, n)):
-            depth[i] = max((depth[j] + 1 for j in succ[i]), default=0)
+        depth = [0] * len(self.elements)
+        for i in reversed(self.linear_extension()):
+            depth[i] = max((depth[j] + 1 for j in self.succ[i]), default=0)
         return max(depth, default=0)
 
     def linear_extension(self):
-        """Element indices in a topological (low-to-high) order, deterministic."""
+        """Element indices in a topological (low-to-high) order, deterministic:
+        the smallest index whose lower covers are all placed comes next."""
         n = len(self.elements)
-        succ = [set() for _ in range(n)]
-        for i, j in self.covers:
-            succ[i].add(j)
         indeg = [0] * n
         for i in range(n):
-            for j in succ[i]:
+            for j in self.succ[i]:
                 indeg[j] += 1
-        heap = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
+        heap = [i for i in range(n) if indeg[i] == 0]     # increasing, so a heap
         order = []
         while heap:
             i = heapq.heappop(heap)
             order.append(i)
-            for j in sorted(succ[i]):
+            for j in self.succ[i]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     heapq.heappush(heap, j)
+        if len(order) != n:
+            raise ValueError("cover graph has a cycle")
         return order
 
     def __repr__(self):

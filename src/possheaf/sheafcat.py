@@ -717,7 +717,12 @@ class AcyclicityReport:
         return self.ok
 
 
-def is_acyclic_on_all_opens(F: Sheaf, open_cap=600, sample_seed=0, sample_count=24) -> AcyclicityReport:
+_OPEN_CAP = 600         # check every open when there are at most this many
+_SAMPLE_COUNT = 24      # else add this many random unions of minimal opens,
+_SAMPLE_SEED = 0        # drawn from this seed
+
+
+def is_acyclic_on_all_opens(F: Sheaf) -> AcyclicityReport:
     """H^q(U, F|_U) = 0 for q >= 1, over all opens or a generated sample.
 
     Small posets are checked exhaustively; larger ones over all minimal opens
@@ -727,7 +732,7 @@ def is_acyclic_on_all_opens(F: Sheaf, open_cap=600, sample_seed=0, sample_count=
     opens = None
     if len(p) <= 10:
         all_opens = p.open_sets()
-        if len(all_opens) <= open_cap:
+        if len(all_opens) <= _OPEN_CAP:
             opens = [set(s) for s in all_opens if s]
     exhaustive = opens is not None
     if opens is None:
@@ -736,8 +741,8 @@ def is_acyclic_on_all_opens(F: Sheaf, open_cap=600, sample_seed=0, sample_count=
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 fam.append(gens[a] | gens[b])
-        rng = random.Random(sample_seed)
-        for _ in range(sample_count):
+        rng = random.Random(_SAMPLE_SEED)
+        for _ in range(_SAMPLE_COUNT):
             k = rng.randint(2, max(2, min(4, len(gens))))
             pick = rng.sample(range(len(gens)), k)
             fam.append(set().union(*[gens[t] for t in pick]))

@@ -377,8 +377,7 @@ class SpectralSequence:
         self.dc = dc
         self.tower = CoupleTower(dc)
         self.field = dc.field
-        self.r_inf = self.tower.r_infinity()
-        self.tower.page(self.r_inf)
+        self.r_inf = self.tower.r_infinity()     # pages are derived when first read
         self._filtration = None
         self._graded_isos = None
 
@@ -527,15 +526,14 @@ class CoupleMorphism:
     """
 
     def __init__(self, src: SpectralSequence, dst: SpectralSequence, bidegree,
-                 a_maps, e_maps, check=True):
+                 a_maps, e_maps):
         self.src = src
         self.dst = dst
         self.bidegree = tuple(bidegree)
         self.a_maps = a_maps     # (p,q) -> Matrix A1-src reps -> A1-dst reps
         self.e_maps = e_maps     # (p,q) -> Matrix E1-src reps -> E1-dst reps
         self.signs = {}
-        if check:
-            self.verify_intertwining()
+        self.verify_intertwining()
 
     def a_map(self, p, q) -> Matrix:
         m = self.a_maps.get((p, q))

@@ -171,8 +171,8 @@ def test_criterion_6_torus_fixture(torus_data):
 
 
 def test_criterion_7_acyclic_middle(torus_family):
-    pair, m, e, family = torus_family
-    rep, _ = acyclic_middle_analysis(pair, m, e, family)
+    pair, m, e, _ = torus_family
+    rep = acyclic_middle_analysis(pair, m, e)
     _announce(7, rep.ok, "delta_inf and filtration rank equalities over the torus")
 
 

@@ -190,9 +190,8 @@ def test_negative_max_degree_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
-def test_failed_precondition_is_a_named_fail(tmp_path, capsys):
-    # a forged sequence pushed to a point: its middle sheaf is not acyclic on
-    # every open, so verify-cz stops at its precondition
+def _collapsed_forge(tmp_path, capsys):
+    """Forge seed 2 plus a map collapsing its poset to a point, as a file."""
     assert main(["forge", "--seed", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     doc["posets"]["pt"] = {"elements": ["*"], "covers": []}
@@ -200,9 +199,31 @@ def test_failed_precondition_is_a_named_fail(tmp_path, capsys):
                                 "values": {x: "*" for x in doc["posets"]["P"]["elements"]}}}
     path = tmp_path / "collapse.json"
     path.write_text(json.dumps(doc))
-    assert main(["verify-cz", str(path), "--map", "collapse", "--sequence", "S"]) == 1
+    return str(path)
+
+
+def test_failed_precondition_is_a_named_fail(tmp_path, capsys):
+    # a forged sequence pushed to a point: its middle sheaf is not acyclic on
+    # every open, so verify-cz stops at its precondition
+    path = _collapsed_forge(tmp_path, capsys)
+    assert main(["verify-cz", path, "--map", "collapse", "--sequence", "S"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("precondition failed") and "FAIL middle sheaf is not acyclic" in out
+
+
+def test_verify_cz_checks_its_precondition_first(tmp_path, capsys, monkeypatch):
+    # the coboundary family is built only after the middle sheaf passes
+    import possheaf.cli as cli
+    import possheaf.gross as gross
+
+    def unwanted(*args, **kwargs):
+        raise AssertionError("delta_morphism ran before the precondition check")
+
+    path = _collapsed_forge(tmp_path, capsys)
+    monkeypatch.setattr(cli, "delta_morphism", unwanted)
+    monkeypatch.setattr(gross, "delta_morphism", unwanted)
+    assert main(["verify-cz", path, "--map", "collapse", "--sequence", "S"]) == 1
+    assert capsys.readouterr().out.startswith("precondition failed")
 
 
 def test_engine_bug_stays_a_traceback(monkeypatch):

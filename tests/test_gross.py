@@ -1,6 +1,10 @@
+import os
+
 import pytest
 
 from oracle import order_complex_cohomology_dims
+from possheaf import homalg
+from possheaf.forge import GenConfig, gen_leray_instance
 from possheaf.exactla import QQ, Matrix, rank
 from possheaf.gross import (
     AcyclicityViolation,
@@ -18,10 +22,12 @@ from possheaf.gross import (
     leray_ss,
     verify_main_theorem,
 )
+from possheaf.instancefile import Instance
 from possheaf.poset import MonotoneMap, Poset, fence_x4, product
 from possheaf.sheafcat import SheafContext, sheaf_cohomology_dims
 
 X4 = fence_x4()
+INSTANCES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "instances")
 
 
 def injective_middle(ctx):
@@ -152,6 +158,14 @@ def test_torus_delta_and_main_theorem():
     rep = verify_main_theorem(family)
     assert rep.ok, rep.render()
     assert family.mor.signs == {"i": 1, "j": 1, "k": -1}
+    # bullet 2 reads gamma_q from the CE invariants of F(SES)
+    stored = family.ce.triples[0].inv.delta
+    assert family.idT.vec_h
+    for q in family.idT.vec_h:
+        gamma = homalg.connecting(family.F_ses, q)
+        assert (stored[q].source.dims, stored[q].target.dims) == \
+            (gamma.source.dims, gamma.target.dims)
+        assert family.pair.tgt_ctx.map_eq(stored[q], gamma), q
 
 
 def test_acyclic_middle_on_torus():
@@ -159,7 +173,7 @@ def test_acyclic_middle_on_torus():
     ctx = SheafContext(pr1.source, QQ)
     k, m, e = injective_middle(ctx)
     pair = leray_pair(pr1, QQ)
-    rep, family = acyclic_middle_analysis(pair, m, e)
+    rep = acyclic_middle_analysis(pair, m, e)
     assert rep.ok, rep.render()
 
 
@@ -335,3 +349,34 @@ def test_inclusion_induces_page_maps():
             assert left.cols == d
             if family.ssT.entry(r, p, q).dim and d:
                 assert (prj.page_map(r, p, q) * left).is_zero()
+
+
+def _leray_oracle(f, sheaf, keys):
+    """(p, q) -> dim H^p(Y, R^q f_* A), each R^q f_* A from a fresh resolution."""
+    pair = leray_pair(f, sheaf.field)
+    out = {}
+    for (p, q) in keys:
+        rq = higher_direct_image(pair, sheaf, q)
+        hp = sheaf_cohomology_dims(rq) if rq.total_dim else [0]
+        out[(p, q)] = hp[p] if p < len(hp) else 0
+    return out
+
+
+@pytest.mark.parametrize("name,mapname", [("pseudocircle", "collapse"), ("torus", "pr1")])
+def test_leray_comparisons_match_higher_direct_image(name, mapname):
+    # leray_ss reads R^q f_* off the complex grothendieck_ss pushed forward
+    inst = Instance.load(os.path.join(INSTANCES, name + ".json"))
+    f, sheaf = inst.maps[mapname], inst.sheaves["k"]
+    _, _, comparisons = leray_ss(f, sheaf)
+    oracle = _leray_oracle(f, sheaf, comparisons)
+    assert {key: exp for key, (_, exp) in comparisons.items()} == oracle
+    assert all(e2 == exp for e2, exp in comparisons.values())
+
+
+def test_leray_comparisons_match_higher_direct_image_forged():
+    for seed in range(6):
+        f, sheaf = gen_leray_instance(GenConfig("leray-hdi-%d" % seed, max_elements=5,
+                                                max_stalk_dim=2))
+        _, _, comparisons = leray_ss(f, sheaf)
+        oracle = _leray_oracle(f, sheaf, comparisons)
+        assert {key: exp for key, (_, exp) in comparisons.items()} == oracle, seed

@@ -5,6 +5,7 @@ from possheaf.homalg import (
     ChainMap,
     CochainComplex,
     SESOfComplexes,
+    augmented_exact,
     cohomology,
     comparison_lift,
     connecting,
@@ -210,3 +211,15 @@ def test_ladder_labels():
                          ChainMap(B, C, {0: Matrix.zeros(QQ, 0, 1)}))
     ladder = long_exact_sequence(ses)
     assert any(lbl.startswith("H^0(A)") for lbl, _, _ in ladder)
+
+
+def test_augmented_exact_checks_every_node():
+    # 0 -> k -> k^2 -> k -> 0 through (1, -1) and the sum map
+    aug, d = M([[1], [-1]]), M([[1, 1]])
+    assert augmented_exact(V, 1, aug, [2, 1], [d])
+    not_mono = M([[1, 0], [-1, 0]])             # k^2 -> k^2 with image ker d
+    assert not augmented_exact(V, 2, not_mono, [2, 1], [d])
+    assert not augmented_exact(V, 1, aug, [2, 1], [Matrix.zeros(QQ, 1, 2)])
+    assert not augmented_exact(V, 1, aug, [2, 2], [M([[1, 1], [0, 0]])])     # not onto
+    assert augmented_exact(V, 0, None, [], [])
+    assert not augmented_exact(V, 1, None, [], [])

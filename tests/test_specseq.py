@@ -144,6 +144,16 @@ def test_identity_couple_morphism():
             assert m == Matrix.identity(QQ, d)
 
 
+def test_pages_are_derived_when_first_read():
+    ss = SpectralSequence(staircase())
+    assert len(ss.tower.couples) == 1
+    ss.total_h_dim(1)
+    ss.filtration()         # level one only
+    assert len(ss.tower.couples) == 1
+    ss.page_dims(3)
+    assert len(ss.tower.couples) == 3
+
+
 def test_zero_couple_morphism():
     dc = staircase()
     ss1 = SpectralSequence(dc)

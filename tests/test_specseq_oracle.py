@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import specseq_oracle as oracle
 from possheaf.exactla import QQ, Matrix, PrimeField, kernel_basis, solve
-from possheaf.specseq import DoubleComplex, SpectralSequence
+from possheaf.gross import by_q_e1
+from possheaf.specseq import CoupleTower, DoubleComplex, SpectralSequence
 
 FIELDS = [QQ, PrimeField(3)]
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
@@ -192,6 +193,17 @@ def assert_same_spectral_sequence(dc):
 @given(double_complexes())
 def test_spectral_sequence_matches_oracle(dc):
     assert_same_spectral_sequence(dc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(double_complexes())
+def test_by_q_e1_matches_transposed_tower(dc):
+    # first_ss_check reads E_1 of the by-q filtration off the rows of the grid
+    # instead of building the tower of the transposed grid
+    tower = CoupleTower(dc.transpose())
+    for p in range(dc.size + 1):
+        for q in range(dc.size + 1):
+            assert same_entry(by_q_e1(dc, p, q), tower.E1[(q, p)]), (p, q)
 
 
 def test_long_staircase_has_higher_differentials():
