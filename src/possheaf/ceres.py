@@ -593,11 +593,6 @@ class AugmentedDouble:
     def depth(self):
         return len(self.rows)
 
-    def entry(self, p, q):
-        if 0 <= p < len(self.rows):
-            return self.rows[p].obj(q)
-        return self.ctx.zero_obj()
-
     def degrees(self):
         if not self.rows:
             return range(self.base.lo, self.base.hi + 1)

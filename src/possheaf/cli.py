@@ -31,13 +31,13 @@ from .gross import (
 from .instancefile import (
     Instance,
     InstanceError,
-    matrix_to_rows,
     morphism_to_dict,
     poset_to_dict,
     sheaf_to_dict,
     validate_instance,
 )
-from .sheafcat import SheafContext, restrict_to_open, sheaf_cohomology_dims
+from .poset import UnknownElement
+from .sheafcat import NotOpen, SheafContext, restrict_to_open, sheaf_cohomology_dims
 
 
 class _Run:
@@ -89,10 +89,6 @@ def _get(section, name, kind):
     return section[name]
 
 
-def _page_rows(ss, r):
-    return [(p, q, d) for (p, q, d) in ss.page_table(r)]
-
-
 def cmd_validate(args, run):
     ok, messages = validate_instance(args.file, field=field_from_name(args.field))
     for msg in messages:
@@ -105,7 +101,10 @@ def cmd_cohomology(args, run):
     F = _get(inst.sheaves, args.sheaf, "sheaf")
     if args.open is not None:
         names = set(args.open.split(",")) if args.open else set()
-        F, _ = restrict_to_open(F, names)
+        try:
+            F, _ = restrict_to_open(F, names)
+        except (UnknownElement, NotOpen) as exc:
+            raise InstanceError("--open: %s" % exc) from exc
     dims = sheaf_cohomology_dims(F, max_q=args.max_degree)
     run.table("H^q dims", [(q, d) for q, d in enumerate(dims)])
     run.check("cohomology computed", True)
@@ -167,14 +166,14 @@ def cmd_gss(args, run):
     F = _get(inst.sheaves, args.sheaf, "sheaf")
     pair = _pair_for(args, inst, F.poset)
     data = grothendieck_ss(pair, F)
-    run.table("E2 page (p, q, dim)", _page_rows(data.ss, 2))
-    run.table("E_inf page (p, q, dim)", _page_rows(data.ss, data.ss.r_inf))
+    run.table("E2 page (p, q, dim)", data.ss.page_table(2))
+    run.table("E_inf page (p, q, dim)", data.ss.page_table(data.ss.r_inf))
     diffs = []
     for r in range(2, data.ss.r_inf):
-        for (p, q, _) in _page_rows(data.ss, r):
+        for (p, q, _) in data.ss.page_table(r):
             d = data.ss.differential(r, p, q)
             if not d.is_zero():
-                diffs.append((r, p, q, matrix_to_rows(d)))
+                diffs.append((r, p, q, d.to_str_rows()))
     run.table("nonzero differentials (r, p, q, matrix)", diffs)
     run.table("total cohomology", [(n, data.ss.total_h_dim(n))
                                    for n in range(2 * data.ss.tower.D + 1)])
@@ -189,10 +188,10 @@ def cmd_leray(args, run):
     F = _get(inst.sheaves, args.sheaf, "sheaf")
     f = _get(inst.maps, args.map, "map")
     data, ident, comparisons = leray_ss(f, F, field=inst.field)
-    run.table("E2 page (p, q, dim)", _page_rows(data.ss, 2))
+    run.table("E2 page (p, q, dim)", data.ss.page_table(2))
     run.table("total cohomology", [(n, data.ss.total_h_dim(n))
                                    for n in range(2 * data.ss.tower.D + 1)])
-    if _page_rows(data.ss, 2) == _page_rows(data.ss, data.ss.r_inf):
+    if data.ss.page_table(2) == data.ss.page_table(data.ss.r_inf):
         run.say("degenerates at E2")
     run.check("E2 = H^p(Y, R^q f_*) dimensions", all(a == b for a, b in comparisons.values()))
     run.check("E2 identification invertible", ident.check())
@@ -217,7 +216,7 @@ def cmd_delta(args, run):
         rows = []
         for (p, q) in sorted(set(family.ssT.page_dims(r))):
             m = family.delta_r(r, p, q)
-            rows.append((p, q, "%dx%d" % (m.rows, m.cols), matrix_to_rows(m)))
+            rows.append((p, q, "%dx%d" % (m.rows, m.cols), m.to_str_rows()))
         run.table("delta_%d maps" % r, rows)
     run.check("coboundary family constructed", True)
 
@@ -278,11 +277,14 @@ def cmd_forge(args, run):
     run.check("instance generated", True)
 
 
-def _degree(text):
-    """argparse type for --max-degree: a nonnegative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError("invalid degree %r: must be a nonnegative integer" % text)
-    return int(text)
+def _at_least(low, what):
+    """argparse type: a decimal integer of at least low, called `what` in errors."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError("invalid %s %r: must be an integer >= %d"
+                                             % (what, text, low))
+        return int(text)
+    return parse
 
 
 def _field_name(name):
@@ -299,7 +301,7 @@ def build_parser():
                                   description="exact spectral sequences of sheaves on finite posets")
     top.add_argument("--field", default="q", type=_field_name, help="q or fp:<prime>")
     top.add_argument("--format", default="text", choices=["text", "report"])
-    top.add_argument("--max-degree", type=_degree, default=None)
+    top.add_argument("--max-degree", type=_at_least(0, "degree"), default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, func, file_arg=True, **opts):
@@ -321,10 +323,12 @@ def build_parser():
     add("verify-main", cmd_verify_main, sequence={"required": True}, map={"required": True})
     add("verify-cz", cmd_verify_cz, sequence={"required": True}, map={"required": True})
     add("selftest", cmd_selftest, file_arg=False,
-        seed={"type": int, "default": 0}, count={"type": int, "default": 10})
+        seed={"type": int, "default": 0}, count={"type": _at_least(1, "count"), "default": 10})
+    # gen_poset draws between 2 and --max-elements elements
     add("forge", cmd_forge, file_arg=False,
-        seed={"type": int, "default": 0}, kind={"default": "ses"},
-        max_elements={"type": int, "default": 5})
+        seed={"type": int, "default": 0},
+        kind={"default": "ses", "choices": ["poset", "sheaf", "ses"]},
+        max_elements={"type": _at_least(2, "element bound"), "default": 5})
     return top
 
 

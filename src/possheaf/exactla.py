@@ -474,13 +474,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.from_columns(hstack([self.basis, other.basis]))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        ker = kernel_basis(hstack([self.basis, -other.basis]))
-        u = ker.basis.rows_slice(range(self.dim))
-        return Subspace.from_columns(self.basis * u)
-
     def complement(self) -> "Subspace":
         """Complementary subspace spanned by non-pivot standard vectors."""
         pset = set(self.pivots)
@@ -511,14 +504,6 @@ def kernel_basis(m: Matrix) -> Subspace:
 def image_basis(m: Matrix) -> Subspace:
     """Canonical basis of the column span of m."""
     return Subspace.from_columns(m)
-
-
-def preimage(m: Matrix, s: Subspace) -> Subspace:
-    """{x : m x in s} as a subspace of the domain."""
-    if s.ambient_dim != m.rows:
-        raise ValueError("preimage ambient mismatch")
-    _, qproj = quotient_basis(Subspace.full(m.field, m.rows), s)
-    return kernel_basis(qproj * m)
 
 
 def quotient_basis(s: Subspace, t: Subspace):

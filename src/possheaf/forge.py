@@ -12,7 +12,7 @@ import random
 
 from . import homalg
 from .exactla import QQ, Matrix
-from .poset import MonotoneMap, Poset
+from .poset import Poset
 from .sheafcat import InjectiveSheaf, SheafContext, SheafMorphism, hom_basis
 
 
@@ -189,56 +189,3 @@ def gen_ses_complexes(cfg: GenConfig, poset: Poset = None) -> homalg.SESOfComple
     lift = homalg.comparison_lift(ctx, phi, res_f, res_g)
     _, ses = homalg.mapping_cone(lift)
     return ses
-
-
-def gen_monotone_map(cfg: GenConfig) -> MonotoneMap:
-    """Random monotone map between two random posets."""
-    src = gen_poset(cfg.child("src"))
-    tgt = gen_poset(cfg.child("tgt"))
-    rng = cfg.rng()
-    order = src.linear_extension()
-    for attempt in range(24):
-        values = {}
-        ok = True
-        for i in order:
-            below = [j for (j, k) in src.covers if k == i]
-            allowed = set(range(len(tgt)))
-            for j in below:
-                allowed &= tgt.up[tgt.idx(values[src.elements[j]])]
-            if not allowed:
-                ok = False
-                break
-            pick = rng.choice(sorted(allowed))
-            values[src.elements[i]] = tgt.elements[pick]
-        if ok:
-            return MonotoneMap(src, tgt, values)
-    # constant maps are always monotone
-    return MonotoneMap(src, tgt, {e: tgt.elements[0] for e in src.elements})
-
-
-def gen_leray_instance(cfg: GenConfig):
-    """(f, sheaf on the source) for Leray-pipeline property tests."""
-    f = gen_monotone_map(cfg.child("map"))
-    sheaf = gen_sheaf(cfg.child("sheaf"), f.source)
-    return f, sheaf
-
-
-def gen_injective_middle_ses(cfg: GenConfig, poset: Poset):
-    """0 -> A -> I -> C -> 0 with I the canonical embedding of A.
-
-    The connecting maps of such sequences are as nonzero as A's cohomology
-    allows, which makes them the interesting inputs for coboundary tests.
-    """
-    ctx = SheafContext(poset, cfg.field)
-    A = gen_sheaf(cfg.child("A"), poset)
-    I, mono = ctx.injective_embed(A)
-    C, epi = ctx.cokernel(mono)
-    return ctx, mono, epi
-
-
-def gen_ses_on_source(cfg: GenConfig, f: MonotoneMap):
-    """A SES of sheaves on the source of f, for coboundary-family tests."""
-    rng = cfg.rng()
-    if rng.random() < 0.5:
-        return gen_injective_middle_ses(cfg.child("inj"), f.source)
-    return gen_ses_sheaves(cfg.child("ses"), f.source)

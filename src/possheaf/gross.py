@@ -109,48 +109,6 @@ class FunctorPair:
                 "F(%s) is not G-acyclic: R^qG dims %s" % (tag, dims))
 
 
-def derived_functor_gf(pair: FunctorPair, A, q=None):
-    """R^q(G.F)(A) dims (list from 0, or one value) via a fresh resolution."""
-    res = homalg.injective_resolution(pair.src_ctx, A)
-    vec, _ = _gamma_base(pair, pair.F_complex(res.complex))
-    dims = [homalg.cohomology(vec, t).H for t in range(res.length() + 1)]
-    return dims if q is None else (dims[q] if q < len(dims) else 0)
-
-
-def higher_direct_image(pair: FunctorPair, A, q):
-    """R^q F(A) as a sheaf on the target, via a fresh resolution."""
-    res = homalg.injective_resolution(pair.src_ctx, A)
-    F = pair.F_complex(res.complex)
-    return homalg.cohomology(F, q).H
-
-
-def derived_functor_map(pair: FunctorPair, phi, q) -> Matrix:
-    """R^q(G.F)(phi) as a matrix, via a comparison lift of resolutions."""
-    ctx = pair.src_ctx
-    res_src = homalg.injective_resolution(ctx, ctx.map_source_obj(phi))
-    res_tgt = homalg.injective_resolution(ctx, ctx.map_target_obj(phi))
-    lift = homalg.comparison_lift(ctx, phi, res_src, res_tgt)
-    F_src, F_tgt = pair.F_complex(res_src.complex), pair.F_complex(res_tgt.complex)
-    vec_src, bases_src = _gamma_base(pair, F_src)
-    vec_tgt, bases_tgt = _gamma_base(pair, F_tgt)
-    comps = {}
-    for t in vec_src.degrees():
-        if t not in vec_tgt.objects:
-            continue
-        Fl = pair.apply_F_map(lift.comp(t), F_src.obj(t), F_tgt.obj(t))
-        comps[t] = gamma_map(Fl, bases_src[t].basis, bases_tgt[t].basis)
-    chain = ChainMap(vec_src, vec_tgt, comps)
-    return homalg.induced_on_cohomology(chain, q)
-
-
-def connecting_derived(pair: FunctorPair, iota, pi, q, horseshoe_data=None):
-    """The boundary morphism R^qF(C) -> R^{q+1}F(A) at the sheaf level."""
-    if horseshoe_data is None:
-        horseshoe_data = _linked_resolutions(pair, iota, pi)
-    F_ses = pair.F_ses(horseshoe_data)
-    return homalg.connecting(F_ses, q), F_ses
-
-
 def _linked_resolutions(pair: FunctorPair, iota, pi) -> homalg.HorseshoeData:
     ctx = pair.src_ctx
     A = iota.source
@@ -196,7 +154,12 @@ class GrothendieckData:
 
 
 def _gamma_double(pair: FunctorPair, double, size=None) -> DoubleComplex:
-    """Gamma of a sheaf-level CE column, in structured coordinates."""
+    """Gamma of a sheaf-level CE column, in structured coordinates.
+
+    Each row is Gamma of a complex of realized injectives, so its objects
+    and vertical maps come from `gamma_of_complex`; the grid bound D
+    exceeds every row's top degree.
+    """
     depth = double.depth()
     qlo = min((r.lo for r in double.rows), default=0)
     qhi = max((r.hi for r in double.rows), default=0)
@@ -208,18 +171,13 @@ def _gamma_double(pair: FunctorPair, double, size=None) -> DoubleComplex:
     vert = [[None] * (D + 1) for _ in range(D + 1)]
     for p in range(depth):
         row = double.rows[p]
+        grow = gamma_of_complex(row, pair.vctx)
         for q in row.degrees():
-            if 0 <= q <= D:
-                dims[p][q] = row.obj(q).mult_total
-    for p in range(depth):
-        row = double.rows[p]
-        for q in row.degrees():
-            if 0 <= q < D and q + 1 <= row.hi:
-                vert[p][q] = gamma_struct_map(row.diff(q), row.obj(q), row.obj(q + 1))
-            if p < depth - 1 and 0 <= q <= D:
-                nxt = double.rows[p + 1]
-                if q <= nxt.hi:
-                    horiz[p][q] = gamma_struct_map(double.dh[p].comp(q), row.obj(q), nxt.obj(q))
+            dims[p][q] = grow.objects[q]
+            vert[p][q] = grow.diffs.get(q)
+            if p < depth - 1 and q <= double.rows[p + 1].hi:
+                horiz[p][q] = gamma_struct_map(double.dh[p].comp(q), row.obj(q),
+                                               double.rows[p + 1].obj(q))
     return DoubleComplex(pair.field, D, dims, horiz, vert)
 
 

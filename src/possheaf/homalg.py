@@ -41,9 +41,6 @@ class CheckReport:
     def line(name, ok, detail=""):
         return "%-52s %s%s" % (name, "PASS" if ok else "FAIL", (" " + detail) if detail else "")
 
-    def render(self):
-        return "\n".join(self.line(*item) for item in self.items)
-
 
 class CochainComplex:
     """Bounded complex: objects X^q and differentials d^q for lo <= q <= hi."""
@@ -210,30 +207,6 @@ def connecting(ses: SESOfComplexes, q: int):
         return ctx.descend_along_epi(e, u)
     except ctx.LiftError as exc:
         raise ZigzagFailure(str(exc)) from exc
-
-
-def long_exact_sequence(ses: SESOfComplexes):
-    """The cohomology ladder as a list of (label, map); exactness checkable."""
-    out = []
-    for q in range(ses.A.lo - 1, max(ses.A.hi, ses.B.hi, ses.C.hi) + 2):
-        out.append(("H^%d(A)->H^%d(B)" % (q, q), induced_on_cohomology(ses.iota, q),
-                    cohomology(ses.A, q).H))
-        out.append(("H^%d(B)->H^%d(C)" % (q, q), induced_on_cohomology(ses.pi, q),
-                    cohomology(ses.B, q).H))
-        out.append(("H^%d(C)->H^%d(A)" % (q, q + 1), connecting(ses, q),
-                    cohomology(ses.C, q).H))
-    return out
-
-
-def les_is_exact(ses: SESOfComplexes) -> bool:
-    ctx = ses.ctx
-    ladder = long_exact_sequence(ses)
-    for k in range(len(ladder) - 1):
-        _, f, _ = ladder[k]
-        _, g, mid = ladder[k + 1]
-        if not ctx.is_exact_pair(f, g, mid):
-            return False
-    return True
 
 
 class Resolution:

@@ -32,10 +32,6 @@ def _matrix_from_rows(field, rows, nrows, ncols, where):
     return Matrix(field, nrows, ncols, data)
 
 
-def matrix_to_rows(m: Matrix):
-    return m.to_str_rows()
-
-
 class Instance:
     """All named objects of one instance file, fully validated."""
 
@@ -52,12 +48,14 @@ class Instance:
 
     @classmethod
     def load(cls, path, field=None):
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InstanceError("%s: line %d column %d: %s"
-                                    % (path, exc.lineno, exc.colno, exc.msg)) from exc
+        except OSError as exc:
+            raise InstanceError("%s: cannot read: %s" % (path, exc.strerror or exc)) from exc
+        except json.JSONDecodeError as exc:
+            raise InstanceError("%s: line %d column %d: %s"
+                                % (path, exc.lineno, exc.colno, exc.msg)) from exc
         return cls.from_dict(doc, field=field)
 
     @classmethod
@@ -219,7 +217,7 @@ def sheaf_to_dict(F: Sheaf, poset_name):
     for (i, j) in F.poset.covers:
         if F.dims[i] and F.dims[j]:
             key = "%s<%s" % (F.poset.elements[i], F.poset.elements[j])
-            out["restrictions"][key] = matrix_to_rows(F.rho[(i, j)])
+            out["restrictions"][key] = F.rho[(i, j)].to_str_rows()
     return out
 
 
@@ -227,7 +225,7 @@ def morphism_to_dict(phi: SheafMorphism, source_name, target_name):
     comps = {}
     for i, e in enumerate(phi.source.poset.elements):
         if phi.source.dims[i] and phi.target.dims[i]:
-            comps[e] = matrix_to_rows(phi.comps[i])
+            comps[e] = phi.comps[i].to_str_rows()
     return {"source": source_name, "target": target_name, "components": comps}
 
 

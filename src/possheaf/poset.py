@@ -68,10 +68,6 @@ class Poset:
     def leq(self, x, y) -> bool:
         return self.idx(y) in self.up[self.idx(x)]
 
-    def up_set(self, x):
-        """Minimal open U_x = {y : y >= x}, as a set of identifiers."""
-        return {self.elements[j] for j in self.up[self.idx(x)]}
-
     def is_open(self, names) -> bool:
         idxs = {self.idx(x) for x in names}
         return all(self.up[i] <= idxs for i in idxs)
@@ -123,21 +119,6 @@ class Poset:
         return "Poset(%d elements, %d covers)" % (len(self.elements), len(self.covers))
 
 
-def product(p: Poset, q: Poset, sep: str = ".") -> Poset:
-    """Product poset with componentwise order; identifiers joined by sep."""
-    elements = ["%s%s%s" % (a, sep, b) for a in p.elements for b in q.elements]
-    covers = []
-    for a in p.elements:
-        for b in q.elements:
-            for (i, j) in p.covers:
-                if p.elements[i] == a:
-                    covers.append(("%s%s%s" % (a, sep, b), "%s%s%s" % (p.elements[j], sep, b)))
-            for (i, j) in q.covers:
-                if q.elements[i] == b:
-                    covers.append(("%s%s%s" % (a, sep, b), "%s%s%s" % (a, sep, q.elements[j])))
-    return Poset(elements, covers)
-
-
 class MonotoneMap:
     """Order-preserving map of posets, i.e. a continuous map of finite spaces."""
 
@@ -162,38 +143,9 @@ class MonotoneMap:
     def apply(self, x):
         return self.target.elements[self.values[self.source.idx(x)]]
 
-    def preimage(self, names):
-        idxs = {self.target.idx(x) for x in names}
-        return {self.source.elements[i] for i in range(len(self.source)) if self.values[i] in idxs}
-
     def preimage_idx(self, idxs):
         return {i for i in range(len(self.source)) if self.values[i] in idxs}
 
     @classmethod
     def identity(cls, p: Poset) -> "MonotoneMap":
         return cls(p, p, {e: e for e in p.elements})
-
-    @classmethod
-    def to_point(cls, p: Poset, point: Poset | None = None) -> "MonotoneMap":
-        pt = point if point is not None else Poset(["pt"], [])
-        return cls(p, pt, {e: pt.elements[0] for e in p.elements})
-
-    @classmethod
-    def product_projection(cls, p: Poset, q: Poset, axis: int, sep: str = ".") -> "MonotoneMap":
-        prod = product(p, q, sep)
-        tgt = p if axis == 0 else q
-        values = {}
-        for a in p.elements:
-            for b in q.elements:
-                values["%s%s%s" % (a, sep, b)] = a if axis == 0 else b
-        return cls(prod, tgt, values)
-
-
-def fence_x4() -> Poset:
-    """The pseudocircle: minimal finite model of the circle."""
-    return Poset(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-
-
-def chain(n: int) -> Poset:
-    """Chain 0 < 1 < ... < n-1."""
-    return Poset([str(i) for i in range(n)], [(str(i), str(i + 1)) for i in range(n - 1)])

@@ -631,20 +631,6 @@ def gamma_struct_map(phi: SheafMorphism, srcI: InjectiveSheaf, tgtI: InjectiveSh
     return place_blocks(field, tgtI.mult_total, srcI.mult_total, blocks)
 
 
-def gamma_struct_basis(I: InjectiveSheaf) -> Matrix:
-    """Structured section basis as vectors in total stalk coordinates."""
-    field = I.field
-    cols = []
-    for j, (x, v) in enumerate(I.summands):
-        for t in range(v):
-            vec = [field.zero()] * I.total_dim
-            for y in I.poset.down[x]:
-                vec[I.offsets[y] + I.slot[y][j] + t] = field.one()
-            cols.append(vec)
-    return Matrix(field, I.total_dim, len(cols),
-                  [[c[i] for c in cols] for i in range(I.total_dim)])
-
-
 def gamma_read_struct(I: InjectiveSheaf, vecs: Matrix) -> Matrix:
     """Structured coordinates of section vectors (read off at the peaks)."""
     rows = []

@@ -339,36 +339,6 @@ class ExactCouple:
             newE[(p, q)] = Subquotient(t.field, sq.ambient_dim, Z, B)
         return ExactCouple(t, r + 1, newA, newE)
 
-    def check_exact(self) -> bool:
-        """Triangle exactness at every populated node."""
-        r = self.level
-        for (p, q) in self.E:
-            # at E^{p,q}: im(j from A^{p-r+1,q+r-1}) = ker(k to A^{p+1,q})
-            jm = self.j_map(p - r + 1, q + r - 1)
-            km = self.k_map(p, q)
-            if not _exact_pair(jm, km, self.e_sq(p, q).dim):
-                return False
-        for (p, q) in self.A:
-            # at A^{p,q}: im(i from A^{p+1,q-1}) = ker(j)
-            im = self.i_map(p + 1, q - 1)
-            jm = self.j_map(p, q)
-            if not _exact_pair(im, jm, self.a_sq(p, q).dim):
-                return False
-            # at A^{p,q}: im(k from E^{p-1,q}) = ker(i to A^{p-1,q+1})
-            km = self.k_map(p - 1, q)
-            im2 = self.i_map(p, q)
-            if not _exact_pair(km, im2, self.a_sq(p, q).dim):
-                return False
-        return True
-
-
-def _exact_pair(f: Matrix, g: Matrix, mid: int) -> bool:
-    if f.rows != mid or g.cols != mid:
-        return False
-    if not (g * f).is_zero():
-        return False
-    return rank(f) + rank(g) == mid
-
 
 class SpectralSequence:
     """Pages, differentials, the limit and the filtration on total cohomology."""
@@ -461,17 +431,6 @@ class SpectralSequence:
                         return False
             if s != total:
                 return False
-        return True
-
-    def stabilization_ok(self) -> bool:
-        """E_r^{p,q} constant for r > max(p, q+1) + 1."""
-        for p in range(self.tower.D + 1):
-            for q in range(self.tower.D + 1):
-                start = max(p, q + 1) + 2
-                dims = {r: self.entry(r, p, q).dim
-                        for r in range(min(start, self.r_inf), self.r_inf + 1)}
-                if len(set(dims.values())) > 1:
-                    return False
         return True
 
     def page_table(self, r):
@@ -612,29 +571,3 @@ class CoupleMorphism:
             raise NotACoupleMorphism(
                 "page %d map does not induce one at stage %d" % (r, r + 1))
         return ed.project(w)
-
-
-def map_of_spectral_sequences(src: SpectralSequence, dst: SpectralSequence,
-                              entry_maps) -> CoupleMorphism:
-    """Couple morphism induced by entrywise maps R^{p,q} -> R'^{p,q}.
-
-    The entry maps must commute with both differentials up to one global
-    sign (checked); A-level maps are induced on filtration cohomology.
-    """
-    t_src, t_dst = src.tower, dst.tower
-    a_maps, e_maps = {}, {}
-    for (p, q), asq in t_src.A1.items():
-        n = p + q
-        tgt = t_dst.A1.get((p, q))
-        if tgt is None or asq.dim == 0:
-            continue
-        a_maps[(p, q)] = asq.induced_map(tgt, tot_block_map(t_src, t_dst, entry_maps, n, p))
-    for (p, q), esq in t_src.E1.items():
-        tgt = t_dst.E1.get((p, q))
-        if tgt is None or esq.dim == 0:
-            continue
-        m = entry_maps.get((p, q))
-        if m is None:
-            m = Matrix.zeros(src.field, dst.dc.dim(p, q), src.dc.dim(p, q))
-        e_maps[(p, q)] = esq.induced_map(tgt, m)
-    return CoupleMorphism(src, dst, (0, 0), a_maps, e_maps)

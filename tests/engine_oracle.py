@@ -1,0 +1,191 @@
+"""Reference computations built from engine pieces, for tests to compare against.
+
+Each function here computes, by a second route, something the engine
+computes or assumes on its way to a command's output: the derived functors
+of the composite from a fresh resolution, the long exact cohomology
+sequence, the exactness of a couple, page stabilization, the couple
+morphism induced by entrywise maps, the intersection of subspaces and the
+structured section basis of a coinduced sheaf.  The command line reaches
+none of them, so they live with the tests.
+"""
+
+from possheaf import homalg
+from possheaf.exactla import Matrix, Subspace, hstack, kernel_basis, rank
+from possheaf.gross import FunctorPair, _gamma_base, _linked_resolutions
+from possheaf.homalg import ChainMap, CheckReport, SESOfComplexes
+from possheaf.sheafcat import InjectiveSheaf, gamma_map
+from possheaf.specseq import CoupleMorphism, ExactCouple, SpectralSequence, tot_block_map
+
+# -- exactla and homalg -------------------------------------------------------
+
+
+def intersect(s: Subspace, t: Subspace) -> Subspace:
+    """s and t intersected, as a canonical subspace."""
+    if s.dim == 0 or t.dim == 0:
+        return Subspace.zero(s.field, s.ambient_dim)
+    ker = kernel_basis(hstack([s.basis, -t.basis]))
+    u = ker.basis.rows_slice(range(s.dim))
+    return Subspace.from_columns(s.basis * u)
+
+
+def render(report: CheckReport) -> str:
+    """The report's lines, one per check, as the CLI prints them."""
+    return "\n".join(CheckReport.line(*item) for item in report.items)
+
+
+def long_exact_sequence(ses: SESOfComplexes):
+    """The cohomology ladder as a list of (label, map); exactness checkable."""
+    out = []
+    for q in range(ses.A.lo - 1, max(ses.A.hi, ses.B.hi, ses.C.hi) + 2):
+        out.append(("H^%d(A)->H^%d(B)" % (q, q), homalg.induced_on_cohomology(ses.iota, q),
+                    homalg.cohomology(ses.A, q).H))
+        out.append(("H^%d(B)->H^%d(C)" % (q, q), homalg.induced_on_cohomology(ses.pi, q),
+                    homalg.cohomology(ses.B, q).H))
+        out.append(("H^%d(C)->H^%d(A)" % (q, q + 1), homalg.connecting(ses, q),
+                    homalg.cohomology(ses.C, q).H))
+    return out
+
+
+def les_is_exact(ses: SESOfComplexes) -> bool:
+    ctx = ses.ctx
+    ladder = long_exact_sequence(ses)
+    for k in range(len(ladder) - 1):
+        _, f, _ = ladder[k]
+        _, g, mid = ladder[k + 1]
+        if not ctx.is_exact_pair(f, g, mid):
+            return False
+    return True
+
+
+# -- sheafcat -------------------------------------------------------------------
+
+
+def gamma_struct_basis(I: InjectiveSheaf) -> Matrix:
+    """Structured section basis as vectors in total stalk coordinates."""
+    field = I.field
+    cols = []
+    for j, (x, v) in enumerate(I.summands):
+        for t in range(v):
+            vec = [field.zero()] * I.total_dim
+            for y in I.poset.down[x]:
+                vec[I.offsets[y] + I.slot[y][j] + t] = field.one()
+            cols.append(vec)
+    return Matrix(field, I.total_dim, len(cols),
+                  [[c[i] for c in cols] for i in range(I.total_dim)])
+
+
+# -- specseq --------------------------------------------------------------------
+
+
+def _exact_pair(f: Matrix, g: Matrix, mid: int) -> bool:
+    if f.rows != mid or g.cols != mid:
+        return False
+    if not (g * f).is_zero():
+        return False
+    return rank(f) + rank(g) == mid
+
+
+def check_exact(couple: ExactCouple) -> bool:
+    """Triangle exactness at every populated node of the couple."""
+    r = couple.level
+    for (p, q) in couple.E:
+        # at E^{p,q}: im(j from A^{p-r+1,q+r-1}) = ker(k to A^{p+1,q})
+        jm = couple.j_map(p - r + 1, q + r - 1)
+        km = couple.k_map(p, q)
+        if not _exact_pair(jm, km, couple.e_sq(p, q).dim):
+            return False
+    for (p, q) in couple.A:
+        # at A^{p,q}: im(i from A^{p+1,q-1}) = ker(j)
+        im = couple.i_map(p + 1, q - 1)
+        jm = couple.j_map(p, q)
+        if not _exact_pair(im, jm, couple.a_sq(p, q).dim):
+            return False
+        # at A^{p,q}: im(k from E^{p-1,q}) = ker(i to A^{p-1,q+1})
+        km = couple.k_map(p - 1, q)
+        im2 = couple.i_map(p, q)
+        if not _exact_pair(km, im2, couple.a_sq(p, q).dim):
+            return False
+    return True
+
+
+def stabilization_ok(ss: SpectralSequence) -> bool:
+    """E_r^{p,q} constant for r > max(p, q+1) + 1."""
+    for p in range(ss.tower.D + 1):
+        for q in range(ss.tower.D + 1):
+            start = max(p, q + 1) + 2
+            dims = {r: ss.entry(r, p, q).dim
+                    for r in range(min(start, ss.r_inf), ss.r_inf + 1)}
+            if len(set(dims.values())) > 1:
+                return False
+    return True
+
+
+def map_of_spectral_sequences(src: SpectralSequence, dst: SpectralSequence,
+                              entry_maps) -> CoupleMorphism:
+    """Couple morphism induced by entrywise maps R^{p,q} -> R'^{p,q}.
+
+    The entry maps must commute with both differentials up to one global
+    sign (checked); A-level maps are induced on filtration cohomology.
+    """
+    t_src, t_dst = src.tower, dst.tower
+    a_maps, e_maps = {}, {}
+    for (p, q), asq in t_src.A1.items():
+        n = p + q
+        tgt = t_dst.A1.get((p, q))
+        if tgt is None or asq.dim == 0:
+            continue
+        a_maps[(p, q)] = asq.induced_map(tgt, tot_block_map(t_src, t_dst, entry_maps, n, p))
+    for (p, q), esq in t_src.E1.items():
+        tgt = t_dst.E1.get((p, q))
+        if tgt is None or esq.dim == 0:
+            continue
+        m = entry_maps.get((p, q))
+        if m is None:
+            m = Matrix.zeros(src.field, dst.dc.dim(p, q), src.dc.dim(p, q))
+        e_maps[(p, q)] = esq.induced_map(tgt, m)
+    return CoupleMorphism(src, dst, (0, 0), a_maps, e_maps)
+
+
+# -- gross: derived functors from a fresh resolution -----------------------------
+
+
+def derived_functor_gf(pair: FunctorPair, A, q=None):
+    """R^q(G.F)(A) dims (list from 0, or one value) via a fresh resolution."""
+    res = homalg.injective_resolution(pair.src_ctx, A)
+    vec, _ = _gamma_base(pair, pair.F_complex(res.complex))
+    dims = [homalg.cohomology(vec, t).H for t in range(res.length() + 1)]
+    return dims if q is None else (dims[q] if q < len(dims) else 0)
+
+
+def higher_direct_image(pair: FunctorPair, A, q):
+    """R^q F(A) as a sheaf on the target, via a fresh resolution."""
+    res = homalg.injective_resolution(pair.src_ctx, A)
+    F = pair.F_complex(res.complex)
+    return homalg.cohomology(F, q).H
+
+
+def derived_functor_map(pair: FunctorPair, phi, q) -> Matrix:
+    """R^q(G.F)(phi) as a matrix, via a comparison lift of resolutions."""
+    ctx = pair.src_ctx
+    res_src = homalg.injective_resolution(ctx, ctx.map_source_obj(phi))
+    res_tgt = homalg.injective_resolution(ctx, ctx.map_target_obj(phi))
+    lift = homalg.comparison_lift(ctx, phi, res_src, res_tgt)
+    F_src, F_tgt = pair.F_complex(res_src.complex), pair.F_complex(res_tgt.complex)
+    vec_src, bases_src = _gamma_base(pair, F_src)
+    vec_tgt, bases_tgt = _gamma_base(pair, F_tgt)
+    comps = {}
+    for t in vec_src.degrees():
+        if t not in vec_tgt.objects:
+            continue
+        Fl = pair.apply_F_map(lift.comp(t), F_src.obj(t), F_tgt.obj(t))
+        comps[t] = gamma_map(Fl, bases_src[t].basis, bases_tgt[t].basis)
+    chain = ChainMap(vec_src, vec_tgt, comps)
+    return homalg.induced_on_cohomology(chain, q)
+
+
+def connecting_derived(pair: FunctorPair, iota, pi, q, horseshoe_data=None):
+    """The boundary morphism R^qF(C) -> R^{q+1}F(A) at the sheaf level."""
+    if horseshoe_data is None:
+        horseshoe_data = _linked_resolutions(pair, iota, pi)
+    F_ses = pair.F_ses(horseshoe_data)
+    return homalg.connecting(F_ses, q), F_ses

@@ -6,16 +6,11 @@ Each test prints one PASS line when its criterion holds.
 
 import pytest
 
+from fixtures import fence_x4, gen_leray_instance, gen_ses_on_source, product_projection, to_point
 from oracle import order_complex_cohomology_dims
 from possheaf.ceres import build_ce_triple, compute_invariants, verify_ce
 from possheaf.exactla import QQ, Matrix, rank
-from possheaf.forge import (
-    GenConfig,
-    gen_injective_middle_ses,
-    gen_leray_instance,
-    gen_ses_complexes,
-    gen_ses_on_source,
-)
+from possheaf.forge import GenConfig, gen_ses_complexes
 from possheaf.gross import (
     E2Identification,
     acyclic_middle_analysis,
@@ -26,7 +21,7 @@ from possheaf.gross import (
     leray_ss,
     verify_main_theorem,
 )
-from possheaf.poset import MonotoneMap, Poset, fence_x4
+from possheaf.poset import MonotoneMap, Poset
 from possheaf.sheafcat import SheafContext
 from possheaf.specseq import DoubleComplex, SpectralSequence
 
@@ -70,8 +65,8 @@ def leray_batch():
 def delta_batch():
     out = []
     structured = [
-        (MonotoneMap.to_point(X4), SheafContext(X4, QQ)),
-        (MonotoneMap.to_point(THETA), SheafContext(THETA, QQ)),
+        (to_point(X4), SheafContext(X4, QQ)),
+        (to_point(THETA), SheafContext(THETA, QQ)),
         (MonotoneMap.identity(X4), SheafContext(X4, QQ)),
     ]
     for f, ctx in structured:
@@ -91,14 +86,14 @@ def delta_batch():
 
 @pytest.fixture(scope="module")
 def torus_data():
-    pr1 = MonotoneMap.product_projection(X4, X4, 0)
+    pr1 = product_projection(X4, X4, 0)
     ctx = SheafContext(pr1.source, QQ)
     return pr1, ctx, leray_ss(pr1, ctx.constant_sheaf())
 
 
 @pytest.fixture(scope="module")
 def torus_family():
-    pr1 = MonotoneMap.product_projection(X4, X4, 0)
+    pr1 = product_projection(X4, X4, 0)
     ctx = SheafContext(pr1.source, QQ)
     k = ctx.constant_sheaf()
     I, m = ctx.injective_embed(k)

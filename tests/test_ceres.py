@@ -1,5 +1,7 @@
 import pytest
 
+from engine_oracle import render
+from fixtures import fence_x4
 from possheaf.ceres import (
     ES_LABELS,
     InternalExactnessFailure,
@@ -11,7 +13,6 @@ from possheaf.ceres import (
 )
 from possheaf.exactla import QQ, Matrix
 from possheaf.homalg import ChainMap, CochainComplex, SESOfComplexes, horseshoe, injective_resolution
-from possheaf.poset import fence_x4
 from possheaf.sheafcat import SheafContext, VectorContext
 
 X4 = fence_x4()
@@ -114,7 +115,7 @@ def test_ce_triple_verifies_on_fence():
     assert ce.depth() <= X4.longest_chain_length() + 2
     for name in ("A", "B", "C"):
         rep = verify_ce(ce.doubles[name])
-        assert rep.ok, rep.render()
+        assert rep.ok, render(rep)
     # row exactness in every bidegree
     for p in range(ce.depth()):
         for q in ce.triples[p].inv.main_degrees():

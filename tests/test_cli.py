@@ -138,9 +138,9 @@ def test_bad_field_is_a_usage_error(field, capsys):
 
 def test_ce_command_on_complex_sequence(tmp_path, capsys):
     # build a small complexes-kind sequence file: constant sheaf SES on a chain
+    from fixtures import chain
     from possheaf.exactla import QQ
     from possheaf.instancefile import morphism_to_dict, poset_to_dict, sheaf_to_dict
-    from possheaf.poset import chain
     from possheaf.sheafcat import SheafContext
 
     p = chain(2)
@@ -235,3 +235,44 @@ def test_engine_bug_stays_a_traceback(monkeypatch):
     monkeypatch.setattr(cli, "sheaf_cohomology_dims", broken)
     with pytest.raises(ZeroDivisionError):
         main(["cohomology", PSEUDOCIRCLE, "--sheaf", "k"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["cohomology", "--sheaf", "k"],
+    ["verify-main", "--map", "collapse", "--sequence", "S"],
+])
+def test_missing_instance_file_is_a_named_fail(tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent.json")
+    assert main(argv[:1] + [missing] + argv[1:]) == 1
+    out = capsys.readouterr().out
+    assert "%s: cannot read: No such file or directory" % missing in out
+    # validate reports a file it cannot load on its own FAIL line
+    if argv[0] != "validate":
+        assert out.startswith("input error")
+
+
+@pytest.mark.parametrize("subset,message", [
+    ("c,zz", "unknown element 'zz'"),
+    ("a", "['a'] is not an up-set"),
+])
+def test_bad_open_set_is_an_input_error(capsys, subset, message):
+    assert main(["cohomology", PSEUDOCIRCLE, "--sheaf", "k", "--open", subset]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("input error") and message in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["forge", "--max-elements", "0"], "invalid element bound '0'"),
+    (["forge", "--max-elements", "1"], "invalid element bound '1'"),
+    (["forge", "--kind", "banana"], "invalid choice: 'banana'"),
+    (["selftest", "--count", "-2"], "invalid count '-2'"),
+    (["selftest", "--count", "0"], "invalid count '0'"),
+])
+def test_bad_generator_argument_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

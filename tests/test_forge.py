@@ -1,10 +1,8 @@
+from fixtures import gen_injective_middle_ses, gen_leray_instance, gen_monotone_map
 from possheaf.ceres import compute_invariants
 from possheaf.exactla import QQ
 from possheaf.forge import (
     GenConfig,
-    gen_injective_middle_ses,
-    gen_leray_instance,
-    gen_monotone_map,
     gen_poset,
     gen_ses_complexes,
     gen_ses_sheaves,

@@ -21,6 +21,10 @@ PSEUDOCIRCLE = os.path.join(HERE, "..", "instances", "pseudocircle.json")
 TORUS = os.path.join(HERE, "..", "instances", "torus.json")
 
 COMMANDS = {
+    "cohomology": ["cohomology", PSEUDOCIRCLE, "--sheaf", "k"],
+    "cohomology-open": ["cohomology", PSEUDOCIRCLE, "--sheaf", "k", "--open", "c,d"],
+    "torus-cohomology": ["cohomology", TORUS, "--sheaf", "k"],
+    "resolve": ["resolve", PSEUDOCIRCLE, "--sheaf", "k"],
     "gss": ["gss", PSEUDOCIRCLE, "--sheaf", "k"],
     "leray": ["leray", PSEUDOCIRCLE, "--map", "collapse", "--sheaf", "k"],
     "delta": ["delta", PSEUDOCIRCLE, "--map", "collapse", "--sequence", "S"],

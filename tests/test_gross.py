@@ -2,9 +2,18 @@ import os
 
 import pytest
 
+from engine_oracle import (
+    connecting_derived,
+    derived_functor_gf,
+    derived_functor_map,
+    higher_direct_image,
+    map_of_spectral_sequences,
+    render,
+)
+from fixtures import fence_x4, gen_leray_instance, product_projection, to_point
 from oracle import order_complex_cohomology_dims
 from possheaf import homalg
-from possheaf.forge import GenConfig, gen_leray_instance
+from possheaf.forge import GenConfig
 from possheaf.exactla import QQ, Matrix, rank
 from possheaf.gross import (
     AcyclicityViolation,
@@ -12,18 +21,15 @@ from possheaf.gross import (
     FunctorPair,
     PreconditionFailed,
     acyclic_middle_analysis,
-    connecting_derived,
     delta_morphism,
-    derived_functor_gf,
     first_ss_check,
     grothendieck_ss,
-    higher_direct_image,
     leray_pair,
     leray_ss,
     verify_main_theorem,
 )
 from possheaf.instancefile import Instance
-from possheaf.poset import MonotoneMap, Poset, fence_x4, product
+from possheaf.poset import MonotoneMap, Poset
 from possheaf.sheafcat import SheafContext, sheaf_cohomology_dims
 
 X4 = fence_x4()
@@ -64,7 +70,7 @@ def test_identity_functor_gss():
 
 
 def test_gss_to_point_degenerates():
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, QQ)
+    pair = FunctorPair(to_point(X4), X4, QQ)
     ctx = SheafContext(X4, QQ)
     data = grothendieck_ss(pair, ctx.constant_sheaf())
     assert data.ss.page_dims(2) == {(0, 0): 1, (0, 1): 1}
@@ -82,7 +88,7 @@ def test_higher_direct_image_identity_vanishes():
 
 
 def test_torus_leray_fixture():
-    pr1 = MonotoneMap.product_projection(X4, X4, 0)
+    pr1 = product_projection(X4, X4, 0)
     ctx = SheafContext(pr1.source, QQ)
     data, ident, comparisons = leray_ss(pr1, ctx.constant_sheaf())
     assert data.ss.page_dims(2) == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
@@ -108,7 +114,7 @@ def test_identity_functor_has_no_higher_derived():
 
 def test_connecting_derived_injective_middle():
     # F = pushforward to a point: R^1F(A) is the circle class of the fence
-    pt_map = MonotoneMap.to_point(X4)
+    pt_map = to_point(X4)
     pair = FunctorPair(pt_map, X4, QQ)
     ctx = SheafContext(X4, QQ)
     k, m, e = injective_middle(ctx)
@@ -122,7 +128,7 @@ def test_delta_family_split_is_zero():
     ctx = SheafContext(X4, QQ)
     k = ctx.constant_sheaf()
     B, injs, projs = ctx.direct_sum([k, k])
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, QQ)
+    pair = FunctorPair(to_point(X4), X4, QQ)
     family = delta_morphism(pair, injs[0], projs[1])
     for (p, q), d in family.ssT.page_dims(2).items():
         assert family.delta_r(2, p, q).is_zero()
@@ -133,10 +139,10 @@ def test_delta_family_split_is_zero():
 def test_delta_family_fence_over_point():
     ctx = SheafContext(X4, QQ)
     k, m, e = injective_middle(ctx)
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, QQ)
+    pair = FunctorPair(to_point(X4), X4, QQ)
     family = delta_morphism(pair, m, e)
     rep = verify_main_theorem(family)
-    assert rep.ok, rep.render()
+    assert rep.ok, render(rep)
     # the connecting map H^0(C) -> H^1(A) is onto the circle class
     d0 = family.delta_tot(0)
     assert rank(d0) == 1
@@ -151,12 +157,12 @@ def test_delta_rejects_non_ses():
 
 
 def test_torus_delta_and_main_theorem():
-    pr1 = MonotoneMap.product_projection(X4, X4, 0)
+    pr1 = product_projection(X4, X4, 0)
     ctx = SheafContext(pr1.source, QQ)
     k, m, e = injective_middle(ctx)
     family = delta_morphism(leray_pair(pr1, QQ), m, e)
     rep = verify_main_theorem(family)
-    assert rep.ok, rep.render()
+    assert rep.ok, render(rep)
     assert family.mor.signs == {"i": 1, "j": 1, "k": -1}
     # bullet 2 reads gamma_q from the CE invariants of F(SES)
     stored = family.ce.triples[0].inv.delta
@@ -169,12 +175,12 @@ def test_torus_delta_and_main_theorem():
 
 
 def test_acyclic_middle_on_torus():
-    pr1 = MonotoneMap.product_projection(X4, X4, 0)
+    pr1 = product_projection(X4, X4, 0)
     ctx = SheafContext(pr1.source, QQ)
     k, m, e = injective_middle(ctx)
     pair = leray_pair(pr1, QQ)
     rep = acyclic_middle_analysis(pair, m, e)
-    assert rep.ok, rep.render()
+    assert rep.ok, render(rep)
 
 
 def test_acyclic_middle_rejects_constant_middle():
@@ -182,7 +188,7 @@ def test_acyclic_middle_rejects_constant_middle():
     ctx = SheafContext(X4, QQ)
     k = ctx.constant_sheaf()
     B, injs, projs = ctx.direct_sum([k])
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, QQ)
+    pair = FunctorPair(to_point(X4), X4, QQ)
     zero = ctx.zero_obj()
     with pytest.raises(PreconditionFailed):
         acyclic_middle_analysis(pair, ctx.zero_map(zero, k), ctx.identity(k))
@@ -192,7 +198,7 @@ def test_dimension_independence_of_choices():
     # two independent sets of choices give identical page dimension tables
     ctx = SheafContext(X4, QQ)
     k, m, e = injective_middle(ctx)
-    f = MonotoneMap.to_point(X4)
+    f = to_point(X4)
     fam1 = delta_morphism(leray_pair(f, QQ), m, e)
     fam2 = delta_morphism(leray_pair(f, QQ, flip=True), m, e)
     for r in range(2, fam1.r_inf + 1):
@@ -201,9 +207,7 @@ def test_dimension_independence_of_choices():
 
 
 def test_derived_functor_map_identity_and_zero():
-    from possheaf.gross import derived_functor_map
-
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, QQ)
+    pair = FunctorPair(to_point(X4), X4, QQ)
     ctx = SheafContext(X4, QQ)
     k = ctx.constant_sheaf()
     for q in (0, 1):
@@ -217,10 +221,8 @@ def test_derived_functor_map_identity_and_zero():
 def test_derived_functor_resolution_independence():
     # two independent resolutions give the same dimensions, and the lifted
     # identity induces an invertible comparison
-    from possheaf.gross import derived_functor_map
-
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, QQ)
-    pair_flip = FunctorPair(MonotoneMap.to_point(X4), X4, QQ, flip=True)
+    pair = FunctorPair(to_point(X4), X4, QQ)
+    pair_flip = FunctorPair(to_point(X4), X4, QQ, flip=True)
     ctx = SheafContext(X4, QQ)
     k = ctx.constant_sheaf()
     assert derived_functor_gf(pair, k) == derived_functor_gf(pair_flip, k)
@@ -249,7 +251,7 @@ def test_delta_tot_matches_derived_functor_les():
 
     ctx = SheafContext(X4, QQ)
     k, m, e = injective_middle(ctx)
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, QQ)
+    pair = FunctorPair(to_point(X4), X4, QQ)
     family = delta_morphism(pair, m, e)
     FM, FN, FP = family.F_ses.A, family.F_ses.B, family.F_ses.C
     vecM, basesM = _gamma_base(pair, FM)
@@ -292,7 +294,7 @@ def test_delta_tot_matches_derived_functor_les():
 def test_sphere_over_chain_leray():
     # six-element sphere model fibered over a chain: R^2 f_* is nonzero and
     # the sequence still converges to H^*(S^2) = (1, 0, 1)
-    from possheaf.poset import Poset, chain
+    from fixtures import chain
 
     sphere = Poset(["a", "b", "c", "d", "e", "f"],
                    [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
@@ -314,7 +316,7 @@ def test_prime_field_drop_in():
 
     fp = field_from_name("fp:65521")
     ctx = SheafContext(X4, fp)
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, fp)
+    pair = FunctorPair(to_point(X4), X4, fp)
     data = grothendieck_ss(pair, ctx.constant_sheaf())
     assert data.ss.page_dims(2) == {(0, 0): 1, (0, 1): 1}
     assert first_ss_check(data).ok
@@ -326,11 +328,10 @@ def test_inclusion_induces_page_maps():
     # couple morphism with trivial signs, and composing with the projection
     # S -> T kills every page map (functoriality echo of row exactness)
     from possheaf.sheafcat import gamma_struct_map
-    from possheaf.specseq import map_of_spectral_sequences
 
     ctx = SheafContext(X4, QQ)
     k, m, e = injective_middle(ctx)
-    pair = FunctorPair(MonotoneMap.to_point(X4), X4, QQ)
+    pair = FunctorPair(to_point(X4), X4, QQ)
     family = delta_morphism(pair, m, e)
     iota_e, pi_e = {}, {}
     for p in range(family.ce.depth()):

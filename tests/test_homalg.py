@@ -1,5 +1,7 @@
 import pytest
 
+from engine_oracle import les_is_exact, long_exact_sequence
+from fixtures import fence_x4
 from possheaf.exactla import QQ, Matrix
 from possheaf.homalg import (
     ChainMap,
@@ -12,11 +14,8 @@ from possheaf.homalg import (
     horseshoe,
     induced_on_cohomology,
     injective_resolution,
-    les_is_exact,
-    long_exact_sequence,
     mapping_cone,
 )
-from possheaf.poset import fence_x4
 from possheaf.sheafcat import SheafContext, VectorContext
 
 V = VectorContext(QQ)

@@ -2,15 +2,16 @@ import itertools
 
 import pytest
 
-from possheaf.poset import MonotoneMap, NotMonotone, Poset, UnknownElement, chain, fence_x4, product
+from fixtures import chain, fence_x4, preimage, product, product_projection, up_set
+from possheaf.poset import MonotoneMap, NotMonotone, Poset, UnknownElement
 
 
 def test_up_sets_on_fence():
     x4 = fence_x4()
-    assert x4.up_set("a") == {"a", "c", "d"}
-    assert x4.up_set("c") == {"c"}
+    assert up_set(x4, "a") == {"a", "c", "d"}
+    assert up_set(x4, "c") == {"c"}
     c2 = chain(2)
-    assert c2.up_set("0") == {"0", "1"}
+    assert up_set(c2, "0") == {"0", "1"}
 
 
 def test_is_open():
@@ -24,7 +25,7 @@ def test_is_open():
 def test_unknown_element():
     x4 = fence_x4()
     with pytest.raises(UnknownElement):
-        x4.up_set("z")
+        up_set(x4, "z")
 
 
 def test_cycle_rejected():
@@ -53,7 +54,7 @@ def test_product_is_grid():
 
 def test_projection_monotone():
     x4 = fence_x4()
-    pr1 = MonotoneMap.product_projection(x4, x4, 0)
+    pr1 = product_projection(x4, x4, 0)
     assert pr1.apply("a.c") == "a"
     assert pr1.violations() == []
 
@@ -88,9 +89,9 @@ def test_all_subsets_checked_small():
 
 def test_preimage_of_open_is_open():
     x4 = fence_x4()
-    pr1 = MonotoneMap.product_projection(x4, x4, 0)
+    pr1 = product_projection(x4, x4, 0)
     for q in x4.elements:
-        pre = pr1.preimage(x4.up_set(q))
+        pre = preimage(pr1, up_set(x4, q))
         assert pr1.source.is_open(pre)
 
 

@@ -2,11 +2,13 @@ import os
 
 import pytest
 
+from engine_oracle import gamma_struct_basis
+from fixtures import fence_x4, product, product_projection, to_point
 from oracle import order_complex_cohomology_dims
 from possheaf.exactla import QQ, Matrix, rank
 from possheaf.homalg import injective_resolution
 from possheaf.instancefile import Instance
-from possheaf.poset import MonotoneMap, Poset, chain, fence_x4, product
+from possheaf.poset import MonotoneMap, Poset
 from possheaf.sheafcat import (
     InjectiveSheaf,
     NotCoinduced,
@@ -19,7 +21,6 @@ from possheaf.sheafcat import (
     VectorContext,
     gamma_map,
     gamma_of_complex,
-    gamma_struct_basis,
     global_sections,
     hom_basis,
     is_acyclic_on_all_opens,
@@ -191,7 +192,7 @@ def test_pushforward_identity_and_point():
     idmap = MonotoneMap.identity(X4)
     pk = Pushforward(idmap).apply(k)
     assert pk.dims == k.dims
-    to_pt = MonotoneMap.to_point(X4)
+    to_pt = to_point(X4)
     ppk = Pushforward(to_pt).apply(k)
     assert ppk.dims == [global_sections(k).dim]
 
@@ -240,7 +241,7 @@ def _extension_probe(ctx, m, f):
 def test_pushforward_preserves_injectivity_probe():
     # f_* of a coinduced sheaf still admits extensions along monos
     t = product(X4, X4)
-    pr1 = MonotoneMap.product_projection(X4, X4, 0)
+    pr1 = product_projection(X4, X4, 0)
     src_ctx = SheafContext(t, QQ)
     I, _ = src_ctx.injective_embed(src_ctx.constant_sheaf())
     fI = Pushforward(pr1).apply(I)
