@@ -565,9 +565,6 @@ class InjectiveTriple:
                     raise InternalCommutativityFailure(
                         "tagged %s@%d differs from the computed cocycles" % (ztag, q))
 
-    def as_ses(self) -> SESOfComplexes:
-        return SESOfComplexes(self.iota, self.pi)
-
 
 def compute_invariants(ses: SESOfComplexes) -> SESInvariants:
     """All subquotient objects and the nineteen exact sequences, checked."""

@@ -4,6 +4,9 @@ This is the substrate for every morphism in the engine.  All arithmetic is
 exact.  Matrices are stored dense, as row-major lists of field elements, but
 the kernels skip zeros: a product multiplies only pairs of nonzero entries,
 and an elimination step updates a row only where the pivot row is nonzero.
+No other module reads that storage or computes with field elements: they
+build matrices through the constructors, slices, block builders and
+operators here.
 Subspaces are kept in a canonical column-reduced form so that every
 basis-dependent choice made downstream is deterministic.
 """
@@ -177,12 +180,16 @@ class Matrix:
         self._rank = None
 
     @classmethod
-    def from_int_rows(cls, field, rows, cols=None):
-        data = [[field.from_int(x) for x in r] for r in rows]
+    def from_rows(cls, field, rows, cols=None):
+        """The matrix with the given rows of field elements; cols sizes an empty one."""
         ncols = len(rows[0]) if rows else (cols or 0)
         if cols is not None and rows and cols != ncols:
             raise ValueError("cols does not match row length")
-        return cls(field, len(rows), ncols, data)
+        return cls(field, len(rows), ncols, [list(r) for r in rows])
+
+    @classmethod
+    def from_int_rows(cls, field, rows, cols=None):
+        return cls.from_rows(field, [[field.from_int(x) for x in r] for r in rows], cols)
 
     @classmethod
     def identity(cls, field, n: int):
@@ -263,6 +270,13 @@ class Matrix:
     def rows_slice(self, idx) -> "Matrix":
         return Matrix(self.field, len(idx), self.cols, [list(self.data[i]) for i in idx])
 
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix of this one's entries in row-major order."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("cannot reshape %dx%d to %dx%d" % (self.rows, self.cols, rows, cols))
+        flat = [x for row in self.data for x in row]
+        return Matrix(self.field, rows, cols, [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+
     def to_str_rows(self):
         return [[self.field.fmt(x) for x in row] for row in self.data]
 
@@ -305,6 +319,12 @@ def place_blocks(field, rows: int, cols: int, blocks) -> Matrix:
         for i, row in enumerate(m.data):
             out[r0 + i][c0:c0 + m.cols] = row
     return Matrix(field, rows, cols, out)
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product: the block at block position (i, j) is a[i, j] * b."""
+    data = [[x * y for x in arow for y in brow] for arow in a.data for brow in b.data]
+    return Matrix(a.field, a.rows * b.rows, a.cols * b.cols, data)
 
 
 def block_diag(field, mats) -> Matrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from . import homalg
-from .exactla import QQ, Matrix
+from .exactla import QQ, Matrix, place_blocks
 from .poset import Poset
 from .sheafcat import InjectiveSheaf, SheafContext, SheafMorphism, hom_basis
 
@@ -109,19 +109,10 @@ def _random_coinduced_map(rng, ctx, src: InjectiveSheaf, tgt: InjectiveSheaf):
                 blocks[(jt, js)] = Matrix.from_int_rows(
                     field, [[rng.randint(-2, 2) for _ in range(vs)] for _ in range(vt)],
                     cols=vs)
-    comps = []
-    for z in range(len(ctx.poset)):
-        m = Matrix.zeros(field, tgt.dims[z], src.dims[z]).data
-        for jt in tgt.present[z]:
-            for js in src.present[z]:
-                blk = blocks.get((jt, js))
-                if blk is None:
-                    continue
-                r0, c0 = tgt.slot[z][jt], src.slot[z][js]
-                for r in range(blk.rows):
-                    for c in range(blk.cols):
-                        m[r0 + r][c0 + c] = blk.data[r][c]
-        comps.append(Matrix(field, tgt.dims[z], src.dims[z], m))
+    comps = [place_blocks(field, tgt.dims[z], src.dims[z],
+                          [(tgt.slot[z][jt], src.slot[z][js], blocks[(jt, js)])
+                           for jt in tgt.present[z] for js in src.present[z] if (jt, js) in blocks])
+             for z in range(len(ctx.poset))]
     return SheafMorphism(src, tgt, comps)
 
 

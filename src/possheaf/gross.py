@@ -475,10 +475,10 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
         tgt = tR.E1.get((p, q + 1))
         if tgt is None:
             continue
-        sign = pair.field.one() if p % 2 == 0 else -pair.field.one()
-        dv = dcS.v(p, q)
         s = solve(pi_e[(p, q)], esq.reps)
-        moved = (dv * s).scale(sign)
+        moved = dcS.v(p, q) * s
+        if p % 2:
+            moved = -moved
         e_maps[(p, q)] = tgt.project(solve(iota_e[(p, q + 1)], moved))
     mor = CoupleMorphism(ssT, ssR, (0, 1), a_maps, e_maps)
     idR = E2Identification(pair, ce.doubles["A"], ssR)
@@ -538,8 +538,9 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
                 id_ok = False
             lhs = idR_m * mor.page_map(2, p, q)
             hp = homalg.induced_on_cohomology(lam_vec, p)
-            koszul = family.pair.field.one() if p % 2 == 0 else -family.pair.field.one()
-            rhs = (hp * idT_m).scale(koszul)
+            rhs = hp * idT_m
+            if p % 2:   # the Koszul sign
+                rhs = -rhs
             pairs2.append((lhs, rhs))
     sign2, ok2 = global_sign(pairs2)
     rep.add("bullet2: delta_2 is the derived-functor boundary", ok2 and id_ok,

@@ -82,9 +82,6 @@ class CochainComplex:
             if not ctx.is_zero_map(dd):
                 raise ValueError("d^2 != 0 at degree %d" % q)
 
-    def total_dim(self):
-        return sum(self.ctx.obj_dim(self.obj(q)) for q in self.degrees())
-
 
 class ChainMap:
     """Degree-wise map of complexes commuting with the differentials."""

@@ -29,7 +29,7 @@ def _matrix_from_rows(field, rows, nrows, ncols, where):
         data = [[field.parse(x) for x in r] for r in rows]
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError("%s: bad matrix entry (%s)" % (where, exc)) from exc
-    return Matrix(field, nrows, ncols, data)
+    return Matrix.from_rows(field, data, ncols)
 
 
 class Instance:
@@ -89,10 +89,13 @@ class Instance:
         where = "sheaf %r" % name
         p = self._poset(spec.get("poset"), where)
         stalks = spec.get("stalks", {})
-        for e in stalks:
+        for e, d in stalks.items():
             if e not in p.index:
                 raise InstanceError("%s: stalk at unknown element %r" % (where, e))
-        dims = [int(stalks.get(e, 0)) for e in p.elements]
+            if type(d) is not int or d < 0:   # bool, float and str are rejected too
+                raise InstanceError("%s: stalk at %r must be an integer >= 0, got %r"
+                                    % (where, e, d))
+        dims = [stalks.get(e, 0) for e in p.elements]
         rho = {}
         given = spec.get("restrictions", {})
         for key in given:

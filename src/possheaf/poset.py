@@ -65,9 +65,6 @@ class Poset:
             raise UnknownElement("unknown element %r" % x)
         return self.index[x]
 
-    def leq(self, x, y) -> bool:
-        return self.idx(y) in self.up[self.idx(x)]
-
     def is_open(self, names) -> bool:
         idxs = {self.idx(x) for x in names}
         return all(self.up[i] <= idxs for i in idxs)
@@ -140,12 +137,5 @@ class MonotoneMap:
                 out.append((self.source.elements[i], self.source.elements[j]))
         return out
 
-    def apply(self, x):
-        return self.target.elements[self.values[self.source.idx(x)]]
-
     def preimage_idx(self, idxs):
         return {i for i in range(len(self.source)) if self.values[i] in idxs}
-
-    @classmethod
-    def identity(cls, p: Poset) -> "MonotoneMap":
-        return cls(p, p, {e: e for e in p.elements})

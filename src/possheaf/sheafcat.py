@@ -24,6 +24,7 @@ from .exactla import (
     hstack,
     image_basis,
     kernel_basis,
+    kron,
     place_blocks,
     quotient_basis,
     rank,
@@ -255,9 +256,6 @@ class Sheaf:
         self._build_full()
         return self._full[i][j]
 
-    def is_zero(self):
-        return self.total_dim == 0
-
     def __repr__(self):
         return "Sheaf(dims=%s)" % (self.dims,)
 
@@ -281,15 +279,12 @@ class InjectiveSheaf(Sheaf):
             for j in present[y]:
                 slot[y][j] = off
                 off += self.summands[j][1]
+        eye = {v: Matrix.identity(field, v) for _, v in self.summands}
         rho = {}
         for (i, j) in poset.covers:
-            m = Matrix.zeros(field, dims[j], dims[i]).data
-            for s in present[j]:
-                v = self.summands[s][1]
-                r0, c0 = slot[j][s], slot[i][s]
-                for t in range(v):
-                    m[r0 + t][c0 + t] = field.one()
-            rho[(i, j)] = Matrix(field, dims[j], dims[i], m)
+            rho[(i, j)] = place_blocks(field, dims[j], dims[i],
+                                       [(slot[j][s], slot[i][s], eye[self.summands[s][1]])
+                                        for s in present[j]])
         self.present = present
         self.slot = slot
         self.mult_total = sum(v for (_, v) in self.summands)
@@ -317,9 +312,6 @@ class SheafMorphism:
         self.comps = list(comps)
         if validate:
             self.validate()
-
-    def comp(self, i) -> Matrix:
-        return self.comps[i]
 
     def validate(self):
         src, tgt = self.source, self.target
@@ -589,24 +581,17 @@ def global_sections(F: Sheaf) -> Subspace:
 
 def sections_over(F: Sheaf, open_idx) -> Subspace:
     """Sections over an open set, in the coordinates of its stalks."""
-    p = F.poset
-    open_idx = sorted(open_idx)
-    pos = {x: k for k, x in enumerate(open_idx)}
-    offs, off = {}, 0
-    for x in open_idx:
-        offs[x] = off
-        off += F.dims[x]
-    total = off
+    offs, total = {}, 0
+    for x in sorted(open_idx):
+        offs[x] = total
+        total += F.dims[x]
     rows = []
-    for (i, j) in p.covers:
-        if i in pos and j in pos:
-            blk = Matrix.zeros(F.field, F.dims[j], total).data
-            rmat = F.rho[(i, j)]
-            for r in range(F.dims[j]):
-                for c in range(F.dims[i]):
-                    blk[r][offs[i] + c] = rmat.data[r][c]
-                blk[r][offs[j] + r] = -F.field.one()
-            rows.append(Matrix(F.field, F.dims[j], total, blk))
+    for (i, j) in F.poset.covers:
+        if i in offs and j in offs:
+            # rho_ij s_i - s_j = 0
+            rows.append(place_blocks(F.field, F.dims[j], total,
+                                     [(0, offs[i], F.rho[(i, j)]),
+                                      (0, offs[j], -Matrix.identity(F.field, F.dims[j]))]))
     if not rows:
         return Subspace.full(F.field, total)
     return kernel_basis(vstack(rows))
@@ -620,12 +605,12 @@ def gamma_struct_map(phi: SheafMorphism, srcI: InjectiveSheaf, tgtI: InjectiveSh
     roff = 0
     for jt, (xt, vt) in enumerate(tgtI.summands):
         toff = tgtI.slot[xt][jt]
-        rows = phi.comps[xt].data[toff:toff + vt]
+        rows = phi.comps[xt].rows_slice(range(toff, toff + vt))
         coff = 0
         for js, (xs, vs) in enumerate(srcI.summands):
             if xs in p.up[xt]:  # xt <= xs: source section present at xt
                 soff = srcI.slot[xt][js]
-                blocks.append((roff, coff, Matrix(field, vt, vs, [r[soff:soff + vs] for r in rows])))
+                blocks.append((roff, coff, rows.cols_slice(range(soff, soff + vs))))
             coff += vs
         roff += vt
     return place_blocks(field, tgtI.mult_total, srcI.mult_total, blocks)
@@ -782,14 +767,8 @@ class Pushforward:
         for x in big:
             offs_big[x] = off
             off += F.dims[x]
-        total_big = off
-        rows = []
-        for x in small:
-            for r in range(F.dims[x]):
-                row = [F.field.zero()] * total_big
-                row[offs_big[x] + r] = F.field.one()
-                rows.append(row)
-        return Matrix(F.field, len(rows), total_big, rows)
+        keep = [offs_big[x] + r for x in small for r in range(F.dims[x])]
+        return Matrix.identity(F.field, off).rows_slice(keep)
 
     def apply_map(self, phi: SheafMorphism, FA_pushed: Sheaf, FB_pushed: Sheaf) -> SheafMorphism:
         opensA, basesA = FA_pushed._push
@@ -808,7 +787,13 @@ class Pushforward:
 
 
 def hom_basis(F: Sheaf, G: Sheaf):
-    """Basis of the space of sheaf morphisms F -> G."""
+    """Basis of the space of sheaf morphisms F -> G.
+
+    The unknowns are the entries of every component phi_i, row-major, one
+    block per element.  Each cover i < j asks phi_j rF - rG phi_i = 0, and
+    row-major vec(phi_j rF) = (1 (x) rF^T) vec(phi_j), vec(rG phi_i) =
+    (rG (x) 1) vec(phi_i).
+    """
     p = F.poset
     field = F.field
     var_off, off = [], 0
@@ -819,26 +804,14 @@ def hom_basis(F: Sheaf, G: Sheaf):
     rows = []
     for (i, j) in p.covers:
         rF, rG = F.rho[(i, j)], G.rho[(i, j)]
-        for r in range(G.dims[j]):
-            for c in range(F.dims[i]):
-                row = [field.zero()] * nvars
-                # (phi_j . rF)[r,c] - (rG . phi_i)[r,c] = 0
-                for k in range(F.dims[j]):
-                    row[var_off[j] + r * F.dims[j] + k] = row[var_off[j] + r * F.dims[j] + k] + rF.data[k][c]
-                for k in range(G.dims[i]):
-                    row[var_off[i] + k * F.dims[i] + c] = row[var_off[i] + k * F.dims[i] + c] - rG.data[r][k]
-                rows.append(row)
-    if rows:
-        ker = kernel_basis(Matrix(field, len(rows), nvars, rows))
-    else:
-        ker = Subspace.full(field, nvars)
+        rows.append(place_blocks(field, G.dims[j] * F.dims[i], nvars, [
+            (0, var_off[j], kron(Matrix.identity(field, G.dims[j]), rF.transpose())),
+            (0, var_off[i], -kron(rG, Matrix.identity(field, F.dims[i])))]))
+    ker = kernel_basis(vstack(rows)) if rows else Subspace.full(field, nvars)
     out = []
     for t in range(ker.dim):
-        vec = [ker.basis.data[i][t] for i in range(nvars)]
-        comps = []
-        for i in range(len(p)):
-            m = [[vec[var_off[i] + r * F.dims[i] + c] for c in range(F.dims[i])]
-                 for r in range(G.dims[i])]
-            comps.append(Matrix(field, G.dims[i], F.dims[i], m))
-        out.append(SheafMorphism(F, G, comps))
+        vec = ker.basis.cols_slice([t])
+        out.append(SheafMorphism(F, G, [
+            vec.rows_slice(range(var_off[i], var_off[i] + G.dims[i] * F.dims[i]))
+            .reshape(G.dims[i], F.dims[i]) for i in range(len(p))]))
     return out

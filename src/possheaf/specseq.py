@@ -27,6 +27,7 @@ from .exactla import (
     place_blocks,
     quotient_basis,
     rank,
+    rref,
     solve,
 )
 
@@ -86,13 +87,6 @@ class DoubleComplex:
                     raise ValueError("d_v^2 != 0 at (%d,%d)" % (p, q))
                 if not (self.v(p + 1, q) * self.h(p, q) == self.h(p, q + 1) * self.v(p, q)):
                     raise SquareNotCommuting("square at (%d,%d) does not commute" % (p, q))
-
-    def transpose(self) -> "DoubleComplex":
-        D = self.size
-        dims = [[self.dim(q, p) for q in range(D + 1)] for p in range(D + 1)]
-        horiz = [[self.v(q, p) for q in range(D + 1)] for p in range(D + 1)]
-        vert = [[self.h(q, p) for q in range(D + 1)] for p in range(D + 1)]
-        return DoubleComplex(self.field, D, dims, horiz, vert)
 
 
 class Subquotient:
@@ -215,9 +209,10 @@ class CoupleTower:
         entry there.
         """
         top = self.start(p_to, n) - self.start(p_from, n)
-        bad = [j for row in m.data[:top] for j, x in enumerate(row) if x]
-        if bad:
-            raise NoSolution("no preimage for column %d" % min(bad))
+        head = m.rows_slice(range(top))
+        if not head.is_zero():
+            # the first pivot of the dropped rows is their first nonzero column
+            raise NoSolution("no preimage for column %d" % rref(head)[1][0])
         return m.rows_slice(range(top, m.rows))
 
     def from_cell(self, m, p, q) -> Matrix:

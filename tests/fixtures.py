@@ -1,4 +1,4 @@
-"""Posets, maps and seeded generators that only tests build.
+"""Posets, maps, seeded generators and views that only tests build.
 
 The command line reads its posets and maps from instance files, and
 `forge` generates only what `forge` and `selftest` emit; the constructors
@@ -7,8 +7,10 @@ same `GenConfig` always reproduces the same objects.
 """
 
 from possheaf.forge import GenConfig, gen_poset, gen_ses_sheaves, gen_sheaf
+from possheaf.homalg import SESOfComplexes
 from possheaf.poset import MonotoneMap, Poset
 from possheaf.sheafcat import SheafContext
+from possheaf.specseq import DoubleComplex
 
 # -- posets and monotone maps -----------------------------------------------
 
@@ -38,6 +40,11 @@ def product(p: Poset, q: Poset, sep: str = ".") -> Poset:
     return Poset(elements, covers)
 
 
+def leq(poset: Poset, x, y) -> bool:
+    """x <= y in poset, for identifiers x and y."""
+    return poset.idx(y) in poset.up[poset.idx(x)]
+
+
 def up_set(poset: Poset, x):
     """Minimal open U_x = {y : y >= x}, as a set of identifiers."""
     return {poset.elements[j] for j in poset.up[poset.idx(x)]}
@@ -47,6 +54,16 @@ def preimage(f: MonotoneMap, names):
     """f^{-1}(names), as a set of source identifiers."""
     idxs = {f.target.idx(x) for x in names}
     return {f.source.elements[i] for i in range(len(f.source)) if f.values[i] in idxs}
+
+
+def apply(f: MonotoneMap, x):
+    """f(x), as a target identifier."""
+    return f.target.elements[f.values[f.source.idx(x)]]
+
+
+def identity_map(p: Poset) -> MonotoneMap:
+    """The identity map of p."""
+    return MonotoneMap(p, p, {e: e for e in p.elements})
 
 
 def to_point(p: Poset, point: Poset | None = None) -> MonotoneMap:
@@ -120,3 +137,25 @@ def gen_ses_on_source(cfg: GenConfig, f: MonotoneMap):
     if rng.random() < 0.5:
         return gen_injective_middle_ses(cfg.child("inj"), f.source)
     return gen_ses_sheaves(cfg.child("ses"), f.source)
+
+
+# -- views of engine objects --------------------------------------------------
+
+
+def total_dim(cplx) -> int:
+    """Sum of the dimensions of a complex's objects over its degrees."""
+    return sum(cplx.ctx.obj_dim(cplx.obj(q)) for q in cplx.degrees())
+
+
+def transpose(dc: DoubleComplex) -> DoubleComplex:
+    """The double complex with p and q swapped."""
+    D = dc.size
+    dims = [[dc.dim(q, p) for q in range(D + 1)] for p in range(D + 1)]
+    horiz = [[dc.v(q, p) for q in range(D + 1)] for p in range(D + 1)]
+    vert = [[dc.h(q, p) for q in range(D + 1)] for p in range(D + 1)]
+    return DoubleComplex(dc.field, D, dims, horiz, vert)
+
+
+def triple_ses(triple) -> SESOfComplexes:
+    """The row I -> J -> K of an injective triple as a short exact sequence."""
+    return SESOfComplexes(triple.iota, triple.pi)

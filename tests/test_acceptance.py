@@ -6,7 +6,14 @@ Each test prints one PASS line when its criterion holds.
 
 import pytest
 
-from fixtures import fence_x4, gen_leray_instance, gen_ses_on_source, product_projection, to_point
+from fixtures import (
+    fence_x4,
+    gen_leray_instance,
+    gen_ses_on_source,
+    identity_map,
+    product_projection,
+    to_point,
+)
 from oracle import order_complex_cohomology_dims
 from possheaf.ceres import build_ce_triple, compute_invariants, verify_ce
 from possheaf.exactla import QQ, Matrix, rank
@@ -21,7 +28,7 @@ from possheaf.gross import (
     leray_ss,
     verify_main_theorem,
 )
-from possheaf.poset import MonotoneMap, Poset
+from possheaf.poset import Poset
 from possheaf.sheafcat import SheafContext
 from possheaf.specseq import DoubleComplex, SpectralSequence
 
@@ -67,7 +74,7 @@ def delta_batch():
     structured = [
         (to_point(X4), SheafContext(X4, QQ)),
         (to_point(THETA), SheafContext(THETA, QQ)),
-        (MonotoneMap.identity(X4), SheafContext(X4, QQ)),
+        (identity_map(X4), SheafContext(X4, QQ)),
     ]
     for f, ctx in structured:
         k = ctx.constant_sheaf()

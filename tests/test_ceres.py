@@ -1,7 +1,7 @@
 import pytest
 
 from engine_oracle import render
-from fixtures import fence_x4
+from fixtures import fence_x4, triple_ses
 from possheaf.ceres import (
     ES_LABELS,
     InternalExactnessFailure,
@@ -86,7 +86,7 @@ def test_triple_single_degree_shape():
     assert triple.cplx["I"].obj(0).dims == I.dims
     # rows are exact and the differentials square to zero by construction
     triple.cplx["J"].validate()
-    ses_row = triple.as_ses()
+    ses_row = triple_ses(triple)
     assert ses_row.A is triple.cplx["I"]
 
 

@@ -181,6 +181,21 @@ def test_decimal_entry_is_a_bad_matrix_entry(tmp_path, capsys, field, entry):
     assert "does not commute" not in out
 
 
+@pytest.mark.parametrize("command", [["validate"], ["cohomology", "--sheaf", "k"]])
+@pytest.mark.parametrize("stalk", [-1, 1.7, True, "2"])
+def test_bad_stalk_dimension_is_an_input_error(tmp_path, capsys, command, stalk):
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    doc["sheaves"]["k"]["stalks"]["a"] = stalk
+    path = tmp_path / "stalk.json"
+    path.write_text(json.dumps(doc))
+    assert main(command[:1] + [str(path)] + command[1:]) == 1
+    out = capsys.readouterr().out
+    assert "sheaf 'k': stalk at 'a' must be an integer >= 0, got %r" % (stalk,) in out
+    if command[0] != "validate":
+        assert out.startswith("input error")
+
+
 def test_negative_max_degree_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--max-degree", "-5", "resolve", PSEUDOCIRCLE, "--sheaf", "k"])

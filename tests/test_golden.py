@@ -4,7 +4,9 @@ The goldens in tests/golden/ pin every PASS/FAIL line, table, recorded
 sign and --format report document of the pseudocircle and torus commands
 below, so a refactor that changes any of them fails here.  The torus runs
 are the ones whose filtration pieces span more than two columns.  Each file is the stdout
-of `possheaf <argv>`; no output names the instance file's path.
+of `possheaf <argv>`; no output names the instance file's path.  The `forge`
+cases pin the generators' sheaves and morphisms; `forge` writes the same
+document in either format, so they are recorded once, as text.
 """
 
 import contextlib
@@ -36,8 +38,13 @@ COMMANDS = {
     "torus-verify-main-fp": ["--field", "fp:32003", "verify-main", TORUS,
                              "--map", "pr1", "--sequence", "S"],
 }
+FORGE = {
+    "forge-ses": ["forge", "--seed", "3", "--kind", "ses"],
+    "forge-sheaf": ["forge", "--seed", "5", "--kind", "sheaf"],
+    "forge-ses-fp": ["--field", "fp:32003", "forge", "--seed", "4", "--kind", "ses"],
+}
 FORMATS = {"text": [], "report": ["--format", "report"]}
-CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]
+CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS] + [(name, "text") for name in FORGE]
 
 
 def golden_path(name, fmt):
@@ -48,7 +55,7 @@ def run_cli(name, fmt):
     """(exit code, stdout) of one golden command."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        rc = main(FORMATS[fmt] + COMMANDS[name])
+        rc = main(FORMATS[fmt] + (COMMANDS.get(name) or FORGE[name]))
     return rc, buf.getvalue()
 
 

@@ -1,5 +1,6 @@
-"""Every definition shipped in src/possheaf is reached from src/possheaf.
+"""Two layout rules of src/possheaf.
 
+Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
 specseq_oracle.py, engine_oracle.py, fixtures.py), so the package ships
 what the command line runs and nothing a later change has to keep
@@ -13,10 +14,17 @@ own body, as an `ast.Name`, an `ast.Attribute` or an import alias.
 
 Known limit: names are matched bare, with no types behind them, so a
 definition whose name matches an attribute used anywhere passes even if
-nothing calls it: `DoubleComplex.transpose` passes on the strength of
-`Matrix.transpose`, and `MonotoneMap.identity` on `Matrix.identity`, though
-only tests call either.  So the test can miss dead code, and it flags only
+nothing calls it: a `SheafMorphism.comp` that nothing called would pass on
+the strength of `ChainMap.comp`, and a `Sheaf.is_zero` on
+`CochainComplex.is_zero`.  So the test can miss dead code, and it flags only
 definitions that no code in src/possheaf names.
+
+Only exactla knows how a matrix is stored and how field elements behave.
+Every other module builds and takes apart matrices through exactla's
+constructors, slices, block builders and operators, so a change of storage
+(sparse rows, say, or bare ints for a prime field) touches exactla alone.
+The scan flags, in every module but exactla, an attribute named `data`, a
+direct call of `Matrix(...)`, and a call of a field's `one()` or `zero()`.
 """
 
 import ast
@@ -52,13 +60,19 @@ def _references(node):
                 yield sub.asname
 
 
-def unreferenced_definitions():
-    """`module.name` of each definition that src/possheaf names only inside its own body."""
+def _trees():
+    """Module name -> parsed source, for each module of src/possheaf."""
     trees = {}
     for fname in sorted(os.listdir(SRC)):
         if fname.endswith(".py"):
             with open(os.path.join(SRC, fname)) as fh:
                 trees[fname[:-3]] = ast.parse(fh.read(), filename=fname)
+    return trees
+
+
+def unreferenced_definitions():
+    """`module.name` of each definition that src/possheaf names only inside its own body."""
+    trees = _trees()
     everywhere = collections.Counter(ref for tree in trees.values() for ref in _references(tree))
     found = []
     for module, tree in trees.items():
@@ -71,3 +85,26 @@ def unreferenced_definitions():
 
 def test_every_shipped_definition_is_referenced_in_src():
     assert unreferenced_definitions() == []
+
+
+def storage_sites():
+    """`module:line what` of each use of matrix storage or field scalars outside exactla."""
+    found = []
+    for module, tree in _trees().items():
+        if module == "exactla":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "data":
+                found.append("%s:%d .data" % (module, node.lineno))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Matrix":
+                    found.append("%s:%d Matrix(...)" % (module, node.lineno))
+                elif isinstance(func, ast.Attribute) and name in ("one", "zero") and not node.args:
+                    found.append("%s:%d .%s()" % (module, node.lineno, name))
+    return found
+
+
+def test_only_exactla_touches_matrix_storage():
+    assert storage_sites() == []

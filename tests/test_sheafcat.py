@@ -3,12 +3,12 @@ import os
 import pytest
 
 from engine_oracle import gamma_struct_basis
-from fixtures import fence_x4, product, product_projection, to_point
+from fixtures import fence_x4, identity_map, product, product_projection, to_point
 from oracle import order_complex_cohomology_dims
 from possheaf.exactla import QQ, Matrix, rank
 from possheaf.homalg import injective_resolution
 from possheaf.instancefile import Instance
-from possheaf.poset import MonotoneMap, Poset
+from possheaf.poset import Poset
 from possheaf.sheafcat import (
     InjectiveSheaf,
     NotCoinduced,
@@ -189,7 +189,7 @@ def test_acyclicity_checker():
 def test_pushforward_identity_and_point():
     ctx = ctx_x4()
     k = ctx.constant_sheaf()
-    idmap = MonotoneMap.identity(X4)
+    idmap = identity_map(X4)
     pk = Pushforward(idmap).apply(k)
     assert pk.dims == k.dims
     to_pt = to_point(X4)

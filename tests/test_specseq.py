@@ -1,7 +1,8 @@
 import pytest
 
 from engine_oracle import check_exact, map_of_spectral_sequences, stabilization_ok
-from possheaf.exactla import QQ, Matrix, rank
+from fixtures import transpose
+from possheaf.exactla import QQ, Matrix, NoSolution, rank
 from possheaf.specseq import (
     CoupleMorphism,
     CoupleTower,
@@ -86,6 +87,19 @@ def test_staircase_stabilizes_at_three():
     assert stabilization_ok(ss)
 
 
+def test_restrict_drops_the_top_rows():
+    # Tot^1 = R^{0,1} (dim 2) + R^{1,0} (dim 1): F^1 Tot^1 is the last row of F^0 Tot^1
+    dims, horiz, vert = empty_grid(1)
+    dims[0][1], dims[1][0] = 2, 1
+    tower = CoupleTower(DoubleComplex(QQ, 1, dims, horiz, vert))
+    m = Matrix.from_int_rows(QQ, [[0, 0, 0], [0, 0, 0], [1, 2, 3]])
+    assert tower.restrict(m, 1, 0, 1) == Matrix.from_int_rows(QQ, [[1, 2, 3]])
+    # the error names the first column that is nonzero in any dropped row
+    bad = Matrix.from_int_rows(QQ, [[0, 0, 4], [0, 5, 0], [1, 2, 3]])
+    with pytest.raises(NoSolution, match="no preimage for column 1$"):
+        tower.restrict(bad, 1, 0, 1)
+
+
 def test_couples_stay_exact():
     tower = CoupleTower(staircase())
     for r in range(1, tower.r_infinity() + 1):
@@ -167,7 +181,7 @@ def test_zero_couple_morphism():
 
 
 def test_by_q_mode_runs_on_transpose():
-    ss = SpectralSequence(staircase().transpose())
+    ss = SpectralSequence(transpose(staircase()))
     assert ss.convergence_ok()
     for n in range(5):
         assert ss.total_h_dim(n) == 0

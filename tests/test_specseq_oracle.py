@@ -17,7 +17,8 @@ Two kinds of double complex are drawn:
 from hypothesis import given, settings, strategies as st
 
 import specseq_oracle as oracle
-from possheaf.exactla import QQ, Matrix, PrimeField, kernel_basis, solve
+from fixtures import transpose
+from possheaf.exactla import QQ, Matrix, PrimeField, kernel_basis, kron, solve
 from possheaf.gross import by_q_e1
 from possheaf.specseq import CoupleTower, DoubleComplex, SpectralSequence
 
@@ -54,11 +55,6 @@ def random_invertible(draw, field, n):
             else:
                 upper[i][j] = zero
     return Matrix(field, n, n, lower) * Matrix(field, n, n, upper)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    data = [[x * y for x in arow for y in brow] for arow in a.data for brow in b.data]
-    return Matrix(a.field, a.rows * b.rows, a.cols * b.cols, data)
 
 
 # A zigzag walks away from its first cell: orientation "h" steps right along
@@ -200,7 +196,7 @@ def test_spectral_sequence_matches_oracle(dc):
 def test_by_q_e1_matches_transposed_tower(dc):
     # first_ss_check reads E_1 of the by-q filtration off the rows of the grid
     # instead of building the tower of the transposed grid
-    tower = CoupleTower(dc.transpose())
+    tower = CoupleTower(transpose(dc))
     for p in range(dc.size + 1):
         for q in range(dc.size + 1):
             assert same_entry(by_q_e1(dc, p, q), tower.E1[(q, p)]), (p, q)
