@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals or a prime field.
 
 This is the substrate for every morphism in the engine.  All arithmetic is
-exact.  Matrices are stored dense, as row-major lists of field elements, but
-the kernels skip zeros: a product multiplies only pairs of nonzero entries,
-and an elimination step updates a row only where the pivot row is nonzero.
+exact.  Matrices are stored as sparse rows: row i is a dict {column: entry}
+of its nonzero entries, and no zero is ever stored, not even a sum that
+cancels.  So a product multiplies only pairs of nonzero entries, an
+elimination step updates a row only where the pivot row is nonzero, and no
+kernel tests an entry for zero twice.  Rationals are `Fraction`s (gmpy2's
+`mpq` when installed); a prime field's elements are bare ints in [0, p),
+and the kernels reduce them mod the field's p.
 No other module reads that storage or computes with field elements: they
 build matrices through the constructors, slices, block builders and
 operators here.
@@ -29,43 +33,6 @@ class ContainmentViolation(Exception):
     """Raised by subspace operations when a stated containment fails."""
 
 
-class FpElement:
-    """Element of a prime field, normalized to 0 <= val < p."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def __add__(self, other):
-        return FpElement(self.val + other.val, self.p)
-
-    def __sub__(self, other):
-        return FpElement(self.val - other.val, self.p)
-
-    def __mul__(self, other):
-        return FpElement(self.val * other.val, self.p)
-
-    def __truediv__(self, other):
-        return FpElement(self.val * pow(other.val, -1, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, FpElement) and self.val == other.val and self.p == other.p
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __repr__(self):
-        return "%d" % self.val
-
-
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -84,6 +51,7 @@ class RationalField:
     """Arbitrary-precision rationals (gmpy2.mpq, Fraction as fallback)."""
 
     name = "q"
+    p = 0                            # characteristic: the kernels reduce mod p only when p
     _zero, _one = _mpq(0), _mpq(1)   # elements are immutable, so shared
 
     def zero(self):
@@ -93,7 +61,11 @@ class RationalField:
         return self._one
 
     def from_int(self, n):
+        """n, an int or a rational, as a field element."""
         return _mpq(n)
+
+    def inv(self, x):
+        return self._one / x
 
     def parse(self, s):
         return _mpq(*_parse_scalar(s))
@@ -112,30 +84,32 @@ class RationalField:
 
 
 class PrimeField:
-    """Integers mod p for a prime p < 2**31; a drop-in speed alternative."""
+    """Integers mod p for a prime p < 2**31; elements are bare ints in [0, p)."""
 
     def __init__(self, p: int):
         if p < 2 or p >= 2**31 or any(p % d == 0 for d in range(2, min(p, 1 + int(p**0.5) + 1))):
             raise ValueError("modulus must be a prime < 2**31, got %r" % p)
         self.p = p
         self.name = "fp:%d" % p
-        self._zero, self._one = FpElement(0, p), FpElement(1, p)
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def from_int(self, n):
-        return FpElement(n, self.p)
+        return n % self.p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
 
     def parse(self, s):
         num, den = _parse_scalar(s)
-        return FpElement(num, self.p) / FpElement(den, self.p)
+        return num * pow(den, -1, self.p) % self.p
 
     def fmt(self, x) -> str:
-        return str(x.val)
+        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -159,81 +133,108 @@ def field_from_name(name: str):
     raise ValueError("unknown field %r" % name)
 
 
-def _nonzeros(row, start=0):
-    """The (column, entry) pairs of row's nonzero entries from column start on."""
-    return [(j, x) for j, x in enumerate(row[start:], start) if x]
+def _reduced(row, p):
+    """The dict row with its entries reduced mod p (when p) and its zeros dropped."""
+    if p:
+        return {j: v for j, x in row.items() if (v := x % p)}
+    return {j: x for j, x in row.items() if x}
 
 
 class Matrix:
     """Matrix over an exact field; represents a map k^cols -> k^rows.
 
-    Storage is dense (`data` is a list of row lists); the kernels skip zeros.
+    Storage is sparse: `_nz[i]` is a dict {column: entry} of row i's
+    nonzero entries, with every column below `cols`.  Rows are never
+    changed once a matrix holds them, so matrices share them.  `data` is a
+    dense copy for observers outside the engine.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_rank")
+    __slots__ = ("field", "rows", "cols", "_nz", "_rank")
 
-    def __init__(self, field, rows: int, cols: int, data):
+    def __init__(self, field, rows: int, cols: int, nz):
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = data  # list of row lists; treated as immutable
+        self._nz = nz  # list of {column: nonzero entry} dicts, one per row
         self._rank = None
 
     @classmethod
     def from_rows(cls, field, rows, cols=None):
-        """The matrix with the given rows of field elements; cols sizes an empty one."""
+        """The matrix with the given dense rows; cols sizes an empty one.
+
+        Every entry goes through `field.from_int` (an int or, over q, a
+        rational), so it is reduced into the field and zeros are dropped.
+        """
         ncols = len(rows[0]) if rows else (cols or 0)
         if cols is not None and rows and cols != ncols:
             raise ValueError("cols does not match row length")
-        return cls(field, len(rows), ncols, [list(r) for r in rows])
+        conv = field.from_int
+        nz = []
+        for i, r in enumerate(rows):
+            if len(r) != ncols:
+                raise ValueError("row %d has %d entries, not %d" % (i, len(r), ncols))
+            nz.append({j: v for j, x in enumerate(r) if (v := conv(x))})
+        return cls(field, len(rows), ncols, nz)
 
-    @classmethod
-    def from_int_rows(cls, field, rows, cols=None):
-        return cls.from_rows(field, [[field.from_int(x) for x in r] for r in rows], cols)
+    from_int_rows = from_rows
 
     @classmethod
     def identity(cls, field, n: int):
-        one, zero = field.one(), field.zero()
-        data = []
-        for i in range(n):
-            row = [zero] * n
-            row[i] = one
-            data.append(row)
-        return cls(field, n, n, data)
+        one = field.one()
+        return cls(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
-        zero = field.zero()
-        return cls(field, rows, cols, [[zero] * cols for _ in range(rows)])
+        return cls(field, rows, cols, [{} for _ in range(rows)])
+
+    @property
+    def data(self):
+        """The entries as dense row lists, built on each read; writes to it are lost."""
+        zero = self.field.zero()
+        out = []
+        for r in self._nz:
+            row = [zero] * self.cols
+            for j, x in r.items():
+                row[j] = x
+            out.append(row)
+        return out
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.data)
+        return not any(self._nz)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and all(_nonzeros(r1) == _nonzeros(r2) for r1, r2 in zip(self.data, other.data))
+            and self._nz == other._nz
         )
 
     def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols, [[-x for x in row] for row in self.data])
+        return self.scale(self.field.from_int(-1))
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add: %dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.data, other.data)],
-        )
+        p = self.field.p
+        out = []
+        for r1, r2 in zip(self._nz, other._nz):
+            if r1 and r2:
+                acc = dict(r1)
+                for j, b in r2.items():
+                    acc[j] = acc[j] + b if j in acc else b
+                out.append(_reduced(acc, p))
+            else:
+                out.append(r1 or r2)
+        return Matrix(self.field, self.rows, self.cols, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return Matrix(self.field, self.rows, self.cols, [[c * x for x in row] for row in self.data])
+        p = self.field.p
+        return Matrix(self.field, self.rows, self.cols,
+                      [_reduced({j: c * x for j, x in r.items()}, p) for r in self._nz])
 
     def __mul__(self, other):
         """Matrix product self @ other (composition: self after other)."""
@@ -241,44 +242,57 @@ class Matrix:
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul: %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        zero = self.field.zero()
-        bnz = [_nonzeros(brow) for brow in other.data]
+        p = self.field.p
+        bnz = other._nz
         out = []
-        for arow in self.data:
+        for arow in self._nz:
             acc = {}
-            for a, brow in zip(arow, bnz):
-                if brow and a:
-                    for j, b in brow:
-                        if j in acc:
-                            acc[j] = acc[j] + a * b
-                        else:
-                            acc[j] = a * b
-            row = [zero] * other.cols
-            for j, c in acc.items():
-                row[j] = c
-            out.append(row)
+            for k, a in arow.items():
+                for j, b in bnz[k].items():
+                    if j in acc:
+                        acc[j] += a * b
+                    else:
+                        acc[j] = a * b
+            out.append(_reduced(acc, p))
         return Matrix(self.field, self.rows, other.cols, out)
 
     def transpose(self):
-        if not self.rows:
-            return Matrix(self.field, self.cols, 0, [[] for _ in range(self.cols)])
-        return Matrix(self.field, self.cols, self.rows, [list(c) for c in zip(*self.data)])
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._nz):
+            for j, x in r.items():
+                out[j][i] = x
+        return Matrix(self.field, self.cols, self.rows, out)
 
     def cols_slice(self, idx) -> "Matrix":
-        return Matrix(self.field, self.rows, len(idx), [[row[j] for j in idx] for row in self.data])
+        idx = list(idx)
+        return Matrix(self.field, self.rows, len(idx),
+                      [{c: r[j] for c, j in enumerate(idx) if j in r} for r in self._nz])
 
     def rows_slice(self, idx) -> "Matrix":
-        return Matrix(self.field, len(idx), self.cols, [list(self.data[i]) for i in idx])
+        rows = [self._nz[i] for i in idx]
+        return Matrix(self.field, len(rows), self.cols, rows)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The rows x cols matrix of this one's entries in row-major order."""
         if rows * cols != self.rows * self.cols:
             raise ValueError("cannot reshape %dx%d to %dx%d" % (self.rows, self.cols, rows, cols))
-        flat = [x for row in self.data for x in row]
-        return Matrix(self.field, rows, cols, [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        out = [{} for _ in range(rows)]
+        for i, r in enumerate(self._nz):
+            for j, x in r.items():
+                k = i * self.cols + j
+                out[k // cols][k % cols] = x
+        return Matrix(self.field, rows, cols, out)
 
     def to_str_rows(self):
-        return [[self.field.fmt(x) for x in row] for row in self.data]
+        fmt = self.field.fmt
+        zero = fmt(self.field.zero())
+        out = []
+        for r in self._nz:
+            row = [zero] * self.cols
+            for j, x in r.items():
+                row[j] = fmt(x)
+            out.append(row)
+        return out
 
     def __repr__(self):
         return "Matrix(%dx%d %s)" % (self.rows, self.cols, self.to_str_rows())
@@ -291,8 +305,14 @@ def hstack(mats) -> Matrix:
     rows, field = mats[0].rows, mats[0].field
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return Matrix(field, rows, sum(m.cols for m in mats), data)
+    out = [{} for _ in range(rows)]
+    off = 0
+    for m in mats:
+        for row, r in zip(out, m._nz):
+            for j, x in r.items():
+                row[off + j] = x
+        off += m.cols
+    return Matrix(field, rows, off, out)
 
 
 def vstack(mats) -> Matrix:
@@ -302,10 +322,7 @@ def vstack(mats) -> Matrix:
     cols, field = mats[0].cols, mats[0].field
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack col mismatch")
-    data = []
-    for m in mats:
-        data.extend(list(r) for r in m.data)
-    return Matrix(field, sum(m.rows for m in mats), cols, data)
+    return Matrix(field, sum(m.rows for m in mats), cols, [r for m in mats for r in m._nz])
 
 
 def place_blocks(field, rows: int, cols: int, blocks) -> Matrix:
@@ -314,17 +331,21 @@ def place_blocks(field, rows: int, cols: int, blocks) -> Matrix:
     Each block is (row offset, column offset, Matrix) and is copied in at
     that offset; blocks must not overlap.
     """
-    out = Matrix.zeros(field, rows, cols).data
+    out = [{} for _ in range(rows)]
     for r0, c0, m in blocks:
-        for i, row in enumerate(m.data):
-            out[r0 + i][c0:c0 + m.cols] = row
+        for i, r in enumerate(m._nz, r0):
+            row = out[i]
+            for j, x in r.items():
+                row[c0 + j] = x
     return Matrix(field, rows, cols, out)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: the block at block position (i, j) is a[i, j] * b."""
-    data = [[x * y for x in arow for y in brow] for arow in a.data for brow in b.data]
-    return Matrix(a.field, a.rows * b.rows, a.cols * b.cols, data)
+    p, bc = a.field.p, b.cols
+    out = [_reduced({j * bc + k: x * y for j, x in arow.items() for k, y in brow.items()}, p)
+           for arow in a._nz for brow in b._nz]
+    return Matrix(a.field, a.rows * b.rows, a.cols * bc, out)
 
 
 def block_diag(field, mats) -> Matrix:
@@ -337,12 +358,13 @@ def block_diag(field, mats) -> Matrix:
 
 
 def _eliminate(field, a, limit):
-    """Gauss-Jordan elimination of the dense rows `a`, in place.
+    """Gauss-Jordan elimination of the sparse rows `a`, in place.
 
     Pivots are taken only in the first `limit` columns, and are returned.  A
-    row update touches only the nonzero entries of the pivot row.
+    row update touches only the nonzero entries of the pivot row, and drops
+    the entries it cancels.  `a` holds rows of its own: they are changed.
     """
-    zero, one = field.zero(), field.one()
+    p, one = field.p, field.one()
     nrows = len(a)
     pivots = []
     prow = 0
@@ -352,29 +374,37 @@ def _eliminate(field, a, limit):
         # find a pivot at or below prow
         sel = None
         for i in range(prow, nrows):
-            if a[i][pcol]:
+            if pcol in a[i]:
                 sel = i
                 break
         if sel is None:
             continue
         if sel != prow:
             a[prow], a[sel] = a[sel], a[prow]
+        # columns before pcol are zero in row prow, so its other entries lie after it
         row_p = a[prow]
-        nz = _nonzeros(row_p, pcol + 1)
-        pv = row_p[pcol]
+        pv = row_p.pop(pcol)
         if pv != one:
-            inv = one / pv
-            nz = [(j, inv * x) for j, x in nz]
-            for j, x in nz:
-                row_p[j] = x
-            row_p[pcol] = one
+            inv = field.inv(pv)
+            row_p = _reduced({j: inv * x for j, x in row_p.items()}, p)
+        nz = list(row_p.items())
+        row_p[pcol] = one
+        a[prow] = row_p
         for i in range(nrows):
             row_i = a[i]
-            f = row_i[pcol]
-            if f and i != prow:
-                row_i[pcol] = zero
+            if i != prow and pcol in row_i:
+                g = -row_i.pop(pcol)
                 for j, y in nz:
-                    row_i[j] = row_i[j] - f * y
+                    if j in row_i:
+                        v = row_i[j] + g * y
+                        if p:
+                            v %= p
+                        if v:
+                            row_i[j] = v
+                        else:
+                            del row_i[j]
+                    else:
+                        row_i[j] = g * y % p if p else g * y
         pivots.append(pcol)
         prow += 1
     return pivots
@@ -386,7 +416,7 @@ def rref(m: Matrix):
     Returns (reduced, pivots).  The reduced form is canonical: row-equivalent
     matrices produce identical output.
     """
-    a = [list(r) for r in m.data]
+    a = [dict(r) for r in m._nz]
     pivots = _eliminate(m.field, a, m.cols)
     return Matrix(m.field, m.rows, m.cols, a), pivots
 
@@ -408,18 +438,18 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix:
     """
     if m.rows != rhs.rows:
         raise ValueError("solve shape mismatch")
-    field = m.field
-    a = [mrow + rrow for mrow, rrow in zip(m.data, rhs.data)]
-    pivots = _eliminate(field, a, m.cols)
+    field, n = m.field, m.cols
+    a = hstack([m, rhs])._nz
+    pivots = _eliminate(field, a, n)
     nr = len(pivots)
-    for j in range(m.cols, m.cols + rhs.cols):
-        if any(a[i][j] for i in range(nr, m.rows)):
-            raise NoSolution("no preimage for column %d" % (j - m.cols))
-    zero = field.zero()
-    xdata = [[zero] * rhs.cols for _ in range(m.cols)]
+    # rows without a pivot are zero in m's columns
+    bad = [min(a[i]) for i in range(nr, m.rows) if a[i]]
+    if bad:
+        raise NoSolution("no preimage for column %d" % (min(bad) - n))
+    xdata = [{} for _ in range(n)]
     for i, pc in enumerate(pivots):
-        xdata[pc] = a[i][m.cols:]
-    return Matrix(field, m.cols, rhs.cols, xdata)
+        xdata[pc] = {j - n: x for j, x in a[i].items() if j >= n}
+    return Matrix(field, n, rhs.cols, xdata)
 
 
 class Subspace:
@@ -476,8 +506,8 @@ class Subspace:
         if back != vecs:
             if self.dim == 0:
                 raise NoSolution("nonzero vector in zero subspace")
-            bad = min(j for brow, vrow in zip(back.data, vecs.data)
-                      for j, (x, y) in enumerate(zip(brow, vrow)) if x != y)
+            bad = min(j for brow, vrow in zip(back._nz, vecs._nz)
+                      for j in brow.keys() | vrow.keys() if brow.get(j) != vrow.get(j))
             raise NoSolution("no preimage for column %d" % bad)
         return coords
 
@@ -509,16 +539,14 @@ def kernel_basis(m: Matrix) -> Subspace:
     red, pivots = rref(m)
     pset = set(pivots)
     free = [j for j in range(m.cols) if j not in pset]
-    zero, one = field.zero(), field.one()
-    cols = []
-    for j in free:
-        v = [zero] * m.cols
-        v[j] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.data[i][j]
-        cols.append(v)
-    basis = Matrix(field, m.cols, len(cols), [[c[i] for c in cols] for i in range(m.cols)])
-    return Subspace.from_columns(basis)
+    # one vector per free column j: e_j minus the pivot rows' entries in column j
+    one = field.one()
+    vecs = {j: {j: one} for j in free}
+    for pc, row in zip(pivots, (-red)._nz):
+        for j, x in row.items():
+            if j != pc:
+                vecs[j][pc] = x
+    return Subspace.from_columns(Matrix(field, len(free), m.cols, list(vecs.values())).transpose())
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -549,12 +577,11 @@ def quotient_basis(s: Subspace, t: Subspace):
     reps = s.basis.cols_slice(sel)
     # projection, in s-coordinates: the identity on sel, and -y^T on rest,
     # where ts[rest]^T y = ts[sel]^T so that it kills ts (ts[rest] is invertible)
-    y = solve(ts.rows_slice(rest).transpose(), ts.rows_slice(sel).transpose()).data
-    one = field.one()
-    proj = Matrix.zeros(field, len(sel), s.ambient_dim).data
-    for r, j in enumerate(sel):
-        row = proj[r]
-        row[s.pivots[j]] = one
-        for c, i in enumerate(rest):
-            row[s.pivots[i]] = -y[c][r]
+    y = solve(ts.rows_slice(rest).transpose(), ts.rows_slice(sel).transpose())
+    one, piv = field.one(), s.pivots
+    proj = []
+    for j, row in zip(sel, (-y).transpose()._nz):
+        row = {piv[rest[c]]: x for c, x in row.items()}
+        row[piv[j]] = one
+        proj.append(row)
     return reps, Matrix(field, len(sel), s.ambient_dim, proj)

@@ -7,9 +7,101 @@ entry, zero or not.  The only edits are that they call each other instead of
 the engine, and that a subspace is a (basis, pivots) pair, so the
 differential tests in `test_exactla_oracle.py` compare two independent
 implementations.  Do not optimise this file.
+
+They run on the containers they were written for, kept here: a dense
+`Matrix` of row lists (with the `hstack` they call) and, for GF(p), the
+`FpElement` wrapper the engine used before its prime field moved to bare
+ints.  Over QQ the entries are the engine's rationals.  The tests convert
+engine matrices in and the results back out.
 """
 
-from possheaf.exactla import ContainmentViolation, Matrix, NoSolution, hstack
+from possheaf.exactla import ContainmentViolation, NoSolution
+
+
+class FpElement:
+    """Element of a prime field, normalized to 0 <= val < p."""
+
+    __slots__ = ("val", "p")
+
+    def __init__(self, val, p):
+        self.val = val % p
+        self.p = p
+
+    def __add__(self, other):
+        return FpElement(self.val + other.val, self.p)
+
+    def __sub__(self, other):
+        return FpElement(self.val - other.val, self.p)
+
+    def __mul__(self, other):
+        return FpElement(self.val * other.val, self.p)
+
+    def __truediv__(self, other):
+        return FpElement(self.val * pow(other.val, -1, self.p), self.p)
+
+    def __neg__(self):
+        return FpElement(-self.val, self.p)
+
+    def __eq__(self, other):
+        return isinstance(other, FpElement) and self.val == other.val and self.p == other.p
+
+    def __bool__(self):
+        return self.val != 0
+
+    def __hash__(self):
+        return hash((self.val, self.p))
+
+    def __repr__(self):
+        return "%d" % self.val
+
+
+class PrimeField:
+    """GF(p) with FpElement entries, as the kernels below compute in it."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def zero(self):
+        return FpElement(0, self.p)
+
+    def one(self):
+        return FpElement(1, self.p)
+
+
+class Matrix:
+    """Dense matrix: `data` is a list of row lists of field elements."""
+
+    def __init__(self, field, rows, cols, data):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    @classmethod
+    def zeros(cls, field, rows, cols):
+        zero = field.zero()
+        return cls(field, rows, cols, [[zero] * cols for _ in range(rows)])
+
+    def is_zero(self):
+        return not any(any(row) for row in self.data)
+
+    def transpose(self):
+        if not self.rows:
+            return Matrix(self.field, self.cols, 0, [[] for _ in range(self.cols)])
+        return Matrix(self.field, self.cols, self.rows, [list(c) for c in zip(*self.data)])
+
+    def cols_slice(self, idx):
+        return Matrix(self.field, self.rows, len(idx), [[row[j] for j in idx] for row in self.data])
+
+    def rows_slice(self, idx):
+        return Matrix(self.field, len(idx), self.cols, [list(self.data[i]) for i in idx])
+
+
+def hstack(mats):
+    mats = list(mats)
+    rows, field = mats[0].rows, mats[0].field
+    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
+    return Matrix(field, rows, sum(m.cols for m in mats), data)
 
 
 def matmul(self, other):

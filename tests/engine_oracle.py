@@ -70,8 +70,7 @@ def gamma_struct_basis(I: InjectiveSheaf) -> Matrix:
             for y in I.poset.down[x]:
                 vec[I.offsets[y] + I.slot[y][j] + t] = field.one()
             cols.append(vec)
-    return Matrix(field, I.total_dim, len(cols),
-                  [[c[i] for c in cols] for i in range(I.total_dim)])
+    return Matrix.from_rows(field, [[c[i] for c in cols] for i in range(I.total_dim)], len(cols))
 
 
 # -- specseq --------------------------------------------------------------------

@@ -33,7 +33,7 @@ def order_complex_cohomology_dims(poset, field, top=None):
                 face = s[:drop] + s[drop + 1:]
                 m[index[d - 1][face]][ci] = m[index[d - 1][face]][ci] + sign
                 sign = -sign
-        bdry[d] = Matrix(field, rows, cols, m)
+        bdry[d] = Matrix.from_rows(field, m, cols)
     out = []
     upper = maxdim if top is None else max(maxdim, top)
     for d in range(upper + 1):

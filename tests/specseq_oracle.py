@@ -109,7 +109,7 @@ class CoupleTower:
         out = Matrix.zeros(self.field, len(tgt), len(src)).data
         for c, g in enumerate(src):
             out[tpos[g]][c] = self.field.one()
-        return Matrix(self.field, len(tgt), len(src), out)
+        return Matrix.from_rows(self.field, out, len(src))
 
     def column_inclusion(self, p, q) -> Matrix:
         """Coordinates of the cell (p,q) inside F^p at degree n = p + q."""
@@ -121,7 +121,7 @@ class CoupleTower:
         out = Matrix.zeros(self.field, len(pos), dim).data
         for c in range(dim):
             out[ppos[base + c]][c] = self.field.one()
-        return Matrix(self.field, len(pos), dim, out)
+        return Matrix.from_rows(self.field, out, dim)
 
     def column_projection(self, p, q) -> Matrix:
         return self.column_inclusion(p, q).transpose()

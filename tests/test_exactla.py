@@ -178,12 +178,33 @@ def test_prime_field_roundtrip():
     assert rank(m) == 2
     x = solve(m, Matrix.from_int_rows(fp, [[1], [0]]))
     assert m * x == Matrix.from_int_rows(fp, [[1], [0]])
-    assert fp.parse("1/2") * fp.from_int(2) == fp.one()
+    # elements are bare ints, so products go through 1x1 matrices, which reduce mod p
+    half = Matrix.from_rows(fp, [[fp.parse("1/2")]])
+    assert half * Matrix.from_int_rows(fp, [[2]]) == Matrix.identity(fp, 1)
+
+
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="row 1 has 1 entries, not 2"):
+        Matrix.from_int_rows(QQ, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="row 2 has 3 entries, not 2"):
+        Matrix.from_int_rows(QQ, [[1, 2], [3, 4], [5, 6, 7]])
+    with pytest.raises(ValueError, match="cols does not match row length"):
+        Matrix.from_int_rows(QQ, [[1, 2]], cols=3)
+
+
+def test_from_rows_reduces_entries_into_the_field():
+    gf7 = PrimeField(7)
+    m = Matrix.from_int_rows(gf7, [[8, 7, -1], [14, 0, 21]])
+    assert m.to_str_rows() == [["1", "0", "6"], ["0", "0", "0"]]
+    assert m == Matrix.from_rows(gf7, [[1, 0, 6], [0, 0, 0]])
+    assert m.rows_slice([1]).is_zero()
+    assert Matrix.from_rows(QQ, [[0, 2]]).data == [[0, 2]]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
 def test_parse_accepts_only_n_and_n_over_d(field):
-    assert field.parse("-3/4") * field.from_int(4) == field.from_int(-3)
+    quarter = Matrix.from_rows(field, [[field.parse("-3/4")]])
+    assert quarter * Matrix.from_int_rows(field, [[4]]) == Matrix.from_int_rows(field, [[-3]])
     assert field.parse("+2") == field.parse(2) == field.from_int(2)
     for bad in ["0.5", "1e3", "1/0", "1/-2", " 3", "1_000", "", "3/", "/3", "0x10", "True"]:
         with pytest.raises(ValueError):

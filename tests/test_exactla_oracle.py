@@ -1,9 +1,12 @@
-"""Differential tests: the zero-skipping exact kernel against the frozen dense one.
+"""Differential tests: the sparse exact kernel against the frozen dense one.
 
 Every result is compared exactly (equal matrices, equal printed entries,
-equal pivots, equal NoSolution messages) over QQ, GF(32003) and GF(3).
-Entries are drawn mostly zero, and the small prime makes cancellations
-common, so the zero-skipping paths and their fill-in are exercised.
+equal pivots, equal NoSolution messages) over QQ, GF(32003), GF(3) and
+GF(2).  Entries are drawn mostly zero, and the small primes make
+cancellations common, so the sparse paths, their fill-in and the entries
+they drop are exercised.  `run` hands the oracle dense copies of engine
+matrices (GF(p) entries as its `FpElement`s) and turns the dense matrices
+it returns back into engine matrices.
 """
 
 import pytest
@@ -24,7 +27,7 @@ from possheaf.exactla import (
     solve,
 )
 
-FIELDS = [QQ, PrimeField(32003), PrimeField(3)]
+FIELDS = [QQ, PrimeField(32003), PrimeField(3), PrimeField(2)]
 ENTRIES = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, -2, 3, 5, 7])
 DIMS = st.integers(min_value=0, max_value=6)
 
@@ -37,13 +40,42 @@ def matrices(draw, field, rows=None, cols=None):
     if field is QQ and draw(st.booleans()):
         den = field.from_int(draw(st.sampled_from([2, 3, 6])))
         data = [[x / den for x in row] for row in data]
-    return Matrix(field, rows, cols, data)
+    return Matrix.from_rows(field, data, cols)
 
 
 @st.composite
 def field_and_matrix(draw):
     field = draw(st.sampled_from(FIELDS))
     return field, draw(matrices(field))
+
+
+def dense(m):
+    """The oracle's dense copy of an engine matrix."""
+    if m.field is QQ:
+        return oracle.Matrix(QQ, m.rows, m.cols, m.data)
+    field = oracle.PrimeField(m.field.p)
+    return oracle.Matrix(field, m.rows, m.cols,
+                         [[oracle.FpElement(x, field.p) for x in row] for row in m.data])
+
+
+def engine(field, d):
+    """The engine matrix over field with the entries of the oracle's dense d."""
+    return Matrix.from_rows(field, [[getattr(x, "val", x) for x in row] for row in d.data], d.cols)
+
+
+def _convert(x, conv):
+    """x with conv applied to it, or to each item if it is a tuple."""
+    return tuple(conv(y) for y in x) if isinstance(x, tuple) else conv(x)
+
+
+def run(field, fn, *args):
+    """fn of the dense oracle on engine matrices, its matrices converted back.
+
+    An argument is a matrix, a (basis, pivots) pair or anything else, which
+    is passed as it is; so is a result.
+    """
+    args = [_convert(a, lambda y: dense(y) if isinstance(y, Matrix) else y) for a in args]
+    return _convert(fn(*args), lambda y: engine(field, y) if isinstance(y, oracle.Matrix) else y)
 
 
 def same(a, b):
@@ -71,17 +103,17 @@ def test_product_matches_oracle(data):
     field = data.draw(st.sampled_from(FIELDS))
     a = data.draw(matrices(field))
     b = data.draw(matrices(field, rows=a.cols))
-    assert same(a * b, oracle.matmul(a, b))
+    assert same(a * b, run(field, oracle.matmul, a, b))
 
 
 @settings(max_examples=150, deadline=None)
 @given(field_and_matrix())
 def test_rref_matches_oracle(fm):
-    _, m = fm
+    field, m = fm
     red, pivots = rref(m)
-    ored, opivots, t = oracle.rref(m)
+    ored, opivots, t = run(field, oracle.rref, m)
     assert same(red, ored) and pivots == opivots
-    assert same(oracle.matmul(t, m), red)
+    assert same(run(field, oracle.matmul, t, m), red)
     assert rank(m) == len(opivots)
 
 
@@ -94,18 +126,18 @@ def test_solve_matches_oracle(data):
         rhs = data.draw(matrices(field, rows=m.rows))           # often not in the image
     else:
         rhs = m * data.draw(matrices(field, rows=m.cols))       # always in the image
-    assert same_outcome(outcome(solve, m, rhs), outcome(oracle.solve, m, rhs))
+    assert same_outcome(outcome(solve, m, rhs), outcome(run, field, oracle.solve, m, rhs))
 
 
 @settings(max_examples=150, deadline=None)
 @given(field_and_matrix())
 def test_kernel_and_image_bases_match_oracle(fm):
-    _, m = fm
+    field, m = fm
     ker = kernel_basis(m)
-    obasis, opivots = oracle.kernel_basis(m)
+    obasis, opivots = run(field, oracle.kernel_basis, m)
     assert same(ker.basis, obasis) and ker.pivots == opivots
     img = Subspace.from_columns(m)
-    obasis, opivots = oracle.from_columns(m)
+    obasis, opivots = run(field, oracle.from_columns, m)
     assert same(img.basis, obasis) and img.pivots == opivots
 
 
@@ -118,14 +150,14 @@ def test_quotient_basis_matches_oracle(data):
     if data.draw(st.booleans()):   # t not always inside s
         t_gens = data.draw(matrices(field, rows=s_gens.rows))
     s, t = Subspace.from_columns(s_gens), Subspace.from_columns(t_gens)
-    os_, ot = oracle.from_columns(s_gens), oracle.from_columns(t_gens)
+    os_, ot = run(field, oracle.from_columns, s_gens), run(field, oracle.from_columns, t_gens)
     try:
         got = quotient_basis(s, t)
     except ContainmentViolation:
         with pytest.raises(ContainmentViolation):
-            oracle.quotient_basis(os_, ot)
+            run(field, oracle.quotient_basis, os_, ot)
         return
-    reps, proj = oracle.quotient_basis(os_, ot)
+    reps, proj = run(field, oracle.quotient_basis, os_, ot)
     assert same(got[0], reps) and same(got[1], proj)
 
 
@@ -138,7 +170,7 @@ def test_coords_of_matches_oracle(data):
     member = gens * data.draw(matrices(field, rows=gens.cols))
     other = data.draw(matrices(field, rows=gens.rows))     # often a non-member
     for vecs in (member, other):
-        assert same_outcome(outcome(s.coords_of, vecs), outcome(oracle.coords_of, s.basis, vecs))
+        assert same_outcome(outcome(s.coords_of, vecs), outcome(run, field, oracle.coords_of, s.basis, vecs))
     assert s.contains_matrix(member)
 
 
@@ -146,21 +178,21 @@ def test_coords_of_matches_oracle(data):
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3)])
 def test_empty_and_zero_shapes(field, rows, cols):
     z = Matrix.zeros(field, rows, cols)
-    assert same(rref(z)[0], oracle.rref(z)[0]) and rref(z)[1] == []
-    assert same(z * Matrix.zeros(field, cols, 2), oracle.matmul(z, Matrix.zeros(field, cols, 2)))
-    assert same(Matrix.zeros(field, 2, rows) * z, oracle.matmul(Matrix.zeros(field, 2, rows), z))
+    assert same(rref(z)[0], run(field, oracle.rref, z)[0]) and rref(z)[1] == []
+    assert same(z * Matrix.zeros(field, cols, 2), run(field, oracle.matmul, z, Matrix.zeros(field, cols, 2)))
+    assert same(Matrix.zeros(field, 2, rows) * z, run(field, oracle.matmul, Matrix.zeros(field, 2, rows), z))
     rhs = Matrix.zeros(field, rows, 3)
-    assert same(solve(z, rhs), oracle.solve(z, rhs))
+    assert same(solve(z, rhs), run(field, oracle.solve, z, rhs))
     ker = kernel_basis(z)
-    assert same(ker.basis, oracle.kernel_basis(z)[0]) and ker.dim == cols
+    assert same(ker.basis, run(field, oracle.kernel_basis, z)[0]) and ker.dim == cols
     s = Subspace.zero(field, rows)
-    assert same(s.coords_of(rhs), oracle.coords_of(s.basis, rhs))
+    assert same(s.coords_of(rhs), run(field, oracle.coords_of, s.basis, rhs))
     if rows:
         one = Matrix.from_int_rows(field, [[1]] + [[0]] * (rows - 1))
-        assert outcome(s.coords_of, one) == outcome(oracle.coords_of, s.basis, one)
+        assert outcome(s.coords_of, one) == outcome(run, field, oracle.coords_of, s.basis, one)
         full = Subspace.full(field, rows)
         got = quotient_basis(full, s)
-        want = oracle.quotient_basis((full.basis, full.pivots), (s.basis, s.pivots))
+        want = run(field, oracle.quotient_basis, (full.basis, full.pivots), (s.basis, s.pivots))
         assert same(got[0], want[0]) and same(got[1], want[1])
 
 
@@ -171,4 +203,4 @@ def test_non_member_names_first_bad_column(field):
     with pytest.raises(NoSolution, match="column 1"):
         s.coords_of(vecs)
     with pytest.raises(NoSolution, match="column 1"):
-        oracle.coords_of(s.basis, vecs)
+        run(field, oracle.coords_of, s.basis, vecs)

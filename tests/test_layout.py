@@ -1,4 +1,4 @@
-"""Two layout rules of src/possheaf.
+"""Three layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -25,13 +25,24 @@ constructors, slices, block builders and operators, so a change of storage
 (sparse rows, say, or bare ints for a prime field) touches exactla alone.
 The scan flags, in every module but exactla, an attribute named `data`, a
 direct call of `Matrix(...)`, and a call of a field's `one()` or `zero()`.
+
+Every function the benchmark's tracer wraps (`perfbench/tracer.py`,
+`TARGETS`) exists under the name it is wrapped by, so a refactor that drops
+or renames one (`Matrix.identity`, say, or `Subspace.coords_of`) fails here
+rather than turning a traced benchmark run incorrect.  The tracer is only
+imported and asked to resolve each name.
 """
 
 import ast
 import collections
+import importlib
+import importlib.util
 import os
+import sys
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "possheaf")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SRC = os.path.join(ROOT, "src", "possheaf")
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 EXEMPT = {("cli", "main")}
 
 
@@ -108,3 +119,19 @@ def storage_sites():
 
 def test_only_exactla_touches_matrix_storage():
     assert storage_sites() == []
+
+
+def test_every_traced_name_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True   # read perfbench/, write nothing
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        sys.dont_write_bytecode = keep
+    missing = []
+    for _, modname, paths, _ in tracer.TARGETS:
+        importlib.import_module("possheaf." + modname)
+        missing += ["%s.%s" % (modname, path) for path in paths
+                    if tracer.resolve(modname, path) is None]
+    assert missing == []

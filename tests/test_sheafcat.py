@@ -229,8 +229,8 @@ def _extension_probe(ctx, m, f):
                 rhs.append(f.comps[i].data[r][c])
     if not rows:
         return True
-    mat = Matrix(field, len(rows), off, rows)
-    b = Matrix(field, len(rows), 1, [[x] for x in rhs])
+    mat = Matrix.from_rows(field, rows, off)
+    b = Matrix.from_rows(field, [[x] for x in rhs], 1)
     try:
         solve(mat, b)
         return True

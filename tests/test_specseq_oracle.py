@@ -38,8 +38,8 @@ def same_entry(a, b):
 
 
 def random_matrix(draw, field, rows, cols):
-    return Matrix(field, rows, cols,
-                  [[field.from_int(draw(ENTRIES)) for _ in range(cols)] for _ in range(rows)])
+    return Matrix.from_rows(field, [[field.from_int(draw(ENTRIES)) for _ in range(cols)]
+                                    for _ in range(rows)], cols)
 
 
 def random_invertible(draw, field, n):
@@ -54,7 +54,7 @@ def random_invertible(draw, field, n):
                 lower[i][j] = zero
             else:
                 upper[i][j] = zero
-    return Matrix(field, n, n, lower) * Matrix(field, n, n, upper)
+    return Matrix.from_rows(field, lower, n) * Matrix.from_rows(field, upper, n)
 
 
 # A zigzag walks away from its first cell: orientation "h" steps right along
@@ -109,8 +109,8 @@ def pieces_complex(draw, field):
         grid = maps[kind]
         if grid[p][q] is None:
             dp, dq = step[kind]
-            grid[p][q] = Matrix.zeros(field, dims[p + dp][q + dq], dims[p][q])
-        grid[p][q].data[j][i] = field.one()
+            grid[p][q] = Matrix.zeros(field, dims[p + dp][q + dq], dims[p][q]).data
+        grid[p][q][j][i] = field.one()
     # change every cell's basis: m -> g_tgt m g_src^-1
     g = {(p, q): random_invertible(draw, field, dims[p][q])
          for p in range(D + 1) for q in range(D + 1)}
@@ -120,6 +120,7 @@ def pieces_complex(draw, field):
             for q in range(D + 1):
                 m = maps[kind][p][q]
                 if m is not None:
+                    m = Matrix.from_rows(field, m, dims[p][q])
                     maps[kind][p][q] = g[(p + dp, q + dq)] * m * g_inv[(p, q)]
     return DoubleComplex(field, D, dims, maps["h"], maps["v"])
 

@@ -16,7 +16,7 @@ entries = st.fractions(min_value=-3, max_value=3, max_denominator=3) | st.just(F
 @given(st.integers(min_value=1, max_value=6).flatmap(
     lambda cols: st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=6)))
 def test_rank_and_rref_agree_with_sympy(rows):
-    m = Matrix(QQ, len(rows), len(rows[0]), [[QQ.parse(str(x)) for x in r] for r in rows])
+    m = Matrix.from_rows(QQ, [[QQ.parse(str(x)) for x in r] for r in rows])
     red, pivots = rref(m)
     sred, spivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
                                   for r in rows]).rref()
