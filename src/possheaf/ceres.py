@@ -181,7 +181,9 @@ class TaggedSum:
     def __init__(self, ctx, keys, objs):
         self.ctx = ctx
         self.keys = list(keys)
-        self.obj, self.injs, self.projs = ctx.direct_sum(list(objs))
+        self.objs = list(objs)
+        self.obj, self.injs, self.projs = ctx.direct_sum(self.objs)
+        self.offsets = ctx.sum_offsets(self.objs)   # where each summand sits in obj
         self.index = {k: i for i, k in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
             raise ValueError("duplicate tags in a tagged sum")
@@ -193,13 +195,14 @@ class TaggedSum:
         return self.projs[self.index[key]]
 
     def structural_to(self, other: "TaggedSum"):
-        """Sum of inj.proj over shared tags: the unique tag-matching map."""
-        ctx = self.ctx
-        out = ctx.zero_map(self.obj, other.obj)
-        for k in self.keys:
-            if k in other.index:
-                out = ctx.add(out, ctx.compose(other.inj(k), self.proj(k)))
-        return out
+        """The unique tag-matching map: the sum of inj.proj over shared tags.
+
+        It is the identity from each shared tag's place in self to its place
+        in other, and zero elsewhere.
+        """
+        blocks = [(other.offsets[other.index[k]], off, X)
+                  for k, off, X in zip(self.keys, self.offsets, self.objs) if k in other.index]
+        return self.ctx.placed_identities(self.obj, other.obj, blocks)
 
 
 # layout of every composite object as a flat tagged sum;

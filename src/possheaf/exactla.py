@@ -5,9 +5,15 @@ exact.  Matrices are stored as sparse rows: row i is a dict {column: entry}
 of its nonzero entries, and no zero is ever stored, not even a sum that
 cancels.  So a product multiplies only pairs of nonzero entries, an
 elimination step updates a row only where the pivot row is nonzero, and no
-kernel tests an entry for zero twice.  Rationals are `Fraction`s (gmpy2's
-`mpq` when installed); a prime field's elements are bare ints in [0, p),
-and the kernels reduce them mod the field's p.
+kernel tests an entry for zero twice.  Over the rationals the field hands
+out an integral value as a bare int and any other value as a `Fraction`
+(gmpy2's `mpq` when installed).  An int and a rational of equal value
+compare, hash and print alike, so the kernels mix them freely, and a
+product such as 1/2 * 2 may stay a `Fraction` of denominator 1.  A prime
+field's elements are bare ints in [0, p), and the kernels reduce them mod
+the field's p.  So most entries are plain ints; the one true division,
+in `RationalField.inv`, divides by a rational, never by an int, which
+would give a float.
 No other module reads that storage or computes with field elements: they
 build matrices through the constructors, slices, block builders and
 operators here.
@@ -47,28 +53,36 @@ def _parse_scalar(s):
     return int(m.group(1)), den
 
 
+def _integral(x):
+    """The rational x as an int when its denominator is 1, else x itself."""
+    return int(x.numerator) if x.denominator == 1 else x
+
+
 class RationalField:
-    """Arbitrary-precision rationals (gmpy2.mpq, Fraction as fallback)."""
+    """Arbitrary-precision rationals: ints when integral, else Fraction (gmpy2.mpq when installed)."""
 
     name = "q"
-    p = 0                            # characteristic: the kernels reduce mod p only when p
-    _zero, _one = _mpq(0), _mpq(1)   # elements are immutable, so shared
+    p = 0    # characteristic: the kernels reduce mod p only when p
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def from_int(self, n):
         """n, an int or a rational, as a field element."""
-        return _mpq(n)
+        if type(n) is int:
+            return n
+        return _integral(_mpq(n))
 
     def inv(self, x):
-        return self._one / x
+        # 1 / x of two ints would be a float, so x is made a rational first
+        return _integral(1 / _mpq(x))
 
     def parse(self, s):
-        return _mpq(*_parse_scalar(s))
+        num, den = _parse_scalar(s)
+        return num if den == 1 else _integral(_mpq(num, den))
 
     def fmt(self, x) -> str:
         return str(x)

@@ -12,8 +12,8 @@ import json
 
 from .exactla import Matrix, field_from_name
 from .homalg import ChainMap, CochainComplex, SESOfComplexes
-from .poset import MonotoneMap, Poset
-from .sheafcat import Sheaf, SheafContext, SheafMorphism
+from .poset import MonotoneMap, NotMonotone, Poset, UnknownElement
+from .sheafcat import IllFormedMorphism, Sheaf, SheafContext, SheafMorphism
 
 
 class InstanceError(Exception):
@@ -130,16 +130,19 @@ class Instance:
                                            "%s at %s" % (where, e)))
         try:
             return SheafMorphism(src, tgt, comps)
-        except Exception as exc:
+        except IllFormedMorphism as exc:
             raise InstanceError("%s: %s" % (where, exc)) from exc
 
     def _parse_map(self, name, spec):
         where = "map %r" % name
         src = self._poset(spec.get("source"), where)
         tgt = self._poset(spec.get("target"), where)
+        values = spec.get("values", {})
+        if not (isinstance(values, dict) and all(type(v) is str for v in values.values())):
+            raise InstanceError("%s: values must map element names to element names" % where)
         try:
-            return MonotoneMap(src, tgt, spec.get("values", {}))
-        except Exception as exc:
+            return MonotoneMap(src, tgt, values)
+        except (UnknownElement, NotMonotone) as exc:
             raise InstanceError("%s: %s" % (where, exc)) from exc
 
     def _parse_complex(self, name, spec):
@@ -158,9 +161,12 @@ class Instance:
                 if dref not in self.morphisms:
                     raise InstanceError("%s: unknown morphism %r" % (where, dref))
                 diffs[q] = self.morphisms[dref]
+            if objects[q].poset is not p or (q in diffs and diffs[q].source.poset is not p):
+                raise InstanceError("%s: term at degree %d is not on poset %r"
+                                    % (where, q, spec.get("poset")))
         try:
             return CochainComplex(ctx, objects, diffs)
-        except Exception as exc:
+        except (ValueError, IllFormedMorphism) as exc:
             raise InstanceError("%s: %s" % (where, exc)) from exc
 
     def _parse_sequence(self, name, spec):
@@ -185,6 +191,8 @@ class Instance:
                     raise InstanceError("%s: unknown complex %r" % (where, ref))
                 cplxs.append(self.complexes[ref])
             A, B, C = cplxs
+            if not (A.ctx.poset is B.ctx.poset is C.ctx.poset):
+                raise InstanceError("%s: A, B and C are not on one poset" % where)
 
             def chain_map(tag, src, tgt):
                 comps = {}
@@ -194,14 +202,14 @@ class Instance:
                     comps[int(qs)] = self.morphisms[ref]
                 try:
                     return ChainMap(src, tgt, comps)
-                except Exception as exc:
+                except (ValueError, IllFormedMorphism) as exc:
                     raise InstanceError("%s: %s: %s" % (where, tag, exc)) from exc
 
             iota = chain_map("iota", A, B)
             pi = chain_map("pi", B, C)
             try:
                 return ("complexes", SESOfComplexes(iota, pi))
-            except Exception as exc:
+            except ValueError as exc:
                 raise InstanceError("%s: %s" % (where, exc)) from exc
         raise InstanceError("%s: unknown kind %r" % (where, kind))
 

@@ -158,16 +158,28 @@ class VectorContext:
             raise NoSolution("map does not descend along the epimorphism")
         return g
 
+    def sum_offsets(self, Xs):
+        """Where each summand of the direct sum of Xs begins."""
+        offs, off = [], 0
+        for n in Xs:
+            offs.append(off)
+            off += n
+        return offs
+
+    def placed_identities(self, X, Y, blocks):
+        """The map X -> Y that is zero but for identity blocks.
+
+        Each block (row offset, column offset, Z) is the identity of Z, with
+        its corner at those offsets.
+        """
+        field = self.field
+        return place_blocks(field, Y, X, [(r, c, Matrix.identity(field, Z)) for r, c, Z in blocks])
+
     def direct_sum(self, Xs):
         total = sum(Xs)
-        injs, projs = [], []
-        off = 0
-        ident = Matrix.identity(self.field, total)
-        for n in Xs:
-            idx = list(range(off, off + n))
-            injs.append(ident.cols_slice(idx))
-            projs.append(ident.rows_slice(idx))
-            off += n
+        offs = self.sum_offsets(Xs)
+        injs = [self.placed_identities(X, total, [(off, 0, X)]) for off, X in zip(offs, Xs)]
+        projs = [self.placed_identities(total, X, [(0, off, X)]) for off, X in zip(offs, Xs)]
         return total, injs, projs
 
     def injective_embed(self, X):
@@ -499,18 +511,30 @@ class SheafContext:
                 rho[(i, j)] = block_diag(self.field, [X.rho[(i, j)] for X in Xs])
             S = Sheaf(self.poset, self.field, dims, rho, validate=False)
             S._build_full()
-        injs, projs = [], []
-        for k, X in enumerate(Xs):
-            inj_comps, proj_comps = [], []
-            for i in range(len(self.poset)):
-                before = sum(Y.dims[i] for Y in Xs[:k])
-                ident = Matrix.identity(self.field, S.dims[i])
-                idx = list(range(before, before + X.dims[i]))
-                inj_comps.append(ident.cols_slice(idx))
-                proj_comps.append(ident.rows_slice(idx))
-            injs.append(SheafMorphism(X, S, inj_comps, validate=False))
-            projs.append(SheafMorphism(S, X, proj_comps, validate=False))
+        zero, offs = [0] * len(self.poset), self.sum_offsets(Xs)
+        injs = [self.placed_identities(X, S, [(off, zero, X)]) for off, X in zip(offs, Xs)]
+        projs = [self.placed_identities(S, X, [(zero, off, X)]) for off, X in zip(offs, Xs)]
         return S, injs, projs
+
+    def sum_offsets(self, Xs):
+        """Where each summand of the direct sum of Xs begins: a list of stalk offsets."""
+        offs, off = [], [0] * len(self.poset)
+        for X in Xs:
+            offs.append(off)
+            off = [a + d for a, d in zip(off, X.dims)]
+        return offs
+
+    def placed_identities(self, X, Y, blocks):
+        """The morphism X -> Y that is zero but for identity blocks.
+
+        Each block (row offsets, column offsets, Z) is the identity of Z, at
+        each stalk i with its corner at the i-th offsets.
+        """
+        field = self.field
+        comps = [place_blocks(field, Y.dims[i], X.dims[i],
+                              [(r[i], c[i], Matrix.identity(field, Z.dims[i])) for r, c, Z in blocks])
+                 for i in range(len(self.poset))]
+        return SheafMorphism(X, Y, comps, validate=False)
 
     def injective_embed(self, X):
         """Canonical coinduced embedding; identity when X is already realized."""

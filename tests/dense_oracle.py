@@ -9,13 +9,27 @@ differential tests in `test_exactla_oracle.py` compare two independent
 implementations.  Do not optimise this file.
 
 They run on the containers they were written for, kept here: a dense
-`Matrix` of row lists (with the `hstack` they call) and, for GF(p), the
-`FpElement` wrapper the engine used before its prime field moved to bare
-ints.  Over QQ the entries are the engine's rationals.  The tests convert
-engine matrices in and the results back out.
+`Matrix` of row lists (with the `hstack` they call), `Fraction`s over QQ
+and, for GF(p), the `FpElement` wrapper the engine used before its prime
+field moved to bare ints.  Over QQ the oracle computes only in
+`Fraction`s, never in the engine's bare ints, so its `one() / pv` stays an
+exact division.  The tests convert engine matrices in and the results back
+out.
 """
 
+from fractions import Fraction
+
 from possheaf.exactla import ContainmentViolation, NoSolution
+
+
+class RationalField:
+    """QQ with Fraction entries, as the kernels below compute in it."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
 
 
 class FpElement:

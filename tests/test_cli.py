@@ -136,8 +136,12 @@ def test_bad_field_is_a_usage_error(field, capsys):
     assert captured.out == ""
 
 
-def test_ce_command_on_complex_sequence(tmp_path, capsys):
-    # build a small complexes-kind sequence file: constant sheaf SES on a chain
+def _complex_sequence_doc():
+    """A small complexes-kind sequence document: constant sheaf SES on a chain.
+
+    It also has a one-element poset `pt`, a sheaf `Z` and a complex `Z` on
+    it, and a map `collapse` onto it, which the sequence does not use.
+    """
     from fixtures import chain
     from possheaf.exactla import QQ
     from possheaf.instancefile import morphism_to_dict, poset_to_dict, sheaf_to_dict
@@ -160,11 +164,66 @@ def test_ce_command_on_complex_sequence(tmp_path, capsys):
         "sequences": {"S": {"kind": "complexes", "A": "A", "B": "B", "C": "C",
                             "iota": {"0": "m0"}, "pi": {"0": "e0"}}},
     }
+    doc["posets"]["pt"] = {"elements": ["*"], "covers": []}
+    doc["sheaves"]["Z"] = {"poset": "pt", "stalks": {"*": 1}}
+    doc["complexes"]["Z"] = {"poset": "pt", "terms": [{"degree": 0, "object": "Z"}]}
+    doc["maps"] = {"collapse": {"source": "P", "target": "pt", "values": {x: "*" for x in p.elements}}}
+    return doc
+
+
+def test_ce_command_on_complex_sequence(tmp_path, capsys):
     path = tmp_path / "ce.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_complex_sequence_doc()))
     assert main(["ce", str(path), "--sequence", "S"]) == 0
     out = capsys.readouterr().out
     assert "nineteen derived sequences exact" in out
+
+
+@pytest.mark.parametrize("constructor", ["SheafMorphism", "MonotoneMap", "CochainComplex",
+                                         "ChainMap", "SESOfComplexes"])
+def test_engine_bug_in_a_loaded_constructor_is_not_an_input_error(tmp_path, monkeypatch, constructor):
+    # the loader turns only the errors a constructor declares into an input error
+    import possheaf.instancefile as instancefile
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(instancefile, constructor, broken)
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(_complex_sequence_doc()))
+    with pytest.raises(RuntimeError, match="engine bug"):
+        main(["validate", str(path)])
+
+
+def _set(path, value):
+    """A change to a document: the item at `path` (a tuple of keys) set to value."""
+    def change(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize("change,message", [
+    (_set(("maps", "collapse", "values"), ["0", "1"]),
+     "map 'collapse': values must map element names to element names"),
+    (_set(("maps", "collapse", "values", "0"), ["*"]),
+     "map 'collapse': values must map element names to element names"),
+    (_set(("complexes", "A", "terms"), [{"degree": 0, "object": "A0"}, {"degree": 2, "object": "Z"}]),
+     "complex 'A': term at degree 2 is not on poset 'P'"),
+    (_set(("complexes", "A", "poset"), "pt"),
+     "complex 'A': term at degree 0 is not on poset 'pt'"),
+    (_set(("sequences", "S", "C"), "Z"),
+     "sequence 'S': A, B and C are not on one poset"),
+])
+def test_objects_on_the_wrong_poset_are_an_input_error(tmp_path, capsys, change, message):
+    doc = _complex_sequence_doc()
+    change(doc)
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ce", str(path), "--sequence", "S"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("input error") and message in out
 
 
 @pytest.mark.parametrize("field", ["q", "fp:7"])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +210,27 @@ def test_parse_accepts_only_n_and_n_over_d(field):
     for bad in ["0.5", "1e3", "1/0", "1/-2", " 3", "1_000", "", "3/", "/3", "0x10", "True"]:
         with pytest.raises(ValueError):
             field.parse(bad)
+
+
+def test_integral_rationals_are_bare_ints():
+    integral = [QQ.zero(), QQ.one(), QQ.from_int(3), QQ.from_int(Fraction(6, 2)), QQ.from_int(True),
+                QQ.parse("4/2"), QQ.parse("-3"), QQ.inv(1), QQ.inv(-1), QQ.inv(Fraction(-1)),
+                QQ.inv(Fraction(1, 3))]
+    assert [type(x) for x in integral] == [int] * len(integral)
+    assert integral == [0, 1, 3, 3, 1, 2, -3, 1, -1, -1, 3]
+    for x, want in ((QQ.parse("1/2"), Fraction(1, 2)), (QQ.inv(3), Fraction(1, 3)),
+                    (QQ.inv(Fraction(-2, 3)), Fraction(-3, 2)), (QQ.from_int(Fraction(4, 6)), Fraction(2, 3))):
+        assert type(x) is Fraction and x == want
+
+
+def test_integral_fraction_entry_is_the_int_entry():
+    # a kernel may leave an integral entry as a Fraction: 1/2 * 4 is Fraction(2)
+    m = Matrix.from_rows(QQ, [[Fraction(1, 2), 0]]) * Matrix.from_int_rows(QQ, [[4, 1], [0, 1]])
+    two = Matrix.from_int_rows(QQ, [[2, Fraction(1, 2)]])
+    assert type(m.data[0][0]) is Fraction and type(two.data[0][0]) is int
+    assert m == two and two == m
+    assert m.to_str_rows() == two.to_str_rows() == [["2", "1/2"]] and repr(m) == repr(two)
+    assert (m - two).is_zero() and rref(m) == rref(two)
 
 
 def test_quotient_projection_kills_complement_of_s():

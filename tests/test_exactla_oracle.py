@@ -5,9 +5,11 @@ equal pivots, equal NoSolution messages) over QQ, GF(32003), GF(3) and
 GF(2).  Entries are drawn mostly zero, and the small primes make
 cancellations common, so the sparse paths, their fill-in and the entries
 they drop are exercised.  `run` hands the oracle dense copies of engine
-matrices (GF(p) entries as its `FpElement`s) and turns the dense matrices
-it returns back into engine matrices.
+matrices (QQ entries as `Fraction`s, GF(p) entries as its `FpElement`s)
+and turns the dense matrices it returns back into engine matrices.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,10 +38,10 @@ DIMS = st.integers(min_value=0, max_value=6)
 def matrices(draw, field, rows=None, cols=None):
     rows = draw(DIMS) if rows is None else rows
     cols = draw(DIMS) if cols is None else cols
-    data = [[field.from_int(draw(ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+    data = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
     if field is QQ and draw(st.booleans()):
-        den = field.from_int(draw(st.sampled_from([2, 3, 6])))
-        data = [[x / den for x in row] for row in data]
+        den = draw(st.sampled_from([2, 3, 6]))
+        data = [[Fraction(x, den) for x in row] for row in data]
     return Matrix.from_rows(field, data, cols)
 
 
@@ -52,7 +54,8 @@ def field_and_matrix(draw):
 def dense(m):
     """The oracle's dense copy of an engine matrix."""
     if m.field is QQ:
-        return oracle.Matrix(QQ, m.rows, m.cols, m.data)
+        return oracle.Matrix(oracle.RationalField(), m.rows, m.cols,
+                             [[Fraction(x) for x in row] for row in m.data])
     field = oracle.PrimeField(m.field.p)
     return oracle.Matrix(field, m.rows, m.cols,
                          [[oracle.FpElement(x, field.p) for x in row] for row in m.data])

@@ -1,12 +1,15 @@
 """The storage invariant of exactla's sparse rows, on every kind of result.
 
 A matrix stores, per row, only its nonzero entries as {column: entry}, with
-every column below `cols`; over GF(p) an entry is an int in [1, p).  So
+every column below `cols`; over QQ an entry is an int or a `Fraction`
+(never a float or a bool), over GF(p) an int in [1, p).  So
 `==` may compare the stored entries, and it must agree with comparing the
 printed matrices.  `data` is the dense view that `to_str_rows` prints.
 Entries are drawn mostly zero over QQ, GF(2) and GF(3), where sums cancel
 often.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -34,9 +37,9 @@ DIMS = st.integers(min_value=0, max_value=4)
 def matrices(draw, field, rows=None, cols=None):
     rows = draw(DIMS) if rows is None else rows
     cols = draw(DIMS) if cols is None else cols
-    data = [[field.from_int(draw(ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+    data = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
     if field is QQ and draw(st.booleans()):
-        data = [[x / 2 for x in row] for row in data]
+        data = [[Fraction(x, 2) for x in row] for row in data]
     return Matrix.from_rows(field, data, cols)
 
 
@@ -46,7 +49,9 @@ def check_stored(m):
     for row in m._nz:
         for j, x in row.items():
             assert 0 <= j < m.cols and x
-            if m.field is not QQ:
+            if m.field is QQ:
+                assert type(x) is int or type(x) is Fraction   # never a float or a bool
+            else:
                 assert type(x) is int and 0 < x < m.field.p
     dense = m.data
     assert len(dense) == m.rows and all(len(row) == m.cols for row in dense)

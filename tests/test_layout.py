@@ -1,4 +1,4 @@
-"""Three layout rules of src/possheaf.
+"""Four layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -25,6 +25,12 @@ constructors, slices, block builders and operators, so a change of storage
 (sparse rows, say, or bare ints for a prime field) touches exactla alone.
 The scan flags, in every module but exactla, an attribute named `data`, a
 direct call of `Matrix(...)`, and a call of a field's `one()` or `zero()`.
+
+Only exactla knows what a rational is.  No other module imports `fractions`
+or `gmpy2`, and no module divides with `/` but `RationalField.inv`.  Over
+the rationals an integral value is a bare int, so `/` of two field
+elements could give a float; `inv` turns its argument into a rational
+first, and every other quotient is a product with an inverse.
 
 Every function the benchmark's tracer wraps (`perfbench/tracer.py`,
 `TARGETS`) exists under the name it is wrapped by, so a refactor that drops
@@ -119,6 +125,37 @@ def storage_sites():
 
 def test_only_exactla_touches_matrix_storage():
     assert storage_sites() == []
+
+
+def _nodes_of_method(tree, cls, method):
+    """The AST nodes of cls.method in tree."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return set(ast.walk(item))
+    return set()
+
+
+def rational_sites():
+    """`module:line what` of each `/` outside RationalField.inv, and each rational import outside exactla."""
+    found = []
+    for module, tree in _trees().items():
+        allowed = _nodes_of_method(tree, "RationalField", "inv") if module == "exactla" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                if node not in allowed:
+                    found.append("%s:%d /" % (module, node.lineno))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and module != "exactla":
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                for name in names:
+                    if name.split(".")[0] in ("fractions", "gmpy2"):
+                        found.append("%s:%d import %s" % (module, node.lineno, name))
+    return found
+
+
+def test_only_rational_field_inv_divides():
+    assert rational_sites() == []
 
 
 def test_every_traced_name_resolves():
