@@ -5,6 +5,12 @@ construction produces a short exact sequence of complexes of injectives
 receiving it; iterating on cokernels yields three linked Cartan-Eilenberg
 resolutions with exact rows.
 
+A row is built column by column, the I column (under A) first.  That
+column depends on A alone (see ce_resolution_of_complex), so a single
+complex X, resolved as X -> X -> 0, builds only the I column of each row;
+the J and K columns, there a copy of I and zero, are built only by
+build_ce_triple.
+
 The construction order is fixed: first the nineteen witnessed exact
 sequences of subquotient data (cocycles Z, coboundaries B, cohomology H,
 and the kernels W and X taken from the long exact sequence), then tagged
@@ -224,6 +230,12 @@ _LAYOUT = {
     "K": lambda q: (("W", "K", q), ("W", "I", q + 1), ("B", "K", q), ("B", "K", q + 1)),
 }
 
+# the I column's families, tagged sums and ladders; the rest belong to J and K
+_I_FAMILIES = (("W", "I"), ("W", "J"), ("B", "I"))
+_JK_FAMILIES = (("W", "K"), ("B", "K"))
+_I_SUMS = ("HI", "XI", "ZI", "I")
+_I_LADDERS = ("es1", "es4", "es7", "es10", "es13")
+
 
 # per complex of the SES: the column of a triple that resolves it, and the
 # tags of that column's cocycle and cohomology parts
@@ -231,50 +243,81 @@ COLUMNS = {"A": ("I", "ZI", "HI"), "B": ("J", "ZJ", "HJ"), "C": ("K", "ZK", "HK"
 
 
 class InjectiveTriple:
-    """One row: 0 -> I* -> J* -> K* -> 0 of injectives under the input SES."""
+    """One row: 0 -> I* -> J* -> K* -> 0 of injectives under the input SES.
 
-    def __init__(self, inv: SESInvariants):
+    The I column is built first and from A-side data alone (see
+    ce_resolution_of_complex); with full=False the row stops there, and
+    `cplx`, `aug` and `maps` hold only its I, A and hA/xA/zA entries.
+    """
+
+    def __init__(self, inv: SESInvariants, full=True):
         self.inv = inv
         self.ctx = inv.ctx
-        self._build()
+        self.fam, self.fam_emb, self.one = {}, {}, {}
+        self.sums, self.cplx, self.maps, self.aug = {}, {}, {}, {}
+        self._zext = {}
+        self._build_i()
+        if full:
+            self._build_jk()
 
     def sum_at(self, name, q) -> TaggedSum:
         return self.sums[name][q]
 
-    def _build(self):
+    def _add_parts(self, families, sums, columns):
+        """Chosen injectives of the families, zero-padded one level past the
+        end, then the tagged sums and the columns as complexes."""
         ctx, inv = self.ctx, self.inv
-        qs = list(inv.degrees())             # construction degrees
-        qs_main = list(inv.main_degrees())   # degrees with real content
-        # five families of chosen injectives, zero-padded one level past the end
-        self.fam, self.fam_emb = {}, {}
-        for q in qs:
-            for fam, col, cd in (("W", "I", inv.A), ("W", "J", inv.B), ("W", "K", inv.C),
-                                 ("B", "I", inv.A), ("B", "K", inv.C)):
-                src = cd.W[q] if fam == "W" else cd.B[q]
-                I, m = ctx.injective_embed(src)
-                self.fam[(fam, col, q)] = I
-                self.fam_emb[(fam, col, q)] = m
+        qs = inv.degrees()
+        data = {"I": inv.A, "J": inv.B, "K": inv.C}
         pad = inv.qhi + 2
-        for fam, col in (("W", "I"), ("W", "J"), ("W", "K"), ("B", "I"), ("B", "K")):
-            z = ctx.zero_obj()
-            self.fam[(fam, col, pad)] = z
-            self.fam_emb[(fam, col, pad)] = ctx.zero_map(z, z)
-        # tagged sums, including singleton views of the bare families
-        self.sums = {name: {} for name in _LAYOUT}
-        self.one = {}
-        for key, obj in self.fam.items():
-            self.one[key] = TaggedSum(ctx, [key], [obj])
-        for name, layout in _LAYOUT.items():
+        for fam, col in families:
+            cd = data[col]
             for q in qs:
-                keys = layout(q)
-                self.sums[name][q] = TaggedSum(ctx, keys, [self.fam[k] for k in keys])
-        # complexes and the structural row maps
-        self.cplx = {}
-        for name in ("I", "J", "K"):
+                I, m = ctx.injective_embed(cd.W[q] if fam == "W" else cd.B[q])
+                self.fam[(fam, col, q)], self.fam_emb[(fam, col, q)] = I, m
+            z = ctx.zero_obj()
+            self.fam[(fam, col, pad)], self.fam_emb[(fam, col, pad)] = z, ctx.zero_map(z, z)
+        # singleton views of the bare families, for the ladder checks
+        for key, obj in self.fam.items():
+            if key not in self.one:
+                self.one[key] = TaggedSum(ctx, [key], [obj])
+        for name in sums:
+            self.sums[name] = {q: TaggedSum(ctx, _LAYOUT[name](q),
+                                            [self.fam[k] for k in _LAYOUT[name](q)])
+                               for q in qs}
+        for name in columns:
             objs = {q: self.sum_at(name, q).obj for q in qs}
             diffs = {q: self.sum_at(name, q).structural_to(self.sum_at(name, q + 1))
                      for q in qs if q + 1 in self.sums[name]}
             self.cplx[name] = CochainComplex(ctx, objs, diffs)
+
+    def _build_i(self):
+        """The I column under A: families, sums, hA, xA, zA and the augmentation."""
+        ctx, inv = self.ctx, self.inv
+        self._add_parts(_I_FAMILIES, _I_SUMS, ("I",))
+        emb, s = self.fam_emb, inv.seqs
+        hA, xA, zA, aA = {}, {}, {}, {}
+        for q in inv.main_degrees():
+            hA[q] = self._two_part(q, "HI", ("W", "I", q),
+                                   ctx.extend_along_mono(inv.A.w_mono[q], emb[("W", "I", q)]),
+                                   ("W", "J", q), ctx.compose(emb[("W", "J", q)], s["es1"][q].g))
+            xA[q] = self._two_part(q, "XI", ("B", "I", q),
+                                   ctx.extend_along_mono(s["es10"][q].f, emb[("B", "I", q)]),
+                                   ("W", "I", q), ctx.compose(emb[("W", "I", q)], s["es10"][q].g))
+            zA[q] = self._z_outer(q, "ZI", "HI", "XI", inv.A, hA[q], xA[q], ("B", "I", q))
+            aA[q] = self._augment_outer(q, "I", "ZI", inv.A, zA[q], ("B", "I", q + 1), "es13")
+        self.maps.update(hA=hA, xA=xA, zA=zA)
+        self.aug["A"] = ChainMap(inv.ses.A, self.cplx["I"], aA)
+        self._verify_ladders(_I_LADDERS)
+        self._verify_monos("A")
+
+    def _build_jk(self):
+        """The J and K columns, the row maps, and the B- and C-side comparisons."""
+        ctx, inv = self.ctx, self.inv
+        qs = inv.degrees()
+        qs_main = list(inv.main_degrees())
+        self._add_parts(_JK_FAMILIES, [name for name in _LAYOUT if name not in _I_SUMS],
+                        ("J", "K"))
         self.iota = ChainMap(self.cplx["I"], self.cplx["J"],
                              {q: self.sum_at("I", q).structural_to(self.sum_at("J", q))
                               for q in qs})
@@ -285,14 +328,9 @@ class InjectiveTriple:
             WitnessedSES("row", q, self.cplx["I"].obj(q), self.cplx["J"].obj(q),
                          self.cplx["K"].obj(q), self.iota.comp(q), self.pi.comp(q)).check(ctx)
         # comparison maps, in dependency order
-        emb = self.fam_emb
-        hA, hB, hC, xA, xC, bB = {}, {}, {}, {}, {}, {}
-        zA, zC, xB, zB, aA, aB, aC = {}, {}, {}, {}, {}, {}, {}
+        emb, s = self.fam_emb, inv.seqs
+        hB, hC, xC, bB, zC, xB, zB, aB, aC = {}, {}, {}, {}, {}, {}, {}, {}, {}
         for q in qs_main:
-            s = inv.seqs
-            hA[q] = self._two_part(q, "HI", ("W", "I", q),
-                                   ctx.extend_along_mono(inv.A.w_mono[q], emb[("W", "I", q)]),
-                                   ("W", "J", q), ctx.compose(emb[("W", "J", q)], s["es1"][q].g))
             hB[q] = self._two_part(q, "HJ", ("W", "J", q),
                                    ctx.extend_along_mono(inv.B.w_mono[q], emb[("W", "J", q)]),
                                    ("W", "K", q), ctx.compose(emb[("W", "K", q)], s["es2"][q].g))
@@ -300,47 +338,36 @@ class InjectiveTriple:
                                    ctx.extend_along_mono(inv.C.w_mono[q], emb[("W", "K", q)]),
                                    ("W", "I", q + 1),
                                    ctx.compose(emb[("W", "I", q + 1)], s["es3"][q].g))
-            xA[q] = self._two_part(q, "XI", ("B", "I", q),
-                                   ctx.extend_along_mono(s["es10"][q].f, emb[("B", "I", q)]),
-                                   ("W", "I", q), ctx.compose(emb[("W", "I", q)], s["es10"][q].g))
             xC[q] = self._two_part(q, "XK", ("B", "K", q),
                                    ctx.extend_along_mono(s["es12"][q].f, emb[("B", "K", q)]),
                                    ("W", "K", q), ctx.compose(emb[("W", "K", q)], s["es12"][q].g))
         self._ext16 = {}
         for q in qs_main:
-            s = inv.seqs
             # B^q(B) -> B^q(J): extend the X-level map, quotient part forced
             bj, xi = self.sum_at("BJ", q), self.sum_at("XI", q)
-            ext = ctx.extend_along_mono(s["es16"][q].f, xA[q])
+            ext = ctx.extend_along_mono(s["es16"][q].f, self.maps["xA"][q])
             self._ext16[q] = ext
             bB[q] = ctx.add(ctx.compose(xi.structural_to(bj), ext),
                             ctx.compose(bj.inj(("B", "K", q)),
-                                        ctx.compose(self.fam_emb[("B", "K", q)], s["es16"][q].g)))
-        self._zext = {}
+                                        ctx.compose(emb[("B", "K", q)], s["es16"][q].g)))
         for q in qs_main:
-            zA[q] = self._z_outer(q, "ZI", "HI", "XI", inv.A, hA[q], xA[q], ("B", "I", q))
             zC[q] = self._z_outer(q, "ZK", "HK", "XK", inv.C, hC[q], xC[q], ("B", "K", q))
         for q in qs_main:
-            xB[q] = self._x_middle(q, zA[q], bB[q])
+            xB[q] = self._x_middle(q, self.maps["zA"][q], bB[q])
         for q in qs_main:
             zB[q] = self._z_middle(q, hB[q], xB[q], xC[q])
         for q in qs_main:
-            aA[q] = self._augment_outer(q, "I", "ZI", inv.A, zA[q], ("B", "I", q + 1), "es13")
             aC[q] = self._augment_c(q, zC[q])
         # zero-padded B-level map one degree past the support, for es14 right verticals
         top = qs_main[-1] + 1
         bB[top] = ctx.zero_map(inv.B.B[top], self.sum_at("BJ", top).obj)
         for q in qs_main:
             aB[q] = self._augment_middle(q, zB[q], bB)
-        self.maps = {"hA": hA, "hB": hB, "hC": hC, "xA": xA, "xB": xB, "xC": xC,
-                     "bB": bB, "zA": zA, "zB": zB, "zC": zC}
-        self.aug = {
-            "A": ChainMap(inv.ses.A, self.cplx["I"], aA),
-            "B": ChainMap(inv.ses.B, self.cplx["J"], aB),
-            "C": ChainMap(inv.ses.C, self.cplx["K"], aC),
-        }
-        self._verify_ladders()
-        self._verify_monos()
+        self.maps.update(hB=hB, hC=hC, xB=xB, xC=xC, bB=bB, zB=zB, zC=zC)
+        self.aug["B"] = ChainMap(inv.ses.B, self.cplx["J"], aB)
+        self.aug["C"] = ChainMap(inv.ses.C, self.cplx["K"], aC)
+        self._verify_ladders(label for label in ES_LABELS if label not in _I_LADDERS)
+        self._verify_monos("B", "C")
 
     # -- helpers -----------------------------------------------------------
 
@@ -529,9 +556,10 @@ class InjectiveTriple:
             kind, q = kind[:-1], q + 1
         return self._vertical(kind, q)
 
-    def _verify_ladders(self):
+    def _verify_ladders(self, labels):
         ctx, inv = self.ctx, self.inv
-        for label, (lk, mk, rk) in self._LADDER_NODES.items():
+        for label in labels:
+            lk, mk, rk = self._LADDER_NODES[label]
             for q, es in inv.seqs[label].items():
                 lts, lv = self._node(lk, q)
                 mts, mv = self._node(mk, q)
@@ -545,9 +573,10 @@ class InjectiveTriple:
                     raise InternalCommutativityFailure(
                         "ladder %s@%d: right square" % (label, q))
 
-    def _verify_monos(self):
+    def _verify_monos(self, *names):
         ctx, inv = self.ctx, self.inv
-        for name, src in (("A", inv.ses.A), ("B", inv.ses.B), ("C", inv.ses.C)):
+        for name in names:
+            src = getattr(inv.ses, name)
             col, ztag, _ = COLUMNS[name]
             tgt = self.cplx[col]
             for q in inv.main_degrees():
@@ -574,9 +603,10 @@ def compute_invariants(ses: SESOfComplexes) -> SESInvariants:
     return SESInvariants(ses)
 
 
-def build_injective_triple(inv: SESInvariants) -> InjectiveTriple:
-    """One fully verified row of the linked resolutions."""
-    return InjectiveTriple(inv)
+def build_injective_triple(inv: SESInvariants, full=True) -> InjectiveTriple:
+    """One fully verified row of the linked resolutions; only its I column
+    when full is False."""
+    return InjectiveTriple(inv, full)
 
 
 class AugmentedDouble:
@@ -639,69 +669,106 @@ def _cokernel_complex(ctx, aug: ChainMap):
     return cplx, epis
 
 
-def build_ce_triple(ses: SESOfComplexes, depth=None) -> CETriple:
-    """Iterate the one-row construction on cokernels until they vanish.
+def _resolve_rows(ses: SESOfComplexes, full, depth, next_ses):
+    """Build rows on cokernels until the sequence vanishes; one double per
+    resolved complex, A, B and C, or A alone when full is False.
 
-    The depth bound defaults to the context's resolution bound and is raised
-    automatically while the cokernels keep shrinking; hitting the hard cap
-    raises TruncationInsufficient.
+    Row p is build_injective_triple(..., full) of the p-th sequence.
+    next_ses(triple, coks) makes the next sequence from the row's cokernels
+    {name: (complex, epis)}.  The row count is capped at four past the larger
+    of depth and the context's resolution bound; a sequence still alive
+    there raises TruncationInsufficient.
     """
     ctx = ses.ctx
-    bound = depth if depth is not None else ctx.resolution_bound()
-    hard_cap = max(bound, ctx.resolution_bound()) + 4
-    triples, row_iotas, row_pis = [], [], []
-    dh = {"A": [], "B": [], "C": []}
-    cur = ses
-    prev_epis = None
+    names = tuple(COLUMNS) if full else ("A",)
+    bound = ctx.resolution_bound()
+    hard_cap = (bound if depth is None else max(depth, bound)) + 4
+    triples, dh = [], {name: [] for name in names}
+    cur, prev = ses, None
     while not (cur.A.is_zero() and cur.B.is_zero() and cur.C.is_zero()):
         if len(triples) > hard_cap:
             raise TruncationInsufficient(
                 "Cartan-Eilenberg iteration still alive after %d rows" % len(triples))
-        triple = build_injective_triple(compute_invariants(cur))
-        if prev_epis is not None:
-            for name in ("A", "B", "C"):
-                epis, prev_row = prev_epis[name]
+        triple = build_injective_triple(compute_invariants(cur), full)
+        rows = {name: triple.cplx[COLUMNS[name][0]] for name in names}
+        if prev is not None:
+            for name in names:
+                epis, prev_row = prev[name]
                 comps = {q: ctx.compose(triple.aug[name].comp(q), epis[q])
                          for q in prev_row.degrees()}
-                dh[name].append(ChainMap(prev_row, triple.cplx[COLUMNS[name][0]], comps))
+                dh[name].append(ChainMap(prev_row, rows[name], comps))
         triples.append(triple)
-        row_iotas.append(triple.iota)
-        row_pis.append(triple.pi)
-        # cokernel SES for the next row; exact by the nine-lemma argument
-        cokA, epiA = _cokernel_complex(ctx, triple.aug["A"])
-        cokB, epiB = _cokernel_complex(ctx, triple.aug["B"])
-        cokC, epiC = _cokernel_complex(ctx, triple.aug["C"])
-        iot = ChainMap(cokA, cokB, {
-            q: ctx.descend_along_epi(epiA[q], ctx.compose(epiB[q], triple.iota.comp(q)))
-            for q in cokA.degrees()})
-        pii = ChainMap(cokB, cokC, {
-            q: ctx.descend_along_epi(epiB[q], ctx.compose(epiC[q], triple.pi.comp(q)))
-            for q in cokB.degrees()})
+        coks = {name: _cokernel_complex(ctx, triple.aug[name]) for name in names}
         try:
-            cur = SESOfComplexes(iot, pii)
+            cur = next_ses(triple, coks)
         except ValueError as exc:
             raise InternalExactnessFailure(
                 "cokernel SES after row %d: %s" % (len(triples) - 1, exc)) from exc
-        prev_epis = {name: (epis, triple.cplx[COLUMNS[name][0]])
-                     for name, epis in (("A", epiA), ("B", epiB), ("C", epiC))}
+        prev = {name: (coks[name][1], rows[name]) for name in names}
     doubles = {}
-    for name, base in (("A", ses.A), ("B", ses.B), ("C", ses.C)):
-        rows = [t.cplx[COLUMNS[name][0]] for t in triples]
+    for name in names:
+        column = [t.cplx[COLUMNS[name][0]] for t in triples]
         aug = triples[0].aug[name] if triples else None
-        doubles[name] = AugmentedDouble(ctx, base, rows, dh[name], aug,
+        doubles[name] = AugmentedDouble(ctx, getattr(ses, name), column, dh[name], aug,
                                         [(COLUMNS[name], t) for t in triples])
-    return CETriple(ses, triples, doubles, row_iotas, row_pis)
+    return triples, doubles
 
 
-def ce_resolution_of_complex(cplx: CochainComplex, depth=None):
-    """Cartan-Eilenberg resolution of a single complex via the SES A = B, C = 0."""
+def _cokernel_ses(triple, coks):
+    """The row's cokernel SES, with the induced maps; exact by the nine lemma."""
+    ctx = triple.ctx
+    (cokA, epiA), (cokB, epiB), (cokC, epiC) = coks["A"], coks["B"], coks["C"]
+    iot = ChainMap(cokA, cokB, {
+        q: ctx.descend_along_epi(epiA[q], ctx.compose(epiB[q], triple.iota.comp(q)))
+        for q in cokA.degrees()})
+    pii = ChainMap(cokB, cokC, {
+        q: ctx.descend_along_epi(epiB[q], ctx.compose(epiC[q], triple.pi.comp(q)))
+        for q in cokB.degrees()})
+    return SESOfComplexes(iot, pii)
+
+
+def build_ce_triple(ses: SESOfComplexes, depth=None) -> CETriple:
+    """Iterate the one-row construction on cokernels until they vanish.
+
+    The rows are capped at four past the larger of depth and the context's
+    resolution bound; hitting the cap raises TruncationInsufficient.
+    """
+    triples, doubles = _resolve_rows(ses, True, depth, _cokernel_ses)
+    return CETriple(ses, triples, doubles,
+                    [t.iota for t in triples], [t.pi for t in triples])
+
+
+def _identity_ses(cplx: CochainComplex, zero: CochainComplex) -> SESOfComplexes:
+    """0 -> X -> X -> 0 -> 0 with the identity, onto the zero complex `zero`."""
     ctx = cplx.ctx
-    zero = CochainComplex(ctx, {q: ctx.zero_obj() for q in cplx.degrees()}, {})
     iota = ChainMap(cplx, cplx, {q: ctx.identity(cplx.obj(q)) for q in cplx.degrees()})
     pi = ChainMap(cplx, zero, {q: ctx.zero_map(cplx.obj(q), ctx.zero_obj())
                                for q in cplx.degrees()})
-    ses = SESOfComplexes(iota, pi)
-    return build_ce_triple(ses, depth).doubles["A"]
+    return SESOfComplexes(iota, pi)
+
+
+def ce_resolution_of_complex(cplx: CochainComplex) -> AugmentedDouble:
+    """Cartan-Eilenberg resolution of one complex X, one I column per row.
+
+    It is the A double of build_ce_triple on X -> X -> 0 (identity, then
+    zero), built without that triple's J and K columns.  The I column needs
+    only A-side data: its families are the chosen injectives of W^q(A) and
+    B^q(A), subobjects of A's cohomology and coboundaries, and of W^q(B),
+    which es1 identifies with H^q(A)/W^q(A); its checks are the ladders of
+    es1, es4, es7, es10 and es13.  Row p resolves the cokernel of row p-1's
+    augmentation, again as X -> X -> 0.  The full iteration's cokernel of
+    the zero K column is the zero complex at the previous row's lowest
+    degree, and the zero complex is placed there too, so every row keeps
+    the full iteration's degree range.
+    """
+    ctx = cplx.ctx
+
+    def next_ses(triple, coks):
+        return _identity_ses(coks["A"][0],
+                             CochainComplex(ctx, {triple.inv.qlo: ctx.zero_obj()}, {}))
+
+    zero = CochainComplex(ctx, {q: ctx.zero_obj() for q in cplx.degrees()}, {})
+    return _resolve_rows(_identity_ses(cplx, zero), False, None, next_ses)[1]["A"]
 
 
 def _induced_column(ctx, double: AugmentedDouble, q, extract):

@@ -150,8 +150,13 @@ class Instance:
         p = self._poset(spec.get("poset"), where)
         ctx = SheafContext(p, self.field)
         objects, diffs = {}, {}
-        for term in spec.get("terms", []):
-            q = int(term["degree"])
+        for t, term in enumerate(spec.get("terms", [])):
+            if "degree" not in term:
+                raise InstanceError("%s: term %d has no degree" % (where, t))
+            q = term["degree"]
+            if type(q) is not int:   # bool, float, str and null are rejected too
+                raise InstanceError("%s: term %d: degree must be an integer, got %r"
+                                    % (where, t, q))
             ref = term.get("object")
             if ref not in self.sheaves:
                 raise InstanceError("%s: unknown sheaf %r at degree %d" % (where, ref, q))

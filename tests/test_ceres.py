@@ -11,8 +11,16 @@ from possheaf.ceres import (
     compute_invariants,
     verify_ce,
 )
-from possheaf.exactla import QQ, Matrix
-from possheaf.homalg import ChainMap, CochainComplex, SESOfComplexes, horseshoe, injective_resolution
+from possheaf.exactla import QQ, Matrix, field_from_name
+from possheaf.forge import GenConfig, gen_ses_complexes
+from possheaf.homalg import (
+    ChainMap,
+    CochainComplex,
+    SESOfComplexes,
+    TruncationInsufficient,
+    horseshoe,
+    injective_resolution,
+)
 from possheaf.sheafcat import SheafContext, VectorContext
 
 X4 = fence_x4()
@@ -98,6 +106,18 @@ def test_triple_on_horseshoe_ses():
         assert ctx.is_mono(triple.aug["B"].comp(q))
 
 
+def test_i_column_alone_is_the_full_triples_i_column():
+    ctx = fence_ctx()
+    inv = compute_invariants(horseshoe_ses(ctx))
+    full, alone = build_injective_triple(inv), build_injective_triple(inv, full=False)
+    assert set(alone.cplx) == {"I"} and set(alone.aug) == {"A"}
+    assert not hasattr(alone, "iota")
+    for q in inv.degrees():
+        assert alone.cplx["I"].obj(q).summands == full.cplx["I"].obj(q).summands
+        assert _map_text(alone.cplx["I"].diff(q)) == _map_text(full.cplx["I"].diff(q))
+        assert _map_text(alone.aug["A"].comp(q)) == _map_text(full.aug["A"].comp(q))
+
+
 def test_zero_ses_gives_zero_triple():
     ctx = fence_ctx()
     z = ctx.zero_obj()
@@ -132,6 +152,20 @@ def test_ce_of_single_complex():
         CochainComplex(ctx, {0: k, 1: k}, {0: ctx.zero_map(k, k)}))
     assert verify_ce(double).ok
     assert res is not None
+
+
+def test_both_iterations_stop_at_the_same_hard_cap(monkeypatch):
+    # the cap is four past the resolution bound; a bound of -4 stops the
+    # iteration once it is still alive after one row, and the fence horseshoe
+    # needs two
+    ctx = fence_ctx()
+    ses = horseshoe_ses(ctx)
+    monkeypatch.setattr(ctx, "resolution_bound", lambda: -4)
+    with pytest.raises(TruncationInsufficient, match="still alive after 1 rows"):
+        build_ce_triple(ses)
+    with pytest.raises(TruncationInsufficient, match="still alive after 1 rows"):
+        ce_resolution_of_complex(ses.B)
+    assert build_ce_triple(ses, depth=0).depth() == 2   # depth only raises the cap
 
 
 def test_ce_on_vector_context_closes_immediately():
@@ -177,3 +211,60 @@ def test_degree_bound_preserved():
             for q in row.degrees():
                 if q < 0:
                     assert ctx.is_zero_obj(row.obj(q))
+
+
+# -- the one-column resolution against the full triple's I column --------------
+
+def _map_text(m):
+    return [(c.rows, c.cols, c.to_str_rows()) for c in m.comps]
+
+
+def _double_text(double):
+    """Everything a reader of a CE double sees, as comparable text: per row
+    the degree range, summands and differentials, the ZI/HI tag sums; then
+    the horizontal maps and the augmentation."""
+    out = []
+    for p, (row, ((_, ztag, htag), triple)) in enumerate(zip(double.rows, double.tag_rows)):
+        out.append(("row", p, row.lo, row.hi))
+        for q in row.degrees():
+            out.append(("obj", p, q, row.obj(q).summands, _map_text(row.diff(q))))
+            for tag in (ztag, htag):
+                ts = triple.sum_at(tag, q)
+                out.append((tag, p, q, ts.keys, ts.obj.summands))
+    for p, f in enumerate(double.dh):
+        for q in double.degrees():
+            out.append(("dh", p, q, _map_text(f.comp(q))))
+    if double.rows:
+        for q in double.degrees():
+            out.append(("aug", q, _map_text(double.augmentation.comp(q))))
+    return out
+
+
+def _identity_ses_oracle(cplx):
+    """X -> X -> 0 with the zero complex over X's degrees."""
+    ctx = cplx.ctx
+    zero = CochainComplex(ctx, {q: ctx.zero_obj() for q in cplx.degrees()}, {})
+    return SESOfComplexes(
+        ChainMap(cplx, cplx, {q: ctx.identity(cplx.obj(q)) for q in cplx.degrees()}),
+        ChainMap(cplx, zero, {q: ctx.zero_map(cplx.obj(q), ctx.zero_obj())
+                              for q in cplx.degrees()}))
+
+
+# seeds 8, 18 and 21 each give a B whose first cokernel sits in degree 0
+# alone while row 0 starts at -1; a zero complex placed over the cokernel's
+# own degrees, not at -1, would start row 1 at 0 instead of -1
+@pytest.mark.parametrize("field,seeds", [("q", (0, 1, 8)), ("fp:3", (2, 18)),
+                                         ("fp:32003", (3, 21))])
+def test_single_complex_matches_the_full_triple(field, seeds):
+    # forged at the selftest bounds; A, B and C are each resolved alone
+    for seed in seeds:
+        cfg = GenConfig("ce-column-%d" % seed, max_elements=5, max_stalk_dim=2,
+                        field=field_from_name(field))
+        ses = gen_ses_complexes(cfg)
+        for name in ("A", "B", "C"):
+            X = getattr(ses, name)
+            double = ce_resolution_of_complex(X)
+            oracle = build_ce_triple(_identity_ses_oracle(X)).doubles["A"]
+            assert _double_text(double) == _double_text(oracle), (field, seed, name)
+            assert verify_ce(double).ok, (field, seed, name)
+            assert all(set(t.cplx) == {"I"} for _, t in double.tag_rows)   # no J, K built

@@ -1,0 +1,24 @@
+"""The CI workflow runs the Tier-1 command of ROADMAP.md, word for word."""
+
+import os
+import re
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def test_workflow_runs_the_tier1_command():
+    with open(os.path.join(ROOT, "ROADMAP.md")) as fh:
+        command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", fh.read(), re.M).group(1)
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
+        doc = yaml.safe_load(fh)
+    triggers = doc.get("on", doc.get(True))   # YAML 1.1 reads a bare `on` as true
+    assert set(triggers) == {"push", "pull_request"}
+    steps = doc["jobs"]["tier1"]["steps"]
+    setup = [s for s in steps if s.get("uses", "").startswith("actions/setup-python")]
+    assert setup and setup[0]["with"]["python-version"] == "3.11"
+    runs = [s["run"] for s in steps if "run" in s]
+    assert runs == ["pip install pytest hypothesis sympy", command]

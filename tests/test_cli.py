@@ -3,7 +3,10 @@ import os
 
 import pytest
 
+from possheaf.ceres import InternalCommutativityFailure, InternalExactnessFailure
 from possheaf.cli import main
+from possheaf.exactla import NoSolution
+from possheaf.homalg import ExtensionFailure, TruncationInsufficient, ZigzagFailure
 from possheaf.instancefile import Instance, InstanceError, validate_instance
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -101,6 +104,34 @@ def test_selftest(capsys):
     assert main(["selftest", "--seed", "7", "--count", "3"]) == 0
     out = capsys.readouterr().out
     assert "3/3 PASS" in out
+
+
+@pytest.mark.parametrize("failure", [
+    InternalExactnessFailure, InternalCommutativityFailure, TruncationInsufficient,
+    ZigzagFailure, ExtensionFailure, NoSolution,
+], ids=lambda cls: cls.__name__)
+def test_selftest_names_a_declared_construction_failure(monkeypatch, capsys, failure):
+    import possheaf.cli as cli
+
+    def failing(*args, **kwargs):
+        raise failure("forced failure")
+
+    monkeypatch.setattr(cli, "build_ce_triple", failing)
+    assert main(["selftest", "--seed", "7", "--count", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "seed 0 failed: forced failure" in out and "seed 1 failed: forced failure" in out
+    assert "FAIL 0/2 PASS" in out
+
+
+def test_selftest_engine_bug_stays_a_traceback(monkeypatch):
+    import possheaf.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(cli, "build_ce_triple", broken)
+    with pytest.raises(RuntimeError, match="engine bug"):
+        main(["selftest", "--seed", "7", "--count", "2"])
 
 
 def test_forge_roundtrip(tmp_path, capsys):
@@ -224,6 +255,31 @@ def test_objects_on_the_wrong_poset_are_an_input_error(tmp_path, capsys, change,
     assert main(["ce", str(path), "--sequence", "S"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("input error") and message in out
+
+
+_DEGREE = ("complexes", "A", "terms", 0, "degree")
+
+
+@pytest.mark.parametrize("command", ["validate", "ce"])
+@pytest.mark.parametrize("change,message", [
+    (_set(_DEGREE, "x"), "complex 'A': term 0: degree must be an integer, got 'x'"),
+    (_set(_DEGREE, None), "complex 'A': term 0: degree must be an integer, got None"),
+    (_set(_DEGREE, 1.5), "complex 'A': term 0: degree must be an integer, got 1.5"),
+    (_set(_DEGREE, True), "complex 'A': term 0: degree must be an integer, got True"),
+    (lambda doc: doc["complexes"]["A"]["terms"][0].pop("degree"),
+     "complex 'A': term 0 has no degree"),
+])
+def test_bad_complex_degree_is_an_input_error(tmp_path, capsys, command, change, message):
+    doc = _complex_sequence_doc()
+    change(doc)
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["--sequence", "S"] if command == "ce" else [])
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert message in out
+    if command != "validate":
+        assert out.startswith("input error")
 
 
 @pytest.mark.parametrize("field", ["q", "fp:7"])
