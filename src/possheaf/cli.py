@@ -257,7 +257,7 @@ def cmd_selftest(args, run):
             ok = all(verify_ce(ce.doubles[n]).ok for n in ("A", "B", "C"))
         except _CONSTRUCTION_FAILURES as exc:   # a failure here is an engine bug
             ok = False
-            run.say("seed %d failed: %s" % (k, exc))
+            run.say("seed %s failed: %s" % (cfg.seed, exc))
         passed += bool(ok)
     run.check("selftest", passed == args.count, "%d/%d PASS" % (passed, args.count))
 

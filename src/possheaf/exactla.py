@@ -568,34 +568,49 @@ def image_basis(m: Matrix) -> Subspace:
     return Subspace.from_columns(m)
 
 
+def _quotient(m: Matrix, at, n: int):
+    """quotient_basis's (sel, proj) for k^m.rows over the column span of m;
+    proj is len(sel) x n, with coordinate j in column at[j]."""
+    field, d, p = m.field, m.rows, m.field.p
+    rev = [{} for _ in range(m.cols)]   # m^T with its columns reversed
+    for i, r in enumerate(m._nz):
+        for j, x in r.items():
+            rev[j][d - 1 - i] = x
+    red, pivots = rref(Matrix(field, m.cols, d, rev))
+    rset = {d - 1 - pc for pc in pivots}
+    sel = [j for j in range(d) if j not in rset]
+    row_of = {j: a for a, j in enumerate(sel)}
+    proj = [{at[j]: field.one()} for j in sel]
+    for pc, row in zip(pivots, red._nz):
+        for c, x in row.items():
+            if c != pc:
+                proj[row_of[d - 1 - c]][at[d - 1 - pc]] = -x % p if p else -x
+    return sel, Matrix(field, len(sel), n, proj)
+
+
 def quotient_basis(s: Subspace, t: Subspace):
     """Representatives and projection for the quotient s / t, t a subspace of s.
 
     Returns (reps, proj): reps is n x k whose columns complete t inside s by
     the pivot rule; proj is k x n with proj*t = 0 and proj*reps = identity,
     and proj is zero on the standard vectors off s's pivots.
+
+    One elimination gives both: t is reduced in s-coordinates read in
+    reverse, so each basis vector is e_r + sum_j c_j e_j, r its last nonzero
+    position and each j a representative (a coordinate that is no such r).
+    The only proj that is the identity on the representatives and kills t
+    sends e_r to -sum_j c_j e_j.
     """
     try:
         ts = s.coords_of(t.basis)   # t in s-coordinates: d x t.dim, full column rank
     except NoSolution:
         raise ContainmentViolation("quotient_basis: T not contained in S") from None
-    field, d = s.field, s.dim
-    # representatives: the s-columns that become pivots after t's, i.e. the
-    # e_j outside span(ts, e_0..e_{j-1}).  The other j are the positions of
-    # the last nonzero entries of vectors of t: the pivots of ts^T read with
-    # its columns reversed.
-    _, last = rref(ts.transpose().cols_slice(range(d - 1, -1, -1)))
-    rest = sorted(d - 1 - p for p in last)
-    rset = set(rest)
-    sel = [j for j in range(d) if j not in rset]
-    reps = s.basis.cols_slice(sel)
-    # projection, in s-coordinates: the identity on sel, and -y^T on rest,
-    # where ts[rest]^T y = ts[sel]^T so that it kills ts (ts[rest] is invertible)
-    y = solve(ts.rows_slice(rest).transpose(), ts.rows_slice(sel).transpose())
-    one, piv = field.one(), s.pivots
-    proj = []
-    for j, row in zip(sel, (-y).transpose()._nz):
-        row = {piv[rest[c]]: x for c, x in row.items()}
-        row[piv[j]] = one
-        proj.append(row)
-    return reps, Matrix(field, len(sel), s.ambient_dim, proj)
+    sel, proj = _quotient(ts, s.pivots, s.ambient_dim)
+    return s.basis.cols_slice(sel), proj
+
+
+def cokernel_basis(m: Matrix):
+    """quotient_basis of the full space k^m.rows by the column span of m."""
+    sel, proj = _quotient(m, range(m.rows), m.rows)
+    one = m.field.one()
+    return Matrix(m.field, len(sel), m.rows, [{j: one} for j in sel]).transpose(), proj

@@ -252,7 +252,8 @@ def validate_instance(path, field=None):
         inst = Instance.load(path, field=field)
     except InstanceError as exc:
         return False, [str(exc)]
-    for section in ("posets", "sheaves", "morphisms", "maps", "complexes", "sequences"):
+    for section, noun in (("posets", "poset"), ("sheaves", "sheaf"), ("morphisms", "morphism"),
+                          ("maps", "map"), ("complexes", "complex"), ("sequences", "sequence")):
         for name in sorted(getattr(inst, section)):
-            messages.append("%s %s: valid" % (section[:-1], name))
+            messages.append("%s %s: valid" % (noun, name))
     return True, messages

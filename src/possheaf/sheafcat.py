@@ -21,12 +21,12 @@ from .exactla import (
     NoSolution,
     Subspace,
     block_diag,
+    cokernel_basis,
     hstack,
     image_basis,
     kernel_basis,
     kron,
     place_blocks,
-    quotient_basis,
     rank,
     solve,
     vstack,
@@ -133,15 +133,13 @@ class VectorContext:
         return ker.dim, ker.basis
 
     def cokernel(self, f):
-        img = image_basis(f)
-        reps, proj = quotient_basis(Subspace.full(self.field, f.rows), img)
+        reps, proj = cokernel_basis(f)
         return reps.cols, proj
 
     def image(self, f):
+        # the basis is the identity on its pivot rows, and f lies in its span
         img = image_basis(f)
-        if img.dim == 0:
-            return 0, Matrix.zeros(self.field, f.rows, 0), Matrix.zeros(self.field, 0, f.cols)
-        return img.dim, img.basis, solve(img.basis, f)
+        return img.dim, img.basis, f.rows_slice(img.pivots)
 
     def is_mono(self, f):
         return rank(f) == f.cols
@@ -447,8 +445,7 @@ class SheafContext:
     def cokernel(self, f):
         reps, projs, dims = [], [], []
         for i in range(len(self.poset)):
-            img = image_basis(f.comps[i])
-            r, p = quotient_basis(Subspace.full(self.field, f.target.dims[i]), img)
+            r, p = cokernel_basis(f.comps[i])
             reps.append(r)
             projs.append(p)
             dims.append(r.cols)
@@ -471,12 +468,7 @@ class SheafContext:
         I = Sheaf(self.poset, self.field, dims, rho, validate=False)
         I._build_full()
         mono = SheafMorphism(I, f.target, [s.basis for s in imgs], validate=False)
-        epi_comps = []
-        for i in range(len(self.poset)):
-            if dims[i]:
-                epi_comps.append(solve(imgs[i].basis, f.comps[i]))
-            else:
-                epi_comps.append(Matrix.zeros(self.field, 0, f.source.dims[i]))
+        epi_comps = [f.comps[i].rows_slice(s.pivots) for i, s in enumerate(imgs)]
         epi = SheafMorphism(f.source, I, epi_comps, validate=False)
         return I, mono, epi
 

@@ -1,4 +1,4 @@
-"""The CI workflow runs the Tier-1 command of ROADMAP.md, word for word."""
+"""The CI workflow runs the Tier-1 command of ROADMAP.md, word for word, under a time limit."""
 
 import os
 import re
@@ -10,11 +10,15 @@ yaml = pytest.importorskip("yaml")
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
+def _workflow():
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
+        return yaml.safe_load(fh)
+
+
 def test_workflow_runs_the_tier1_command():
     with open(os.path.join(ROOT, "ROADMAP.md")) as fh:
         command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", fh.read(), re.M).group(1)
-    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
-        doc = yaml.safe_load(fh)
+    doc = _workflow()
     triggers = doc.get("on", doc.get(True))   # YAML 1.1 reads a bare `on` as true
     assert set(triggers) == {"push", "pull_request"}
     steps = doc["jobs"]["tier1"]["steps"]
@@ -22,3 +26,8 @@ def test_workflow_runs_the_tier1_command():
     assert setup and setup[0]["with"]["python-version"] == "3.11"
     runs = [s["run"] for s in steps if "run" in s]
     assert runs == ["pip install pytest hypothesis sympy", command]
+
+
+def test_tier1_job_has_a_positive_time_limit():
+    limit = _workflow()["jobs"]["tier1"].get("timeout-minutes")
+    assert type(limit) is int and limit > 0

@@ -119,7 +119,7 @@ def test_selftest_names_a_declared_construction_failure(monkeypatch, capsys, fai
     monkeypatch.setattr(cli, "build_ce_triple", failing)
     assert main(["selftest", "--seed", "7", "--count", "2"]) == 1
     out = capsys.readouterr().out
-    assert "seed 0 failed: forced failure" in out and "seed 1 failed: forced failure" in out
+    assert "seed 7-0 failed: forced failure" in out and "seed 7-1 failed: forced failure" in out
     assert "FAIL 0/2 PASS" in out
 
 
@@ -208,6 +208,15 @@ def test_ce_command_on_complex_sequence(tmp_path, capsys):
     assert main(["ce", str(path), "--sequence", "S"]) == 0
     out = capsys.readouterr().out
     assert "nineteen derived sequences exact" in out
+
+
+def test_validate_names_each_item_by_its_section_in_the_singular(tmp_path):
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps(_complex_sequence_doc()))
+    ok, messages = validate_instance(str(path))
+    assert ok
+    assert {m.split()[0] for m in messages} == {"poset", "sheaf", "morphism", "map", "complex", "sequence"}
+    assert "sheaf A0: valid" in messages and "complex A: valid" in messages
 
 
 @pytest.mark.parametrize("constructor", ["SheafMorphism", "MonotoneMap", "CochainComplex",

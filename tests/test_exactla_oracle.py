@@ -7,6 +7,7 @@ cancellations common, so the sparse paths, their fill-in and the entries
 they drop are exercised.  `run` hands the oracle dense copies of engine
 matrices (QQ entries as `Fraction`s, GF(p) entries as its `FpElement`s)
 and turns the dense matrices it returns back into engine matrices.
+The contexts' image epimorphisms are checked against the oracle's solve.
 """
 
 from fractions import Fraction
@@ -22,12 +23,16 @@ from possheaf.exactla import (
     NoSolution,
     PrimeField,
     Subspace,
+    cokernel_basis,
+    hstack,
     kernel_basis,
     quotient_basis,
     rank,
     rref,
     solve,
 )
+from possheaf.forge import GenConfig, gen_poset, gen_ses_sheaves
+from possheaf.sheafcat import VectorContext
 
 FIELDS = [QQ, PrimeField(32003), PrimeField(3), PrimeField(2)]
 ENTRIES = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, -2, 3, 5, 7])
@@ -164,6 +169,61 @@ def test_quotient_basis_matches_oracle(data):
     assert same(got[0], reps) and same(got[1], proj)
 
 
+def full_oracle_quotient(field, m):
+    """The oracle's (reps, proj) for k^m.rows over the column span of m."""
+    full = (Matrix.identity(field, m.rows), list(range(m.rows)))
+    return run(field, oracle.quotient_basis, full, run(field, oracle.from_columns, m))
+
+
+@st.composite
+def cokernel_inputs(draw):
+    """A matrix that is random, zero, onto (an empty quotient) or has repeated columns."""
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(matrices(field))
+    kind = draw(st.sampled_from(["random", "zero", "onto", "repeated"]))
+    if kind == "zero":
+        m = Matrix.zeros(field, m.rows, m.cols)
+    elif kind == "onto":
+        onto = hstack([m, Matrix.identity(field, m.rows)])
+        m = onto.cols_slice(draw(st.permutations(range(onto.cols))))
+    elif kind == "repeated" and m.cols:
+        m = m.cols_slice(draw(st.lists(st.integers(0, m.cols - 1), min_size=1, max_size=8)))
+    return field, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(cokernel_inputs())
+def test_cokernel_basis_matches_oracle(fm):
+    field, m = fm
+    reps, proj = cokernel_basis(m)
+    want_reps, want_proj = full_oracle_quotient(field, m)
+    assert same(reps, want_reps) and same(proj, want_proj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_matrix())
+def test_vector_image_epi_matches_oracle_solve(fm):
+    field, f = fm
+    dim, basis, epi = VectorContext(field).image(f)
+    obasis, _ = run(field, oracle.from_columns, f)
+    assert dim == basis.cols and same(basis, obasis)
+    assert same(epi, run(field, oracle.solve, basis, f))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(min_value=0, max_value=10**6))
+def test_sheaf_image_epi_matches_oracle_solve(field, seed):
+    # a mono, an epi, a map with kernel and cokernel, and a zero map
+    cfg = GenConfig("image-%d" % seed, max_elements=4, max_stalk_dim=2, field=field)
+    ctx, mono, epi = gen_ses_sheaves(cfg.child("ses"), gen_poset(cfg.child("poset")))
+    J, into = ctx.injective_embed(epi.target)
+    through = ctx.compose(into, epi)
+    for f in (mono, epi, through, ctx.zero_map(epi.source, J)):
+        _, img, onto = ctx.image(f)
+        for i in range(len(ctx.poset)):
+            assert same(onto.comps[i], run(field, oracle.solve, img.comps[i], f.comps[i]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_coords_of_matches_oracle(data):
@@ -197,6 +257,8 @@ def test_empty_and_zero_shapes(field, rows, cols):
         got = quotient_basis(full, s)
         want = run(field, oracle.quotient_basis, (full.basis, full.pivots), (s.basis, s.pivots))
         assert same(got[0], want[0]) and same(got[1], want[1])
+    got, want = cokernel_basis(z), full_oracle_quotient(field, z)
+    assert same(got[0], want[0]) and same(got[1], want[1])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
