@@ -43,7 +43,7 @@ from .instancefile import (
     validate_instance,
 )
 from .poset import UnknownElement
-from .sheafcat import NotOpen, SheafContext, restrict_to_open, sheaf_cohomology_dims
+from .sheafcat import SheafContext, cohomology_on_opens
 
 
 class _Run:
@@ -85,8 +85,13 @@ class _Run:
         return 0 if self.report.ok else 1
 
 
+def _field(args):
+    """The field of --field, or None to take the instance file's own."""
+    return field_from_name(args.field) if args.field else None
+
+
 def _load(args):
-    return Instance.load(args.file, field=field_from_name(args.field))
+    return Instance.load(args.file, field=_field(args))
 
 
 def _get(section, name, kind):
@@ -96,7 +101,7 @@ def _get(section, name, kind):
 
 
 def cmd_validate(args, run):
-    ok, messages = validate_instance(args.file, field=field_from_name(args.field))
+    ok, messages = validate_instance(args.file, field=_field(args))
     for msg in messages:
         run.say(msg)
     run.check("instance file valid", ok)
@@ -105,13 +110,16 @@ def cmd_validate(args, run):
 def cmd_cohomology(args, run):
     inst = _load(args)
     F = _get(inst.sheaves, args.sheaf, "sheaf")
+    p = F.poset
+    names = p.elements
     if args.open is not None:
-        names = set(args.open.split(",")) if args.open else set()
-        try:
-            F, _ = restrict_to_open(F, names)
-        except (UnknownElement, NotOpen) as exc:
-            raise InstanceError("--open: %s" % exc) from exc
-    dims = sheaf_cohomology_dims(F, max_q=args.max_degree)
+        names = args.open.split(",") if args.open else []   # the first unknown one is named
+    try:
+        if not p.is_open(names):
+            raise InstanceError("--open: %r is not an up-set" % (sorted(set(names)),))
+    except UnknownElement as exc:
+        raise InstanceError("--open: %s" % exc) from exc
+    dims, = cohomology_on_opens(F, [{p.idx(x) for x in names}], max_q=args.max_degree)
     run.table("H^q dims", [(q, d) for q, d in enumerate(dims)])
     run.check("cohomology computed", True)
 
@@ -263,9 +271,10 @@ def cmd_selftest(args, run):
 
 
 def cmd_forge(args, run):
+    name = args.field or "q"
     cfg = GenConfig(args.seed, max_elements=args.max_elements,
-                    max_stalk_dim=2, field=field_from_name(args.field))
-    doc = {"field": args.field, "posets": {}, "sheaves": {}}
+                    max_stalk_dim=2, field=field_from_name(name))
+    doc = {"field": name, "posets": {}, "sheaves": {}}
     if args.kind == "poset":
         doc["posets"]["P"] = poset_to_dict(gen_poset(cfg))
     elif args.kind == "sheaf":
@@ -309,7 +318,8 @@ def _field_name(name):
 def build_parser():
     top = argparse.ArgumentParser(prog="possheaf",
                                   description="exact spectral sequences of sheaves on finite posets")
-    top.add_argument("--field", default="q", type=_field_name, help="q or fp:<prime>")
+    top.add_argument("--field", type=_field_name,
+                     help="q or fp:<prime>; default: the instance file's field (forge: q)")
     top.add_argument("--format", default="text", choices=["text", "report"])
     top.add_argument("--max-degree", type=_at_least(0, "degree"), default=None)
     sub = top.add_subparsers(dest="command", required=True)

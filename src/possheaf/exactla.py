@@ -142,9 +142,9 @@ def field_from_name(name: str):
     """Map a CLI field spec ("q" or "fp:<prime>") to a field object."""
     if name == "q":
         return QQ
-    if name.startswith("fp:"):
+    if isinstance(name, str) and name.startswith("fp:"):
         return PrimeField(int(name[3:]))
-    raise ValueError("unknown field %r" % name)
+    raise ValueError("unknown field %r" % (name,))
 
 
 def _reduced(row, p):

@@ -23,7 +23,8 @@ class InstanceError(Exception):
 def _matrix_from_rows(field, rows, nrows, ncols, where):
     if rows is None:
         return Matrix.zeros(field, nrows, ncols)
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+    if (type(rows) is not list or len(rows) != nrows
+            or any(type(r) is not list or len(r) != ncols for r in rows)):
         raise InstanceError("%s: expected a %dx%d matrix" % (where, nrows, ncols))
     try:
         data = [[field.parse(x) for x in r] for r in rows]
@@ -60,13 +61,17 @@ class Instance:
 
     @classmethod
     def from_dict(cls, doc, field=None):
-        field = field if field is not None else field_from_name(doc.get("field", "q"))
-        inst = cls(field)
+        name = doc.get("field", "q")
+        try:
+            own = field_from_name(name)
+        except ValueError as exc:
+            raise InstanceError("field %r: %s" % (name, exc)) from exc
+        inst = cls(field if field is not None else own)
         for name, spec in (doc.get("posets") or {}).items():
             try:
                 inst.posets[name] = Poset(spec["elements"],
                                           [tuple(c) for c in spec.get("covers", [])])
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, UnknownElement) as exc:
                 raise InstanceError("poset %r: %s" % (name, exc)) from exc
         for name, spec in (doc.get("sheaves") or {}).items():
             inst.sheaves[name] = inst._parse_sheaf(name, spec)

@@ -46,10 +46,6 @@ class NotCoinduced(Exception):
     pass
 
 
-class NotOpen(Exception):
-    pass
-
-
 def _complement_of_image(m: Matrix, flip: bool) -> Matrix:
     """Basis of a complement of im(m), chosen by the pivot rule.
 
@@ -661,37 +657,39 @@ def gamma_of_complex(cplx: homalg.CochainComplex, vctx: VectorContext) -> homalg
     return homalg.CochainComplex(vctx, objects, diffs)
 
 
+def cohomology_on_opens(F: Sheaf, opens, max_q=None) -> list:
+    """H^q(U, F|_U) dims from q=0 for each open U (a set of element indices).
+
+    One canonical resolution I of F serves every open.  Injective sheaves are
+    flasque, and stay flasque, hence Gamma-acyclic, on an open, so Gamma(U, I)
+    computes H^*(U, F|_U).  Gamma(U, [x]_V) is V for x in U and 0 otherwise,
+    so Gamma(U, I) is the principal block of Gamma(I) on the summands peaked
+    in U: a quotient complex, as U is an up-set.  I restricted to U is the
+    canonical resolution of F|_U, so each list ends at the last degree with a
+    summand peaked in U (0 if none), raised to max_q.
+    """
+    res = homalg.injective_resolution(SheafContext(F.poset, F.field), F)
+    vec = gamma_of_complex(res.complex, VectorContext(F.field))
+    peaks = [[x for x, v in res.complex.obj(q).summands for _ in range(v)]
+             for q in res.complex.degrees()]
+    out = []
+    for U in opens:
+        keep = [[c for c, x in enumerate(col) if x in U] for col in peaks]
+        top = max((q for q, cols in enumerate(keep) if cols), default=0)
+        # r[q] is the rank of d^(q-1) on the block
+        r = [0] + [rank(vec.diff(q).rows_slice(keep[q + 1]).cols_slice(keep[q]))
+                   for q in range(top)] + [0]
+        dims = [len(keep[q]) - r[q] - r[q + 1] for q in range(top + 1)]
+        out.append(dims + [0] * ((max_q or 0) - top))
+    return out
+
+
 def sheaf_cohomology_dims(F: Sheaf, max_q=None) -> list:
     """R^q Gamma via the canonical coinduced resolution; list of dims from q=0."""
-    ctx = SheafContext(F.poset, F.field)
-    res = homalg.injective_resolution(ctx, F)
-    vec = gamma_of_complex(res.complex, VectorContext(F.field))
-    top = res.length() if max_q is None else max(res.length(), max_q)
-    return [homalg.cohomology(vec, q).H for q in range(top + 1)]
+    return cohomology_on_opens(F, [range(len(F.poset))], max_q)[0]
 
 
-# opens, restriction, acyclicity -------------------------------------------
-
-def restrict_to_open(F: Sheaf, open_names):
-    """F restricted to an open set, as a sheaf on the induced subposet."""
-    p = F.poset
-    if not p.is_open(set(open_names)):
-        raise NotOpen("%r is not an up-set" % (sorted(open_names),))
-    keepset = {i for i in range(len(p)) if p.elements[i] in set(open_names)}
-    keep = sorted(keepset)
-    sub = Poset([p.elements[i] for i in keep],
-                [(p.elements[i], p.elements[j]) for (i, j) in p.covers
-                 if i in keepset and j in keepset])
-    remap = {i: sub.idx(p.elements[i]) for i in keep}
-    dims = [0] * len(sub)
-    for i in keep:
-        dims[remap[i]] = F.dims[i]
-    rho = {}
-    for (i, j) in p.covers:
-        if i in remap and j in remap:
-            rho[(remap[i], remap[j])] = F.rho[(i, j)]
-    return Sheaf(sub, F.field, dims, rho, validate=False), sub
-
+# opens and acyclicity -------------------------------------------------------
 
 class AcyclicityReport:
     def __init__(self, ok, failing_open, opens_checked, exhaustive):
@@ -739,14 +737,10 @@ def is_acyclic_on_all_opens(F: Sheaf) -> AcyclicityReport:
             if key and key not in seen:
                 seen.add(key)
                 opens.append(s)
-    for s in opens:
-        names = {p.elements[i] for i in s}
-        FU, _ = restrict_to_open(F, names)
-        if FU.total_dim == 0:
-            continue
-        dims = sheaf_cohomology_dims(FU)
-        if any(d != 0 for d in dims[1:]):
-            return AcyclicityReport(False, sorted(names), len(opens), exhaustive)
+    for s, dims in zip(opens, cohomology_on_opens(F, opens)):
+        if any(dims[1:]):
+            return AcyclicityReport(False, sorted(p.elements[i] for i in s), len(opens),
+                                    exhaustive)
     return AcyclicityReport(True, None, len(opens), exhaustive)
 
 

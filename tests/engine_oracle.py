@@ -4,8 +4,9 @@ Each function here computes, by a second route, something the engine
 computes or assumes on its way to a command's output: the derived functors
 of the composite from a fresh resolution, the long exact cohomology
 sequence, the exactness of a couple, page stabilization, the couple
-morphism induced by entrywise maps, the intersection of subspaces and the
-structured section basis of a coinduced sheaf.  The command line reaches
+morphism induced by entrywise maps, the intersection of subspaces, the
+structured section basis of a coinduced sheaf and the cohomology of a sheaf
+on an open from its own restricted resolution.  The command line reaches
 none of them, so they live with the tests.
 """
 
@@ -13,7 +14,15 @@ from possheaf import homalg
 from possheaf.exactla import Matrix, Subspace, hstack, kernel_basis, rank
 from possheaf.gross import FunctorPair, _gamma_base, _linked_resolutions
 from possheaf.homalg import ChainMap, CheckReport, SESOfComplexes
-from possheaf.sheafcat import InjectiveSheaf, gamma_map
+from possheaf.poset import Poset
+from possheaf.sheafcat import (
+    InjectiveSheaf,
+    Sheaf,
+    SheafContext,
+    VectorContext,
+    gamma_map,
+    gamma_of_complex,
+)
 from possheaf.specseq import CoupleMorphism, ExactCouple, SpectralSequence, tot_block_map
 
 # -- exactla and homalg -------------------------------------------------------
@@ -71,6 +80,45 @@ def gamma_struct_basis(I: InjectiveSheaf) -> Matrix:
                 vec[I.offsets[y] + I.slot[y][j] + t] = field.one()
             cols.append(vec)
     return Matrix.from_rows(field, [[c[i] for c in cols] for i in range(I.total_dim)], len(cols))
+
+
+class NotOpen(Exception):
+    pass
+
+
+def restrict_to_open(F: Sheaf, open_names):
+    """F restricted to an open set, as a sheaf on the induced subposet."""
+    p = F.poset
+    if not p.is_open(set(open_names)):
+        raise NotOpen("%r is not an up-set" % (sorted(open_names),))
+    keepset = {i for i in range(len(p)) if p.elements[i] in set(open_names)}
+    keep = sorted(keepset)
+    sub = Poset([p.elements[i] for i in keep],
+                [(p.elements[i], p.elements[j]) for (i, j) in p.covers
+                 if i in keepset and j in keepset])
+    remap = {i: sub.idx(p.elements[i]) for i in keep}
+    dims = [0] * len(sub)
+    for i in keep:
+        dims[remap[i]] = F.dims[i]
+    rho = {}
+    for (i, j) in p.covers:
+        if i in remap and j in remap:
+            rho[(remap[i], remap[j])] = F.rho[(i, j)]
+    return Sheaf(sub, F.field, dims, rho, validate=False), sub
+
+
+def resolved_cohomology_dims(F: Sheaf, max_q=None) -> list:
+    """R^q Gamma(F) dims from q=0: cohomology of Gamma of F's own resolution."""
+    res = homalg.injective_resolution(SheafContext(F.poset, F.field), F)
+    vec = gamma_of_complex(res.complex, VectorContext(F.field))
+    top = res.length() if max_q is None else max(res.length(), max_q)
+    return [homalg.cohomology(vec, q).H for q in range(top + 1)]
+
+
+def restricted_cohomology_dims(F: Sheaf, open_idx, max_q=None) -> list:
+    """H^q(U, F|_U) dims from q=0, from a resolution of the restricted sheaf."""
+    FU, _ = restrict_to_open(F, {F.poset.elements[i] for i in open_idx})
+    return resolved_cohomology_dims(FU, max_q)
 
 
 # -- specseq --------------------------------------------------------------------

@@ -25,7 +25,7 @@ def test_workflow_runs_the_tier1_command():
     setup = [s for s in steps if s.get("uses", "").startswith("actions/setup-python")]
     assert setup and setup[0]["with"]["python-version"] == "3.11"
     runs = [s["run"] for s in steps if "run" in s]
-    assert runs == ["pip install pytest hypothesis sympy", command]
+    assert runs == ["pip install pytest hypothesis sympy pyyaml", command]
 
 
 def test_tier1_job_has_a_positive_time_limit():

@@ -167,6 +167,64 @@ def test_bad_field_is_a_usage_error(field, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_document_field_is_the_default_field(tmp_path, capsys, seed):
+    assert main(["--field", "fp:3", "forge", "--kind", "ses", "--seed", str(seed)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["field"] == "fp:3"
+    path = tmp_path / "fp3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    assert "instance file valid" in capsys.readouterr().out
+    # an explicit --field overrides the document's: these matrices are not
+    # exact sequences over the rationals
+    assert main(["--field", "q", "validate", str(path)]) == 1
+
+
+def test_forge_writes_q_by_default(capsys):
+    assert main(["forge", "--kind", "sheaf", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["field"] == "q"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["cohomology", "--sheaf", "k"]])
+@pytest.mark.parametrize("field", ["x", True, 1.5, None, "fp:4"])
+def test_bad_document_field_is_an_input_error(tmp_path, capsys, command, field):
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    doc["field"] = field
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    assert main(command[:1] + [str(path)] + command[1:]) == 1
+    out = capsys.readouterr().out
+    assert "field %r: " % (field,) in out
+    if command[0] != "validate":
+        assert out.startswith("input error")
+
+
+def test_cover_of_unknown_element_is_an_input_error(tmp_path, capsys):
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    doc["posets"]["X"]["covers"].append(["a", "zz"])
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "poset 'X': cover ('a', 'zz') uses unknown element" in out
+    assert "instance file valid" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("rows", [1, [1], ["1"], {"0": ["1"]}, [{"0": "1"}]])
+def test_restriction_not_a_list_of_lists_is_an_input_error(tmp_path, capsys, rows):
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    doc["sheaves"]["k"]["restrictions"]["a<c"] = rows
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "sheaf 'k' a<c: expected a 1x1 matrix" in out
+
+
 def _complex_sequence_doc():
     """A small complexes-kind sequence document: constant sheaf SES on a chain.
 
@@ -371,7 +429,7 @@ def test_engine_bug_stays_a_traceback(monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("engine bug")
 
-    monkeypatch.setattr(cli, "sheaf_cohomology_dims", broken)
+    monkeypatch.setattr(cli, "cohomology_on_opens", broken)
     with pytest.raises(ZeroDivisionError):
         main(["cohomology", PSEUDOCIRCLE, "--sheaf", "k"])
 
@@ -393,6 +451,8 @@ def test_missing_instance_file_is_a_named_fail(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("subset,message", [
     ("c,zz", "unknown element 'zz'"),
+    ("d,yy,c,zz,xx", "unknown element 'yy'"),
+    ("c,a,c", "['a', 'c'] is not an up-set"),
     ("a", "['a'] is not an up-set"),
 ])
 def test_bad_open_set_is_an_input_error(capsys, subset, message):

@@ -2,10 +2,11 @@ import os
 
 import pytest
 
-from engine_oracle import gamma_struct_basis
+from engine_oracle import NotOpen, gamma_struct_basis, restrict_to_open, restricted_cohomology_dims
 from fixtures import fence_x4, identity_map, product, product_projection, to_point
 from oracle import order_complex_cohomology_dims
-from possheaf.exactla import QQ, Matrix, rank
+from possheaf.exactla import QQ, Matrix, PrimeField, rank
+from possheaf.forge import GenConfig, gen_poset, gen_ses_sheaves, gen_sheaf
 from possheaf.homalg import injective_resolution
 from possheaf.instancefile import Instance
 from possheaf.poset import Poset
@@ -13,18 +14,17 @@ from possheaf.sheafcat import (
     InjectiveSheaf,
     NotCoinduced,
     NotMono,
-    NotOpen,
     Pushforward,
     Sheaf,
     SheafContext,
     SheafMorphism,
     VectorContext,
+    cohomology_on_opens,
     gamma_map,
     gamma_of_complex,
     global_sections,
     hom_basis,
     is_acyclic_on_all_opens,
-    restrict_to_open,
     sections_over,
     sheaf_cohomology_dims,
 )
@@ -184,6 +184,59 @@ def test_acyclicity_checker():
     assert not rep.ok
     assert rep.failing_open == ["a", "b", "c", "d"]
     assert is_acyclic_on_all_opens(ctx.zero_obj()).ok
+
+
+FIELDS = [QQ, PrimeField(3), PrimeField(32003)]
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "instances")
+
+
+def _assert_open_cohomology_matches_oracle(F, max_q):
+    # every open, the empty one included
+    opens = [set(s) for s in F.poset.open_sets()]
+    want = [restricted_cohomology_dims(F, U, max_q) for U in opens]
+    assert cohomology_on_opens(F, opens, max_q) == want
+
+
+def _fixture_cases():
+    # the torus has 430 opens, each resolved anew by the oracle, so it runs
+    # one field and degree bound per sheaf
+    cases = [("pseudocircle", name, field, max_q) for name in ("k", "I", "C")
+             for field in FIELDS for max_q in (None, 5)]
+    return cases + [("torus", "k", QQ, None), ("torus", "I", FIELDS[1], 5),
+                    ("torus", "C", FIELDS[2], None)]
+
+
+@pytest.mark.parametrize("fixture,sheaf,field,max_q", _fixture_cases(), ids=str)
+def test_open_cohomology_matches_restricted_resolution(fixture, sheaf, field, max_q):
+    inst = Instance.load(os.path.join(FIXTURES, fixture + ".json"), field=field)
+    _assert_open_cohomology_matches_oracle(inst.sheaves[sheaf], max_q)
+
+
+def _first_failing_open(F):
+    """The first nonempty open, in open_sets order, with H^q != 0 for some q >= 1."""
+    for s in F.poset.open_sets():
+        if s and any(restricted_cohomology_dims(F, s)[1:]):
+            return sorted(F.poset.elements[i] for i in s)
+    return None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_open_cohomology_matches_restricted_resolution_on_forged_sheaves(field):
+    constant = SheafContext(X4, field).constant_sheaf()    # H^1 of the circle on X4
+    sheaves = [constant]
+    for seed in range(6):
+        cfg = GenConfig("opens-%d" % seed, max_elements=5, max_stalk_dim=2, field=field)
+        p = gen_poset(cfg.child("poset"))
+        sheaves += [gen_sheaf(cfg, p), gen_ses_sheaves(cfg, p)[1].target]
+    verdicts = set()
+    for F in sheaves:
+        for max_q in (None, 5):
+            _assert_open_cohomology_matches_oracle(F, max_q)
+        rep = is_acyclic_on_all_opens(F)
+        assert rep.exhaustive and rep.failing_open == _first_failing_open(F)
+        verdicts.add(rep.ok)
+    assert verdicts == {True, False}
+    assert is_acyclic_on_all_opens(constant).failing_open == ["a", "b", "c", "d"]
 
 
 def test_pushforward_identity_and_point():
