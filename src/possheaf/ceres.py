@@ -7,13 +7,14 @@ resolutions with exact rows.
 
 A row is built column by column, the I column (under A) first.  That
 column depends on A alone (see ce_resolution_of_complex), so a single
-complex X, resolved as X -> X -> 0, builds only the I column of each row;
-the J and K columns, there a copy of I and zero, are built only by
-build_ce_triple.
+complex X, resolved as X -> X -> 0, builds only the I column of each row,
+and of the witnessed sequences below only A's five; the J and K columns,
+there a copy of I and zero, are built only by build_ce_triple.
 
 The construction order is fixed: first the nineteen witnessed exact
 sequences of subquotient data (cocycles Z, coboundaries B, cohomology H,
-and the kernels W and X taken from the long exact sequence), then tagged
+and the kernels W and X taken from the long exact sequence), fifteen of
+them made by one routine run once per complex, then tagged
 direct sums whose structural maps realize the same sequences by block
 inclusion and projection, then the comparison maps, each either an
 injectivity extension at a chosen summand or a composite forced by
@@ -77,19 +78,44 @@ class ComplexData:
 
 ES_LABELS = ["es%d" % i for i in range(1, 20)]
 
+# one row per complex D: the map out of H(D), by attribute and maker (looked
+# up when called, so a wrapper installed on the module is seen), the
+# complex E it lands in with its degree shift, and the labels of D's five
+# sequences: W(D) in H(D) onto W(E), X(D) in Z(D) onto W(E), H(D) as
+# Z(D)/B(D), W(D) as X(D)/B(D), and B(D) one up as D/Z(D)
+_ROWS = (
+    ("A", "h_iota", lambda ses, q: induced_on_cohomology(ses.iota, q), "B", 0,
+     ("es1", "es4", "es7", "es10", "es13")),
+    ("B", "h_pi", lambda ses, q: induced_on_cohomology(ses.pi, q), "C", 0,
+     ("es2", "es5", "es8", "es11", "es14")),
+    ("C", "delta", lambda ses, q: connecting(ses, q), "A", 1,
+     ("es3", "es6", "es9", "es12", "es15")),
+)
+
 
 class SESInvariants:
-    """All objects and the nineteen witnessed exact sequences."""
+    """The objects and witnessed exact sequences of all three complexes, or,
+    when full is False, of A alone: A's data, h_iota, W(B) and A's five
+    sequences, which is all the I column of a triple reads."""
 
-    def __init__(self, ses: SESOfComplexes):
+    def __init__(self, ses: SESOfComplexes, full=True):
         self.ses = ses
         self.ctx = ses.ctx
+        self.names = ("A", "B", "C") if full else ("A",)
         self.qlo = min(ses.A.lo, ses.B.lo, ses.C.lo)
         self.qhi = max(ses.A.hi, ses.B.hi, ses.C.hi)
         self.A, self.B, self.C = ComplexData(), ComplexData(), ComplexData()
         self.h_iota, self.h_pi, self.delta = {}, {}, {}
         self.seqs = {label: {} for label in ES_LABELS}
-        self._build()
+        rows = _ROWS if full else _ROWS[:1]
+        for name, attr, make, *_ in rows:
+            self._cover(name, attr, make, True)
+        if not full:                    # W(B) alone, which es1 and es4 end in
+            self._cover(*_ROWS[1][:3], False)
+        for row in rows:
+            self._one_sided(*row)
+        if full:
+            self._mixed()
 
     def degrees(self):
         """Degrees carrying data, one past the support (all zero there)."""
@@ -98,64 +124,45 @@ class SESInvariants:
     def main_degrees(self):
         return range(self.qlo, self.qhi + 1)
 
-    def _build(self):
-        ctx, ses = self.ctx, self.ses
-        for cdata, cplx in ((self.A, ses.A), (self.B, ses.B), (self.C, ses.C)):
-            for q in self.degrees():
-                h = cohomology(cplx, q)
-                cdata.Z[q], cdata.z_mono[q] = h.Z, h.z_mono
-                cdata.B[q], cdata.b_in_z[q] = h.B, h.b_mono
-                cdata.b_in_x[q], cdata.d_epi[q] = h.b_into_x, h.d_epi
-                cdata.H[q], cdata.h_proj[q] = h.H, h.proj
+    def _cover(self, name, attr, make, whole):
+        """The map out of H(name) and its kernel W; if whole, also Z, B, H, X."""
+        ctx, cd, maps = self.ctx, getattr(self, name), getattr(self, attr)
         for q in self.degrees():
-            self.h_iota[q] = induced_on_cohomology(ses.iota, q)
-            self.h_pi[q] = induced_on_cohomology(ses.pi, q)
-            self.delta[q] = connecting(ses, q)
-        for cdata, maps in ((self.A, self.h_iota), (self.B, self.h_pi), (self.C, self.delta)):
-            for q in self.degrees():
-                cdata.W[q], cdata.w_mono[q] = ctx.kernel(maps[q])
-                cdata.X[q], cdata.x_mono[q] = ctx.kernel(
-                    ctx.compose(maps[q], cdata.h_proj[q]))
-        self._build_sequences()
-        self.check_all()
+            maps[q] = make(self.ses, q)
+            cd.W[q], cd.w_mono[q] = ctx.kernel(maps[q])
+            if whole:
+                h = cohomology(getattr(self.ses, name), q)
+                cd.Z[q], cd.z_mono[q] = h.Z, h.z_mono
+                cd.B[q], cd.b_in_z[q] = h.B, h.b_mono
+                cd.b_in_x[q], cd.d_epi[q] = h.b_into_x, h.d_epi
+                cd.H[q], cd.h_proj[q] = h.H, h.proj
+                cd.X[q], cd.x_mono[q] = ctx.kernel(ctx.compose(maps[q], h.proj))
 
     def _seq(self, label, q, L, M, R, f, g):
-        self.seqs[label][q] = WitnessedSES(label, q, L, M, R, f, g)
+        self.seqs[label][q] = w = WitnessedSES(label, q, L, M, R, f, g)
+        w.check(self.ctx)
 
-    def _build_sequences(self):
-        ctx, ses = self.ctx, self.ses
-        A, B, C = self.A, self.B, self.C
+    def _one_sided(self, name, attr, make, target, shift, labels):
+        ctx, D, E = self.ctx, getattr(self, name), getattr(self, target)
+        cplx, maps = getattr(self.ses, name), getattr(self, attr)
+        l_w, l_x, l_h, l_b, l_z = labels
         for q in self.main_degrees():
-            q1 = q + 1
-            # es1-es3: the long exact sequence in cohomology
-            self._seq("es1", q, A.W[q], A.H[q], B.W[q],
-                      A.w_mono[q], ctx.lift_through_mono(self.h_iota[q], B.w_mono[q]))
-            self._seq("es2", q, B.W[q], B.H[q], C.W[q],
-                      B.w_mono[q], ctx.lift_through_mono(self.h_pi[q], C.w_mono[q]))
-            self._seq("es3", q, C.W[q], C.H[q], A.W[q1],
-                      C.w_mono[q], ctx.lift_through_mono(self.delta[q], A.w_mono[q1]))
-            # es4-es6: X as kernels of the maps from Z to the next W
-            self._seq("es4", q, A.X[q], A.Z[q], B.W[q],
-                      A.x_mono[q], ctx.compose(self.seqs["es1"][q].g, A.h_proj[q]))
-            self._seq("es5", q, B.X[q], B.Z[q], C.W[q],
-                      B.x_mono[q], ctx.compose(self.seqs["es2"][q].g, B.h_proj[q]))
-            self._seq("es6", q, C.X[q], C.Z[q], A.W[q1],
-                      C.x_mono[q], ctx.compose(self.seqs["es3"][q].g, C.h_proj[q]))
-            # es7-es9: definition of cohomology
-            self._seq("es7", q, A.B[q], A.Z[q], A.H[q], A.b_in_z[q], A.h_proj[q])
-            self._seq("es8", q, B.B[q], B.Z[q], B.H[q], B.b_in_z[q], B.h_proj[q])
-            self._seq("es9", q, C.B[q], C.Z[q], C.H[q], C.b_in_z[q], C.h_proj[q])
-            # es10-es12: coboundaries inside X, W as quotient
-            for label, D in (("es10", A), ("es11", B), ("es12", C)):
-                self._seq(label, q, D.B[q], D.X[q], D.W[q],
-                          ctx.lift_through_mono(D.b_in_z[q], D.x_mono[q]),
-                          ctx.lift_through_mono(ctx.compose(D.h_proj[q], D.x_mono[q]),
-                                                D.w_mono[q]))
-            # es13-es15: cocycles and coboundaries of the complexes
-            self._seq("es13", q, A.Z[q], ses.A.obj(q), A.B[q1], A.z_mono[q], A.d_epi[q1])
-            self._seq("es14", q, B.Z[q], ses.B.obj(q), B.B[q1], B.z_mono[q], B.d_epi[q1])
-            self._seq("es15", q, C.Z[q], ses.C.obj(q), C.B[q1], C.z_mono[q], C.d_epi[q1])
-            # es16-es19: the mixed sequences
+            t = q + shift
+            self._seq(l_w, q, D.W[q], D.H[q], E.W[t],
+                      D.w_mono[q], ctx.lift_through_mono(maps[q], E.w_mono[t]))
+            self._seq(l_x, q, D.X[q], D.Z[q], E.W[t],
+                      D.x_mono[q], ctx.compose(self.seqs[l_w][q].g, D.h_proj[q]))
+            self._seq(l_h, q, D.B[q], D.Z[q], D.H[q], D.b_in_z[q], D.h_proj[q])
+            self._seq(l_b, q, D.B[q], D.X[q], D.W[q],
+                      ctx.lift_through_mono(D.b_in_z[q], D.x_mono[q]),
+                      ctx.lift_through_mono(ctx.compose(D.h_proj[q], D.x_mono[q]),
+                                            D.w_mono[q]))
+            self._seq(l_z, q, D.Z[q], cplx.obj(q), D.B[q + 1], D.z_mono[q], D.d_epi[q + 1])
+
+    def _mixed(self):
+        """es16-es19, which mix the three complexes."""
+        ctx, ses, A, B, C = self.ctx, self.ses, self.A, self.B, self.C
+        for q in self.main_degrees():
             iq, pq = ses.iota.comp(q), ses.pi.comp(q)
             za = A.z_mono[q]
             xa = ctx.compose(za, A.x_mono[q])
@@ -171,11 +178,6 @@ class SESInvariants:
                       ctx.lift_through_mono(ctx.compose(iq, za), xb),
                       ctx.lift_through_mono(ctx.compose(pq, xb), C.b_in_x[q]))
             self._seq("es19", q, ses.A.obj(q), ses.B.obj(q), ses.C.obj(q), iq, pq)
-
-    def check_all(self):
-        for label in ES_LABELS:
-            for w in self.seqs[label].values():
-                w.check(self.ctx)
 
     def label_counts(self):
         return {label: len(self.seqs[label]) for label in ES_LABELS}
@@ -234,7 +236,7 @@ _LAYOUT = {
 _I_FAMILIES = (("W", "I"), ("W", "J"), ("B", "I"))
 _JK_FAMILIES = (("W", "K"), ("B", "K"))
 _I_SUMS = ("HI", "XI", "ZI", "I")
-_I_LADDERS = ("es1", "es4", "es7", "es10", "es13")
+_I_LADDERS = _ROWS[0][-1]       # A's five sequences
 
 
 # per complex of the SES: the column of a triple that resolves it, and the
@@ -246,18 +248,19 @@ class InjectiveTriple:
     """One row: 0 -> I* -> J* -> K* -> 0 of injectives under the input SES.
 
     The I column is built first and from A-side data alone (see
-    ce_resolution_of_complex); with full=False the row stops there, and
-    `cplx`, `aug` and `maps` hold only its I, A and hA/xA/zA entries.
+    ce_resolution_of_complex).  On invariants of A alone the row stops
+    there, and `cplx`, `aug` and `maps` hold only its I, A and hA/xA/zA
+    entries.
     """
 
-    def __init__(self, inv: SESInvariants, full=True):
+    def __init__(self, inv: SESInvariants):
         self.inv = inv
         self.ctx = inv.ctx
         self.fam, self.fam_emb, self.one = {}, {}, {}
         self.sums, self.cplx, self.maps, self.aug = {}, {}, {}, {}
         self._zext = {}
         self._build_i()
-        if full:
+        if inv.names == tuple(COLUMNS):
             self._build_jk()
 
     def sum_at(self, name, q) -> TaggedSum:
@@ -516,31 +519,6 @@ class InjectiveTriple:
 
     # -- verification -------------------------------------------------------
 
-    def _vertical(self, node_kind, q):
-        """Comparison map attached to one node type of the sequences."""
-        emb = self.fam_emb
-        table = {
-            "WA": lambda: (self.one[("W", "I", q)], emb[("W", "I", q)]),
-            "WB": lambda: (self.one[("W", "J", q)], emb[("W", "J", q)]),
-            "WC": lambda: (self.one[("W", "K", q)], emb[("W", "K", q)]),
-            "BA": lambda: (self.one[("B", "I", q)], emb[("B", "I", q)]),
-            "BC": lambda: (self.one[("B", "K", q)], emb[("B", "K", q)]),
-            "BB": lambda: (self.sum_at("BJ", q), self.maps["bB"][q]),
-            "HA": lambda: (self.sum_at("HI", q), self.maps["hA"][q]),
-            "HB": lambda: (self.sum_at("HJ", q), self.maps["hB"][q]),
-            "HC": lambda: (self.sum_at("HK", q), self.maps["hC"][q]),
-            "XA": lambda: (self.sum_at("XI", q), self.maps["xA"][q]),
-            "XB": lambda: (self.sum_at("XJ", q), self.maps["xB"][q]),
-            "XC": lambda: (self.sum_at("XK", q), self.maps["xC"][q]),
-            "ZA": lambda: (self.sum_at("ZI", q), self.maps["zA"][q]),
-            "ZB": lambda: (self.sum_at("ZJ", q), self.maps["zB"][q]),
-            "ZC": lambda: (self.sum_at("ZK", q), self.maps["zC"][q]),
-            "A": lambda: (self.sum_at("I", q), self.aug["A"].comp(q)),
-            "B": lambda: (self.sum_at("J", q), self.aug["B"].comp(q)),
-            "C": lambda: (self.sum_at("K", q), self.aug["C"].comp(q)),
-        }
-        return table[node_kind]()
-
     _LADDER_NODES = {
         "es1": ("WA", "HA", "WB"), "es2": ("WB", "HB", "WC"), "es3": ("WC", "HC", "WA+"),
         "es4": ("XA", "ZA", "WB"), "es5": ("XB", "ZB", "WC"), "es6": ("XC", "ZC", "WA+"),
@@ -552,9 +530,17 @@ class InjectiveTriple:
     }
 
     def _node(self, kind, q):
+        """Comparison map at one node of the sequences: a family W, B, H, X or
+        Z of A, B or C, or the complex itself; a trailing + means degree q+1."""
         if kind.endswith("+"):
             kind, q = kind[:-1], q + 1
-        return self._vertical(kind, q)
+        col = COLUMNS[kind[-1]][0]
+        if len(kind) == 1:
+            return self.sum_at(col, q), self.aug[kind].comp(q)
+        if kind in ("WA", "WB", "WC", "BA", "BC"):      # bare chosen injectives
+            key = (kind[0], col, q)
+            return self.one[key], self.fam_emb[key]
+        return self.sum_at(kind[0] + col, q), self.maps[kind[0].lower() + kind[1]][q]
 
     def _verify_ladders(self, labels):
         ctx, inv = self.ctx, self.inv
@@ -598,15 +584,16 @@ class InjectiveTriple:
                         "tagged %s@%d differs from the computed cocycles" % (ztag, q))
 
 
-def compute_invariants(ses: SESOfComplexes) -> SESInvariants:
-    """All subquotient objects and the nineteen exact sequences, checked."""
-    return SESInvariants(ses)
+def compute_invariants(ses: SESOfComplexes, full=True) -> SESInvariants:
+    """The subquotient objects and exact sequences, each checked: of all three
+    complexes, or of A alone when full is False."""
+    return SESInvariants(ses, full)
 
 
-def build_injective_triple(inv: SESInvariants, full=True) -> InjectiveTriple:
+def build_injective_triple(inv: SESInvariants) -> InjectiveTriple:
     """One fully verified row of the linked resolutions; only its I column
-    when full is False."""
-    return InjectiveTriple(inv, full)
+    on invariants of A alone."""
+    return InjectiveTriple(inv)
 
 
 class AugmentedDouble:
@@ -673,7 +660,8 @@ def _resolve_rows(ses: SESOfComplexes, full, depth, next_ses):
     """Build rows on cokernels until the sequence vanishes; one double per
     resolved complex, A, B and C, or A alone when full is False.
 
-    Row p is build_injective_triple(..., full) of the p-th sequence.
+    Row p is build_injective_triple(compute_invariants(..., full)) of the
+    p-th sequence.
     next_ses(triple, coks) makes the next sequence from the row's cokernels
     {name: (complex, epis)}.  The row count is capped at four past the larger
     of depth and the context's resolution bound; a sequence still alive
@@ -689,7 +677,7 @@ def _resolve_rows(ses: SESOfComplexes, full, depth, next_ses):
         if len(triples) > hard_cap:
             raise TruncationInsufficient(
                 "Cartan-Eilenberg iteration still alive after %d rows" % len(triples))
-        triple = build_injective_triple(compute_invariants(cur), full)
+        triple = build_injective_triple(compute_invariants(cur, full))
         rows = {name: triple.cplx[COLUMNS[name][0]] for name in names}
         if prev is not None:
             for name in names:
@@ -751,7 +739,8 @@ def ce_resolution_of_complex(cplx: CochainComplex) -> AugmentedDouble:
     """Cartan-Eilenberg resolution of one complex X, one I column per row.
 
     It is the A double of build_ce_triple on X -> X -> 0 (identity, then
-    zero), built without that triple's J and K columns.  The I column needs
+    zero), built without that triple's J and K columns and from invariants
+    of A alone (compute_invariants(..., full=False)).  The I column needs
     only A-side data: its families are the chosen injectives of W^q(A) and
     B^q(A), subobjects of A's cohomology and coboundaries, and of W^q(B),
     which es1 identifies with H^q(A)/W^q(A); its checks are the ladders of

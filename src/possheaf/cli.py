@@ -167,18 +167,26 @@ def cmd_ce(args, run):
     run.check("rows exact in every bidegree", ok_rows)
 
 
-def _pair_for(args, inst, default_poset):
-    f = None
-    if getattr(args, "map", None):
-        f = _get(inst.maps, args.map, "map")
-        return FunctorPair(f, f.source, inst.field)
-    return FunctorPair(None, default_poset, inst.field)
+def _map_from(args, inst, poset, what):
+    """The map of --map, once `what`, which lives on poset, is on its source."""
+    f = _get(inst.maps, args.map, "map")
+    if f.source is not poset:
+        raise InstanceError("%s is not on the source poset of map %r" % (what, args.map))
+    return f
+
+
+def _pair_for(args, inst, F):
+    """The functor pair of --map, or of the identity, for the sheaf F of --sheaf."""
+    if args.map is None:
+        return FunctorPair(None, F.poset, inst.field)
+    f = _map_from(args, inst, F.poset, "sheaf %r" % args.sheaf)
+    return FunctorPair(f, f.source, inst.field)
 
 
 def cmd_gss(args, run):
     inst = _load(args)
     F = _get(inst.sheaves, args.sheaf, "sheaf")
-    pair = _pair_for(args, inst, F.poset)
+    pair = _pair_for(args, inst, F)
     data = grothendieck_ss(pair, F)
     run.table("E2 page (p, q, dim)", data.ss.page_table(2))
     run.table("E_inf page (p, q, dim)", data.ss.page_table(data.ss.r_inf))
@@ -200,7 +208,7 @@ def cmd_gss(args, run):
 def cmd_leray(args, run):
     inst = _load(args)
     F = _get(inst.sheaves, args.sheaf, "sheaf")
-    f = _get(inst.maps, args.map, "map")
+    f = _map_from(args, inst, F.poset, "sheaf %r" % args.sheaf)
     data, ident, comparisons = leray_ss(f, F, field=inst.field)
     run.table("E2 page (p, q, dim)", data.ss.page_table(2))
     run.table("total cohomology", [(n, data.ss.total_h_dim(n))
@@ -219,7 +227,7 @@ def _sequence_for(args, inst):
     if kind != "sheaves":
         raise InstanceError("sequence %r is not a sequence of sheaves" % args.sequence)
     iota, pi = data
-    f = _get(inst.maps, args.map, "map")
+    f = _map_from(args, inst, iota.source.poset, "sequence %r" % args.sequence)
     return FunctorPair(f, f.source, inst.field), iota, pi
 
 
@@ -259,9 +267,7 @@ def cmd_selftest(args, run):
     for k in range(args.count):
         cfg = GenConfig("%d-%d" % (args.seed, k), max_elements=5, max_stalk_dim=2)
         try:
-            ses = gen_ses_complexes(cfg)
-            compute_invariants(ses)
-            ce = build_ce_triple(ses)
+            ce = build_ce_triple(gen_ses_complexes(cfg))
             ok = all(verify_ce(ce.doubles[n]).ok for n in ("A", "B", "C"))
         except _CONSTRUCTION_FAILURES as exc:   # a failure here is an engine bug
             ok = False

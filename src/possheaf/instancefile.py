@@ -33,6 +33,51 @@ def _matrix_from_rows(field, rows, nrows, ncols, where):
     return Matrix.from_rows(field, data, ncols)
 
 
+# the JSON shape of each section's objects, as read by the parsers below: a
+# JSON type, (list, k) for an array of k, (dict, k) for an object of named k,
+# or {field: k} for an object whose fields, where present, have shape k.  A
+# reference to another object is its name, so a string.
+_SHAPES = {
+    "posets": {"elements": (list, str), "covers": (list, (list, str))},
+    "sheaves": {"poset": str, "stalks": dict, "restrictions": dict},
+    "morphisms": {"source": str, "target": str, "components": dict},
+    "maps": {"source": str, "target": str},
+    "complexes": {"poset": str, "terms": (list, {"object": str, "differential": str})},
+    "sequences": {"kind": str, "A": str, "B": str, "C": str},
+}
+
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _expect(value, shape, path):
+    """Raise an InstanceError naming path unless value has the given shape."""
+    fields, items = {}, None
+    if isinstance(shape, dict):
+        kind, fields = dict, shape
+    elif type(shape) is tuple:
+        kind, items = shape
+    else:
+        kind = shape
+    if type(value) is not kind:
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise InstanceError("%s: expected %s, got %s" % (path, _JSON_NAMES[kind], got))
+    for field, inner in fields.items():
+        if field in value:
+            _expect(value[field], inner, "%s.%s" % (path, field))
+    if items is not None:
+        for key, item in (value.items() if kind is dict else enumerate(value)):
+            _expect(item, items, ("%s.%s" if kind is dict else "%s[%d]") % (path, key))
+
+
+def _check_shape(doc):
+    """The document is an object, and each section present an object of named
+    objects of the section's shape."""
+    _expect(doc, dict, "document")
+    for section, shape in _SHAPES.items():
+        _expect(doc.get(section, {}), (dict, shape), section)
+
+
 class Instance:
     """All named objects of one instance file, fully validated."""
 
@@ -61,27 +106,28 @@ class Instance:
 
     @classmethod
     def from_dict(cls, doc, field=None):
+        _check_shape(doc)
         name = doc.get("field", "q")
         try:
             own = field_from_name(name)
         except ValueError as exc:
             raise InstanceError("field %r: %s" % (name, exc)) from exc
         inst = cls(field if field is not None else own)
-        for name, spec in (doc.get("posets") or {}).items():
+        for name, spec in doc.get("posets", {}).items():
             try:
                 inst.posets[name] = Poset(spec["elements"],
                                           [tuple(c) for c in spec.get("covers", [])])
             except (KeyError, ValueError, UnknownElement) as exc:
                 raise InstanceError("poset %r: %s" % (name, exc)) from exc
-        for name, spec in (doc.get("sheaves") or {}).items():
+        for name, spec in doc.get("sheaves", {}).items():
             inst.sheaves[name] = inst._parse_sheaf(name, spec)
-        for name, spec in (doc.get("morphisms") or {}).items():
+        for name, spec in doc.get("morphisms", {}).items():
             inst.morphisms[name] = inst._parse_morphism(name, spec)
-        for name, spec in (doc.get("maps") or {}).items():
+        for name, spec in doc.get("maps", {}).items():
             inst.maps[name] = inst._parse_map(name, spec)
-        for name, spec in (doc.get("complexes") or {}).items():
+        for name, spec in doc.get("complexes", {}).items():
             inst.complexes[name] = inst._parse_complex(name, spec)
-        for name, spec in (doc.get("sequences") or {}).items():
+        for name, spec in doc.get("sequences", {}).items():
             inst.sequences[name] = inst._parse_sequence(name, spec)
         return inst
 
@@ -182,6 +228,8 @@ class Instance:
     def _parse_sequence(self, name, spec):
         where = "sequence %r" % name
         kind = spec.get("kind", "sheaves")
+        morphism = str if kind == "sheaves" else (dict, str)   # or one per degree
+        _expect(spec, {"iota": morphism, "pi": morphism}, "sequences.%s" % name)
         if kind == "sheaves":
             for ref in (spec.get("iota"), spec.get("pi")):
                 if ref not in self.morphisms:
@@ -206,10 +254,14 @@ class Instance:
 
             def chain_map(tag, src, tgt):
                 comps = {}
-                for qs, ref in (spec.get(tag) or {}).items():
+                for qs, ref in spec.get(tag, {}).items():
                     if ref not in self.morphisms:
                         raise InstanceError("%s: unknown morphism %r" % (where, ref))
-                    comps[int(qs)] = self.morphisms[ref]
+                    try:
+                        comps[int(qs)] = self.morphisms[ref]
+                    except ValueError:
+                        raise InstanceError("%s: %s: degree %r is not an integer"
+                                            % (where, tag, qs)) from None
                 try:
                     return ChainMap(src, tgt, comps)
                 except (ValueError, IllFormedMorphism) as exc:

@@ -4,6 +4,7 @@ from engine_oracle import render
 from fixtures import fence_x4, triple_ses
 from possheaf.ceres import (
     ES_LABELS,
+    InternalCommutativityFailure,
     InternalExactnessFailure,
     build_ce_triple,
     build_injective_triple,
@@ -108,8 +109,10 @@ def test_triple_on_horseshoe_ses():
 
 def test_i_column_alone_is_the_full_triples_i_column():
     ctx = fence_ctx()
-    inv = compute_invariants(horseshoe_ses(ctx))
-    full, alone = build_injective_triple(inv), build_injective_triple(inv, full=False)
+    ses = horseshoe_ses(ctx)
+    inv = compute_invariants(ses)
+    full = build_injective_triple(inv)
+    alone = build_injective_triple(compute_invariants(ses, full=False))
     assert set(alone.cplx) == {"I"} and set(alone.aug) == {"A"}
     assert not hasattr(alone, "iota")
     for q in inv.degrees():
@@ -268,3 +271,58 @@ def test_single_complex_matches_the_full_triple(field, seeds):
             assert _double_text(double) == _double_text(oracle), (field, seed, name)
             assert verify_ce(double).ok, (field, seed, name)
             assert all(set(t.cplx) == {"I"} for _, t in double.tag_rows)   # no J, K built
+
+
+# -- invariants of A alone against the full pass ------------------------------
+
+def _obj_text(obj):
+    return obj.dims, sorted((ij, m.to_str_rows()) for ij, m in obj.rho.items())
+
+
+def _a_side_text(inv):
+    """A's objects and witnesses, h_iota, W(B) and A's five sequences, as text."""
+    out = []
+    A = inv.A
+    for q in inv.degrees():
+        for obj, mono in ((A.Z, A.z_mono), (A.B, A.b_in_z), (A.H, A.h_proj),
+                          (A.W, A.w_mono), (A.X, A.x_mono), (inv.B.W, inv.B.w_mono)):
+            out.append((q, _obj_text(obj[q]), _map_text(mono[q])))
+        out.append((q, _map_text(A.b_in_x[q]), _map_text(A.d_epi[q]),
+                    _map_text(inv.h_iota[q])))
+    for label in ("es1", "es4", "es7", "es10", "es13"):
+        for q, w in sorted(inv.seqs[label].items()):
+            out.append((label, q, _obj_text(w.L), _obj_text(w.M), _obj_text(w.R),
+                        _map_text(w.f), _map_text(w.g)))
+    return out
+
+
+@pytest.mark.parametrize("field", ["q", "fp:3", "fp:32003"])
+def test_invariants_of_a_alone_are_the_full_passs_a_side(field):
+    # W(A) is nonzero at seeds 2 and 7, B(A) at 0, 2 and 4; A is acyclic at 1 and 3
+    for seed in range(8):
+        def forged():
+            return gen_ses_complexes(GenConfig("a-alone-%d" % seed, max_elements=5,
+                                               max_stalk_dim=2, field=field_from_name(field)))
+        full, alone = compute_invariants(forged()), compute_invariants(forged(), full=False)
+        assert full.names == ("A", "B", "C") and alone.names == ("A",)
+        assert _a_side_text(alone) == _a_side_text(full), (field, seed)
+        others = [label for label in ES_LABELS
+                  if label not in ("es1", "es4", "es7", "es10", "es13")]
+        assert len(others) == 14
+        assert all(not alone.seqs[label] for label in others), (field, seed)
+        assert not alone.delta and not alone.C.W and not alone.B.X and not alone.B.Z
+        assert all(full.seqs[label] for label in ES_LABELS)
+
+
+@pytest.mark.parametrize("label", ["es4", "es7", "es13"])
+def test_a_row_of_a_alone_still_checks_a_s_ladders(label):
+    # doubling the left map of one of A's sequences breaks only that ladder's
+    # left square, which the I column must catch without J and K
+    ctx = fence_ctx()
+    inv = compute_invariants(horseshoe_ses(ctx), full=False)
+    bent = [w for w in inv.seqs[label].values() if not ctx.is_zero_map(w.f)]
+    assert bent
+    for w in bent:
+        w.f = ctx.add(w.f, w.f)
+    with pytest.raises(InternalCommutativityFailure, match="ladder %s@.*left square" % label):
+        build_injective_triple(inv)

@@ -1,4 +1,5 @@
-"""The CI workflow runs the Tier-1 command of ROADMAP.md, word for word, under a time limit."""
+"""The CI workflow runs the Tier-1 command of ROADMAP.md, word for word, under a time
+limit, on the oldest Python that pyproject.toml allows and on 3.11."""
 
 import os
 import re
@@ -23,9 +24,16 @@ def test_workflow_runs_the_tier1_command():
     assert set(triggers) == {"push", "pull_request"}
     steps = doc["jobs"]["tier1"]["steps"]
     setup = [s for s in steps if s.get("uses", "").startswith("actions/setup-python")]
-    assert setup and setup[0]["with"]["python-version"] == "3.11"
+    assert setup and setup[0]["with"]["python-version"] == "${{ matrix.python-version }}"
     runs = [s["run"] for s in steps if "run" in s]
     assert runs == ["pip install pytest hypothesis sympy pyyaml", command]
+
+
+def test_tier1_runs_the_oldest_allowed_python_and_3_11():
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        oldest = re.search(r'^requires-python = ">=([0-9.]+)"', fh.read(), re.M).group(1)
+    versions = _workflow()["jobs"]["tier1"]["strategy"]["matrix"]["python-version"]
+    assert versions == [oldest, "3.11"]
 
 
 def test_tier1_job_has_a_positive_time_limit():

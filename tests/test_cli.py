@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from possheaf.ceres import InternalCommutativityFailure, InternalExactnessFailure
 from possheaf.cli import main
@@ -324,6 +325,22 @@ def test_objects_on_the_wrong_poset_are_an_input_error(tmp_path, capsys, change,
     assert out.startswith("input error") and message in out
 
 
+@pytest.mark.parametrize("change,message", [
+    (_set(("sequences", "S", "iota"), {"x": "m0"}),
+     "sequence 'S': iota: degree 'x' is not an integer"),
+    (_set(("sequences", "S", "pi"), ["e0"]), "sequences.S.pi: expected an object, got an array"),
+])
+def test_bad_chain_map_of_a_sequence_is_an_input_error(tmp_path, capsys, change, message):
+    # the first ended in a ValueError, the second in an AttributeError
+    doc = _complex_sequence_doc()
+    change(doc)
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ce", str(path), "--sequence", "S"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("input error") and message in out
+
+
 _DEGREE = ("complexes", "A", "terms", 0, "degree")
 
 
@@ -475,3 +492,102 @@ def test_bad_generator_argument_is_a_usage_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def _pseudocircle_with_pt_objects(tmp_path):
+    """The pseudocircle with a map idpt: pt -> pt and a sheaf P on pt."""
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    doc["maps"]["idpt"] = {"source": "pt", "target": "pt", "values": {"pt": "pt"}}
+    doc["sheaves"]["P"] = {"poset": "pt", "stalks": {"pt": 1}}
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["leray", "--map", "idpt", "--sheaf", "k"], "sheaf 'k' is not on the source poset of map 'idpt'"),
+    (["gss", "--map", "idpt", "--sheaf", "k"], "sheaf 'k' is not on the source poset of map 'idpt'"),
+    (["delta", "--map", "idpt", "--sequence", "S"],
+     "sequence 'S' is not on the source poset of map 'idpt'"),
+    (["verify-main", "--map", "idpt", "--sequence", "S"],
+     "sequence 'S' is not on the source poset of map 'idpt'"),
+    (["verify-cz", "--map", "idpt", "--sequence", "S"],
+     "sequence 'S' is not on the source poset of map 'idpt'"),
+    (["leray", "--map", "collapse", "--sheaf", "P"],
+     "sheaf 'P' is not on the source poset of map 'collapse'"),
+    (["gss", "--map", "collapse", "--sheaf", "P"],
+     "sheaf 'P' is not on the source poset of map 'collapse'"),
+])
+def test_map_from_another_poset_is_an_input_error(tmp_path, capsys, argv, message):
+    # before, the idpt cases printed the circle's cohomology as a point's and
+    # passed, and the collapse cases ended in an IndexError
+    assert main(argv[:1] + [_pseudocircle_with_pt_objects(tmp_path)] + argv[1:]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("input error") and message in out
+
+
+@pytest.mark.parametrize("change,message", [
+    (None, "document: expected an object, got an array"),
+    (_set(("posets",), [1]), "posets: expected an object, got an array"),
+    (_set(("sheaves",), "x"), "sheaves: expected an object, got a string"),
+    (_set(("maps",), 0), "maps: expected an object, got a number"),   # it read as no maps
+    (_set(("sheaves", "k", "stalks"), [1]), "sheaves.k.stalks: expected an object, got an array"),
+    (_set(("sheaves", "k", "restrictions"), [1]),
+     "sheaves.k.restrictions: expected an object, got an array"),
+    (_set(("posets", "X", "elements"), 5), "posets.X.elements: expected an array, got a number"),
+    (_set(("posets", "X", "elements"), [["a"]]),
+     "posets.X.elements[0]: expected a string, got an array"),
+    (_set(("morphisms", "embed"), 3), "morphisms.embed: expected an object, got a number"),
+])
+@pytest.mark.parametrize("command", [["validate"], ["cohomology", "--sheaf", "k"]])
+def test_document_of_the_wrong_shape_is_an_input_error(tmp_path, capsys, change, message, command):
+    # each of these ended in an AttributeError or TypeError before
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    if change is None:
+        doc = []
+    else:
+        change(doc)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert main(command[:1] + [str(path)] + command[1:]) == 1
+    out = capsys.readouterr().out
+    assert message in out
+    if command[0] != "validate":
+        assert out.startswith("input error")
+
+
+def _value_paths(doc, path=()):
+    """The key path of every value inside doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
+
+
+_JUNK = st.sampled_from([None, True, 0, -1, 2, 1.5, "", "x", "1/0", [], [1], ["a"], [[1]], {},
+                         {"a": 1}])
+
+
+@pytest.fixture(scope="module")
+def mutation_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "m.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_mutated_document_never_ends_in_a_traceback(mutation_file, data):
+    # one value of the pseudocircle replaced by junk, or one key deleted
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JUNK)
+    mutation_file.write_text(json.dumps(doc))
+    assert main(["validate", str(mutation_file)]) in (0, 1)
