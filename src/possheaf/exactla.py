@@ -32,7 +32,19 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 
 class NoSolution(Exception):
-    """Raised by solve() when the right hand side is not in the image."""
+    """Raised by solve() when the right hand side is not in the image.
+
+    `column` is the first right-hand-side column with no preimage, when
+    one is named.
+    """
+
+    def __init__(self, message, column=None):
+        super().__init__(message)
+        self.column = column
+
+
+def _no_preimage(column):
+    return NoSolution("no preimage for column %d" % column, column)
 
 
 class ContainmentViolation(Exception):
@@ -251,15 +263,30 @@ class Matrix:
                       [_reduced({j: c * x for j, x in r.items()}, p) for r in self._nz])
 
     def __mul__(self, other):
-        """Matrix product self @ other (composition: self after other)."""
+        """Matrix product self @ other (composition: self after other).
+
+        A row of self that is e_k (one entry, a one, at column k) gives
+        other's row k itself, shared as rows are never changed, and an
+        empty row gives an empty row: both with no arithmetic.  So a
+        structural 0/1 factor, such as a direct sum's injection or
+        projection, only selects and places rows.
+        """
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul: %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        p = self.field.p
+        p, one = self.field.p, self.field.one()
         bnz = other._nz
         out = []
         for arow in self._nz:
+            if len(arow) < 2:
+                if not arow:
+                    out.append(arow)
+                    continue
+                [(k, a)] = arow.items()
+                if a == one:
+                    out.append(bnz[k])
+                    continue
             acc = {}
             for k, a in arow.items():
                 for j, b in bnz[k].items():
@@ -342,11 +369,22 @@ def vstack(mats) -> Matrix:
 def place_blocks(field, rows: int, cols: int, blocks) -> Matrix:
     """The rows x cols matrix that is zero outside the given blocks.
 
-    Each block is (row offset, column offset, Matrix) and is copied in at
-    that offset; blocks must not overlap.
+    Each block is (row offset, column offset, B) and is copied in at that
+    offset; blocks must not overlap.  B is a Matrix, or an int n for the
+    n x n identity, whose ones are written in directly, so no identity
+    matrix is built.  A block that does not fit in rows x cols is a
+    ValueError.
     """
     out = [{} for _ in range(rows)]
+    one = field.one()
     for r0, c0, m in blocks:
+        h, w = (m, m) if type(m) is int else (m.rows, m.cols)
+        if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
+            raise ValueError("a %dx%d block at (%d, %d) does not fit in %dx%d" % (h, w, r0, c0, rows, cols))
+        if type(m) is int:
+            for i in range(m):
+                out[r0 + i][c0 + i] = one
+            continue
         for i, r in enumerate(m._nz, r0):
             row = out[i]
             for j, x in r.items():
@@ -441,6 +479,19 @@ def rank(m: Matrix) -> int:
     return m._rank
 
 
+def _first_unequal_column(a: Matrix, b: Matrix) -> int:
+    """The first column in which the equal-shaped a and b differ (they do)."""
+    return min(j for arow, brow in zip(a._nz, b._nz)
+               for j in arow.keys() | brow.keys() if arow.get(j) != brow.get(j))
+
+
+def _identity_rows(m: Matrix):
+    """For each column c of m, a row of m equal to e_c; None if some c has none."""
+    one = m.field.one()
+    at = {c: i for i, r in enumerate(m._nz) if len(r) == 1 for c, x in r.items() if x == one}
+    return [at[c] for c in range(m.cols)] if len(at) == m.cols else None
+
+
 def solve(m: Matrix, rhs: Matrix) -> Matrix:
     """Solve m @ x = rhs columnwise, zeroing the non-pivot coordinates.
 
@@ -449,9 +500,23 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix:
     column is solvable exactly when its entries vanish in the rows with no
     pivot, and then its solution is read off the pivot rows.  It is the
     only one supported on the (independent) pivot columns.
+
+    When each column c of m has a row equal to e_c, as a canonical basis
+    or a transposed cokernel projection has, no elimination is needed:
+    m has full column rank, so the only candidate is x with row c equal
+    to rhs's row at that place, and one product checks it.  A column
+    where m*x and rhs differ is one with no preimage, and the first such
+    column is the one the elimination would name.
     """
     if m.rows != rhs.rows:
         raise ValueError("solve shape mismatch")
+    at = _identity_rows(m)
+    if at is not None:
+        x = rhs.rows_slice(at)
+        back = m * x
+        if back != rhs:
+            raise _no_preimage(_first_unequal_column(back, rhs))
+        return x
     field, n = m.field, m.cols
     a = hstack([m, rhs])._nz
     pivots = _eliminate(field, a, n)
@@ -459,7 +524,7 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix:
     # rows without a pivot are zero in m's columns
     bad = [min(a[i]) for i in range(nr, m.rows) if a[i]]
     if bad:
-        raise NoSolution("no preimage for column %d" % (min(bad) - n))
+        raise _no_preimage(min(bad) - n)
     xdata = [{} for _ in range(n)]
     for i, pc in enumerate(pivots):
         xdata[pc] = {j - n: x for j, x in a[i].items() if j >= n}
@@ -520,9 +585,7 @@ class Subspace:
         if back != vecs:
             if self.dim == 0:
                 raise NoSolution("nonzero vector in zero subspace")
-            bad = min(j for brow, vrow in zip(back._nz, vecs._nz)
-                      for j in brow.keys() | vrow.keys() if brow.get(j) != vrow.get(j))
-            raise NoSolution("no preimage for column %d" % bad)
+            raise _no_preimage(_first_unequal_column(back, vecs))
         return coords
 
     def contains_matrix(self, vecs: Matrix) -> bool:
@@ -538,29 +601,28 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.from_columns(hstack([self.basis, other.basis]))
 
-    def complement(self) -> "Subspace":
-        """Complementary subspace spanned by non-pivot standard vectors."""
-        pset = set(self.pivots)
-        nonpiv = [i for i in range(self.ambient_dim) if i not in pset]
-        # standard vectors in increasing order are already column-reduced
-        basis = Matrix.identity(self.field, self.ambient_dim).cols_slice(nonpiv)
-        return Subspace(self.field, self.ambient_dim, basis, nonpiv)
-
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the kernel of m."""
-    field = m.field
-    red, pivots = rref(m)
-    pset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pset]
-    # one vector per free column j: e_j minus the pivot rows' entries in column j
+    """Canonical basis of the kernel of m, from one elimination.
+
+    m is reduced with its columns read in reverse.  The kernel vector of
+    each free column f is then e_f minus the pivot rows' entries in
+    column f, and those lie only at pivot columns after f in the original
+    order.  So each vector's first nonzero is a one at its own free
+    column, where every other vector is zero: the vectors, in the order
+    of their free columns, already are the canonical (column-reduced)
+    basis, with the free columns as its pivots.
+    """
+    field, n, p = m.field, m.cols, m.field.p
+    red, pivots = rref(Matrix(field, m.rows, n, [{n - 1 - j: x for j, x in r.items()} for r in m._nz]))
+    pset = {n - 1 - pc for pc in pivots}
+    free = [j for j in range(n) if j not in pset]
+    col_of = {j: a for a, j in enumerate(free)}
     one = field.one()
-    vecs = {j: {j: one} for j in free}
-    for pc, row in zip(pivots, (-red)._nz):
-        for j, x in row.items():
-            if j != pc:
-                vecs[j][pc] = x
-    return Subspace.from_columns(Matrix(field, len(free), m.cols, list(vecs.values())).transpose())
+    basis = [{col_of[j]: one} if j in col_of else None for j in range(n)]
+    for pc, row in zip(pivots, red._nz):
+        basis[n - 1 - pc] = {col_of[n - 1 - c]: -x % p if p else -x for c, x in row.items() if c != pc}
+    return Subspace(field, n, Matrix(field, n, len(free), basis), free)
 
 
 def image_basis(m: Matrix) -> Subspace:

@@ -22,7 +22,6 @@ from .exactla import (
     Subspace,
     block_diag,
     cokernel_basis,
-    hstack,
     image_basis,
     kernel_basis,
     kron,
@@ -46,27 +45,25 @@ class NotCoinduced(Exception):
     pass
 
 
-def _complement_of_image(m: Matrix, flip: bool) -> Matrix:
-    """Basis of a complement of im(m), chosen by the pivot rule.
-
-    With flip=True the rule runs on reversed coordinates, giving a second
-    deterministic (and generally different) choice.
-    """
-    n = m.rows
-    if not flip:
-        return image_basis(m).complement().basis
-    rev = Matrix.identity(m.field, n).cols_slice(list(range(n - 1, -1, -1)))
-    comp = image_basis(rev * m).complement().basis
-    return rev * comp
-
-
 def _extend_matrix(m: Matrix, f: Matrix, flip: bool) -> Matrix:
-    """g with g*m = f and g = 0 on the chosen complement of im(m)."""
-    comp = _complement_of_image(m, flip)
-    frame = hstack([m, comp])
-    zero = Matrix.zeros(f.field, f.rows, comp.cols)
-    target = hstack([f, zero])
-    return solve(frame.transpose(), target.transpose()).transpose()
+    """g with g*m = f, for m a mono, and g = 0 on a complement of im(m).
+
+    The complement is spanned by the standard vectors off the pivots P of
+    im(m)'s canonical basis.  That basis is the identity on P, so m is it
+    times C, m's rows at P, which is invertible as m is a mono.  So g is
+    f*C^-1 on the columns P and zero elsewhere, from one solve of C's size.
+    With flip=True the pivot rule runs on reversed coordinates, a second
+    deterministic (and generally different) choice: g is the extension of
+    m with its rows reversed, with its own columns reversed back.
+    """
+    if flip:
+        rev = range(m.rows - 1, -1, -1)
+        return _extend_matrix(m.rows_slice(rev), f, False).cols_slice(rev)
+    piv = image_basis(m).pivots
+    # g^T's rows at P, then one zero row that every other row of g^T shares
+    gt = vstack([solve(m.rows_slice(piv).transpose(), f.transpose()), Matrix.zeros(f.field, 1, f.rows)])
+    at = {pc: a for a, pc in enumerate(piv)}
+    return gt.rows_slice([at.get(i, len(piv)) for i in range(m.rows)]).transpose()
 
 
 class VectorContext:
@@ -147,7 +144,11 @@ class VectorContext:
         return solve(m, f)
 
     def descend_along_epi(self, e, f):
-        g = solve(e.transpose(), f.transpose()).transpose()
+        try:
+            g = solve(e.transpose(), f.transpose()).transpose()
+        except NoSolution as exc:
+            raise NoSolution("map does not descend along the epimorphism: "
+                             "no preimage for row %d of the map" % exc.column, exc.column) from None
         if not (g * e == f):
             raise NoSolution("map does not descend along the epimorphism")
         return g
@@ -166,8 +167,7 @@ class VectorContext:
         Each block (row offset, column offset, Z) is the identity of Z, with
         its corner at those offsets.
         """
-        field = self.field
-        return place_blocks(field, Y, X, [(r, c, Matrix.identity(field, Z)) for r, c, Z in blocks])
+        return place_blocks(self.field, Y, X, blocks)
 
     def direct_sum(self, Xs):
         total = sum(Xs)
@@ -267,7 +267,15 @@ class Sheaf:
 
 
 class InjectiveSheaf(Sheaf):
-    """Realized formal sum of coinduced summands [x]_V."""
+    """Realized formal sum of coinduced summands [x]_V.
+
+    `present[y]` lists the summands whose peak lies above y, in order, and
+    `slot[y][s]` is where summand s begins in the stalk at y.  Every
+    restriction is known by construction, so none is composed along
+    paths: the composite y -> x (y <= x) keeps the summands present at x,
+    each an identity block from its slot at y to its slot at x, and drops
+    the others.  It is path-independent by construction.
+    """
 
     def __init__(self, poset: Poset, field, summands):
         self.summands = [(poset_idx, mult) for (poset_idx, mult) in summands]
@@ -285,17 +293,16 @@ class InjectiveSheaf(Sheaf):
             for j in present[y]:
                 slot[y][j] = off
                 off += self.summands[j][1]
-        eye = {v: Matrix.identity(field, v) for _, v in self.summands}
-        rho = {}
-        for (i, j) in poset.covers:
-            rho[(i, j)] = place_blocks(field, dims[j], dims[i],
-                                       [(slot[j][s], slot[i][s], eye[self.summands[s][1]])
-                                        for s in present[j]])
         self.present = present
         self.slot = slot
         self.mult_total = sum(v for (_, v) in self.summands)
-        super().__init__(poset, field, dims, rho, validate=False)
-        self._build_full()
+        full = {y: {x: place_blocks(field, dims[x], dims[y],
+                                    [(slot[x][s], slot[y][s], self.summands[s][1]) for s in present[x]])
+                    for x in poset.up[y]}
+                for y in range(n)}
+        super().__init__(poset, field, dims, {(i, j): full[i][j] for (i, j) in poset.covers},
+                         validate=False)
+        self._full = full
 
     def peak_rows(self, j):
         """Row indices (in total coordinates) of summand j at its peak point."""
@@ -481,7 +488,12 @@ class SheafContext:
     def descend_along_epi(self, e, f):
         comps = []
         for i in range(len(self.poset)):
-            g = solve(e.comps[i].transpose(), f.comps[i].transpose()).transpose()
+            try:
+                g = solve(e.comps[i].transpose(), f.comps[i].transpose()).transpose()
+            except NoSolution as exc:
+                raise NoSolution("map does not descend along the epimorphism at %s: "
+                                 "no preimage for row %d of the map"
+                                 % (self.poset.elements[i], exc.column), exc.column) from None
             if not (g * e.comps[i] == f.comps[i]):
                 raise NoSolution("map does not descend along the epimorphism at %s"
                                  % self.poset.elements[i])
@@ -518,9 +530,8 @@ class SheafContext:
         Each block (row offsets, column offsets, Z) is the identity of Z, at
         each stalk i with its corner at the i-th offsets.
         """
-        field = self.field
-        comps = [place_blocks(field, Y.dims[i], X.dims[i],
-                              [(r[i], c[i], Matrix.identity(field, Z.dims[i])) for r, c, Z in blocks])
+        comps = [place_blocks(self.field, Y.dims[i], X.dims[i],
+                              [(r[i], c[i], Z.dims[i]) for r, c, Z in blocks])
                  for i in range(len(self.poset))]
         return SheafMorphism(X, Y, comps, validate=False)
 

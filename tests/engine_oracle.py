@@ -5,13 +5,14 @@ computes or assumes on its way to a command's output: the derived functors
 of the composite from a fresh resolution, the long exact cohomology
 sequence, the exactness of a couple, page stabilization, the couple
 morphism induced by entrywise maps, the intersection of subspaces, the
-structured section basis of a coinduced sheaf and the cohomology of a sheaf
-on an open from its own restricted resolution.  The command line reaches
+pivot-rule complement of a subspace and the extension of a map along a mono
+that vanishes on it, the structured section basis of a coinduced sheaf and
+the cohomology of a sheaf on an open from its own restricted resolution.  The command line reaches
 none of them, so they live with the tests.
 """
 
 from possheaf import homalg
-from possheaf.exactla import Matrix, Subspace, hstack, kernel_basis, rank
+from possheaf.exactla import Matrix, Subspace, hstack, image_basis, kernel_basis, rank, solve
 from possheaf.gross import FunctorPair, _gamma_base, _linked_resolutions
 from possheaf.homalg import ChainMap, CheckReport, SESOfComplexes
 from possheaf.poset import Poset
@@ -35,6 +36,39 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
     ker = kernel_basis(hstack([s.basis, -t.basis]))
     u = ker.basis.rows_slice(range(s.dim))
     return Subspace.from_columns(s.basis * u)
+
+
+def complement(s: Subspace) -> Subspace:
+    """Complementary subspace spanned by the standard vectors off s's pivots."""
+    pset = set(s.pivots)
+    nonpiv = [i for i in range(s.ambient_dim) if i not in pset]
+    # standard vectors in increasing order are already column-reduced
+    basis = Matrix.identity(s.field, s.ambient_dim).cols_slice(nonpiv)
+    return Subspace(s.field, s.ambient_dim, basis, nonpiv)
+
+
+def complement_of_image(m: Matrix, flip: bool) -> Matrix:
+    """Basis of a complement of im(m), chosen by the pivot rule.
+
+    With flip=True the rule runs on reversed coordinates, giving a second
+    deterministic (and generally different) choice.
+    """
+    n = m.rows
+    if not flip:
+        return complement(image_basis(m)).basis
+    rev = Matrix.identity(m.field, n).cols_slice(list(range(n - 1, -1, -1)))
+    comp = complement(image_basis(rev * m)).basis
+    return rev * comp
+
+
+def extend_matrix(m: Matrix, f: Matrix, flip: bool) -> Matrix:
+    """g with g*m = f and g = 0 on the chosen complement of im(m), m a mono:
+    one solve of the invertible frame [m | complement]."""
+    comp = complement_of_image(m, flip)
+    frame = hstack([m, comp])
+    zero = Matrix.zeros(f.field, f.rows, comp.cols)
+    target = hstack([f, zero])
+    return solve(frame.transpose(), target.transpose()).transpose()
 
 
 def render(report: CheckReport) -> str:

@@ -1,8 +1,13 @@
 """The CI workflow runs the Tier-1 command of ROADMAP.md, word for word, under a time
-limit, on the oldest Python that pyproject.toml allows and on 3.11."""
+limit, on the oldest Python that pyproject.toml allows and on 3.11.  A second job runs
+one short traced benchmark run per workload of BENCHMARK.json and fails unless the
+run's result line says it is correct."""
 
+import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +44,34 @@ def test_tier1_runs_the_oldest_allowed_python_and_3_11():
 def test_tier1_job_has_a_positive_time_limit():
     limit = _workflow()["jobs"]["tier1"].get("timeout-minutes")
     assert type(limit) is int and limit > 0
+
+
+def _benchmark_job():
+    return _workflow()["jobs"]["benchmark-correctness"]
+
+
+def test_benchmark_job_runs_each_workload_traced():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    job = _benchmark_job()
+    assert job["strategy"]["matrix"]["workload"] == workloads
+    limit = job.get("timeout-minutes")
+    assert type(limit) is int and limit > 0
+    runs = [s["run"] for s in job["steps"] if "run" in s]
+    assert runs[0] == ("python3 perfbench/run.py --workload ${{ matrix.workload }} "
+                       "--seconds 3 --trace 1 | tee run.log")
+    # a pipe fails the step only under pipefail, which `shell: bash` sets
+    assert all(s.get("shell") == "bash" for s in job["steps"] if "run" in s)
+
+
+@pytest.mark.parametrize("last,fails", [
+    ({"correct": True, "attempted": 4, "failed": 0}, False),
+    ({"correct": False, "attempted": 4, "failed": 1}, True),
+    ({"attempted": 0}, True),
+])
+def test_benchmark_job_fails_unless_the_result_is_correct(tmp_path, last, fails):
+    check = [s["run"] for s in _benchmark_job()["steps"] if "run" in s][1]
+    (tmp_path / "run.log").write_text("header {}\n" + json.dumps(last) + "\n")
+    done = subprocess.run(["bash", "-eo", "pipefail", "-c", check.replace("python3 ", '"%s" ' % sys.executable)],
+                          cwd=tmp_path)
+    assert (done.returncode != 0) == fails

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engine_oracle import intersect
+from engine_oracle import complement, intersect
 from possheaf.exactla import (
     QQ,
     ContainmentViolation,
@@ -91,7 +91,7 @@ def test_quotient_and_complement():
     assert reps == M([[0], [1]])
     assert proj * reps == Matrix.identity(QQ, 1)
     assert (proj * t.basis).is_zero()
-    comp = image_basis(M([[1], [1]])).complement()
+    comp = complement(image_basis(M([[1], [1]])))
     assert comp.basis == M([[0], [1]])
 
 

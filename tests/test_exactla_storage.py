@@ -11,6 +11,7 @@ often.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from possheaf.exactla import (
@@ -102,3 +103,23 @@ def test_every_result_keeps_the_storage_invariant(data):
                 assert (x == y) == (x.to_str_rows() == y.to_str_rows())
     assert out["a-a"].is_zero() and out["a+(-a)"].is_zero()
     assert out["a+b"] == out["b+a"] and out["transpose2"] == out["a"]
+
+
+@pytest.mark.parametrize("block", [
+    (0, 1, Matrix.identity(QQ, 2)),    # one column too far right
+    (1, 0, Matrix.identity(QQ, 2)),    # one row too far down
+    (0, 1, 2),                          # the same, as an identity given by its size
+    (1, 0, 2),
+    (-1, 0, 1),                         # above the first row
+    (0, 0, Matrix.zeros(QQ, 3, 0)),     # an empty block with too many rows
+])
+def test_place_blocks_rejects_a_block_that_does_not_fit(block):
+    with pytest.raises(ValueError, match="does not fit in 2x2"):
+        place_blocks(QQ, 2, 2, [block])
+
+
+def test_place_blocks_takes_blocks_that_fit_up_to_the_edge():
+    m = place_blocks(QQ, 2, 3, [(0, 1, Matrix.identity(QQ, 2)), (2, 3, 0), (0, 0, Matrix.zeros(QQ, 2, 1))])
+    check_stored(m)
+    assert m.to_str_rows() == [["0", "1", "0"], ["0", "0", "1"]]
+    assert m == place_blocks(QQ, 2, 3, [(0, 1, 2)])

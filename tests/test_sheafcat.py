@@ -1,11 +1,12 @@
 import os
+import re
 
 import pytest
 
 from engine_oracle import NotOpen, gamma_struct_basis, restrict_to_open, restricted_cohomology_dims
 from fixtures import fence_x4, identity_map, product, product_projection, to_point
 from oracle import order_complex_cohomology_dims
-from possheaf.exactla import QQ, Matrix, PrimeField, rank
+from possheaf.exactla import QQ, Matrix, NoSolution, PrimeField, rank
 from possheaf.forge import GenConfig, gen_poset, gen_ses_sheaves, gen_sheaf
 from possheaf.homalg import injective_resolution
 from possheaf.instancefile import Instance
@@ -136,6 +137,32 @@ def test_extend_requires_mono_and_coinduced():
         ctx.extend_along_mono(ctx.zero_map(k, k), ctx.compose(m, ctx.identity(k)))
     with pytest.raises(NotCoinduced):
         ctx.extend_along_mono(ctx.identity(k), ctx.identity(k))
+
+
+def test_descend_along_epi_names_the_stalk_and_the_row():
+    ctx = ctx_x4()
+    k = ctx.constant_sheaf()
+    I, m = ctx.injective_embed(k)
+    Q, e = ctx.cokernel(m)
+    assert ctx.map_eq(ctx.descend_along_epi(e, e), ctx.identity(Q))
+    # the identity of I does not kill im(m); its first row off the row space of e_0
+    # is the first row where m_0 is nonzero
+    row = next(j for j in range(I.dims[0]) if not m.comps[0].rows_slice([j]).is_zero())
+    want = "map does not descend along the epimorphism at %s: no preimage for row %d of the map" % (
+        X4.elements[0], row)
+    with pytest.raises(NoSolution, match="^%s$" % re.escape(want)) as exc:
+        ctx.descend_along_epi(e, ctx.identity(I))
+    assert exc.value.column == row
+
+
+def test_vector_descend_along_epi_names_the_row():
+    vctx = VectorContext(QQ)
+    e = Matrix.from_int_rows(QQ, [[1, 0]])
+    assert vctx.descend_along_epi(e, Matrix.from_int_rows(QQ, [[2, 0], [3, 0]])) == \
+        Matrix.from_int_rows(QQ, [[2], [3]])
+    with pytest.raises(NoSolution, match="^map does not descend along the epimorphism: "
+                                         "no preimage for row 1 of the map$"):
+        vctx.descend_along_epi(e, Matrix.from_int_rows(QQ, [[2, 0], [0, 1]]))
 
 
 def test_resolution_of_constant_on_fence_matches_circle():
