@@ -76,6 +76,9 @@ class RationalField:
     name = "q"
     p = 0    # characteristic: the kernels reduce mod p only when p
 
+    def __init__(self):
+        self._empties = {}   # (rows, cols) -> the shared empty Matrix; see _empty
+
     def zero(self):
         return 0
 
@@ -117,6 +120,7 @@ class PrimeField:
             raise ValueError("modulus must be a prime < 2**31, got %r" % p)
         self.p = p
         self.name = "fp:%d" % p
+        self._empties = {}
 
     def zero(self):
         return 0
@@ -173,6 +177,11 @@ class Matrix:
     nonzero entries, with every column below `cols`.  Rows are never
     changed once a matrix holds them, so matrices share them.  `data` is a
     dense copy for observers outside the engine.
+
+    A matrix with no rows or no columns holds no entry, so the operations
+    here hand out one shared empty matrix per field and shape (`_empty`)
+    instead of building one.  That is safe only because no code changes a
+    row, or the row list, that a matrix holds.
     """
 
     __slots__ = ("field", "rows", "cols", "_nz", "_rank")
@@ -206,11 +215,17 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int):
+        """The n x n identity; for n = 0 the shared empty matrix."""
+        if not n:
+            return _empty(field, 0, 0)
         one = field.one()
         return cls(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
+        """The rows x cols zero matrix; the shared one when rows or cols is 0."""
+        if not (rows and cols):
+            return _empty(field, rows, cols)
         return cls(field, rows, cols, [{} for _ in range(rows)])
 
     @property
@@ -240,8 +255,11 @@ class Matrix:
         return self.scale(self.field.from_int(-1))
 
     def __add__(self, other):
+        """The sum; an empty self is the sum itself."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add: %dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
+        if not (self.rows and self.cols):
+            return self
         p = self.field.p
         out = []
         for r1, r2 in zip(self._nz, other._nz):
@@ -258,6 +276,9 @@ class Matrix:
         return self + (-other)
 
     def scale(self, c):
+        """c times self; an empty self is its own multiple."""
+        if not (self.rows and self.cols):
+            return self
         p = self.field.p
         return Matrix(self.field, self.rows, self.cols,
                       [_reduced({j: c * x for j, x in r.items()}, p) for r in self._nz])
@@ -269,12 +290,15 @@ class Matrix:
         other's row k itself, shared as rows are never changed, and an
         empty row gives an empty row: both with no arithmetic.  So a
         structural 0/1 factor, such as a direct sum's injection or
-        projection, only selects and places rows.
+        projection, only selects and places rows.  A product with no rows
+        or no columns is the shared empty matrix of its shape.
         """
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul: %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
+        if not (self.rows and other.cols):
+            return _empty(self.field, self.rows, other.cols)
         p, one = self.field.p, self.field.one()
         bnz = other._nz
         out = []
@@ -298,6 +322,9 @@ class Matrix:
         return Matrix(self.field, self.rows, other.cols, out)
 
     def transpose(self):
+        """The transpose; an empty one is the shared one."""
+        if not (self.rows and self.cols):
+            return _empty(self.field, self.cols, self.rows)
         out = [{} for _ in range(self.cols)]
         for i, r in enumerate(self._nz):
             for j, x in r.items():
@@ -305,12 +332,18 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows, out)
 
     def cols_slice(self, idx) -> "Matrix":
+        """The columns at idx, in that order; an empty result is the shared one."""
         idx = list(idx)
+        if not (self.rows and idx):
+            return _empty(self.field, self.rows, len(idx))
         return Matrix(self.field, self.rows, len(idx),
                       [{c: r[j] for c, j in enumerate(idx) if j in r} for r in self._nz])
 
     def rows_slice(self, idx) -> "Matrix":
+        """The rows at idx, in that order; an empty result is the shared one."""
         rows = [self._nz[i] for i in idx]
+        if not (rows and self.cols):
+            return _empty(self.field, len(rows), self.cols)
         return Matrix(self.field, len(rows), self.cols, rows)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
@@ -337,6 +370,17 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%dx%d %s)" % (self.rows, self.cols, self.to_str_rows())
+
+
+def _empty(field, rows: int, cols: int) -> Matrix:
+    """The one rows x cols matrix over field with no entries, rows or cols 0.
+
+    It is kept on the field object, so a lookup hashes only the shape.
+    """
+    m = field._empties.get((rows, cols))
+    if m is None:
+        m = field._empties[rows, cols] = Matrix(field, rows, cols, [{}] * rows)
+    return m
 
 
 def hstack(mats) -> Matrix:
@@ -373,14 +417,18 @@ def place_blocks(field, rows: int, cols: int, blocks) -> Matrix:
     offset; blocks must not overlap.  B is a Matrix, or an int n for the
     n x n identity, whose ones are written in directly, so no identity
     matrix is built.  A block that does not fit in rows x cols is a
-    ValueError.
+    ValueError.  With no rows or no columns, a block that fits holds no
+    entry, so the result is the shared empty matrix.
     """
-    out = [{} for _ in range(rows)]
+    empty = not (rows and cols)
+    out = None if empty else [{} for _ in range(rows)]
     one = field.one()
     for r0, c0, m in blocks:
         h, w = (m, m) if type(m) is int else (m.rows, m.cols)
         if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
             raise ValueError("a %dx%d block at (%d, %d) does not fit in %dx%d" % (h, w, r0, c0, rows, cols))
+        if empty:
+            continue
         if type(m) is int:
             for i in range(m):
                 out[r0 + i][c0 + i] = one
@@ -389,7 +437,7 @@ def place_blocks(field, rows: int, cols: int, blocks) -> Matrix:
             row = out[i]
             for j, x in r.items():
                 row[c0 + j] = x
-    return Matrix(field, rows, cols, out)
+    return _empty(field, rows, cols) if empty else Matrix(field, rows, cols, out)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -465,12 +513,34 @@ def _eliminate(field, a, limit):
 def rref(m: Matrix):
     """Reduced row echelon form.
 
-    Returns (reduced, pivots).  The reduced form is canonical: row-equivalent
-    matrices produce identical output.
+    Returns (reduced, pivots), pivots a list of the caller's own.  The
+    reduced form is canonical: row-equivalent matrices produce identical
+    output.  Two kinds of operand state it already, with no elimination:
+    - a matrix with no rows or no columns is its own reduced form, and has
+      no pivots;
+    - when every row holds at most one nonzero, in distinct columns, the
+      pivots are those columns in increasing order, and the reduced form is
+      e_c for each pivot c, in that order, then the empty rows.  That is
+      what the elimination reaches: each pivot row is scaled to e_c, and no
+      other row has an entry to clear in its column.
     """
+    field = m.field
+    if not (m.rows and m.cols):
+        return _empty(field, m.rows, m.cols), []
+    pivots = []
+    for r in m._nz:
+        if len(r) > 1:
+            break
+        pivots.extend(r)
+    else:
+        if len(set(pivots)) == len(pivots):
+            pivots.sort()
+            one = field.one()
+            red = [{c: one} for c in pivots] + [{}] * (m.rows - len(pivots))
+            return Matrix(field, m.rows, m.cols, red), pivots
     a = [dict(r) for r in m._nz]
-    pivots = _eliminate(m.field, a, m.cols)
-    return Matrix(m.field, m.rows, m.cols, a), pivots
+    pivots = _eliminate(field, a, m.cols)
+    return Matrix(field, m.rows, m.cols, a), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -506,10 +576,13 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix:
     m has full column rank, so the only candidate is x with row c equal
     to rhs's row at that place, and one product checks it.  A column
     where m*x and rhs differ is one with no preimage, and the first such
-    column is the one the elimination would name.
+    column is the one the elimination would name.  An rhs with no columns
+    has nothing to solve: x is the shared empty m.cols x 0 matrix.
     """
     if m.rows != rhs.rows:
         raise ValueError("solve shape mismatch")
+    if not rhs.cols:
+        return _empty(m.field, m.cols, 0)
     at = _identity_rows(m)
     if at is not None:
         x = rhs.rows_slice(at)
@@ -548,6 +621,10 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, cols: Matrix) -> "Subspace":
+        """The span of the columns of cols; of no columns, or in k^0, the
+        zero subspace, whose basis is the shared empty matrix."""
+        if not (cols.rows and cols.cols):
+            return cls(cols.field, cols.rows, _empty(cols.field, cols.rows, 0), [])
         red, pivots = rref(cols.transpose())
         basis = red.rows_slice(range(len(pivots))).transpose()
         return cls(cols.field, cols.rows, basis, pivots)

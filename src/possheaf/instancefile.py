@@ -174,6 +174,9 @@ class Instance:
         if src.poset is not tgt.poset:
             raise InstanceError("%s: source and target posets differ" % where)
         comps_spec = spec.get("components", {})
+        for e in comps_spec:
+            if e not in src.poset.index:
+                raise InstanceError("%s: component at unknown element %r" % (where, e))
         comps = []
         for i, e in enumerate(src.poset.elements):
             comps.append(_matrix_from_rows(self.field, comps_spec.get(e),

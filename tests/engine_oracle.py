@@ -5,14 +5,15 @@ computes or assumes on its way to a command's output: the derived functors
 of the composite from a fresh resolution, the long exact cohomology
 sequence, the exactness of a couple, page stabilization, the couple
 morphism induced by entrywise maps, the intersection of subspaces, the
-pivot-rule complement of a subspace and the extension of a map along a mono
-that vanishes on it, the structured section basis of a coinduced sheaf and
-the cohomology of a sheaf on an open from its own restricted resolution.  The command line reaches
+reduced echelon form reached by elimination, the pivot-rule complement of a
+subspace and the extension of a map along a mono that vanishes on it, the
+structured section basis of a coinduced sheaf and the cohomology of a sheaf
+on an open from its own restricted resolution.  The command line reaches
 none of them, so they live with the tests.
 """
 
 from possheaf import homalg
-from possheaf.exactla import Matrix, Subspace, hstack, image_basis, kernel_basis, rank, solve
+from possheaf.exactla import Matrix, Subspace, _eliminate, hstack, image_basis, kernel_basis, rank, solve
 from possheaf.gross import FunctorPair, _gamma_base, _linked_resolutions
 from possheaf.homalg import ChainMap, CheckReport, SESOfComplexes
 from possheaf.poset import Poset
@@ -36,6 +37,15 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
     ker = kernel_basis(hstack([s.basis, -t.basis]))
     u = ker.basis.rows_slice(range(s.dim))
     return Subspace.from_columns(s.basis * u)
+
+
+def rref(m: Matrix):
+    """(reduced, pivots) of m by elimination of a copy of every row, whatever
+    m's shape or rows: `exactla.rref` as it was before it read empty and
+    one-entry-row operands off."""
+    a = [dict(r) for r in m._nz]
+    pivots = _eliminate(m.field, a, m.cols)
+    return Matrix(m.field, m.rows, m.cols, a), pivots
 
 
 def complement(s: Subspace) -> Subspace:

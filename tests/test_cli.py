@@ -226,6 +226,34 @@ def test_restriction_not_a_list_of_lists_is_an_input_error(tmp_path, capsys, row
     assert "sheaf 'k' a<c: expected a 1x1 matrix" in out
 
 
+def _add_component(doc):
+    doc["morphisms"]["embed"]["components"]["zz"] = [["1"]]
+
+
+def _rename_component(doc):
+    comps = doc["morphisms"]["quot"]["components"]
+    comps["A"] = comps.pop("a")
+
+
+@pytest.mark.parametrize("change,message", [
+    (_add_component, "morphism 'embed': component at unknown element 'zz'"),
+    (_rename_component, "morphism 'quot': component at unknown element 'A'"),
+])
+def test_component_at_unknown_element_is_an_input_error(tmp_path, capsys, change, message):
+    # the first validated PASS, the second made quot zero at a and failed as
+    # "not a short exact sequence"
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    change(doc)
+    path = tmp_path / "components.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().out
+    assert main(["verify-main", str(path), "--map", "collapse", "--sequence", "S"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("input error") and message in out
+
+
 def _complex_sequence_doc():
     """A small complexes-kind sequence document: constant sheaf SES on a chain.
 
