@@ -6,14 +6,13 @@ of its nonzero entries, and no zero is ever stored, not even a sum that
 cancels.  So a product multiplies only pairs of nonzero entries, an
 elimination step updates a row only where the pivot row is nonzero, and no
 kernel tests an entry for zero twice.  Over the rationals the field hands
-out an integral value as a bare int and any other value as a `Fraction`
-(gmpy2's `mpq` when installed).  An int and a rational of equal value
-compare, hash and print alike, so the kernels mix them freely, and a
-product such as 1/2 * 2 may stay a `Fraction` of denominator 1.  A prime
-field's elements are bare ints in [0, p), and the kernels reduce them mod
-the field's p.  So most entries are plain ints; the one true division,
-in `RationalField.inv`, divides by a rational, never by an int, which
-would give a float.
+out an integral value as a bare int and any other value as a `Fraction`.
+An int and a rational of equal value compare, hash and print alike, so the
+kernels mix them freely, and a product such as 1/2 * 2 may stay a
+`Fraction` of denominator 1.  A prime field's elements are bare ints in
+[0, p), and the kernels reduce them mod the field's p.  So most entries are
+plain ints; the one true division, in `RationalField.inv`, divides by a
+rational, never by an int, which would give a float.
 No other module reads that storage or computes with field elements: they
 build matrices through the constructors, slices, block builders and
 operators here.
@@ -25,10 +24,9 @@ from __future__ import annotations
 
 import re
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _mpq
+# The rational type keeps this name because perfbench/run.py's header()
+# reports `exactla._mpq` as the rational backend of every benchmark run.
+from fractions import Fraction as _mpq
 
 
 class NoSolution(Exception):
@@ -71,7 +69,7 @@ def _integral(x):
 
 
 class RationalField:
-    """Arbitrary-precision rationals: ints when integral, else Fraction (gmpy2.mpq when installed)."""
+    """Arbitrary-precision rationals: ints when integral, else Fraction."""
 
     name = "q"
     p = 0    # characteristic: the kernels reduce mod p only when p
@@ -210,8 +208,6 @@ class Matrix:
                 raise ValueError("row %d has %d entries, not %d" % (i, len(r), ncols))
             nz.append({j: v for j, x in enumerate(r) if (v := conv(x))})
         return cls(field, len(rows), ncols, nz)
-
-    from_int_rows = from_rows
 
     @classmethod
     def identity(cls, field, n: int):
@@ -381,6 +377,11 @@ def _empty(field, rows: int, cols: int) -> Matrix:
     if m is None:
         m = field._empties[rows, cols] = Matrix(field, rows, cols, [{}] * rows)
     return m
+
+
+def _matrix(field, rows: int, cols: int, nz) -> Matrix:
+    """The matrix of the sparse rows nz; the shared empty one when rows or cols is 0."""
+    return Matrix(field, rows, cols, nz) if rows and cols else _empty(field, rows, cols)
 
 
 def hstack(mats) -> Matrix:
@@ -691,7 +692,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     basis, with the free columns as its pivots.
     """
     field, n, p = m.field, m.cols, m.field.p
-    red, pivots = rref(Matrix(field, m.rows, n, [{n - 1 - j: x for j, x in r.items()} for r in m._nz]))
+    red, pivots = rref(_matrix(field, m.rows, n, [{n - 1 - j: x for j, x in r.items()} for r in m._nz]))
     pset = {n - 1 - pc for pc in pivots}
     free = [j for j in range(n) if j not in pset]
     col_of = {j: a for a, j in enumerate(free)}
@@ -699,7 +700,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     basis = [{col_of[j]: one} if j in col_of else None for j in range(n)]
     for pc, row in zip(pivots, red._nz):
         basis[n - 1 - pc] = {col_of[n - 1 - c]: -x % p if p else -x for c, x in row.items() if c != pc}
-    return Subspace(field, n, Matrix(field, n, len(free), basis), free)
+    return Subspace(field, n, _matrix(field, n, len(free), basis), free)
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -715,7 +716,7 @@ def _quotient(m: Matrix, at, n: int):
     for i, r in enumerate(m._nz):
         for j, x in r.items():
             rev[j][d - 1 - i] = x
-    red, pivots = rref(Matrix(field, m.cols, d, rev))
+    red, pivots = rref(_matrix(field, m.cols, d, rev))
     rset = {d - 1 - pc for pc in pivots}
     sel = [j for j in range(d) if j not in rset]
     row_of = {j: a for a, j in enumerate(sel)}
@@ -724,7 +725,7 @@ def _quotient(m: Matrix, at, n: int):
         for c, x in row.items():
             if c != pc:
                 proj[row_of[d - 1 - c]][at[d - 1 - pc]] = -x % p if p else -x
-    return sel, Matrix(field, len(sel), n, proj)
+    return sel, _matrix(field, len(sel), n, proj)
 
 
 def quotient_basis(s: Subspace, t: Subspace):
@@ -752,4 +753,4 @@ def cokernel_basis(m: Matrix):
     """quotient_basis of the full space k^m.rows by the column span of m."""
     sel, proj = _quotient(m, range(m.rows), m.rows)
     one = m.field.one()
-    return Matrix(m.field, len(sel), m.rows, [{j: one} for j in sel]).transpose(), proj
+    return _matrix(m.field, len(sel), m.rows, [{j: one} for j in sel]).transpose(), proj

@@ -106,7 +106,7 @@ def _random_coinduced_map(rng, ctx, src: InjectiveSheaf, tgt: InjectiveSheaf):
     for jt, (yt, vt) in enumerate(tgt.summands):
         for js, (xs, vs) in enumerate(src.summands):
             if xs in ctx.poset.up[yt]:           # y <= x: Hom([x]_U, [y]_V) = Hom(U, V)
-                blocks[(jt, js)] = Matrix.from_int_rows(
+                blocks[(jt, js)] = Matrix.from_rows(
                     field, [[rng.randint(-2, 2) for _ in range(vs)] for _ in range(vt)],
                     cols=vs)
     comps = [place_blocks(field, tgt.dims[z], src.dims[z],

@@ -220,47 +220,41 @@ class Sheaf:
             self.offsets.append(off)
             off += d
         self.total_dim = off
-        self._full = None
+        self._composites = {}   # (i, j) -> restriction(i, j), made on first read
         if validate:
             self.validate()
 
     def validate(self):
+        """Check every restriction's shape, then read every pair, i ascending and j
+        in linear-extension order, so each is checked along every path."""
         for (i, j), m in self.rho.items():
             if m.rows != self.dims[j] or m.cols != self.dims[i]:
                 raise ValueError("restriction %s<%s has wrong shape"
                                  % (self.poset.elements[i], self.poset.elements[j]))
-        self._build_full()
-
-    def _build_full(self):
-        """Compose restrictions along covers; checks path-independence."""
-        if self._full is not None:
-            return
         p = self.poset
         pos = {e: k for k, e in enumerate(p.linear_extension())}
-        full = {}
         for i in range(len(p)):
-            fi = {i: Matrix.identity(self.field, self.dims[i])}
-            for j in sorted(p.up[i], key=lambda t: pos[t]):
-                if j == i:
-                    continue
-                cands = []
-                for (k, jj) in p.covers:
-                    if jj == j and k in fi:
-                        cands.append(self.rho[(k, j)] * fi[k])
-                first = cands[0]
-                for other in cands[1:]:
-                    if not (other == first):
-                        raise ValueError(
-                            "restriction maps are path dependent from %s to %s"
-                            % (p.elements[i], p.elements[j]))
-                fi[j] = first
-            full[i] = fi
-        self._full = full
+            for j in sorted(p.up[i], key=pos.__getitem__):
+                self.restriction(i, j)
 
     def restriction(self, i, j) -> Matrix:
-        """The composite restriction F_i -> F_j for i <= j."""
-        self._build_full()
-        return self._full[i][j]
+        """The composite restriction F_i -> F_j for i <= j, made on first read and kept."""
+        m = self._composites.get((i, j))
+        if m is None:
+            m = self._composites[i, j] = self._compose(i, j)
+        return m
+
+    def _compose(self, i, j) -> Matrix:
+        """rho along each cover k < j above i after restriction(i, k); these must agree."""
+        if i == j:
+            return Matrix.identity(self.field, self.dims[i])
+        p = self.poset
+        first, *others = [self.rho[(k, j)] * self.restriction(i, k)
+                          for (k, jj) in p.covers if jj == j and k in p.up[i]]
+        if any(other != first for other in others):
+            raise ValueError("restriction maps are path dependent from %s to %s"
+                             % (p.elements[i], p.elements[j]))
+        return first
 
     def __repr__(self):
         return "Sheaf(dims=%s)" % (self.dims,)
@@ -272,9 +266,10 @@ class InjectiveSheaf(Sheaf):
     `present[y]` lists the summands whose peak lies above y, in order, and
     `slot[y][s]` is where summand s begins in the stalk at y.  Every
     restriction is known by construction, so none is composed along
-    paths: the composite y -> x (y <= x) keeps the summands present at x,
-    each an identity block from its slot at y to its slot at x, and drops
-    the others.  It is path-independent by construction.
+    paths: `_compose` writes the composite y -> x (y <= x) directly, as
+    the summands present at x, each an identity block from its slot at y
+    to its slot at x, dropping the others.  It is path-independent by
+    construction.
     """
 
     def __init__(self, poset: Poset, field, summands):
@@ -296,13 +291,14 @@ class InjectiveSheaf(Sheaf):
         self.present = present
         self.slot = slot
         self.mult_total = sum(v for (_, v) in self.summands)
-        full = {y: {x: place_blocks(field, dims[x], dims[y],
-                                    [(slot[x][s], slot[y][s], self.summands[s][1]) for s in present[x]])
-                    for x in poset.up[y]}
-                for y in range(n)}
-        super().__init__(poset, field, dims, {(i, j): full[i][j] for (i, j) in poset.covers},
+        self.field, self.dims = field, dims   # _compose reads them to write rho on the covers
+        super().__init__(poset, field, dims, {c: self._compose(*c) for c in poset.covers},
                          validate=False)
-        self._full = full
+
+    def _compose(self, y, x) -> Matrix:
+        return place_blocks(self.field, self.dims[x], self.dims[y],
+                            [(self.slot[x][s], self.slot[y][s], self.summands[s][1])
+                             for s in self.present[x]])
 
     def peak_rows(self, j):
         """Row indices (in total coordinates) of summand j at its peak point."""
@@ -441,7 +437,6 @@ class SheafContext:
             rho[(i, j)] = (kers[j].coords_of(moved) if dims[j] else
                            Matrix.zeros(self.field, 0, dims[i]))
         K = Sheaf(self.poset, self.field, dims, rho, validate=False)
-        K._build_full()
         mono = SheafMorphism(K, f.source, [k.basis for k in kers], validate=False)
         return K, mono
 
@@ -456,7 +451,6 @@ class SheafContext:
         for (i, j) in self.poset.covers:
             rho[(i, j)] = projs[j] * (f.target.rho[(i, j)] * reps[i])
         Q = Sheaf(self.poset, self.field, dims, rho, validate=False)
-        Q._build_full()
         epi = SheafMorphism(f.target, Q, projs, validate=False)
         return Q, epi
 
@@ -469,7 +463,6 @@ class SheafContext:
             rho[(i, j)] = (imgs[j].coords_of(moved) if dims[j] else
                            Matrix.zeros(self.field, 0, dims[i]))
         I = Sheaf(self.poset, self.field, dims, rho, validate=False)
-        I._build_full()
         mono = SheafMorphism(I, f.target, [s.basis for s in imgs], validate=False)
         epi_comps = [f.comps[i].rows_slice(s.pivots) for i, s in enumerate(imgs)]
         epi = SheafMorphism(f.source, I, epi_comps, validate=False)
@@ -510,7 +503,6 @@ class SheafContext:
             for (i, j) in self.poset.covers:
                 rho[(i, j)] = block_diag(self.field, [X.rho[(i, j)] for X in Xs])
             S = Sheaf(self.poset, self.field, dims, rho, validate=False)
-            S._build_full()
         zero, offs = [0] * len(self.poset), self.sum_offsets(Xs)
         injs = [self.placed_identities(X, S, [(off, zero, X)]) for off, X in zip(offs, Xs)]
         projs = [self.placed_identities(S, X, [(zero, off, X)]) for off, X in zip(offs, Xs)]
@@ -778,7 +770,6 @@ class Pushforward:
             rho[(q, q2)] = (bases[q2].coords_of(moved) if dims[q2] else
                             Matrix.zeros(F.field, 0, dims[q]))
         out = Sheaf(tgt, F.field, dims, rho, validate=False)
-        out._build_full()
         out._push = (opens, bases)
         return out
 

@@ -7,9 +7,10 @@ sequence, the exactness of a couple, page stabilization, the couple
 morphism induced by entrywise maps, the intersection of subspaces, the
 reduced echelon form reached by elimination, the pivot-rule complement of a
 subspace and the extension of a map along a mono that vanishes on it, the
-structured section basis of a coinduced sheaf and the cohomology of a sheaf
-on an open from its own restricted resolution.  The command line reaches
-none of them, so they live with the tests.
+structured section basis of a coinduced sheaf, the cohomology of a sheaf
+on an open from its own restricted resolution, and every composite
+restriction of a sheaf composed eagerly along every path.  The command line
+reaches none of them, so they live with the tests.
 """
 
 from possheaf import homalg
@@ -124,6 +125,30 @@ def gamma_struct_basis(I: InjectiveSheaf) -> Matrix:
                 vec[I.offsets[y] + I.slot[y][j] + t] = field.one()
             cols.append(vec)
     return Matrix.from_rows(field, [[c[i] for c in cols] for i in range(I.total_dim)], len(cols))
+
+
+def composites(F: Sheaf) -> dict:
+    """Every composite restriction {(i, j): F_i -> F_j} of F, i <= j, each checked
+    on every path: `Sheaf._build_full` as it was before composites were made on
+    first read.  For each i it composes j in linear-extension order, as rho along
+    each cover k < j above i after the composite to k, and raises the engine's
+    ValueError at the first pair whose candidates differ."""
+    p = F.poset
+    pos = {e: k for k, e in enumerate(p.linear_extension())}
+    out = {}
+    for i in range(len(p)):
+        fi = {i: Matrix.identity(F.field, F.dims[i])}
+        for j in sorted(p.up[i], key=lambda t: pos[t]):
+            if j == i:
+                continue
+            cands = [F.rho[(k, j)] * fi[k] for (k, jj) in p.covers if jj == j and k in fi]
+            for other in cands[1:]:
+                if not (other == cands[0]):
+                    raise ValueError("restriction maps are path dependent from %s to %s"
+                                     % (p.elements[i], p.elements[j]))
+            fi[j] = cands[0]
+        out.update(((i, j), m) for j, m in fi.items())
+    return out
 
 
 class NotOpen(Exception):

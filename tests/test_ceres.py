@@ -54,8 +54,8 @@ def test_invariants_split_zero_differentials():
     A = CochainComplex(V, {0: 1, 1: 1}, {0: Matrix.zeros(QQ, 1, 1)})
     C = CochainComplex(V, {0: 2, 1: 2}, {0: Matrix.zeros(QQ, 2, 2)})
     B = CochainComplex(V, {0: 3, 1: 3}, {0: Matrix.zeros(QQ, 3, 3)})
-    iota = ChainMap(A, B, {q: Matrix.from_int_rows(QQ, [[1], [0], [0]]) for q in (0, 1)})
-    pi = ChainMap(B, C, {q: Matrix.from_int_rows(QQ, [[0, 1, 0], [0, 0, 1]]) for q in (0, 1)})
+    iota = ChainMap(A, B, {q: Matrix.from_rows(QQ, [[1], [0], [0]]) for q in (0, 1)})
+    pi = ChainMap(B, C, {q: Matrix.from_rows(QQ, [[0, 1, 0], [0, 0, 1]]) for q in (0, 1)})
     inv = compute_invariants(SESOfComplexes(iota, pi))
     for q in (0, 1):
         assert inv.A.W[q] == 0                # H(A) -> H(B) is mono
@@ -173,12 +173,12 @@ def test_both_iterations_stop_at_the_same_hard_cap(monkeypatch):
 
 def test_ce_on_vector_context_closes_immediately():
     V = VectorContext(QQ)
-    A = CochainComplex(V, {0: 1, 1: 1}, {0: Matrix.from_int_rows(QQ, [[0]])})
+    A = CochainComplex(V, {0: 1, 1: 1}, {0: Matrix.from_rows(QQ, [[0]])})
     B = CochainComplex(V, {0: 2, 1: 2}, {0: Matrix.zeros(QQ, 2, 2)})
     C = CochainComplex(V, {0: 1, 1: 1}, {0: Matrix.zeros(QQ, 1, 1)})
     ses = SESOfComplexes(
-        ChainMap(A, B, {q: Matrix.from_int_rows(QQ, [[1], [0]]) for q in (0, 1)}),
-        ChainMap(B, C, {q: Matrix.from_int_rows(QQ, [[0, 1]]) for q in (0, 1)}))
+        ChainMap(A, B, {q: Matrix.from_rows(QQ, [[1], [0]]) for q in (0, 1)}),
+        ChainMap(B, C, {q: Matrix.from_rows(QQ, [[0, 1]]) for q in (0, 1)}))
     ce = build_ce_triple(ses)
     assert ce.depth() == 1
     for name in ("A", "B", "C"):

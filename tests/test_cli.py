@@ -226,6 +226,25 @@ def test_restriction_not_a_list_of_lists_is_an_input_error(tmp_path, capsys, row
     assert "sheaf 'k' a<c: expected a 1x1 matrix" in out
 
 
+@pytest.mark.parametrize("command", [["validate"], ["cohomology", "--sheaf", "k"]])
+def test_non_commuting_restrictions_are_an_input_error(tmp_path, capsys, command):
+    # a square a < b, c < d whose two paths from a to d differ by a factor 2
+    doc = {"posets": {"S": {"elements": ["a", "b", "c", "d"],
+                            "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}},
+           "sheaves": {"k": {"poset": "S", "stalks": {"a": 1, "b": 1, "c": 1, "d": 1},
+                             "restrictions": {"a<b": [["1"]], "a<c": [["1"]],
+                                              "b<d": [["1"]], "c<d": [["2"]]}}}}
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc))
+    assert main(command[:1] + [str(path)] + command[1:]) == 1
+    out = capsys.readouterr().out
+    assert "sheaf 'k': restriction maps are path dependent from a to d" in out
+    if command[0] == "validate":
+        assert "instance file valid" in out and "FAIL" in out
+    else:
+        assert out.startswith("input error")
+
+
 def _add_component(doc):
     doc["morphisms"]["embed"]["components"]["zz"] = [["1"]]
 
@@ -606,7 +625,8 @@ def mutation_file(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_a_mutated_document_never_ends_in_a_traceback(mutation_file, data):
-    # one value of the pseudocircle replaced by junk, or one key deleted
+    # one value of the pseudocircle replaced by junk, or one key deleted; a
+    # document that validates is also run through cohomology and leray
     with open(PSEUDOCIRCLE) as fh:
         doc = json.load(fh)
     path = data.draw(st.sampled_from(list(_value_paths(doc))))
@@ -618,4 +638,6 @@ def test_a_mutated_document_never_ends_in_a_traceback(mutation_file, data):
     else:
         parent[path[-1]] = data.draw(_JUNK)
     mutation_file.write_text(json.dumps(doc))
-    assert main(["validate", str(mutation_file)]) in (0, 1)
+    if main(["validate", str(mutation_file)]) == 0:
+        assert main(["cohomology", str(mutation_file), "--sheaf", "k"]) in (0, 1)
+        assert main(["leray", str(mutation_file), "--map", "collapse", "--sheaf", "k"]) in (0, 1)

@@ -27,7 +27,7 @@ from possheaf.exactla import (
 
 
 def M(rows):
-    return Matrix.from_int_rows(QQ, rows)
+    return Matrix.from_rows(QQ, rows)
 
 
 def test_rref_proportional_rows():
@@ -126,7 +126,7 @@ def test_place_blocks_at_offsets():
 
 
 def rand_matrix(rng, rows, cols):
-    return Matrix.from_int_rows(QQ, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
+    return Matrix.from_rows(QQ, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 def test_rank_nullity_randomized():
@@ -153,7 +153,7 @@ small_ints = st.integers(min_value=-4, max_value=4)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_rref_idempotent(rows):
-    m = Matrix.from_int_rows(QQ, rows)
+    m = Matrix.from_rows(QQ, rows)
     red, _ = rref(m)
     assert rref(red)[0] == red
 
@@ -164,8 +164,8 @@ def test_rref_idempotent(rows):
     st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=2, max_size=3),
 )
 def test_sum_contains_both(rows_a, rows_b):
-    a = image_basis(Matrix.from_int_rows(QQ, rows_a).transpose())
-    b = image_basis(Matrix.from_int_rows(QQ, rows_b).transpose())
+    a = image_basis(Matrix.from_rows(QQ, rows_a).transpose())
+    b = image_basis(Matrix.from_rows(QQ, rows_b).transpose())
     s = a.sum(b)
     assert s.contains(a) and s.contains(b)
     i = intersect(a, b)
@@ -175,27 +175,27 @@ def test_sum_contains_both(rows_a, rows_b):
 
 def test_prime_field_roundtrip():
     fp = field_from_name("fp:10007")
-    m = Matrix.from_int_rows(fp, [[1, 2], [3, 4]])
+    m = Matrix.from_rows(fp, [[1, 2], [3, 4]])
     assert rank(m) == 2
-    x = solve(m, Matrix.from_int_rows(fp, [[1], [0]]))
-    assert m * x == Matrix.from_int_rows(fp, [[1], [0]])
+    x = solve(m, Matrix.from_rows(fp, [[1], [0]]))
+    assert m * x == Matrix.from_rows(fp, [[1], [0]])
     # elements are bare ints, so products go through 1x1 matrices, which reduce mod p
     half = Matrix.from_rows(fp, [[fp.parse("1/2")]])
-    assert half * Matrix.from_int_rows(fp, [[2]]) == Matrix.identity(fp, 1)
+    assert half * Matrix.from_rows(fp, [[2]]) == Matrix.identity(fp, 1)
 
 
 def test_from_rows_rejects_ragged_rows():
     with pytest.raises(ValueError, match="row 1 has 1 entries, not 2"):
-        Matrix.from_int_rows(QQ, [[1, 2], [3]])
+        Matrix.from_rows(QQ, [[1, 2], [3]])
     with pytest.raises(ValueError, match="row 2 has 3 entries, not 2"):
-        Matrix.from_int_rows(QQ, [[1, 2], [3, 4], [5, 6, 7]])
+        Matrix.from_rows(QQ, [[1, 2], [3, 4], [5, 6, 7]])
     with pytest.raises(ValueError, match="cols does not match row length"):
-        Matrix.from_int_rows(QQ, [[1, 2]], cols=3)
+        Matrix.from_rows(QQ, [[1, 2]], cols=3)
 
 
 def test_from_rows_reduces_entries_into_the_field():
     gf7 = PrimeField(7)
-    m = Matrix.from_int_rows(gf7, [[8, 7, -1], [14, 0, 21]])
+    m = Matrix.from_rows(gf7, [[8, 7, -1], [14, 0, 21]])
     assert m.to_str_rows() == [["1", "0", "6"], ["0", "0", "0"]]
     assert m == Matrix.from_rows(gf7, [[1, 0, 6], [0, 0, 0]])
     assert m.rows_slice([1]).is_zero()
@@ -205,7 +205,7 @@ def test_from_rows_reduces_entries_into_the_field():
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
 def test_parse_accepts_only_n_and_n_over_d(field):
     quarter = Matrix.from_rows(field, [[field.parse("-3/4")]])
-    assert quarter * Matrix.from_int_rows(field, [[4]]) == Matrix.from_int_rows(field, [[-3]])
+    assert quarter * Matrix.from_rows(field, [[4]]) == Matrix.from_rows(field, [[-3]])
     assert field.parse("+2") == field.parse(2) == field.from_int(2)
     for bad in ["0.5", "1e3", "1/0", "1/-2", " 3", "1_000", "", "3/", "/3", "0x10", "True"]:
         with pytest.raises(ValueError):
@@ -225,8 +225,8 @@ def test_integral_rationals_are_bare_ints():
 
 def test_integral_fraction_entry_is_the_int_entry():
     # a kernel may leave an integral entry as a Fraction: 1/2 * 4 is Fraction(2)
-    m = Matrix.from_rows(QQ, [[Fraction(1, 2), 0]]) * Matrix.from_int_rows(QQ, [[4, 1], [0, 1]])
-    two = Matrix.from_int_rows(QQ, [[2, Fraction(1, 2)]])
+    m = Matrix.from_rows(QQ, [[Fraction(1, 2), 0]]) * Matrix.from_rows(QQ, [[4, 1], [0, 1]])
+    two = Matrix.from_rows(QQ, [[2, Fraction(1, 2)]])
     assert type(m.data[0][0]) is Fraction and type(two.data[0][0]) is int
     assert m == two and two == m
     assert m.to_str_rows() == two.to_str_rows() == [["2", "1/2"]] and repr(m) == repr(two)

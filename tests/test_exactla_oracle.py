@@ -251,7 +251,7 @@ def test_empty_and_zero_shapes(field, rows, cols):
     s = Subspace.zero(field, rows)
     assert same(s.coords_of(rhs), run(field, oracle.coords_of, s.basis, rhs))
     if rows:
-        one = Matrix.from_int_rows(field, [[1]] + [[0]] * (rows - 1))
+        one = Matrix.from_rows(field, [[1]] + [[0]] * (rows - 1))
         assert outcome(s.coords_of, one) == outcome(run, field, oracle.coords_of, s.basis, one)
         full = Subspace.full(field, rows)
         got = quotient_basis(full, s)
@@ -263,8 +263,8 @@ def test_empty_and_zero_shapes(field, rows, cols):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_non_member_names_first_bad_column(field):
-    s = Subspace.from_columns(Matrix.from_int_rows(field, [[1], [1], [0]]))
-    vecs = Matrix.from_int_rows(field, [[2, 1, 0], [2, 0, 0], [0, 0, 1]])
+    s = Subspace.from_columns(Matrix.from_rows(field, [[1], [1], [0]]))
+    vecs = Matrix.from_rows(field, [[2, 1, 0], [2, 0, 0], [0, 0, 1]])
     with pytest.raises(NoSolution, match="column 1"):
         s.coords_of(vecs)
     with pytest.raises(NoSolution, match="column 1"):

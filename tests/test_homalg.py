@@ -22,7 +22,7 @@ V = VectorContext(QQ)
 
 
 def M(rows, cols=None):
-    return Matrix.from_int_rows(QQ, rows, cols=cols)
+    return Matrix.from_rows(QQ, rows, cols=cols)
 
 
 def test_cohomology_zero_differentials():

@@ -26,8 +26,9 @@ constructors, slices, block builders and operators, so a change of storage
 The scan flags, in every module but exactla, an attribute named `data`, a
 direct call of `Matrix(...)`, and a call of a field's `one()` or `zero()`.
 
-Only exactla knows what a rational is.  No other module imports `fractions`
-or `gmpy2`, and no module divides with `/` but `RationalField.inv`.  Over
+Only exactla knows what a rational is.  No other module imports `fractions`,
+no module at all imports `gmpy2` (the rational type is `Fraction`), and no
+module divides with `/` but `RationalField.inv`.  Over
 the rationals an integral value is a bare int, so `/` of two field
 elements could give a float; `inv` turns its argument into a rational
 first, and every other quotient is a product with an inverse.
@@ -138,7 +139,8 @@ def _nodes_of_method(tree, cls, method):
 
 
 def rational_sites():
-    """`module:line what` of each `/` outside RationalField.inv, and each rational import outside exactla."""
+    """`module:line what` of each `/` outside RationalField.inv, each `fractions`
+    import outside exactla and each `gmpy2` import anywhere."""
     found = []
     for module, tree in _trees().items():
         allowed = _nodes_of_method(tree, "RationalField", "inv") if module == "exactla" else set()
@@ -146,10 +148,11 @@ def rational_sites():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 if node not in allowed:
                     found.append("%s:%d /" % (module, node.lineno))
-            elif isinstance(node, (ast.Import, ast.ImportFrom)) and module != "exactla":
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                banned = ("gmpy2",) if module == "exactla" else ("fractions", "gmpy2")
                 for name in names:
-                    if name.split(".")[0] in ("fractions", "gmpy2"):
+                    if name.split(".")[0] in banned:
                         found.append("%s:%d import %s" % (module, node.lineno, name))
     return found
 

@@ -3,7 +3,9 @@
 A matrix with no rows or no columns is one shared empty matrix per field
 and shape.  `Matrix.zeros`, `Matrix.identity(F, 0)`, products, sums,
 multiples, transposes, slices, `place_blocks`, `rref`, `solve` of an rhs
-with no columns and `Subspace.from_columns` hand it out.  And `rref` reads
+with no columns and `Subspace.from_columns` hand it out, and so do
+`kernel_basis`, `cokernel_basis` and `quotient_basis` for each result with no
+rows or no columns.  And `rref` reads
 the reduced form of a matrix whose rows each hold at most one entry, in
 distinct columns, straight off.  Each is compared with the dense kernel in
 `dense_oracle.py` and with `rref` by elimination, frozen in
@@ -28,9 +30,11 @@ from possheaf.exactla import (
     cokernel_basis,
     kernel_basis,
     place_blocks,
+    quotient_basis,
     rank,
     rref,
     solve,
+    vstack,
 )
 from test_exactla_oracle import FIELDS, full_oracle_quotient, matrices, outcome, run, same, same_outcome
 from test_identity_paths import snapshot
@@ -95,6 +99,21 @@ def test_empty_operands_match_oracle(data):
     rhs = data.draw(matrices(field, rows=m0.rows))
     assert same_outcome(outcome(solve, m0, rhs), outcome(run, field, oracle.solve, m0, rhs))
     assert a == operands[0] and b == operands[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_and_quotients_hand_out_the_shared_empty(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = data.draw(matrices(field))
+    if data.draw(st.booleans()):        # full column rank: no kernel
+        m = vstack([Matrix.identity(field, m.cols), m])
+    s = Subspace.from_columns(m)
+    t = Subspace.from_columns(s.basis * data.draw(matrices(field, rows=s.dim)))
+    results = [kernel_basis(m).basis, *cokernel_basis(m), *quotient_basis(s, t)]
+    for x in results:
+        if not (x.rows and x.cols):
+            assert x is Matrix.zeros(field, x.rows, x.cols)
 
 
 @st.composite

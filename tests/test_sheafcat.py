@@ -81,7 +81,7 @@ def test_image_on_point_poset():
     pt = Poset(["x"], [])
     ctx = SheafContext(pt, QQ)
     F = Sheaf(pt, QQ, [2], {})
-    phi = SheafMorphism(F, F, [Matrix.from_int_rows(QQ, [[1, 0], [1, 0]])])
+    phi = SheafMorphism(F, F, [Matrix.from_rows(QQ, [[1, 0], [1, 0]])])
     I, mono, epi = ctx.image(phi)
     assert I.dims == [1]
     assert ctx.map_eq(ctx.compose(mono, epi), phi)
@@ -118,12 +118,12 @@ def test_extend_along_mono_cases():
     A = Sheaf(pt, QQ, [1], {})
     B = Sheaf(pt, QQ, [2], {})
     I = InjectiveSheaf(pt, QQ, [(0, 1)])
-    m = SheafMorphism(A, B, [Matrix.from_int_rows(QQ, [[1], [0]])])
-    f = SheafMorphism(A, I, [Matrix.from_int_rows(QQ, [[3]])])
+    m = SheafMorphism(A, B, [Matrix.from_rows(QQ, [[1], [0]])])
+    f = SheafMorphism(A, I, [Matrix.from_rows(QQ, [[3]])])
     g = ctx.extend_along_mono(m, f)
     assert ctx.map_eq(ctx.compose(g, m), f)
     # pivot-complement is killed
-    assert g.comps[0] == Matrix.from_int_rows(QQ, [[3, 0]])
+    assert g.comps[0] == Matrix.from_rows(QQ, [[3, 0]])
     # identity base: extension is f itself
     idm = ctx.identity(A)
     assert ctx.map_eq(ctx.extend_along_mono(idm, f), f)
@@ -157,12 +157,12 @@ def test_descend_along_epi_names_the_stalk_and_the_row():
 
 def test_vector_descend_along_epi_names_the_row():
     vctx = VectorContext(QQ)
-    e = Matrix.from_int_rows(QQ, [[1, 0]])
-    assert vctx.descend_along_epi(e, Matrix.from_int_rows(QQ, [[2, 0], [3, 0]])) == \
-        Matrix.from_int_rows(QQ, [[2], [3]])
+    e = Matrix.from_rows(QQ, [[1, 0]])
+    assert vctx.descend_along_epi(e, Matrix.from_rows(QQ, [[2, 0], [3, 0]])) == \
+        Matrix.from_rows(QQ, [[2], [3]])
     with pytest.raises(NoSolution, match="^map does not descend along the epimorphism: "
                                          "no preimage for row 1 of the map$"):
-        vctx.descend_along_epi(e, Matrix.from_int_rows(QQ, [[2, 0], [0, 1]]))
+        vctx.descend_along_epi(e, Matrix.from_rows(QQ, [[2, 0], [0, 1]]))
 
 
 def test_resolution_of_constant_on_fence_matches_circle():

@@ -53,7 +53,7 @@ def test_noncommuting_square_rejected():
     horiz[0][0] = Matrix.identity(QQ, 1)
     vert[0][0] = Matrix.identity(QQ, 1)
     horiz[0][1] = Matrix.identity(QQ, 1)
-    vert[1][0] = Matrix.from_int_rows(QQ, [[2]])
+    vert[1][0] = Matrix.from_rows(QQ, [[2]])
     with pytest.raises(SquareNotCommuting):
         DoubleComplex(QQ, 1, dims, horiz, vert)
 
@@ -92,10 +92,10 @@ def test_restrict_drops_the_top_rows():
     dims, horiz, vert = empty_grid(1)
     dims[0][1], dims[1][0] = 2, 1
     tower = CoupleTower(DoubleComplex(QQ, 1, dims, horiz, vert))
-    m = Matrix.from_int_rows(QQ, [[0, 0, 0], [0, 0, 0], [1, 2, 3]])
-    assert tower.restrict(m, 1, 0, 1) == Matrix.from_int_rows(QQ, [[1, 2, 3]])
+    m = Matrix.from_rows(QQ, [[0, 0, 0], [0, 0, 0], [1, 2, 3]])
+    assert tower.restrict(m, 1, 0, 1) == Matrix.from_rows(QQ, [[1, 2, 3]])
     # the error names the first column that is nonzero in any dropped row
-    bad = Matrix.from_int_rows(QQ, [[0, 0, 4], [0, 5, 0], [1, 2, 3]])
+    bad = Matrix.from_rows(QQ, [[0, 0, 4], [0, 5, 0], [1, 2, 3]])
     with pytest.raises(NoSolution, match="no preimage for column 1$"):
         tower.restrict(bad, 1, 0, 1)
 
@@ -115,10 +115,10 @@ def test_two_column_reproduces_les():
     # column 0: k -> k^2 (injective-ish), column 1: k^2 -> k
     dims[0][0], dims[0][1] = 1, 2
     dims[1][0], dims[1][1] = 2, 1
-    vert[0][0] = Matrix.from_int_rows(QQ, [[1], [0]])
-    vert[1][0] = Matrix.from_int_rows(QQ, [[0, 1]])
-    horiz[0][0] = Matrix.from_int_rows(QQ, [[1], [0]])
-    horiz[0][1] = Matrix.from_int_rows(QQ, [[0, 1]])
+    vert[0][0] = Matrix.from_rows(QQ, [[1], [0]])
+    vert[1][0] = Matrix.from_rows(QQ, [[0, 1]])
+    horiz[0][0] = Matrix.from_rows(QQ, [[1], [0]])
+    horiz[0][1] = Matrix.from_rows(QQ, [[0, 1]])
     # commuting square: h(0,1) v(0,0) = v(1,0) h(0,0)
     dc = DoubleComplex(QQ, 2, dims, horiz, vert)
     ss = SpectralSequence(dc)
@@ -202,7 +202,7 @@ def test_total_complex_and_cohomology():
 
 
 def M(rows):
-    return Matrix.from_int_rows(QQ, rows)
+    return Matrix.from_rows(QQ, rows)
 
 
 def test_global_sign():
@@ -230,7 +230,7 @@ def test_graded_iso_invertible_on_nontrivial_total():
     # single column: E_1 = E_inf = vertical cohomology, total H matches
     dims, horiz, vert = empty_grid(1)
     dims[0][0], dims[0][1] = 2, 1
-    vert[0][0] = Matrix.from_int_rows(QQ, [[1, 0]])
+    vert[0][0] = Matrix.from_rows(QQ, [[1, 0]])
     dc = DoubleComplex(QQ, 1, dims, horiz, vert)
     ss = SpectralSequence(dc)
     assert ss.total_h_dim(0) == 1 and ss.total_h_dim(1) == 0
