@@ -327,7 +327,6 @@ def build_parser():
     top.add_argument("--field", type=_field_name,
                      help="q or fp:<prime>; default: the instance file's field (forge: q)")
     top.add_argument("--format", default="text", choices=["text", "report"])
-    top.add_argument("--max-degree", type=_at_least(0, "degree"), default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, func, file_arg=True, **opts):
@@ -339,10 +338,13 @@ def build_parser():
         p.set_defaults(func=func)
         return p
 
+    # --max-degree: an option of the commands that read it
+    max_degree = {"type": _at_least(0, "degree"), "default": None}
     add("validate", cmd_validate)
-    add("cohomology", cmd_cohomology, sheaf={"required": True}, open={"default": None})
-    add("resolve", cmd_resolve, sheaf={"required": True})
-    add("ce", cmd_ce, sequence={"required": True})
+    add("cohomology", cmd_cohomology, sheaf={"required": True}, open={"default": None},
+        max_degree=max_degree)
+    add("resolve", cmd_resolve, sheaf={"required": True}, max_degree=max_degree)
+    add("ce", cmd_ce, sequence={"required": True}, max_degree=max_degree)
     add("gss", cmd_gss, sheaf={"required": True}, map={"default": None})
     add("leray", cmd_leray, sheaf={"required": True}, map={"required": True})
     add("delta", cmd_delta, sequence={"required": True}, map={"required": True})

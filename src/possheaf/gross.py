@@ -156,9 +156,9 @@ class GrothendieckData:
 def _gamma_double(pair: FunctorPair, double, size=None) -> DoubleComplex:
     """Gamma of a sheaf-level CE column, in structured coordinates.
 
-    Each row is Gamma of a complex of realized injectives, so its objects
-    and vertical maps come from `gamma_of_complex`; the grid bound D
-    exceeds every row's top degree.
+    Each row is a complex of realized injectives, so each map of the grid is
+    `gamma_struct_map` of a sheaf map, and `DoubleComplex.validate` checks
+    d.d = 0 and the squares; the grid bound D exceeds every row's top degree.
     """
     depth = double.depth()
     qlo = min((r.lo for r in double.rows), default=0)
@@ -171,10 +171,10 @@ def _gamma_double(pair: FunctorPair, double, size=None) -> DoubleComplex:
     vert = [[None] * (D + 1) for _ in range(D + 1)]
     for p in range(depth):
         row = double.rows[p]
-        grow = gamma_of_complex(row, pair.vctx)
         for q in row.degrees():
-            dims[p][q] = grow.objects[q]
-            vert[p][q] = grow.diffs.get(q)
+            dims[p][q] = row.obj(q).mult_total
+            if q + 1 in row.objects:
+                vert[p][q] = gamma_struct_map(row.diff(q), row.obj(q), row.obj(q + 1))
             if p < depth - 1 and q <= double.rows[p + 1].hi:
                 horiz[p][q] = gamma_struct_map(double.dh[p].comp(q), row.obj(q),
                                                double.rows[p + 1].obj(q))
@@ -210,7 +210,6 @@ def first_ss_check(data: GrothendieckData) -> CheckReport:
     """Vanishing of the row cohomology for p > 0 and the augmentation quasi-iso."""
     rep = CheckReport()
     dc = data.dc
-    pair = data.pair
     base_vec, bases = data.base_gamma
 
     def row_h_dim(p, q):
@@ -247,17 +246,8 @@ def first_ss_check(data: GrothendieckData) -> CheckReport:
     rep.add("augmentation is a chain map", ok_chain)
     ok_iso = True
     for n in range(tower.nmax + 1):
-        hb_dim = homalg.cohomology(base_vec, n).H if n in aug_cols else 0
-        htot = tower.A1[(0, n)]
-        if hb_dim != htot.dim:
-            ok_iso = False
-            continue
-        if hb_dim == 0:
-            continue
-        hb = homalg.cohomology(base_vec, n)
-        reps_src = hb.z_mono * _cohomology_reps(pair.field, hb)
-        induced = htot.project(aug_cols[n] * reps_src)
-        if rank(induced) != hb_dim:
+        hb, htot = gamma_cohomology(base_vec, n), tower.A1[(0, n)]   # hb is 0 off base_vec
+        if hb.dim != htot.dim or hb.dim and rank(htot.project(aug_cols[n] * hb.reps)) != hb.dim:
             ok_iso = False
     rep.add("augmentation induces isos on H^n", ok_iso)
     return rep
@@ -269,9 +259,9 @@ def by_q_e1(dc: DoubleComplex, p, q) -> Subquotient:
                                   dc.h(p - 1, q) if p else None)
 
 
-def _cohomology_reps(field, hdata):
-    """Representatives of H inside Z coordinates for a vector-context HData."""
-    return Subquotient.cohomology(field, hdata.z_mono.cols, d_in=hdata.b_mono).reps
+def gamma_cohomology(vec: CochainComplex, p) -> Subquotient:
+    """H^p of a complex of Gamma values, as ker d^p / im d^(p-1) in its p-th space."""
+    return Subquotient.cohomology(vec.ctx.field, vec.obj(p), vec.diff(p), vec.diff(p - 1))
 
 
 def _augmentation_into_tot(data: GrothendieckData, n) -> Matrix:
@@ -303,6 +293,7 @@ class E2Identification:
         self.ss = ss
         self.h_complexes = {}    # q -> (sheaf complex of tagged H objects, aug morphism)
         self.vec_h = {}          # q -> vector complex of Gamma(H)
+        self._h = {}             # (p, q) -> H^p(vec_h[q]), as a Subquotient
         self.matrices = {}       # (p, q) -> invertible Matrix
         self._build()
 
@@ -348,41 +339,37 @@ class E2Identification:
         iso = ctx.compose(h.proj, zlift)
         return iso
 
+    def cohomology(self, p, q) -> Subquotient:
+        """H^p of the Gamma'd H-resolution of R^qF, made on first read and kept."""
+        if (p, q) not in self._h:
+            self._h[(p, q)] = gamma_cohomology(self.vec_h[q], p)
+        return self._h[(p, q)]
+
     def identification_matrix(self, p, q) -> Matrix:
         """E_2^{p,q} (page witnesses) -> H^p of the Gamma'd H-resolution."""
         key = (p, q)
         if key in self.matrices:
             return self.matrices[key]
-        pair = self.pair
         e2 = self.ss.entry(2, p, q)
-        vec = self.vec_h.get(q)
-        if vec is None or e2.dim == 0:
-            hdim = homalg.cohomology(vec, p).H if vec is not None else 0
-            mat = Matrix.zeros(pair.field, hdim, e2.dim)
-            self.matrices[key] = mat
-            return mat
-        tags, triple = self.double.tag_rows[p]
-        hrows = _h_block_rows(triple, tags, q)
-        reps_struct = (e2.reps).rows_slice(hrows)   # block-read the H-part
-        # express in the canonical cocycle/quotient coordinates of the H complex
-        zsub = Subquotient.cohomology(pair.field, vec.obj(p), vec.diff(p),
-                                      vec.diff(p - 1) if p > 0 else None)
-        mat = zsub.project(reps_struct)
+        if q not in self.vec_h or e2.dim == 0:
+            hdim = self.cohomology(p, q).dim if q in self.vec_h else 0
+            mat = Matrix.zeros(self.pair.field, hdim, e2.dim)
+        else:
+            tags, triple = self.double.tag_rows[p]
+            # block-read the H-part, in the subquotient coordinates of the H complex
+            mat = self.cohomology(p, q).project(e2.reps.rows_slice(_h_block_rows(triple, tags, q)))
         self.matrices[key] = mat
         return mat
 
     def check(self) -> bool:
-        ok = True
-        for q, vec in self.vec_h.items():
+        for q in self.vec_h:
             for p in range(self.double.depth()):
                 e2 = self.ss.entry(2, p, q)
-                hdim = homalg.cohomology(vec, p).H
-                if e2.dim != hdim:
+                if e2.dim != self.cohomology(p, q).dim:
                     return False
-                mat = self.identification_matrix(p, q)
-                if rank(mat) != e2.dim:
+                if rank(self.identification_matrix(p, q)) != e2.dim:
                     return False
-        return ok
+        return True
 
 
 def _conjugate(ctx, iso_tgt, m, iso_src=None):
@@ -537,7 +524,8 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
             if rank(idT_m) != e2T.dim or rank(idR_m) != e2R.dim:
                 id_ok = False
             lhs = idR_m * mor.page_map(2, p, q)
-            hp = homalg.induced_on_cohomology(lam_vec, p)
+            hp = family.idT.cohomology(p, q).induced_map(family.idR.cohomology(p, q + 1),
+                                                          lam_vec.comp(p))
             rhs = hp * idT_m
             if p % 2:   # the Koszul sign
                 rhs = -rhs

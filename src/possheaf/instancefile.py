@@ -293,7 +293,7 @@ def sheaf_to_dict(F: Sheaf, poset_name):
     for (i, j) in F.poset.covers:
         if F.dims[i] and F.dims[j]:
             key = "%s<%s" % (F.poset.elements[i], F.poset.elements[j])
-            out["restrictions"][key] = F.rho[(i, j)].to_str_rows()
+            out["restrictions"][key] = F.restriction(i, j).to_str_rows()
     return out
 
 

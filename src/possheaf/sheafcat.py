@@ -205,51 +205,53 @@ class Sheaf:
         self.dims = list(dims)
         if len(self.dims) != len(poset):
             raise ValueError("stalk dimension list does not match the poset")
-        self.rho = dict(rho)  # (i, j) cover index pair -> Matrix dims[j] x dims[i]
-        for (i, j) in poset.covers:
-            m = self.rho.get((i, j))
-            if m is None:
-                if self.dims[i] == 0 or self.dims[j] == 0:
-                    self.rho[(i, j)] = Matrix.zeros(field, self.dims[j], self.dims[i])
-                else:
-                    raise ValueError("missing restriction for cover %s<%s"
-                                     % (poset.elements[i], poset.elements[j]))
         self.offsets = []
         off = 0
         for d in self.dims:
             self.offsets.append(off)
             off += d
         self.total_dim = off
-        self._composites = {}   # (i, j) -> restriction(i, j), made on first read
+        # (i, j) -> restriction(i, j), Matrix dims[j] x dims[i]: the given
+        # covers, and every other pair once it is first read
+        self._composites = dict(rho)
         if validate:
             self.validate()
 
     def validate(self):
-        """Check every restriction's shape, then read every pair, i ascending and j
-        in linear-extension order, so each is checked along every path."""
-        for (i, j), m in self.rho.items():
+        """Read every cover, so a missing one is named, and check its shape; then read
+        every pair, i ascending and j in linear-extension order, so each is checked
+        along every path."""
+        p = self.poset
+        covers = [(i, j, self.restriction(i, j)) for (i, j) in p.covers]
+        for i, j, m in covers:
             if m.rows != self.dims[j] or m.cols != self.dims[i]:
                 raise ValueError("restriction %s<%s has wrong shape"
-                                 % (self.poset.elements[i], self.poset.elements[j]))
-        p = self.poset
+                                 % (p.elements[i], p.elements[j]))
         pos = {e: k for k, e in enumerate(p.linear_extension())}
         for i in range(len(p)):
             for j in sorted(p.up[i], key=pos.__getitem__):
                 self.restriction(i, j)
 
     def restriction(self, i, j) -> Matrix:
-        """The composite restriction F_i -> F_j for i <= j, made on first read and kept."""
+        """The restriction F_i -> F_j for i <= j, made on first read and kept."""
         m = self._composites.get((i, j))
         if m is None:
             m = self._composites[i, j] = self._compose(i, j)
         return m
 
     def _compose(self, i, j) -> Matrix:
-        """rho along each cover k < j above i after restriction(i, k); these must agree."""
+        """A cover not given is zero out of or into a zero stalk, and missing otherwise.
+        Any other pair is the restriction along each cover k < j above i after
+        restriction(i, k); these must agree."""
+        p = self.poset
         if i == j:
             return Matrix.identity(self.field, self.dims[i])
-        p = self.poset
-        first, *others = [self.rho[(k, j)] * self.restriction(i, k)
+        if j in p.succ[i]:
+            if self.dims[i] and self.dims[j]:
+                raise ValueError("missing restriction for cover %s<%s"
+                                 % (p.elements[i], p.elements[j]))
+            return Matrix.zeros(self.field, self.dims[j], self.dims[i])
+        first, *others = [self.restriction(k, j) * self.restriction(i, k)
                           for (k, jj) in p.covers if jj == j and k in p.up[i]]
         if any(other != first for other in others):
             raise ValueError("restriction maps are path dependent from %s to %s"
@@ -265,11 +267,11 @@ class InjectiveSheaf(Sheaf):
 
     `present[y]` lists the summands whose peak lies above y, in order, and
     `slot[y][s]` is where summand s begins in the stalk at y.  Every
-    restriction is known by construction, so none is composed along
-    paths: `_compose` writes the composite y -> x (y <= x) directly, as
-    the summands present at x, each an identity block from its slot at y
-    to its slot at x, dropping the others.  It is path-independent by
-    construction.
+    restriction is known by construction, so none is given and none is
+    composed along paths: `_compose` writes the restriction y -> x (y <= x),
+    a cover or not, when it is first read, as the summands present at x,
+    each an identity block from its slot at y to its slot at x, dropping
+    the others.  It is path-independent by construction.
     """
 
     def __init__(self, poset: Poset, field, summands):
@@ -291,9 +293,7 @@ class InjectiveSheaf(Sheaf):
         self.present = present
         self.slot = slot
         self.mult_total = sum(v for (_, v) in self.summands)
-        self.field, self.dims = field, dims   # _compose reads them to write rho on the covers
-        super().__init__(poset, field, dims, {c: self._compose(*c) for c in poset.covers},
-                         validate=False)
+        super().__init__(poset, field, dims, {}, validate=False)
 
     def _compose(self, y, x) -> Matrix:
         return place_blocks(self.field, self.dims[x], self.dims[y],
@@ -333,8 +333,8 @@ class SheafMorphism:
                 raise IllFormedMorphism("component at %s has wrong shape"
                                         % src.poset.elements[i])
         for (i, j) in src.poset.covers:
-            lhs = self.comps[j] * src.rho[(i, j)]
-            rhs = tgt.rho[(i, j)] * self.comps[i]
+            lhs = self.comps[j] * src.restriction(i, j)
+            rhs = tgt.restriction(i, j) * self.comps[i]
             if not (lhs == rhs):
                 raise IllFormedMorphism("component square at cover %s<%s does not commute"
                                         % (src.poset.elements[i], src.poset.elements[j]))
@@ -356,6 +356,19 @@ class SheafMorphism:
 
     def __repr__(self):
         return "SheafMorphism(%s -> %s)" % (self.source.dims, self.target.dims)
+
+
+def subspace_sheaf(poset: Poset, field, subs, restrict) -> Sheaf:
+    """The sheaf of the stalk subspaces subs with the restrictions they inherit.
+
+    subs[i] lies in an ambient space at i, and restrict(i, j) maps the ambient
+    space at i to the one at j, carrying subs[i] into subs[j], for each cover
+    i < j.  A cover out of or into a zero subspace is left to the sheaf, which
+    reads it as zero.
+    """
+    rho = {(i, j): subs[j].coords_of(restrict(i, j) * subs[i].basis)
+           for (i, j) in poset.covers if subs[i].dim and subs[j].dim}
+    return Sheaf(poset, field, [s.dim for s in subs], rho, validate=False)
 
 
 class SheafContext:
@@ -429,40 +442,20 @@ class SheafContext:
 
     # abelian structure ---------------------------------------------------
     def kernel(self, f):
-        kers = [kernel_basis(f.comps[i]) for i in range(len(self.poset))]
-        dims = [k.dim for k in kers]
-        rho = {}
-        for (i, j) in self.poset.covers:
-            moved = f.source.rho[(i, j)] * kers[i].basis
-            rho[(i, j)] = (kers[j].coords_of(moved) if dims[j] else
-                           Matrix.zeros(self.field, 0, dims[i]))
-        K = Sheaf(self.poset, self.field, dims, rho, validate=False)
-        mono = SheafMorphism(K, f.source, [k.basis for k in kers], validate=False)
-        return K, mono
+        kers = [kernel_basis(m) for m in f.comps]
+        K = subspace_sheaf(self.poset, self.field, kers, f.source.restriction)
+        return K, SheafMorphism(K, f.source, [k.basis for k in kers], validate=False)
 
     def cokernel(self, f):
-        reps, projs, dims = [], [], []
-        for i in range(len(self.poset)):
-            r, p = cokernel_basis(f.comps[i])
-            reps.append(r)
-            projs.append(p)
-            dims.append(r.cols)
-        rho = {}
-        for (i, j) in self.poset.covers:
-            rho[(i, j)] = projs[j] * (f.target.rho[(i, j)] * reps[i])
-        Q = Sheaf(self.poset, self.field, dims, rho, validate=False)
-        epi = SheafMorphism(f.target, Q, projs, validate=False)
-        return Q, epi
+        cok = [cokernel_basis(m) for m in f.comps]    # (reps, proj) per stalk
+        rho = {(i, j): cok[j][1] * (f.target.restriction(i, j) * cok[i][0])
+               for (i, j) in self.poset.covers}
+        Q = Sheaf(self.poset, self.field, [r.cols for r, _ in cok], rho, validate=False)
+        return Q, SheafMorphism(f.target, Q, [p for _, p in cok], validate=False)
 
     def image(self, f):
-        imgs = [image_basis(f.comps[i]) for i in range(len(self.poset))]
-        dims = [s.dim for s in imgs]
-        rho = {}
-        for (i, j) in self.poset.covers:
-            moved = f.target.rho[(i, j)] * imgs[i].basis
-            rho[(i, j)] = (imgs[j].coords_of(moved) if dims[j] else
-                           Matrix.zeros(self.field, 0, dims[i]))
-        I = Sheaf(self.poset, self.field, dims, rho, validate=False)
+        imgs = [image_basis(m) for m in f.comps]
+        I = subspace_sheaf(self.poset, self.field, imgs, f.target.restriction)
         mono = SheafMorphism(I, f.target, [s.basis for s in imgs], validate=False)
         epi_comps = [f.comps[i].rows_slice(s.pivots) for i, s in enumerate(imgs)]
         epi = SheafMorphism(f.source, I, epi_comps, validate=False)
@@ -501,7 +494,7 @@ class SheafContext:
             dims = [sum(X.dims[i] for X in Xs) for i in range(len(self.poset))]
             rho = {}
             for (i, j) in self.poset.covers:
-                rho[(i, j)] = block_diag(self.field, [X.rho[(i, j)] for X in Xs])
+                rho[(i, j)] = block_diag(self.field, [X.restriction(i, j) for X in Xs])
             S = Sheaf(self.poset, self.field, dims, rho, validate=False)
         zero, offs = [0] * len(self.poset), self.sum_offsets(Xs)
         injs = [self.placed_identities(X, S, [(off, zero, X)]) for off, X in zip(offs, Xs)]
@@ -605,7 +598,7 @@ def sections_over(F: Sheaf, open_idx) -> Subspace:
         if i in offs and j in offs:
             # rho_ij s_i - s_j = 0
             rows.append(place_blocks(F.field, F.dims[j], total,
-                                     [(0, offs[i], F.rho[(i, j)]),
+                                     [(0, offs[i], F.restriction(i, j)),
                                       (0, offs[j], -Matrix.identity(F.field, F.dims[j]))]))
     if not rows:
         return Subspace.full(F.field, total)
@@ -762,14 +755,8 @@ class Pushforward:
             o = sorted(f.preimage_idx(tgt.up[q]))
             opens.append(o)
             bases.append(sections_over(F, o))
-        dims = [b.dim for b in bases]
-        rho = {}
-        for (q, q2) in tgt.covers:
-            sel = self._selector(F, opens[q], opens[q2])
-            moved = sel * bases[q].basis
-            rho[(q, q2)] = (bases[q2].coords_of(moved) if dims[q2] else
-                            Matrix.zeros(F.field, 0, dims[q]))
-        out = Sheaf(tgt, F.field, dims, rho, validate=False)
+        out = subspace_sheaf(tgt, F.field, bases,
+                             lambda q, q2: self._selector(F, opens[q], opens[q2]))
         out._push = (opens, bases)
         return out
 
@@ -815,7 +802,7 @@ def hom_basis(F: Sheaf, G: Sheaf):
     nvars = off
     rows = []
     for (i, j) in p.covers:
-        rF, rG = F.rho[(i, j)], G.rho[(i, j)]
+        rF, rG = F.restriction(i, j), G.restriction(i, j)
         rows.append(place_blocks(field, G.dims[j] * F.dims[i], nvars, [
             (0, var_off[j], kron(Matrix.identity(field, G.dims[j]), rF.transpose())),
             (0, var_off[i], -kron(rG, Matrix.identity(field, F.dims[i])))]))

@@ -127,12 +127,24 @@ def gamma_struct_basis(I: InjectiveSheaf) -> Matrix:
     return Matrix.from_rows(field, [[c[i] for c in cols] for i in range(I.total_dim)], len(cols))
 
 
+def injective_cover(I: InjectiveSheaf, y, x) -> Matrix:
+    """The restriction of I along the cover y < x, written from its definition,
+    as `InjectiveSheaf` once wrote every cover when it was made: each summand
+    present at x moves from its slot at y to its slot at x."""
+    rows = [[0] * I.dims[y] for _ in range(I.dims[x])]
+    for s in I.present[x]:
+        for t in range(I.summands[s][1]):
+            rows[I.slot[x][s] + t][I.slot[y][s] + t] = 1
+    return Matrix.from_rows(I.field, rows, I.dims[y])
+
+
 def composites(F: Sheaf) -> dict:
     """Every composite restriction {(i, j): F_i -> F_j} of F, i <= j, each checked
     on every path: `Sheaf._build_full` as it was before composites were made on
-    first read.  For each i it composes j in linear-extension order, as rho along
-    each cover k < j above i after the composite to k, and raises the engine's
-    ValueError at the first pair whose candidates differ."""
+    first read.  For each i it composes j in linear-extension order, as the
+    cover restriction (read through `restriction`) along each cover k < j above
+    i after the composite to k, and raises the engine's ValueError at the first
+    pair whose candidates differ."""
     p = F.poset
     pos = {e: k for k, e in enumerate(p.linear_extension())}
     out = {}
@@ -141,7 +153,7 @@ def composites(F: Sheaf) -> dict:
         for j in sorted(p.up[i], key=lambda t: pos[t]):
             if j == i:
                 continue
-            cands = [F.rho[(k, j)] * fi[k] for (k, jj) in p.covers if jj == j and k in fi]
+            cands = [F.restriction(k, j) * fi[k] for (k, jj) in p.covers if jj == j and k in fi]
             for other in cands[1:]:
                 if not (other == cands[0]):
                     raise ValueError("restriction maps are path dependent from %s to %s"
@@ -172,7 +184,7 @@ def restrict_to_open(F: Sheaf, open_names):
     rho = {}
     for (i, j) in p.covers:
         if i in remap and j in remap:
-            rho[(remap[i], remap[j])] = F.rho[(i, j)]
+            rho[(remap[i], remap[j])] = F.restriction(i, j)
     return Sheaf(sub, F.field, dims, rho, validate=False), sub
 
 

@@ -276,7 +276,7 @@ def test_single_complex_matches_the_full_triple(field, seeds):
 # -- invariants of A alone against the full pass ------------------------------
 
 def _obj_text(obj):
-    return obj.dims, sorted((ij, m.to_str_rows()) for ij, m in obj.rho.items())
+    return obj.dims, sorted((c, obj.restriction(*c).to_str_rows()) for c in obj.poset.covers)
 
 
 def _a_side_text(inv):

@@ -444,11 +444,32 @@ def test_bad_stalk_dimension_is_an_input_error(tmp_path, capsys, command, stalk)
 
 def test_negative_max_degree_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--max-degree", "-5", "resolve", PSEUDOCIRCLE, "--sheaf", "k"])
+        main(["resolve", PSEUDOCIRCLE, "--sheaf", "k", "--max-degree", "-5"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "invalid degree '-5'" in captured.err
     assert captured.out == ""
+
+
+def test_max_degree_is_a_usage_error_where_no_command_reads_it(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["leray", TORUS, "--map", "pr1", "--sheaf", "k", "--max-degree", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --max-degree 0" in captured.err
+    assert captured.out == ""
+
+
+def test_max_degree_is_not_a_global_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-degree", "0", "resolve", PSEUDOCIRCLE, "--sheaf", "k"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_max_degree_reaches_the_commands_that_read_it(capsys):
+    assert main(["resolve", PSEUDOCIRCLE, "--sheaf", "k", "--max-degree", "0"]) == 0
+    assert "resolution exact" in capsys.readouterr().out
 
 
 def _collapsed_forge(tmp_path, capsys):

@@ -1,10 +1,14 @@
-"""Differential tests of composite restrictions made on first read.
+"""Differential tests of restrictions made on first read.
 
-`Sheaf.restriction(i, j)` composes a pair when it is first read and keeps
-it; a plain sheaf checks that every cover k < j above i gives the same
-composite, and `validate` reads every pair.  The frozen reference is the
-eager builder `engine_oracle.composites`, which composes every pair of a
-sheaf along every path.
+`Sheaf.restriction(i, j)` is the one reader of restrictions: it keeps one
+table, seeded with the given covers, and composes any other pair when it is
+first read; a plain sheaf checks that every cover k < j above i gives the
+same composite, and `validate` reads every pair.  An `InjectiveSheaf` is
+given no cover: it writes each restriction, a cover or not, as identity
+blocks when it is first read.  The frozen references are the eager builder
+`engine_oracle.composites`, which composes every pair of a sheaf along
+every path, and `engine_oracle.injective_cover`, each injective cover
+written from its definition.
 
 The sheaves the engine builds (kernels, cokernels, images, direct sums and
 pushforwards) are path-independent by construction, and on a run each is
@@ -22,13 +26,13 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engine_oracle import composites
+from engine_oracle import composites, injective_cover
 from fixtures import chain, product
 from possheaf.ceres import build_ce_triple, verify_ce
 from possheaf.cli import main
 from possheaf.exactla import Matrix
 from possheaf.forge import GenConfig, gen_poset, gen_ses_complexes, gen_sheaf
-from possheaf.sheafcat import Pushforward, Sheaf, SheafContext
+from possheaf.sheafcat import InjectiveSheaf, Pushforward, Sheaf, SheafContext
 from test_exactla_oracle import FIELDS, same
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -48,8 +52,9 @@ CONSTRUCTORS = [(SheafContext, "kernel"), (SheafContext, "cokernel"), (SheafCont
 
 @pytest.fixture(scope="module")
 def built_sheaves():
-    """(constructor name, sheaf) of every sheaf the five constructors build
-    during the fixture commands and four forged CE triples."""
+    """(constructor name, sheaf) of every sheaf the five constructors build,
+    and ("injective", I) of every `InjectiveSheaf` made, during the fixture
+    commands and four forged CE triples."""
     built = []
     with pytest.MonkeyPatch.context() as mp:
         for owner, name in CONSTRUCTORS:
@@ -58,6 +63,11 @@ def built_sheaves():
                 built.append((_name, out[0] if isinstance(out, tuple) else out))
                 return out
             mp.setattr(owner, name, record)
+
+        def record_injective(self, *args, _orig=InjectiveSheaf.__init__):
+            _orig(self, *args)
+            built.append(("injective", self))
+        mp.setattr(InjectiveSheaf, "__init__", record_injective)
         for argv in COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
@@ -70,12 +80,25 @@ def built_sheaves():
 
 def test_every_constructor_is_seen(built_sheaves):
     seen = {name for name, _ in built_sheaves}
-    assert seen == {name for _, name in CONSTRUCTORS}
+    assert seen == {name for _, name in CONSTRUCTORS} | {"injective"}
+
+
+def test_injective_covers_read_on_demand_match_the_eager_identity_blocks(built_sheaves):
+    covers = 0
+    for name, I in built_sheaves:
+        if name != "injective":
+            continue
+        for (y, x) in I.poset.covers:
+            assert same(I.restriction(y, x), injective_cover(I, y, x))
+            covers += 1
+    assert covers > 1000
 
 
 def test_built_composites_are_path_independent_and_match_the_eager_builder(built_sheaves):
     pairs = 0
-    for _, F in built_sheaves:
+    for name, F in built_sheaves:
+        if name == "injective":
+            continue
         eager = composites(F)       # raises if two paths of F differ
         for (i, j) in sorted(eager, reverse=True):
             assert same(F.restriction(i, j), eager[(i, j)])
@@ -93,7 +116,7 @@ POSETS = [SQUARE, product(chain(3), chain(2)), product(SQUARE, chain(2))] + [
 def test_validate_fails_on_the_eager_builders_first_pair(field, p, seed, data):
     # a forged sheaf, with one cover's restriction replaced by a drawn matrix or not
     F = gen_sheaf(GenConfig("composite-%d" % seed, max_stalk_dim=2, field=field), p)
-    rho = dict(F.rho)
+    rho = {c: F.restriction(*c) for c in p.covers}
     if p.covers and data.draw(st.booleans()):
         i, j = data.draw(st.sampled_from(p.covers))
         entries = st.sampled_from([0, 1, -1, 2])
@@ -121,3 +144,31 @@ def test_a_pair_is_checked_when_first_read():
     assert same(F.restriction(p.idx("0.0"), p.idx("0.1")), one)
     with pytest.raises(ValueError, match="path dependent from 0.0 to 1.1"):
         F.restriction(p.idx("0.0"), p.idx("1.1"))
+
+
+def test_a_missing_nonzero_cover_is_named():
+    p = SQUARE
+    field = FIELDS[0]
+    a, b = p.idx("0.0"), p.idx("0.1")
+    rho = {c: Matrix.identity(field, 1) for c in p.covers if c != (a, b)}
+    with pytest.raises(ValueError, match="^missing restriction for cover 0.0<0.1$"):
+        Sheaf(p, field, [1] * 4, rho)
+    F = Sheaf(p, field, [1] * 4, rho, validate=False)     # named no later than validate()
+    with pytest.raises(ValueError, match="^missing restriction for cover 0.0<0.1$"):
+        F.validate()
+    with pytest.raises(ValueError, match="^missing restriction for cover 0.0<0.1$"):
+        F.restriction(a, p.idx("1.1"))
+
+
+def test_a_missing_cover_into_a_zero_stalk_is_zero():
+    p = SQUARE
+    field = FIELDS[0]
+    top = p.idx("1.1")
+    dims = [0 if x == top else 1 for x in range(len(p))]
+    rho = {c: Matrix.identity(field, 1) for c in p.covers if top not in c}
+    F = Sheaf(p, field, dims, rho)
+    for (i, j) in p.covers:
+        if j == top:
+            assert same(F.restriction(i, j), Matrix.zeros(field, 0, 1))
+    assert same(F.restriction(p.idx("0.0"), top), Matrix.zeros(field, 0, 1))
+    assert same(F.restriction(p.idx("0.0"), p.idx("1.0")), Matrix.identity(field, 1))

@@ -248,6 +248,7 @@ def test_delta_tot_matches_derived_functor_les():
     from possheaf.gross import _gamma_base, augmentation_into_tot
     from possheaf.homalg import ChainMap, SESOfComplexes, cohomology, connecting
     from possheaf.sheafcat import VectorContext, gamma_map, global_sections
+    from possheaf.specseq import Subquotient
 
     ctx = SheafContext(X4, QQ)
     k, m, e = injective_middle(ctx)
@@ -269,6 +270,12 @@ def test_delta_tot_matches_derived_functor_les():
         ChainMap(vecM, vecN, gmap(family.F_ses.iota, FM, basesM, basesN)),
         ChainMap(vecN, vecP, gmap(family.F_ses.pi, FN, basesN, basesP)))
     vctx = VectorContext(QQ)
+
+    def h_reps(h):
+        # representatives of H in the ambient space: Z's basis times the
+        # quotient representatives of B inside Z's coordinates
+        return h.z_mono * Subquotient.cohomology(QQ, h.z_mono.cols, d_in=h.b_mono).reps
+
     checked = 0
     for n in range(3):
         hP = cohomology(vecP, n)
@@ -278,11 +285,8 @@ def test_delta_tot_matches_derived_functor_les():
         delta_gf = connecting(ses_vec, n)
         uT = augmentation_into_tot(pair, family.ce.doubles["C"], family.ssT.tower, basesP, n)
         uR = augmentation_into_tot(pair, family.ce.doubles["A"], family.ssR.tower, basesM, n + 1)
-        from possheaf.gross import _cohomology_reps
-
-        phiT = family.ssT.tower.A1[(0, n)].project(uT * (hP.z_mono * _cohomology_reps(QQ, hP)))
-        phiR = family.ssR.tower.A1[(0, n + 1)].project(
-            uR * (hM1.z_mono * _cohomology_reps(QQ, hM1)))
+        phiT = family.ssT.tower.A1[(0, n)].project(uT * h_reps(hP))
+        phiR = family.ssR.tower.A1[(0, n + 1)].project(uR * h_reps(hM1))
         lhs = family.delta_tot(n) * phiT
         rhs = phiR * delta_gf
         assert lhs == rhs or lhs == -rhs

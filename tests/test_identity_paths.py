@@ -17,7 +17,7 @@ import os
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle as oracle
-from engine_oracle import extend_matrix
+from engine_oracle import extend_matrix, injective_cover
 from possheaf.exactla import (
     QQ,
     Matrix,
@@ -143,20 +143,11 @@ def test_extension_matches_the_frame_solve(fmf, flip):
     assert same(g * m, f)
 
 
-def defined_cover(I, y, x):
-    """The restriction of I along the cover y < x, written from its definition:
-    each summand present at x moves from its slot at y to its slot at x."""
-    rows = [[0] * I.dims[y] for _ in range(I.dims[x])]
-    for s in I.present[x]:
-        for t in range(I.summands[s][1]):
-            rows[I.slot[x][s] + t][I.slot[y][s] + t] = 1
-    return Matrix.from_rows(I.field, rows, I.dims[y])
-
-
 def assert_composites_are_path_products(I):
-    for (y, x), rho in I.rho.items():
-        assert same(rho, defined_cover(I, y, x))
-    paths = Sheaf(I.poset, I.field, I.dims, I.rho)   # composes the covers path by path
+    covers = {(y, x): I.restriction(y, x) for (y, x) in I.poset.covers}
+    for (y, x), rho in covers.items():
+        assert same(rho, injective_cover(I, y, x))
+    paths = Sheaf(I.poset, I.field, I.dims, covers)   # composes the covers path by path
     for y in range(len(I.poset)):
         for x in I.poset.up[y]:
             assert same(I.restriction(y, x), paths.restriction(y, x))

@@ -289,7 +289,7 @@ def _extension_probe(ctx, m, f):
         off += T.dims[i] * B.dims[i]
     rows, rhs = [], []
     for (i, j) in p.covers:   # g_j . rho^B = rho^T . g_i
-        rB, rT = B.rho[(i, j)], T.rho[(i, j)]
+        rB, rT = B.restriction(i, j), T.restriction(i, j)
         for r in range(T.dims[j]):
             for c in range(B.dims[i]):
                 row = [field.zero()] * off
