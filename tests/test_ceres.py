@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from engine_oracle import render
@@ -271,6 +273,35 @@ def test_single_complex_matches_the_full_triple(field, seeds):
             assert _double_text(double) == _double_text(oracle), (field, seed, name)
             assert verify_ce(double).ok, (field, seed, name)
             assert all(set(t.cplx) == {"I"} for _, t in double.tag_rows)   # no J, K built
+
+
+# forged CE triples against a recording; seeds 0, 1 and 5 take
+# gen_ses_complexes' mapping-cone branch, 2, 3 and 4 its horseshoe branch
+FORGED_CE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "forge-ce.txt")
+FORGED_CE_CASES = [(field, seed) for field in ("q", "fp:32003") for seed in range(6)]
+
+
+def forged_ce_text(field, seed):
+    """The three doubles and the row iota/pi maps of one forged CE triple,
+    one repr per line, under a header naming the case."""
+    cfg = GenConfig("ce-golden-%d" % seed, max_elements=5, max_stalk_dim=2,
+                    field=field_from_name(field))
+    ce = build_ce_triple(gen_ses_complexes(cfg))
+    out = [("case", field, seed)]
+    for name in ("A", "B", "C"):
+        out += [(name,) + item for item in _double_text(ce.doubles[name])]
+    for p, (iota, pi) in enumerate(zip(ce.row_iotas, ce.row_pis)):
+        for q in iota.source.degrees():
+            out.append(("iota", p, q, _map_text(iota.comp(q))))
+        for q in pi.source.degrees():
+            out.append(("pi", p, q, _map_text(pi.comp(q))))
+    return "".join(repr(item) + "\n" for item in out)
+
+
+def test_forged_ce_triples_match_the_recording():
+    with open(FORGED_CE) as fh:
+        recorded = fh.read()
+    assert "".join(forged_ce_text(*case) for case in FORGED_CE_CASES) == recorded
 
 
 # -- invariants of A alone against the full pass ------------------------------
