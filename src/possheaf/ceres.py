@@ -14,7 +14,7 @@ there a copy of I and zero, are built only by build_ce_triple.
 The construction order is fixed: first the nineteen witnessed exact
 sequences of subquotient data (cocycles Z, coboundaries B, cohomology H,
 and the kernels W and X taken from the long exact sequence), fifteen of
-them made by one routine run once per complex, then tagged
+them made by one routine run once per complex, then keyed
 direct sums whose structural maps realize the same sequences by block
 inclusion and projection, then the comparison maps, each either an
 injectivity extension at a chosen summand or a composite forced by
@@ -28,6 +28,7 @@ from .homalg import (
     ChainMap,
     CheckReport,
     CochainComplex,
+    DirectSum,
     SESOfComplexes,
     TruncationInsufficient,
     augmented_exact,
@@ -183,37 +184,7 @@ class SESInvariants:
         return {label: len(self.seqs[label]) for label in ES_LABELS}
 
 
-class TaggedSum:
-    """Direct sum with summand provenance; structural maps match tags."""
-
-    def __init__(self, ctx, keys, objs):
-        self.ctx = ctx
-        self.keys = list(keys)
-        self.objs = list(objs)
-        self.obj, self.injs, self.projs = ctx.direct_sum(self.objs)
-        self.offsets = ctx.sum_offsets(self.objs)   # where each summand sits in obj
-        self.index = {k: i for i, k in enumerate(self.keys)}
-        if len(self.index) != len(self.keys):
-            raise ValueError("duplicate tags in a tagged sum")
-
-    def inj(self, key):
-        return self.injs[self.index[key]]
-
-    def proj(self, key):
-        return self.projs[self.index[key]]
-
-    def structural_to(self, other: "TaggedSum"):
-        """The unique tag-matching map: the sum of inj.proj over shared tags.
-
-        It is the identity from each shared tag's place in self to its place
-        in other, and zero elsewhere.
-        """
-        blocks = [(other.offsets[other.index[k]], off, X)
-                  for k, off, X in zip(self.keys, self.offsets, self.objs) if k in other.index]
-        return self.ctx.placed_identities(self.obj, other.obj, blocks)
-
-
-# layout of every composite object as a flat tagged sum;
+# layout of every composite object as a flat direct sum;
 # keys are (family, column, level) with family W or B and column I, J, K
 _LAYOUT = {
     "HI": lambda q: (("W", "I", q), ("W", "J", q)),
@@ -232,7 +203,7 @@ _LAYOUT = {
     "K": lambda q: (("W", "K", q), ("W", "I", q + 1), ("B", "K", q), ("B", "K", q + 1)),
 }
 
-# the I column's families, tagged sums and ladders; the rest belong to J and K
+# the I column's families, sums and ladders; the rest belong to J and K
 _I_FAMILIES = (("W", "I"), ("W", "J"), ("B", "I"))
 _JK_FAMILIES = (("W", "K"), ("B", "K"))
 _I_SUMS = ("HI", "XI", "ZI", "I")
@@ -263,12 +234,12 @@ class InjectiveTriple:
         if inv.names == tuple(COLUMNS):
             self._build_jk()
 
-    def sum_at(self, name, q) -> TaggedSum:
+    def sum_at(self, name, q) -> DirectSum:
         return self.sums[name][q]
 
     def _add_parts(self, families, sums, columns):
         """Chosen injectives of the families, zero-padded one level past the
-        end, then the tagged sums and the columns as complexes."""
+        end, then the keyed sums and the columns as complexes."""
         ctx, inv = self.ctx, self.inv
         qs = inv.degrees()
         data = {"I": inv.A, "J": inv.B, "K": inv.C}
@@ -283,10 +254,10 @@ class InjectiveTriple:
         # singleton views of the bare families, for the ladder checks
         for key, obj in self.fam.items():
             if key not in self.one:
-                self.one[key] = TaggedSum(ctx, [key], [obj])
+                self.one[key] = DirectSum(ctx, [obj], [key])
         for name in sums:
-            self.sums[name] = {q: TaggedSum(ctx, _LAYOUT[name](q),
-                                            [self.fam[k] for k in _LAYOUT[name](q)])
+            self.sums[name] = {q: DirectSum(ctx, [self.fam[k] for k in _LAYOUT[name](q)],
+                                            _LAYOUT[name](q))
                                for q in qs}
         for name in columns:
             objs = {q: self.sum_at(name, q).obj for q in qs}
@@ -395,15 +366,15 @@ class InjectiveTriple:
         es11, es16, es18 = s["es11"][q], s["es16"][q], s["es18"][q]
         a = ctx.compose(self.sum_at("ZI", q).structural_to(xi), zA_q)   # Z^q(A) -> XI
         b = ctx.compose(self.sum_at("BJ", q).structural_to(xi), bB_q)   # B^q(B) -> XI
-        S, injs, projs = ctx.direct_sum([inv.A.Z[q], inv.B.B[q]])
-        antidiag = ctx.add(ctx.compose(injs[0], inv.A.x_mono[q]),
-                           ctx.neg(ctx.compose(injs[1], es16.f)))
+        S = DirectSum(ctx, [inv.A.Z[q], inv.B.B[q]])
+        antidiag = ctx.add(ctx.compose(S.inj(0), inv.A.x_mono[q]),
+                           ctx.neg(ctx.compose(S.inj(1), es16.f)))
         Q, qepi = ctx.cokernel(antidiag)
-        u = ctx.add(ctx.compose(es18.f, projs[0]), ctx.compose(es11.f, projs[1]))
+        u = ctx.add(ctx.compose(es18.f, S.proj(0)), ctx.compose(es11.f, S.proj(1)))
         try:
             qmono = ctx.descend_along_epi(qepi, u)
             qab = ctx.descend_along_epi(
-                qepi, ctx.add(ctx.compose(a, projs[0]), ctx.compose(b, projs[1])))
+                qepi, ctx.add(ctx.compose(a, S.proj(0)), ctx.compose(b, S.proj(1))))
         except ctx.LiftError as exc:
             raise InternalCommutativityFailure("Q-factorization@%d: %s" % (q, exc)) from exc
         if not ctx.is_mono(qmono):
@@ -493,13 +464,13 @@ class InjectiveTriple:
         bnext = ctx.compose(bB[q + 1], es14.g)
         bpart = ctx.compose(self.sum_at("BJ", q + 1).structural_to(jq), bnext)
         zpartA = self._zext[("I", q)]                 # A^q -> ZI
-        S, injs, projs = ctx.direct_sum([inv.B.Z[q], ses.A.obj(q)])
-        smap = ctx.add(ctx.compose(inv.B.z_mono[q], projs[0]),
-                       ctx.compose(ses.iota.comp(q), projs[1]))
+        S = DirectSum(ctx, [inv.B.Z[q], ses.A.obj(q)])
+        smap = ctx.add(ctx.compose(inv.B.z_mono[q], S.proj(0)),
+                       ctx.compose(ses.iota.comp(q), S.proj(1)))
         Im, im_mono, im_epi = ctx.image(smap)
         # extend only the ZI-tagged components; the K-side ones are forced below
-        t = ctx.add(ctx.compose(ctx.compose(zj.structural_to(zi), zB_q), projs[0]),
-                    ctx.compose(zpartA, projs[1]))
+        t = ctx.add(ctx.compose(ctx.compose(zj.structural_to(zi), zB_q), S.proj(0)),
+                    ctx.compose(zpartA, S.proj(1)))
         try:
             tbar = ctx.descend_along_epi(im_epi, t)
         except ctx.LiftError as exc:

@@ -118,26 +118,16 @@ def _linked_resolutions(pair: FunctorPair, iota, pi) -> homalg.HorseshoeData:
     return homalg.horseshoe(ctx, iota, pi, res_a, res_c)
 
 
-def _struct_offsets(triple, col, q):
-    """Row offsets of each tagged part in Gamma-structured coordinates."""
-    ts = triple.sum_at(col, q)
-    offs, off = [], 0
-    for key in ts.keys:
-        obj = triple.fam[key]
-        offs.append((key, off, obj.mult_total))
-        off += obj.mult_total
-    return offs, off
-
-
 def _h_block_rows(triple, tags, q):
     """Structured-coordinate rows of the cohomology part of the row object."""
     col, _, htag = tags
     hkeys = set(triple.sums[htag][q].keys)
-    offs, _ = _struct_offsets(triple, col, q)
-    rows = []
-    for key, off, mult in offs:
+    ts = triple.sum_at(col, q)
+    rows, off = [], 0
+    for key, obj in zip(ts.keys, ts.objs):
         if key in hkeys:
-            rows.extend(range(off, off + mult))
+            rows.extend(range(off, off + obj.mult_total))
+        off += obj.mult_total
     return rows
 
 
@@ -236,7 +226,7 @@ def first_ss_check(data: GrothendieckData) -> CheckReport:
     aug_cols = {}
     for n in base_vec.degrees():
         if 0 <= n <= tower.nmax:
-            aug_cols[n] = _augmentation_into_tot(data, n)
+            aug_cols[n] = augmentation_into_tot(data.pair, data.double, tower, bases, n)
     ok_chain = True
     for n in sorted(aug_cols):
         un1 = aug_cols.get(n + 1)
@@ -264,14 +254,9 @@ def gamma_cohomology(vec: CochainComplex, p) -> Subquotient:
     return Subquotient.cohomology(vec.ctx.field, vec.obj(p), vec.diff(p), vec.diff(p - 1))
 
 
-def _augmentation_into_tot(data: GrothendieckData, n) -> Matrix:
-    """G(A^n) -> Tot^n, landing in the (0, n) block (structured coordinates)."""
-    _, bases = data.base_gamma
-    return augmentation_into_tot(data.pair, data.double, data.ss.tower, bases, n)
-
-
 def augmentation_into_tot(pair, double, tower, bases, n) -> Matrix:
-    """Sections of the base complex included into the total complex."""
+    """G(A^n) -> Tot^n: sections of the base complex included into the (0, n)
+    block of the total complex, in structured coordinates."""
     tot_dim = tower.tot_dim.get(n, 0)
     src = bases.get(n)
     base_off = tower.offsets.get((n, 0, n))

@@ -42,6 +42,53 @@ class CheckReport:
         return "%-52s %s%s" % (name, "PASS" if ok else "FAIL", (" " + detail) if detail else "")
 
 
+class DirectSum:
+    """Direct sum of objs, each summand tagged by a key (its position by default).
+
+    Injections and projections are identity blocks at the summand's offset,
+    made when first read and kept.
+    """
+
+    def __init__(self, ctx, objs, keys=None):
+        self.ctx = ctx
+        self.objs = list(objs)
+        self.keys = list(range(len(self.objs)) if keys is None else keys)
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        if len(self.index) != len(self.keys):
+            raise ValueError("duplicate keys in a direct sum")
+        self.obj = ctx.direct_sum(self.objs)
+        self.offsets = ctx.sum_offsets(self.objs)   # where each summand sits in obj
+        self._maps = {}
+
+    def inj(self, key):
+        return self._placed("inj", key)
+
+    def proj(self, key):
+        return self._placed("proj", key)
+
+    def _placed(self, kind, key):
+        f = self._maps.get((kind, key))
+        if f is None:
+            i = self.index[key]
+            X, off, zero = self.objs[i], self.offsets[i], self.offsets[0]
+            if kind == "inj":
+                f = self.ctx.placed_identities(X, self.obj, [(off, zero, X)])
+            else:
+                f = self.ctx.placed_identities(self.obj, X, [(zero, off, X)])
+            self._maps[(kind, key)] = f
+        return f
+
+    def structural_to(self, other: "DirectSum"):
+        """The unique key-matching map: the sum of inj.proj over shared keys.
+
+        It is the identity from each shared key's place in self to its place
+        in other, and zero elsewhere.
+        """
+        blocks = [(other.offsets[other.index[k]], off, X)
+                  for k, off, X in zip(self.keys, self.offsets, self.objs) if k in other.index]
+        return self.ctx.placed_identities(self.obj, other.obj, blocks)
+
+
 class CochainComplex:
     """Bounded complex: objects X^q and differentials d^q for lo <= q <= hi."""
 
@@ -306,19 +353,17 @@ def horseshoe(ctx, iota, pi, res_a: Resolution, res_c: Resolution) -> HorseshoeD
     B_obj = ctx.map_target_obj(iota)
     C_obj = ctx.map_target_obj(pi)
     top = max(res_a.length(), res_c.length())
-    objects, diffs, injs_by_q, projs_by_q = {}, {}, {}, {}
+    sums, diffs = {}, {}
     cur = (A_obj, B_obj, C_obj, iota, pi, res_a.augmentation, res_c.augmentation)
     aug_b = None
     prev_epis = None
     for q in range(top + 1):
         a_obj, b_obj, c_obj, io, pr, emb_a, emb_c = cur
         Mq, Pq = res_a.complex.obj(q), res_c.complex.obj(q)
-        Nq, injs, projs = ctx.direct_sum([Mq, Pq])
-        objects[q] = Nq
-        injs_by_q[q], projs_by_q[q] = injs, projs
+        N = sums[q] = DirectSum(ctx, [Mq, Pq])
         phi = ctx.extend_along_mono(io, emb_a)          # B -> M^q level
         psi = ctx.compose(emb_c, pr)                     # B -> P^q level
-        emb_b = ctx.add(ctx.compose(injs[0], phi), ctx.compose(injs[1], psi))
+        emb_b = ctx.add(ctx.compose(N.inj(0), phi), ctx.compose(N.inj(1), psi))
         if not ctx.is_mono(emb_b):
             raise ExtensionFailure("horseshoe middle embedding not mono at level %d" % q)
         if q == 0:
@@ -328,9 +373,9 @@ def horseshoe(ctx, iota, pi, res_a: Resolution, res_c: Resolution) -> HorseshoeD
         # cokernel SES for the next level
         cokA, eA = ctx.cokernel(emb_a)
         cokB, eB = ctx.cokernel(emb_b)
-        cokC, eC = ctx.cokernel(ctx.compose(projs[1], emb_b))  # = emb_c . pr, same map
-        io2 = ctx.descend_along_epi(eA, ctx.compose(eB, injs[0]))
-        pr2 = ctx.descend_along_epi(eB, ctx.compose(eC, projs[1]))
+        cokC, eC = ctx.cokernel(ctx.compose(N.proj(1), emb_b))  # = emb_c . pr, same map
+        io2 = ctx.descend_along_epi(eA, ctx.compose(eB, N.inj(0)))
+        pr2 = ctx.descend_along_epi(eB, ctx.compose(eC, N.proj(1)))
         if not (ctx.is_mono(io2) and ctx.is_epi(pr2) and ctx.is_exact_pair(io2, pr2, cokB)):
             raise ExtensionFailure("horseshoe cokernel SES not exact at level %d" % q)
         emb_a2 = ctx.descend_along_epi(eA, res_a.complex.diff(q))
@@ -340,12 +385,10 @@ def horseshoe(ctx, iota, pi, res_a: Resolution, res_c: Resolution) -> HorseshoeD
     # the final cokernel of B must vanish for the middle resolution to close up
     if not ctx.is_zero_obj(cur[1]):
         raise ExtensionFailure("horseshoe middle resolution does not terminate")
-    res_b_cplx = CochainComplex(ctx, objects, diffs)
+    res_b_cplx = CochainComplex(ctx, {q: N.obj for q, N in sums.items()}, diffs)
     res_b = Resolution(B_obj, res_b_cplx, aug_b)
-    iota_res = ChainMap(res_a.complex, res_b_cplx,
-                        {q: injs_by_q[q][0] for q in objects})
-    pi_res = ChainMap(res_b_cplx, res_c.complex,
-                      {q: projs_by_q[q][1] for q in objects})
+    iota_res = ChainMap(res_a.complex, res_b_cplx, {q: N.inj(0) for q, N in sums.items()})
+    pi_res = ChainMap(res_b_cplx, res_c.complex, {q: N.proj(1) for q, N in sums.items()})
     return HorseshoeData(res_a, res_b, res_c, iota_res, pi_res)
 
 
@@ -372,20 +415,16 @@ def mapping_cone(u: ChainMap):
     A, B = u.source, u.target
     lo = min(A.lo - 1, B.lo)
     hi = max(A.hi - 1, B.hi)
-    objects, diffs, injs_q, projs_q = {}, {}, {}, {}
-    for q in range(lo, hi + 1):
-        obj, injs, projs = ctx.direct_sum([B.obj(q), A.obj(q + 1)])
-        objects[q] = obj
-        injs_q[q], projs_q[q] = injs, projs
-    for q in range(lo, hi + 1):
-        if q + 1 > hi:
-            continue
-        tB = ctx.add(ctx.compose(B.diff(q), projs_q[q][0]), ctx.compose(u.comp(q + 1), projs_q[q][1]))
-        tA = ctx.neg(ctx.compose(A.diff(q + 1), projs_q[q][1]))
-        diffs[q] = ctx.add(ctx.compose(injs_q[q + 1][0], tB), ctx.compose(injs_q[q + 1][1], tA))
-    cone = CochainComplex(ctx, objects, diffs)
+    sums = {q: DirectSum(ctx, [B.obj(q), A.obj(q + 1)]) for q in range(lo, hi + 1)}
+    diffs = {}
+    for q in range(lo, hi):
+        S, T = sums[q], sums[q + 1]
+        tB = ctx.add(ctx.compose(B.diff(q), S.proj(0)), ctx.compose(u.comp(q + 1), S.proj(1)))
+        tA = ctx.neg(ctx.compose(A.diff(q + 1), S.proj(1)))
+        diffs[q] = ctx.add(ctx.compose(T.inj(0), tB), ctx.compose(T.inj(1), tA))
+    cone = CochainComplex(ctx, {q: S.obj for q, S in sums.items()}, diffs)
     shiftA = CochainComplex(ctx, {q: A.obj(q + 1) for q in range(lo, hi + 1)},
                             {q: ctx.neg(A.diff(q + 1)) for q in range(lo, hi)})
-    iota = ChainMap(B, cone, {q: injs_q[q][0] for q in objects})
-    pi = ChainMap(cone, shiftA, {q: projs_q[q][1] for q in objects})
+    iota = ChainMap(B, cone, {q: S.inj(0) for q, S in sums.items()})
+    pi = ChainMap(cone, shiftA, {q: S.proj(1) for q, S in sums.items()})
     return cone, SESOfComplexes(iota, pi)

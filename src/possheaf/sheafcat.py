@@ -170,11 +170,7 @@ class VectorContext:
         return place_blocks(self.field, Y, X, blocks)
 
     def direct_sum(self, Xs):
-        total = sum(Xs)
-        offs = self.sum_offsets(Xs)
-        injs = [self.placed_identities(X, total, [(off, 0, X)]) for off, X in zip(offs, Xs)]
-        projs = [self.placed_identities(total, X, [(0, off, X)]) for off, X in zip(offs, Xs)]
-        return total, injs, projs
+        return sum(Xs)
 
     def injective_embed(self, X):
         return X, Matrix.identity(self.field, X)
@@ -496,10 +492,7 @@ class SheafContext:
             for (i, j) in self.poset.covers:
                 rho[(i, j)] = block_diag(self.field, [X.restriction(i, j) for X in Xs])
             S = Sheaf(self.poset, self.field, dims, rho, validate=False)
-        zero, offs = [0] * len(self.poset), self.sum_offsets(Xs)
-        injs = [self.placed_identities(X, S, [(off, zero, X)]) for off, X in zip(offs, Xs)]
-        projs = [self.placed_identities(S, X, [(zero, off, X)]) for off, X in zip(offs, Xs)]
-        return S, injs, projs
+        return S
 
     def sum_offsets(self, Xs):
         """Where each summand of the direct sum of Xs begins: a list of stalk offsets."""

@@ -8,8 +8,9 @@ morphism induced by entrywise maps, the intersection of subspaces, the
 reduced echelon form reached by elimination, the pivot-rule complement of a
 subspace and the extension of a map along a mono that vanishes on it, the
 structured section basis of a coinduced sheaf, the cohomology of a sheaf
-on an open from its own restricted resolution, and every composite
-restriction of a sheaf composed eagerly along every path.  The command line
+on an open from its own restricted resolution, every composite
+restriction of a sheaf composed eagerly along every path, and a direct
+sum with all its injections and projections built at once.  The command line
 reaches none of them, so they live with the tests.
 """
 
@@ -136,6 +137,23 @@ def injective_cover(I: InjectiveSheaf, y, x) -> Matrix:
         for t in range(I.summands[s][1]):
             rows[I.slot[x][s] + t][I.slot[y][s] + t] = 1
     return Matrix.from_rows(I.field, rows, I.dims[y])
+
+
+def eager_direct_sum(ctx, objs):
+    """(sum, injections, projections) of objs, every map built at once: the
+    contexts' `direct_sum` as it was before `homalg.DirectSum` made each map
+    on first read.  Summand k sits at the sum of the sizes before it (per
+    stalk, over a poset), and its maps are identity blocks placed there."""
+    total = ctx.direct_sum(objs)
+    vector = isinstance(ctx, VectorContext)
+    off = zero = 0 if vector else [0] * len(ctx.poset)
+    offs = []
+    for X in objs:
+        offs.append(off)
+        off = off + X if vector else [a + d for a, d in zip(off, X.dims)]
+    injs = [ctx.placed_identities(X, total, [(o, zero, X)]) for o, X in zip(offs, objs)]
+    projs = [ctx.placed_identities(total, X, [(zero, o, X)]) for o, X in zip(offs, objs)]
+    return total, injs, projs
 
 
 def composites(F: Sheaf) -> dict:

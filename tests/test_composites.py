@@ -19,19 +19,22 @@ oracle, which raises on any path dependence, and every pair read off the
 engine, coldest first, must equal the oracle's.
 """
 
+import collections
 import contextlib
 import io
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engine_oracle import composites, injective_cover
+from engine_oracle import composites, eager_direct_sum, injective_cover
 from fixtures import chain, product
 from possheaf.ceres import build_ce_triple, verify_ce
 from possheaf.cli import main
 from possheaf.exactla import Matrix
 from possheaf.forge import GenConfig, gen_poset, gen_ses_complexes, gen_sheaf
+from possheaf.homalg import DirectSum
 from possheaf.sheafcat import InjectiveSheaf, Pushforward, Sheaf, SheafContext
 from test_exactla_oracle import FIELDS, same
 
@@ -51,11 +54,14 @@ CONSTRUCTORS = [(SheafContext, "kernel"), (SheafContext, "cokernel"), (SheafCont
 
 
 @pytest.fixture(scope="module")
-def built_sheaves():
-    """(constructor name, sheaf) of every sheaf the five constructors build,
-    and ("injective", I) of every `InjectiveSheaf` made, during the fixture
-    commands and four forged CE triples."""
-    built = []
+def recorded():
+    """What the fixture commands and four forged CE triples build: under
+    "sheaves", (constructor name, sheaf) of every sheaf the five constructors
+    build and ("injective", I) of every `InjectiveSheaf` made; under "sums",
+    (name of the function that made it, sum) of every `DirectSum`.  Seeds 0
+    and 3 take `gen_ses_complexes`' mapping-cone branch, 1 and 2 its
+    horseshoe branch."""
+    built, sums = [], []
     with pytest.MonkeyPatch.context() as mp:
         for owner, name in CONSTRUCTORS:
             def record(*args, _orig=getattr(owner, name), _name=name, **kwargs):
@@ -68,6 +74,15 @@ def built_sheaves():
             _orig(self, *args)
             built.append(("injective", self))
         mp.setattr(InjectiveSheaf, "__init__", record_injective)
+
+        def record_sum(self, *args, _orig=DirectSum.__init__, **kwargs):
+            _orig(self, *args, **kwargs)
+            assert not self._maps                 # nothing is placed until it is read
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):      # a comprehension's frame
+                frame = frame.f_back
+            sums.append((frame.f_code.co_name, self))
+        mp.setattr(DirectSum, "__init__", record_sum)
         for argv in COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
@@ -75,7 +90,12 @@ def built_sheaves():
             cfg = GenConfig("composites-%d" % k, max_elements=5, max_stalk_dim=2)
             ce = build_ce_triple(gen_ses_complexes(cfg))
             assert all(verify_ce(ce.doubles[n]).ok for n in ("A", "B", "C"))
-    return built
+    return {"sheaves": built, "sums": sums}
+
+
+@pytest.fixture(scope="module")
+def built_sheaves(recorded):
+    return recorded["sheaves"]
 
 
 def test_every_constructor_is_seen(built_sheaves):
@@ -172,3 +192,23 @@ def test_a_missing_cover_into_a_zero_stalk_is_zero():
             assert same(F.restriction(i, j), Matrix.zeros(field, 0, 1))
     assert same(F.restriction(p.idx("0.0"), top), Matrix.zeros(field, 0, 1))
     assert same(F.restriction(p.idx("0.0"), p.idx("1.0")), Matrix.identity(field, 1))
+
+
+def _same_map(f, g):
+    if hasattr(f, "comps"):
+        return len(f.comps) == len(g.comps) and all(map(same, f.comps, g.comps))
+    return same(f, g)
+
+
+def test_direct_sum_maps_read_on_demand_match_the_eager_builder(recorded):
+    makers = collections.Counter(name for name, _ in recorded["sums"])
+    assert set(makers) == {"horseshoe", "mapping_cone", "_add_parts", "_x_middle",
+                           "_augment_middle"}
+    maps = 0
+    for _, S in recorded["sums"]:
+        obj, injs, projs = eager_direct_sum(S.ctx, S.objs)
+        assert S.ctx.obj_dim(S.obj) == S.ctx.obj_dim(obj)
+        for key, inj, proj in zip(S.keys, injs, projs):
+            assert _same_map(S.inj(key), inj) and _same_map(S.proj(key), proj)
+            maps += 2
+    assert maps > 1000

@@ -127,9 +127,9 @@ def test_connecting_derived_injective_middle():
 def test_delta_family_split_is_zero():
     ctx = SheafContext(X4, QQ)
     k = ctx.constant_sheaf()
-    B, injs, projs = ctx.direct_sum([k, k])
+    B = homalg.DirectSum(ctx, [k, k])
     pair = FunctorPair(to_point(X4), X4, QQ)
-    family = delta_morphism(pair, injs[0], projs[1])
+    family = delta_morphism(pair, B.inj(0), B.proj(1))
     for (p, q), d in family.ssT.page_dims(2).items():
         assert family.delta_r(2, p, q).is_zero()
     rep = verify_main_theorem(family)
@@ -187,11 +187,11 @@ def test_acyclic_middle_rejects_constant_middle():
     # B = constant sheaf on the fence is not acyclic (H^1 of the circle)
     ctx = SheafContext(X4, QQ)
     k = ctx.constant_sheaf()
-    B, injs, projs = ctx.direct_sum([k])
+    B = ctx.direct_sum([k])
     pair = FunctorPair(to_point(X4), X4, QQ)
     zero = ctx.zero_obj()
     with pytest.raises(PreconditionFailed):
-        acyclic_middle_analysis(pair, ctx.zero_map(zero, k), ctx.identity(k))
+        acyclic_middle_analysis(pair, ctx.zero_map(zero, B), ctx.identity(B))
 
 
 def test_dimension_independence_of_choices():

@@ -1,4 +1,4 @@
-"""Four layout rules of src/possheaf.
+"""Five layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -32,6 +32,11 @@ module divides with `/` but `RationalField.inv`.  Over
 the rationals an integral value is a bare int, so `/` of two field
 elements could give a float; `inv` turns its argument into a rational
 first, and every other quotient is a product with an inverse.
+
+Only `homalg.DirectSum` places summands.  No other code in src/possheaf
+calls a context's `direct_sum`, `sum_offsets` or `placed_identities`, so
+where a summand sits, and how its injection, projection and the structural
+maps between sums are made, is decided in one class.
 
 Every function the benchmark's tracer wraps (`perfbench/tracer.py`,
 `TARGETS`) exists under the name it is wrapped by, so a refactor that drops
@@ -159,6 +164,30 @@ def rational_sites():
 
 def test_only_rational_field_inv_divides():
     assert rational_sites() == []
+
+
+PLACEMENT = ("direct_sum", "sum_offsets", "placed_identities")
+
+
+def placement_sites():
+    """`module:line name` of each call of a PLACEMENT method outside homalg.DirectSum."""
+    found = []
+    for module, tree in _trees().items():
+        allowed = set()
+        if module == "homalg":
+            allowed = {n for node in tree.body if isinstance(node, ast.ClassDef)
+                       and node.name == "DirectSum" for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and node not in allowed:
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in PLACEMENT:
+                    found.append("%s:%d %s" % (module, node.lineno, name))
+    return found
+
+
+def test_only_direct_sum_places_summands():
+    assert placement_sites() == []
 
 
 def test_every_traced_name_resolves():
