@@ -16,9 +16,9 @@ sequences of subquotient data (cocycles Z, coboundaries B, cohomology H,
 and the kernels W and X taken from the long exact sequence), fifteen of
 them made by one routine run once per complex, then keyed
 direct sums whose structural maps realize the same sequences by block
-inclusion and projection, then the comparison maps, each either an
-injectivity extension at a chosen summand or a composite forced by
-commutativity.  Every square the argument relies on is re-checked
+inclusion and projection, then the comparison maps, placed summand by
+summand, each component either an injectivity extension or a composite
+forced by commutativity.  Every square the argument relies on is re-checked
 numerically; a failure indicates an engine bug, not bad input.
 """
 
@@ -272,12 +272,12 @@ class InjectiveTriple:
         emb, s = self.fam_emb, inv.seqs
         hA, xA, zA, aA = {}, {}, {}, {}
         for q in inv.main_degrees():
-            hA[q] = self._two_part(q, "HI", ("W", "I", q),
-                                   ctx.extend_along_mono(inv.A.w_mono[q], emb[("W", "I", q)]),
-                                   ("W", "J", q), ctx.compose(emb[("W", "J", q)], s["es1"][q].g))
-            xA[q] = self._two_part(q, "XI", ("B", "I", q),
-                                   ctx.extend_along_mono(s["es10"][q].f, emb[("B", "I", q)]),
-                                   ("W", "I", q), ctx.compose(emb[("W", "I", q)], s["es10"][q].g))
+            hA[q] = self.sum_at("HI", q).into({
+                ("W", "I", q): ctx.extend_along_mono(inv.A.w_mono[q], emb[("W", "I", q)]),
+                ("W", "J", q): ctx.compose(emb[("W", "J", q)], s["es1"][q].g)})
+            xA[q] = self.sum_at("XI", q).into({
+                ("B", "I", q): ctx.extend_along_mono(s["es10"][q].f, emb[("B", "I", q)]),
+                ("W", "I", q): ctx.compose(emb[("W", "I", q)], s["es10"][q].g)})
             zA[q] = self._z_outer(q, "ZI", "HI", "XI", inv.A, hA[q], xA[q], ("B", "I", q))
             aA[q] = self._augment_outer(q, "I", "ZI", inv.A, zA[q], ("B", "I", q + 1), "es13")
         self.maps.update(hA=hA, xA=xA, zA=zA)
@@ -305,25 +305,24 @@ class InjectiveTriple:
         emb, s = self.fam_emb, inv.seqs
         hB, hC, xC, bB, zC, xB, zB, aB, aC = {}, {}, {}, {}, {}, {}, {}, {}, {}
         for q in qs_main:
-            hB[q] = self._two_part(q, "HJ", ("W", "J", q),
-                                   ctx.extend_along_mono(inv.B.w_mono[q], emb[("W", "J", q)]),
-                                   ("W", "K", q), ctx.compose(emb[("W", "K", q)], s["es2"][q].g))
-            hC[q] = self._two_part(q, "HK", ("W", "K", q),
-                                   ctx.extend_along_mono(inv.C.w_mono[q], emb[("W", "K", q)]),
-                                   ("W", "I", q + 1),
-                                   ctx.compose(emb[("W", "I", q + 1)], s["es3"][q].g))
-            xC[q] = self._two_part(q, "XK", ("B", "K", q),
-                                   ctx.extend_along_mono(s["es12"][q].f, emb[("B", "K", q)]),
-                                   ("W", "K", q), ctx.compose(emb[("W", "K", q)], s["es12"][q].g))
+            hB[q] = self.sum_at("HJ", q).into({
+                ("W", "J", q): ctx.extend_along_mono(inv.B.w_mono[q], emb[("W", "J", q)]),
+                ("W", "K", q): ctx.compose(emb[("W", "K", q)], s["es2"][q].g)})
+            hC[q] = self.sum_at("HK", q).into({
+                ("W", "K", q): ctx.extend_along_mono(inv.C.w_mono[q], emb[("W", "K", q)]),
+                ("W", "I", q + 1): ctx.compose(emb[("W", "I", q + 1)], s["es3"][q].g)})
+            xC[q] = self.sum_at("XK", q).into({
+                ("B", "K", q): ctx.extend_along_mono(s["es12"][q].f, emb[("B", "K", q)]),
+                ("W", "K", q): ctx.compose(emb[("W", "K", q)], s["es12"][q].g)})
         self._ext16 = {}
         for q in qs_main:
             # B^q(B) -> B^q(J): extend the X-level map, quotient part forced
             bj, xi = self.sum_at("BJ", q), self.sum_at("XI", q)
             ext = ctx.extend_along_mono(s["es16"][q].f, self.maps["xA"][q])
             self._ext16[q] = ext
+            bkpart = ctx.compose(emb[("B", "K", q)], s["es16"][q].g)
             bB[q] = ctx.add(ctx.compose(xi.structural_to(bj), ext),
-                            ctx.compose(bj.inj(("B", "K", q)),
-                                        ctx.compose(emb[("B", "K", q)], s["es16"][q].g)))
+                            bj.into({("B", "K", q): bkpart}))
         for q in qs_main:
             zC[q] = self._z_outer(q, "ZK", "HK", "XK", inv.C, hC[q], xC[q], ("B", "K", q))
         for q in qs_main:
@@ -345,18 +344,13 @@ class InjectiveTriple:
 
     # -- helpers -----------------------------------------------------------
 
-    def _two_part(self, q, name, key1, comp1, key2, comp2):
-        ts = self.sum_at(name, q)
-        ctx = self.ctx
-        return ctx.add(ctx.compose(ts.inj(key1), comp1), ctx.compose(ts.inj(key2), comp2))
-
     def _z_outer(self, q, zname, hname, xname, cd, h_q, x_q, bkey):
         """Z-level map for an outer complex: H-part forced, B-part extended."""
         ctx = self.ctx
         zs, hs, xs = self.sum_at(zname, q), self.sum_at(hname, q), self.sum_at(xname, q)
         hpart = ctx.compose(hs.structural_to(zs), ctx.compose(h_q, cd.h_proj[q]))
         bcomp = ctx.extend_along_mono(cd.x_mono[q], ctx.compose(xs.proj(bkey), x_q))
-        return ctx.add(hpart, ctx.compose(zs.inj(bkey), bcomp))
+        return ctx.add(hpart, zs.into({bkey: bcomp}))
 
     def _x_middle(self, q, zA_q, bB_q):
         """X^q(B) -> X^q(J): the cokernel factorization step."""
@@ -367,25 +361,18 @@ class InjectiveTriple:
         a = ctx.compose(self.sum_at("ZI", q).structural_to(xi), zA_q)   # Z^q(A) -> XI
         b = ctx.compose(self.sum_at("BJ", q).structural_to(xi), bB_q)   # B^q(B) -> XI
         S = DirectSum(ctx, [inv.A.Z[q], inv.B.B[q]])
-        antidiag = ctx.add(ctx.compose(S.inj(0), inv.A.x_mono[q]),
-                           ctx.neg(ctx.compose(S.inj(1), es16.f)))
-        Q, qepi = ctx.cokernel(antidiag)
-        u = ctx.add(ctx.compose(es18.f, S.proj(0)), ctx.compose(es11.f, S.proj(1)))
+        Q, qepi = ctx.cokernel(S.into({0: inv.A.x_mono[q], 1: ctx.neg(es16.f)}))  # antidiagonal
         try:
-            qmono = ctx.descend_along_epi(qepi, u)
-            qab = ctx.descend_along_epi(
-                qepi, ctx.add(ctx.compose(a, S.proj(0)), ctx.compose(b, S.proj(1))))
+            qmono = ctx.descend_along_epi(qepi, S.out_of({0: es18.f, 1: es11.f}))
+            qab = ctx.descend_along_epi(qepi, S.out_of({0: a, 1: b}))
         except ctx.LiftError as exc:
             raise InternalCommutativityFailure("Q-factorization@%d: %s" % (q, exc)) from exc
         if not ctx.is_mono(qmono):
             raise InternalCommutativityFailure("Q@%d does not inject into X^q(B)" % q)
         xicomp = ctx.extend_along_mono(qmono, qab)
-        return ctx.add(
-            ctx.compose(xi.structural_to(xj), xicomp),
-            ctx.add(ctx.compose(xj.inj(("W", "J", q)),
-                                ctx.compose(self.fam_emb[("W", "J", q)], es11.g)),
-                    ctx.compose(xj.inj(("B", "K", q)),
-                                ctx.compose(self.fam_emb[("B", "K", q)], es18.g))))
+        return ctx.add(ctx.compose(xi.structural_to(xj), xicomp),
+                       xj.into({("W", "J", q): ctx.compose(self.fam_emb[("W", "J", q)], es11.g),
+                                ("B", "K", q): ctx.compose(self.fam_emb[("B", "K", q)], es18.g)}))
 
     def _z_middle(self, q, hB_q, xB_q, xC_q):
         """Z^q(B) -> Z^q(J): H-part forced, X^q(I)-part extended, BK forced."""
@@ -401,7 +388,7 @@ class InjectiveTriple:
             ctx.compose(self.sum_at("XJ", q).structural_to(self.sum_at("XI", q)), xB_q))
         return ctx.add(hpart,
                        ctx.add(ctx.compose(self.sum_at("XI", q).structural_to(zj), xipart),
-                               ctx.compose(zj.inj(("B", "K", q)), bkcomp)))
+                               zj.into({("B", "K", q): bkcomp})))
 
     def _augment_outer(self, q, name, zname, cd, z_q, bkey, es_label):
         ctx, inv = self.ctx, self.inv
@@ -410,7 +397,7 @@ class InjectiveTriple:
         zpart = ctx.extend_along_mono(cd.z_mono[q], z_q)
         self._zext[(name, q)] = zpart
         return ctx.add(ctx.compose(self.sum_at(zname, q).structural_to(ts), zpart),
-                       ctx.compose(ts.inj(bkey), ctx.compose(self.fam_emb[bkey], es.g)))
+                       ts.into({bkey: ctx.compose(self.fam_emb[bkey], es.g)}))
 
     def _forced_wi_next(self, q):
         """The W^{q+1}(I)-component of the C-augmentation, forced through pi.
@@ -442,17 +429,16 @@ class InjectiveTriple:
         zpart_free = ctx.extend_along_mono(inv.C.z_mono[q], zC_q)
         forced = self._forced_wi_next(q)
         wi_key = ("W", "I", q + 1)
-        # replace the extension's W^{q+1}(I)-component by the forced one
-        keep = ctx.sub(zpart_free,
-                       ctx.compose(zk.inj(wi_key), ctx.compose(zk.proj(wi_key), zpart_free)))
-        zpart = ctx.add(keep, ctx.compose(zk.inj(wi_key), forced))
+        # the extension, with its W^{q+1}(I)-component replaced by the forced one
+        zpart = zk.into({k: forced if k == wi_key else ctx.compose(zk.proj(k), zpart_free)
+                         for k in zk.keys})
         if not ctx.map_eq(ctx.compose(zpart, inv.C.z_mono[q]), zC_q):
             raise InternalCommutativityFailure(
                 "forced C-augmentation no longer extends Z^%d(C)" % q)
         self._zext[("K", q)] = zpart
         return ctx.add(ctx.compose(zk.structural_to(ts), zpart),
-                       ctx.compose(ts.inj(("B", "K", q + 1)),
-                                   ctx.compose(self.fam_emb[("B", "K", q + 1)], es15.g)))
+                       ts.into({("B", "K", q + 1): ctx.compose(self.fam_emb[("B", "K", q + 1)],
+                                                               es15.g)}))
 
     def _augment_middle(self, q, zB_q, bB):
         """B^q -> J^q: joint extension over Z^q(B) + iota(A^q), K-part forced."""
@@ -465,12 +451,9 @@ class InjectiveTriple:
         bpart = ctx.compose(self.sum_at("BJ", q + 1).structural_to(jq), bnext)
         zpartA = self._zext[("I", q)]                 # A^q -> ZI
         S = DirectSum(ctx, [inv.B.Z[q], ses.A.obj(q)])
-        smap = ctx.add(ctx.compose(inv.B.z_mono[q], S.proj(0)),
-                       ctx.compose(ses.iota.comp(q), S.proj(1)))
-        Im, im_mono, im_epi = ctx.image(smap)
+        Im, im_mono, im_epi = ctx.image(S.out_of({0: inv.B.z_mono[q], 1: ses.iota.comp(q)}))
         # extend only the ZI-tagged components; the K-side ones are forced below
-        t = ctx.add(ctx.compose(ctx.compose(zj.structural_to(zi), zB_q), S.proj(0)),
-                    ctx.compose(zpartA, S.proj(1)))
+        t = S.out_of({0: ctx.compose(zj.structural_to(zi), zB_q), 1: zpartA})
         try:
             tbar = ctx.descend_along_epi(im_epi, t)
         except ctx.LiftError as exc:
@@ -479,13 +462,9 @@ class InjectiveTriple:
         zi_part = ctx.extend_along_mono(im_mono, tbar)   # B^q -> ZI
         zpartC = self._zext[("K", q)]                    # C^q -> ZK
         forced_k = ctx.compose(zpartC, ses.pi.comp(q))   # B^q -> ZK
+        # forced_k's W^q(K) and B^q(K) components, the keys ZK shares with ZJ
         zpart = ctx.add(ctx.compose(zi.structural_to(zj), zi_part),
-                        ctx.add(ctx.compose(zj.inj(("W", "K", q)),
-                                            ctx.compose(self.sum_at("ZK", q).proj(("W", "K", q)),
-                                                        forced_k)),
-                                ctx.compose(zj.inj(("B", "K", q)),
-                                            ctx.compose(self.sum_at("ZK", q).proj(("B", "K", q)),
-                                                        forced_k))))
+                        ctx.compose(self.sum_at("ZK", q).structural_to(zj), forced_k))
         return ctx.add(ctx.compose(zj.structural_to(jq), zpart), bpart)
 
     # -- verification -------------------------------------------------------

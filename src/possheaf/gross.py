@@ -301,13 +301,13 @@ class E2Identification:
             for p in range(depth - 1):
                 if p in objs and p + 1 in objs:
                     hd = homalg.induced_on_cohomology(double.dh[p], q)
-                    diffs[p] = _conjugate(ctx, isos[p + 1], hd, isos[p])
+                    diffs[p] = ctx.lift_through_mono(ctx.compose(hd, isos[p]), isos[p + 1])
             if not objs:
                 continue
             cplx = CochainComplex(ctx, objs, diffs)
             haug = homalg.induced_on_cohomology(double.augmentation, q)
             base_h = homalg.cohomology(double.base, q)
-            aug = _conjugate(ctx, isos[0], haug)
+            aug = ctx.lift_through_mono(haug, isos[0])
             self.h_complexes[q] = (cplx, aug, base_h)
             self.vec_h[q] = gamma_of_complex(cplx, pair.vctx)
 
@@ -355,15 +355,6 @@ class E2Identification:
                 if rank(self.identification_matrix(p, q)) != e2.dim:
                     return False
         return True
-
-
-def _conjugate(ctx, iso_tgt, m, iso_src=None):
-    """iso_tgt^{-1} . m . iso_src for sheaf isos (stalk-wise solves); without
-    iso_src, iso_tgt^{-1} . m."""
-    if iso_src is not None:
-        m = ctx.compose(m, iso_src)
-    comps = [solve(iso_tgt.comps[i], m.comps[i]) for i in range(len(ctx.poset))]
-    return SheafMorphism(m.source, iso_tgt.source, comps, validate=False)
 
 
 # -- the coboundary family ----------------------------------------------------

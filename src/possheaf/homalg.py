@@ -45,8 +45,10 @@ class CheckReport:
 class DirectSum:
     """Direct sum of objs, each summand tagged by a key (its position by default).
 
-    Injections and projections are identity blocks at the summand's offset,
-    made when first read and kept.
+    A one-summand sum is its summand.  Injections, projections and the
+    structural maps to other sums are identity blocks at the summands'
+    offsets, made when first read and kept; maps into and out of the sum
+    are their parts placed at those offsets.
     """
 
     def __init__(self, ctx, objs, keys=None):
@@ -56,7 +58,7 @@ class DirectSum:
         self.index = {k: i for i, k in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
             raise ValueError("duplicate keys in a direct sum")
-        self.obj = ctx.direct_sum(self.objs)
+        self.obj = self.objs[0] if len(self.objs) == 1 else ctx.direct_sum(self.objs)
         self.offsets = ctx.sum_offsets(self.objs)   # where each summand sits in obj
         self._maps = {}
 
@@ -72,21 +74,48 @@ class DirectSum:
             i = self.index[key]
             X, off, zero = self.objs[i], self.offsets[i], self.offsets[0]
             if kind == "inj":
-                f = self.ctx.placed_identities(X, self.obj, [(off, zero, X)])
+                f = self.ctx.placed(X, self.obj, [(off, zero, X)])
             else:
-                f = self.ctx.placed_identities(self.obj, X, [(zero, off, X)])
+                f = self.ctx.placed(self.obj, X, [(zero, off, X)])
             self._maps[(kind, key)] = f
         return f
+
+    def into(self, parts):
+        """The map into obj from one common source whose component at each
+        key of parts is parts[key], a map into that key's summand; zero at
+        the keys not given.  A part of the wrong shape is IllFormedMorphism."""
+        X = self.ctx.map_source_obj(next(iter(parts.values())))
+        blocks = []
+        for key, f in parts.items():
+            i = self.index[key]
+            self.ctx.check_map(f, X, self.objs[i])
+            blocks.append((self.offsets[i], self.offsets[0], f))
+        return self.ctx.placed(X, self.obj, blocks)
+
+    def out_of(self, parts):
+        """The map out of obj to one common target that is parts[key], a map
+        out of that key's summand, on each key of parts; zero on the keys not
+        given.  A part of the wrong shape is IllFormedMorphism."""
+        Y = self.ctx.map_target_obj(next(iter(parts.values())))
+        blocks = []
+        for key, f in parts.items():
+            i = self.index[key]
+            self.ctx.check_map(f, self.objs[i], Y)
+            blocks.append((self.offsets[0], self.offsets[i], f))
+        return self.ctx.placed(self.obj, Y, blocks)
 
     def structural_to(self, other: "DirectSum"):
         """The unique key-matching map: the sum of inj.proj over shared keys.
 
         It is the identity from each shared key's place in self to its place
-        in other, and zero elsewhere.
+        in other, and zero elsewhere; made once per other and kept.
         """
-        blocks = [(other.offsets[other.index[k]], off, X)
-                  for k, off, X in zip(self.keys, self.offsets, self.objs) if k in other.index]
-        return self.ctx.placed_identities(self.obj, other.obj, blocks)
+        f = self._maps.get(other)
+        if f is None:
+            blocks = [(other.offsets[other.index[k]], off, X)
+                      for k, off, X in zip(self.keys, self.offsets, self.objs) if k in other.index]
+            f = self._maps[other] = self.ctx.placed(self.obj, other.obj, blocks)
+        return f
 
 
 class CochainComplex:
@@ -363,7 +392,7 @@ def horseshoe(ctx, iota, pi, res_a: Resolution, res_c: Resolution) -> HorseshoeD
         N = sums[q] = DirectSum(ctx, [Mq, Pq])
         phi = ctx.extend_along_mono(io, emb_a)          # B -> M^q level
         psi = ctx.compose(emb_c, pr)                     # B -> P^q level
-        emb_b = ctx.add(ctx.compose(N.inj(0), phi), ctx.compose(N.inj(1), psi))
+        emb_b = N.into({0: phi, 1: psi})
         if not ctx.is_mono(emb_b):
             raise ExtensionFailure("horseshoe middle embedding not mono at level %d" % q)
         if q == 0:
@@ -373,7 +402,7 @@ def horseshoe(ctx, iota, pi, res_a: Resolution, res_c: Resolution) -> HorseshoeD
         # cokernel SES for the next level
         cokA, eA = ctx.cokernel(emb_a)
         cokB, eB = ctx.cokernel(emb_b)
-        cokC, eC = ctx.cokernel(ctx.compose(N.proj(1), emb_b))  # = emb_c . pr, same map
+        cokC, eC = ctx.cokernel(psi)                     # psi = N.proj(1) . emb_b
         io2 = ctx.descend_along_epi(eA, ctx.compose(eB, N.inj(0)))
         pr2 = ctx.descend_along_epi(eB, ctx.compose(eC, N.proj(1)))
         if not (ctx.is_mono(io2) and ctx.is_epi(pr2) and ctx.is_exact_pair(io2, pr2, cokB)):
@@ -419,9 +448,8 @@ def mapping_cone(u: ChainMap):
     diffs = {}
     for q in range(lo, hi):
         S, T = sums[q], sums[q + 1]
-        tB = ctx.add(ctx.compose(B.diff(q), S.proj(0)), ctx.compose(u.comp(q + 1), S.proj(1)))
-        tA = ctx.neg(ctx.compose(A.diff(q + 1), S.proj(1)))
-        diffs[q] = ctx.add(ctx.compose(T.inj(0), tB), ctx.compose(T.inj(1), tA))
+        diffs[q] = T.into({0: S.out_of({0: B.diff(q), 1: u.comp(q + 1)}),
+                           1: S.out_of({1: ctx.neg(A.diff(q + 1))})})
     cone = CochainComplex(ctx, {q: S.obj for q, S in sums.items()}, diffs)
     shiftA = CochainComplex(ctx, {q: A.obj(q + 1) for q in range(lo, hi + 1)},
                             {q: ctx.neg(A.diff(q + 1)) for q in range(lo, hi)})

@@ -98,9 +98,6 @@ class VectorContext:
     def add(self, f, g):
         return f + g
 
-    def sub(self, f, g):
-        return f - g
-
     def neg(self, f):
         return -f
 
@@ -161,11 +158,11 @@ class VectorContext:
             off += n
         return offs
 
-    def placed_identities(self, X, Y, blocks):
-        """The map X -> Y that is zero but for identity blocks.
+    def placed(self, X, Y, blocks):
+        """The map X -> Y that is zero but for the given blocks.
 
-        Each block (row offset, column offset, Z) is the identity of Z, with
-        its corner at those offsets.
+        Each block (row offset, column offset, B) has its corner at those
+        offsets and is the identity of B for an object, or B for a map.
         """
         return place_blocks(self.field, Y, X, blocks)
 
@@ -413,10 +410,6 @@ class SheafContext:
         return SheafMorphism(f.source, f.target,
                              [a + b for a, b in zip(f.comps, g.comps)], validate=False)
 
-    def sub(self, f, g):
-        return SheafMorphism(f.source, f.target,
-                             [a - b for a, b in zip(f.comps, g.comps)], validate=False)
-
     def neg(self, f):
         return SheafMorphism(f.source, f.target, [-a for a in f.comps], validate=False)
 
@@ -502,14 +495,16 @@ class SheafContext:
             off = [a + d for a, d in zip(off, X.dims)]
         return offs
 
-    def placed_identities(self, X, Y, blocks):
-        """The morphism X -> Y that is zero but for identity blocks.
+    def placed(self, X, Y, blocks):
+        """The morphism X -> Y that is zero but for the given blocks.
 
-        Each block (row offsets, column offsets, Z) is the identity of Z, at
-        each stalk i with its corner at the i-th offsets.
+        Each block (row offsets, column offsets, B) has, at each stalk i, its
+        corner at the i-th offsets, and is the identity of B for a sheaf, or
+        B's component at i for a morphism.
         """
         comps = [place_blocks(self.field, Y.dims[i], X.dims[i],
-                              [(r[i], c[i], Z.dims[i]) for r, c, Z in blocks])
+                              [(r[i], c[i], B.comps[i] if isinstance(B, SheafMorphism)
+                                else B.dims[i]) for r, c, B in blocks])
                  for i in range(len(self.poset))]
         return SheafMorphism(X, Y, comps, validate=False)
 

@@ -151,8 +151,8 @@ def eager_direct_sum(ctx, objs):
     for X in objs:
         offs.append(off)
         off = off + X if vector else [a + d for a, d in zip(off, X.dims)]
-    injs = [ctx.placed_identities(X, total, [(o, zero, X)]) for o, X in zip(offs, objs)]
-    projs = [ctx.placed_identities(total, X, [(zero, o, X)]) for o, X in zip(offs, objs)]
+    injs = [ctx.placed(X, total, [(o, zero, X)]) for o, X in zip(offs, objs)]
+    projs = [ctx.placed(total, X, [(zero, o, X)]) for o, X in zip(offs, objs)]
     return total, injs, projs
 
 

@@ -18,13 +18,18 @@ commands and a few forged Cartan-Eilenberg triples is composed by the
 oracle, which raises on any path dependence, and every pair read off the
 engine, coldest first, must equal the oracle's.
 
-A `homalg.DirectSum` places no injection or projection until one is read.
-Every sum made on the same runs, by each of the five functions that make
-one, is checked against `engine_oracle.eager_direct_sum`, which builds
-every map at once.
+A `homalg.DirectSum` places no injection or projection until one is read,
+and a one-summand sum is its summand.  Every sum made on the same runs, by
+each of the five functions that make one, is checked against
+`engine_oracle.eager_direct_sum`, which builds every map at once: its
+injections and projections, and `into` and `out_of` of a summand's
+identity, must be the oracle's.  Maps placed by `into` and `out_of` from
+drawn parts must equal the sums of products with injections and
+projections that they replace.
 """
 
 import contextlib
+import functools
 import io
 import os
 import sys
@@ -39,8 +44,17 @@ from possheaf.cli import main
 from possheaf.exactla import Matrix
 from possheaf.forge import GenConfig, gen_poset, gen_ses_complexes, gen_sheaf
 from possheaf.homalg import DirectSum
-from possheaf.sheafcat import InjectiveSheaf, Pushforward, Sheaf, SheafContext
-from test_exactla_oracle import FIELDS, same
+from possheaf.sheafcat import (
+    IllFormedMorphism,
+    InjectiveSheaf,
+    Pushforward,
+    Sheaf,
+    SheafContext,
+    SheafMorphism,
+    VectorContext,
+    hom_basis,
+)
+from test_exactla_oracle import ENTRIES, FIELDS, same
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PSEUDOCIRCLE = os.path.join(HERE, "..", "instances", "pseudocircle.json")
@@ -215,3 +229,63 @@ def test_direct_sum_maps_read_on_demand_match_the_eager_builder(recorded):
             assert _same_map(S.inj(key), inj) and _same_map(S.proj(key), proj)
             maps += 2
     assert maps > 1000
+
+
+def test_one_summand_sums_are_their_summand(recorded):
+    ones = [S for _, S in recorded["sums"] if len(S.objs) == 1]
+    assert len(ones) > 100 and all(S.obj is S.objs[0] for S in ones)
+
+
+def test_into_and_out_of_place_the_eager_builders_maps(recorded):
+    for _, S in recorded["sums"]:
+        ctx = S.ctx
+        _, injs, projs = eager_direct_sum(ctx, S.objs)
+        for key, X, inj, proj in zip(S.keys, S.objs, injs, projs):
+            assert _same_map(S.into({key: ctx.identity(X)}), inj)
+            assert _same_map(S.out_of({key: ctx.identity(X)}), proj)
+        assert _same_map(S.into({k: S.proj(k) for k in S.keys}), ctx.identity(S.obj))
+
+
+def _drawn_map(ctx, X, Y, draw):
+    """A map X -> Y with drawn entries; over a poset, a drawn combination of
+    a basis of the sheaf morphisms."""
+    if isinstance(ctx, VectorContext):
+        return Matrix.from_rows(ctx.field, [[draw(ENTRIES) for _ in range(X)] for _ in range(Y)], X)
+    f = ctx.zero_map(X, Y)
+    for h in hom_basis(X, Y):
+        c = draw(ENTRIES)
+        f = ctx.add(f, SheafMorphism(X, Y, [m.scale(c) for m in h.comps], validate=False))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from([None, chain(2), SQUARE]), st.integers(1, 3),
+       st.data())
+def test_into_and_out_of_equal_the_sums_of_products(field, p, n, data):
+    # over vector spaces when p is None, else over sheaves on p
+    ctx = VectorContext(field) if p is None else SheafContext(p, field)
+
+    def drawn_obj():
+        if p is None:
+            return data.draw(st.integers(0, 3))
+        seed = data.draw(st.integers(0, 10**6))
+        return gen_sheaf(GenConfig("sum-%d" % seed, max_stalk_dim=2, field=field), p)
+
+    keys = ["k%d" % i for i in range(n)]
+    S = DirectSum(ctx, [drawn_obj() for _ in keys], keys)
+    E = drawn_obj()
+    given_keys = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    summand = {k: S.objs[S.index[k]] for k in keys}
+    ins = {k: _drawn_map(ctx, E, summand[k], data.draw) for k in given_keys}
+    outs = {k: _drawn_map(ctx, summand[k], E, data.draw) for k in given_keys}
+    assert _same_map(S.into(ins), functools.reduce(
+        ctx.add, [ctx.compose(S.inj(k), f) for k, f in ins.items()], ctx.zero_map(E, S.obj)))
+    assert _same_map(S.out_of(outs), functools.reduce(
+        ctx.add, [ctx.compose(f, S.proj(k)) for k, f in outs.items()], ctx.zero_map(S.obj, E)))
+    # a part whose summand side is not its key's summand
+    k = data.draw(st.sampled_from(given_keys))
+    Z = summand[k] + 1 if p is None else ctx.direct_sum([summand[k], ctx.constant_sheaf()])
+    with pytest.raises(IllFormedMorphism):
+        S.into({**ins, k: ctx.zero_map(E, Z)})
+    with pytest.raises(IllFormedMorphism):
+        S.out_of({**outs, k: ctx.zero_map(Z, E)})

@@ -1,4 +1,4 @@
-"""Five layout rules of src/possheaf.
+"""Six layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -34,9 +34,15 @@ elements could give a float; `inv` turns its argument into a rational
 first, and every other quotient is a product with an inverse.
 
 Only `homalg.DirectSum` places summands.  No other code in src/possheaf
-calls a context's `direct_sum`, `sum_offsets` or `placed_identities`, so
-where a summand sits, and how its injection, projection and the structural
-maps between sums are made, is decided in one class.
+calls a context's `direct_sum`, `sum_offsets` or `placed`, so where a
+summand sits, and how its injection, projection and the structural maps
+between sums are made, is decided in one class.
+
+A map into or out of a direct sum is placed, never computed: no call of
+`add` or `sub` in src/possheaf has an argument that calls `.inj(` or
+`.proj(`.  Its components go to `DirectSum.into` or `DirectSum.out_of`,
+which copy each one in at its summand's offset, instead of being composed
+with injections or projections and added up.
 
 Every function the benchmark's tracer wraps (`perfbench/tracer.py`,
 `TARGETS`) exists under the name it is wrapped by, so a refactor that drops
@@ -166,7 +172,13 @@ def test_only_rational_field_inv_divides():
     assert rational_sites() == []
 
 
-PLACEMENT = ("direct_sum", "sum_offsets", "placed_identities")
+def _called_name(node):
+    """The bare name a Call node calls, or None."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+PLACEMENT = ("direct_sum", "sum_offsets", "placed")
 
 
 def placement_sites():
@@ -178,16 +190,32 @@ def placement_sites():
             allowed = {n for node in tree.body if isinstance(node, ast.ClassDef)
                        and node.name == "DirectSum" for n in ast.walk(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and node not in allowed:
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in PLACEMENT:
-                    found.append("%s:%d %s" % (module, node.lineno, name))
+            if isinstance(node, ast.Call) and node not in allowed and _called_name(node) in PLACEMENT:
+                found.append("%s:%d %s" % (module, node.lineno, _called_name(node)))
     return found
 
 
 def test_only_direct_sum_places_summands():
     assert placement_sites() == []
+
+
+def summed_placement_sites():
+    """`module:line name` of each `add` or `sub` call with an argument that calls
+    `.inj(` or `.proj(`."""
+    found = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) in ("add", "sub"):
+                if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                       and sub.func.attr in ("inj", "proj")
+                       for arg in node.args + [kw.value for kw in node.keywords]
+                       for sub in ast.walk(arg)):
+                    found.append("%s:%d %s" % (module, node.lineno, _called_name(node)))
+    return found
+
+
+def test_maps_into_and_out_of_sums_are_placed_not_added():
+    assert summed_placement_sites() == []
 
 
 def test_every_traced_name_resolves():
