@@ -549,13 +549,14 @@ def build_injective_triple(inv: SESInvariants) -> InjectiveTriple:
 class AugmentedDouble:
     """One column's Cartan-Eilenberg resolution: rows I^{p,*} under A*."""
 
-    def __init__(self, ctx, base: CochainComplex, rows, dh, augmentation, tag_rows):
+    def __init__(self, ctx, base: CochainComplex, rows, dh, augmentation, columns, triples):
         self.ctx = ctx
         self.base = base              # the resolved complex A*
         self.rows = rows              # list of CochainComplex, index p
         self.dh = dh                  # dh[p]: ChainMap rows[p] -> rows[p+1]
         self.augmentation = augmentation  # ChainMap base -> rows[0]
-        self.tag_rows = tag_rows      # list of (COLUMNS entry, InjectiveTriple)
+        self.columns = columns        # the COLUMNS entry: (row, Z, H) tags in each triple
+        self.triples = triples        # list of InjectiveTriple, index p
 
     def depth(self):
         return len(self.rows)
@@ -648,7 +649,7 @@ def _resolve_rows(ses: SESOfComplexes, full, depth, next_ses):
         column = [t.cplx[COLUMNS[name][0]] for t in triples]
         aug = triples[0].aug[name] if triples else None
         doubles[name] = AugmentedDouble(ctx, getattr(ses, name), column, dh[name], aug,
-                                        [(COLUMNS[name], t) for t in triples])
+                                        COLUMNS[name], triples)
     return triples, doubles
 
 
@@ -776,6 +777,7 @@ def verify_ce(double: AugmentedDouble) -> CheckReport:
         h = cohomology(cplx, q)
         return h.B, h.b_into_x
 
+    _, ztag, htag = double.columns
     for q in double.degrees():
         for label, extract in (("cocycle", z_extract), ("coboundary", b_extract)):
             base_obj, base_map, objs, maps = _induced_column(ctx, double, q, extract)
@@ -798,7 +800,7 @@ def verify_ce(double: AugmentedDouble) -> CheckReport:
             ok = False
         rep.add("cohomology column resolves at q=%d" % q, ok)
         # tagged subobjects are injective by construction: Z/B/H dims match tags
-        for p, ((_, ztag, htag), triple) in enumerate(double.tag_rows):
+        for p, triple in enumerate(double.triples):
             if q in triple.sums[ztag]:
                 okz = ctx.obj_dim(cohomology(double.rows[p], q).Z) == \
                     ctx.obj_dim(triple.sum_at(ztag, q).obj)

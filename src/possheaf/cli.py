@@ -193,12 +193,12 @@ def cmd_gss(args, run):
     diffs = []
     for r in range(2, data.ss.r_inf):
         for (p, q, _) in data.ss.page_table(r):
-            d = data.ss.differential(r, p, q)
+            d = data.ss.page(r).d_map(p, q)
             if not d.is_zero():
                 diffs.append((r, p, q, d.to_str_rows()))
     run.table("nonzero differentials (r, p, q, matrix)", diffs)
     run.table("total cohomology", [(n, data.ss.total_h_dim(n))
-                                   for n in range(2 * data.ss.tower.D + 1)])
+                                   for n in range(2 * data.ss.D + 1)])
     run.check("first spectral sequence checks", first_ss_check(data).ok)
     run.check("E2 identification invertible",
               E2Identification(pair, data.double, data.ss).check())
@@ -212,7 +212,7 @@ def cmd_leray(args, run):
     data, ident, comparisons = leray_ss(f, F, field=inst.field)
     run.table("E2 page (p, q, dim)", data.ss.page_table(2))
     run.table("total cohomology", [(n, data.ss.total_h_dim(n))
-                                   for n in range(2 * data.ss.tower.D + 1)])
+                                   for n in range(2 * data.ss.D + 1)])
     if data.ss.page_table(2) == data.ss.page_table(data.ss.r_inf):
         run.say("degenerates at E2")
     run.check("E2 = H^p(Y, R^q f_*) dimensions", all(a == b for a, b in comparisons.values()))

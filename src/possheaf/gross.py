@@ -39,8 +39,8 @@ from .sheafcat import (
 )
 from .specseq import (
     CoupleMorphism,
+    CoupleTower,
     DoubleComplex,
-    SpectralSequence,
     Subquotient,
     global_sign,
     tot_block_map,
@@ -134,11 +134,10 @@ def _h_block_rows(triple, tags, q):
 class GrothendieckData:
     """One object's (or SES's) full pipeline output."""
 
-    def __init__(self, pair, double, dc, ss, base_complex, base_gamma):
+    def __init__(self, pair, double, ss, base_complex, base_gamma):
         self.pair = pair
         self.double = double          # AugmentedDouble (sheaf level)
-        self.dc = dc                  # DoubleComplex of Gamma values
-        self.ss = ss                  # SpectralSequence
+        self.ss = ss                  # CoupleTower of the DoubleComplex ss.dc of Gamma values
         self.base_complex = base_complex  # F(M*) on the target space
         self.base_gamma = base_gamma  # (vector complex of G(F(M*)), bases)
 
@@ -188,10 +187,9 @@ def grothendieck_ss(pair: FunctorPair, A) -> GrothendieckData:
     for t in FM.degrees():
         pair.check_acyclic(FM.obj(t), ("res", t))
     double = ce_resolution_of_complex(FM)
-    dc = _gamma_double(pair, double)
-    ss = SpectralSequence(dc)
+    ss = CoupleTower(_gamma_double(pair, double))
     base_gamma = _gamma_base(pair, FM)
-    return GrothendieckData(pair, double, dc, ss, FM, base_gamma)
+    return GrothendieckData(pair, double, ss, FM, base_gamma)
 
 
 # -- the first (by-q) spectral sequence check --------------------------------
@@ -199,7 +197,8 @@ def grothendieck_ss(pair: FunctorPair, A) -> GrothendieckData:
 def first_ss_check(data: GrothendieckData) -> CheckReport:
     """Vanishing of the row cohomology for p > 0 and the augmentation quasi-iso."""
     rep = CheckReport()
-    dc = data.dc
+    ss = data.ss
+    dc = ss.dc
     base_vec, bases = data.base_gamma
 
     def row_h_dim(p, q):
@@ -222,21 +221,20 @@ def first_ss_check(data: GrothendieckData) -> CheckReport:
              for q in range(dc.size + 1) for p in range(dc.size + 1))
     rep.add("by-q tower matches row cohomology", ok)
     # augmentation (G.F)(M*) -> Tot(R) is a quasi-isomorphism
-    tower = data.ss.tower
     aug_cols = {}
     for n in base_vec.degrees():
-        if 0 <= n <= tower.nmax:
-            aug_cols[n] = augmentation_into_tot(data.pair, data.double, tower, bases, n)
+        if 0 <= n <= ss.nmax:
+            aug_cols[n] = augmentation_into_tot(data.pair, data.double, ss, bases, n)
     ok_chain = True
     for n in sorted(aug_cols):
         un1 = aug_cols.get(n + 1)
         if un1 is not None:
-            if not (tower.tot_diff[n] * aug_cols[n] == un1 * base_vec.diff(n)):
+            if not (ss.tot_diff[n] * aug_cols[n] == un1 * base_vec.diff(n)):
                 ok_chain = False
     rep.add("augmentation is a chain map", ok_chain)
     ok_iso = True
-    for n in range(tower.nmax + 1):
-        hb, htot = gamma_cohomology(base_vec, n), tower.A1[(0, n)]   # hb is 0 off base_vec
+    for n in range(ss.nmax + 1):
+        hb, htot = gamma_cohomology(base_vec, n), ss.A1[(0, n)]   # hb is 0 off base_vec
         if hb.dim != htot.dim or hb.dim and rank(htot.project(aug_cols[n] * hb.reps)) != hb.dim:
             ok_iso = False
     rep.add("augmentation induces isos on H^n", ok_iso)
@@ -276,7 +274,7 @@ class E2Identification:
         self.pair = pair
         self.double = double
         self.ss = ss
-        self.h_complexes = {}    # q -> (sheaf complex of tagged H objects, aug morphism)
+        self.resolutions = {}    # q -> the tagged H objects, a homalg.Resolution of R^qF
         self.vec_h = {}          # q -> vector complex of Gamma(H)
         self._h = {}             # (p, q) -> H^p(vec_h[q]), as a Subquotient
         self.matrices = {}       # (p, q) -> invertible Matrix
@@ -289,10 +287,10 @@ class E2Identification:
         if depth == 0:
             return
         qlo, qhi = double.base.lo, double.base.hi
+        htag = double.columns[2]
         for q in range(qlo, qhi + 1):
             objs, diffs, isos = {}, {}, {}
-            for p in range(depth):
-                (_, _, htag), triple = double.tag_rows[p]
+            for p, triple in enumerate(double.triples):
                 if q not in triple.sums[htag]:
                     continue
                 hsheaf = triple.sum_at(htag, q).obj
@@ -306,17 +304,16 @@ class E2Identification:
                 continue
             cplx = CochainComplex(ctx, objs, diffs)
             haug = homalg.induced_on_cohomology(double.augmentation, q)
-            base_h = homalg.cohomology(double.base, q)
             aug = ctx.lift_through_mono(haug, isos[0])
-            self.h_complexes[q] = (cplx, aug, base_h)
+            self.resolutions[q] = homalg.Resolution(homalg.cohomology(double.base, q).H, cplx, aug)
             self.vec_h[q] = gamma_of_complex(cplx, pair.vctx)
 
     def _tagged_to_computed(self, p, q, hsheaf):
         """Iso from the tagged H object to the computed cohomology of the row."""
         ctx = self.pair.tgt_ctx
         double = self.double
-        (col, _, htag), triple = double.tag_rows[p]
-        row = double.rows[p]
+        col, _, htag = double.columns
+        triple, row = double.triples[p], double.rows[p]
         h = homalg.cohomology(row, q)
         hts = triple.sum_at(htag, q)
         incl = hts.structural_to(triple.sum_at(col, q))  # H-part into the row object
@@ -340,9 +337,9 @@ class E2Identification:
             hdim = self.cohomology(p, q).dim if q in self.vec_h else 0
             mat = Matrix.zeros(self.pair.field, hdim, e2.dim)
         else:
-            tags, triple = self.double.tag_rows[p]
+            rows = _h_block_rows(self.double.triples[p], self.double.columns, q)
             # block-read the H-part, in the subquotient coordinates of the H complex
-            mat = self.cohomology(p, q).project(e2.reps.rows_slice(_h_block_rows(triple, tags, q)))
+            mat = self.cohomology(p, q).project(e2.reps.rows_slice(rows))
         self.matrices[key] = mat
         return mat
 
@@ -362,10 +359,8 @@ class E2Identification:
 class DeltaFamily:
     """Page maps delta_r: E_r^{p,q}(C) -> E_r^{p,q+1}(A) with all witnesses."""
 
-    def __init__(self, pair, iota, pi, hs, F_ses, ce, ssR, ssS, ssT, mor, idR, idT):
+    def __init__(self, pair, F_ses, ce, ssR, ssS, ssT, mor, idR, idT):
         self.pair = pair
-        self.iota, self.pi = iota, pi
-        self.hs = hs
         self.F_ses = F_ses
         self.ce = ce
         self.ssR, self.ssS, self.ssT = ssR, ssS, ssT
@@ -406,7 +401,7 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
     dcR = _gamma_double(pair, ce.doubles["A"], size)
     dcS = _gamma_double(pair, ce.doubles["B"], size)
     dcT = _gamma_double(pair, ce.doubles["C"], size)
-    ssR, ssS, ssT = SpectralSequence(dcR), SpectralSequence(dcS), SpectralSequence(dcT)
+    tR, tS, tT = CoupleTower(dcR), CoupleTower(dcS), CoupleTower(dcT)
     # entrywise inclusion/projection at the Gamma level
     iota_e, pi_e = {}, {}
     for p in range(ce.depth()):
@@ -416,7 +411,6 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
                                               trip.cplx["I"].obj(q), trip.cplx["J"].obj(q))
             pi_e[(p, q)] = gamma_struct_map(trip.pi.comp(q),
                                             trip.cplx["J"].obj(q), trip.cplx["K"].obj(q))
-    tR, tS, tT = ssR.tower, ssS.tower, ssT.tower
     # A-level: connecting maps of 0 -> F^p R -> F^p S -> F^p T -> 0
     a_maps = {}
     for (p, q), asq in tT.A1.items():
@@ -443,10 +437,10 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
         if p % 2:
             moved = -moved
         e_maps[(p, q)] = tgt.project(solve(iota_e[(p, q + 1)], moved))
-    mor = CoupleMorphism(ssT, ssR, (0, 1), a_maps, e_maps)
-    idR = E2Identification(pair, ce.doubles["A"], ssR)
-    idT = E2Identification(pair, ce.doubles["C"], ssT)
-    return DeltaFamily(pair, iota, pi, hs, F_ses, ce, ssR, ssS, ssT, mor, idR, idT)
+    mor = CoupleMorphism(tT, tR, (0, 1), a_maps, e_maps)
+    idR = E2Identification(pair, ce.doubles["A"], tR)
+    idT = E2Identification(pair, ce.doubles["C"], tT)
+    return DeltaFamily(pair, F_ses, ce, tR, tS, tT, mor, idR, idT)
 
 
 def verify_main_theorem(family: DeltaFamily) -> CheckReport:
@@ -461,8 +455,8 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
         pairs = []
         induced_ok = True
         for (p, q) in sorted(ssT.page_dims(r)):
-            lhs = mor.page_map(r, p + r, q - r + 1) * ssT.tower.page(r).d_map(p, q)
-            rhs = ssR.tower.page(r).d_map(p, q + 1) * mor.page_map(r, p, q)
+            lhs = mor.page_map(r, p + r, q - r + 1) * ssT.page(r).d_map(p, q)
+            rhs = ssR.page(r).d_map(p, q + 1) * mor.page_map(r, p, q)
             pairs.append((lhs, rhs))
             ind = mor.induced_next_page(r, p, q)
             fresh = mor.page_map(r + 1, p, q)
@@ -480,10 +474,7 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
         if q + 1 not in family.idR.vec_h:
             continue
         gamma_q = family.ce.triples[0].inv.delta[q]     # H^q(F C) -> H^{q+1}(F A)
-        resT = _h_resolution(family.idT, q)
-        resR = _h_resolution(family.idR, q + 1)
-        if resT is None or resR is None:
-            continue
+        resT, resR = family.idT.resolutions[q], family.idR.resolutions[q + 1]
         lam = homalg.comparison_lift(tgt_ctx, gamma_q, resT, resR)
         vecT, vecR = family.idT.vec_h[q], family.idR.vec_h[q + 1]
         lam_vec = ChainMap(vecT, vecR,
@@ -512,11 +503,11 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
     # bullet 3: the total connecting map respects filtrations; graded = delta_inf
     filtT, filtR = ssT.filtration(), ssR.filtration()
     cert_ok = True
-    for n in range(ssT.tower.nmax + 1):
-        if n + 1 > ssR.tower.nmax:
+    for n in range(ssT.nmax + 1):
+        if n + 1 > ssR.nmax:
             break
         dmat = family.delta_tot(n)
-        for p in range(ssT.tower.D + 2):
+        for p in range(ssT.D + 2):
             basis = filtT[n][p]
             if basis.dim and not filtR[n + 1][p].contains_matrix(dmat * basis.basis):
                 cert_ok = False
@@ -524,7 +515,7 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
     pairs3 = []
     for (p, q) in sorted(ssT.page_dims(r_inf)):
         n = p + q
-        if n + 1 > ssR.tower.nmax:
+        if n + 1 > ssR.nmax:
             continue
         grT = Subquotient(family.pair.field, ssT.total_h_dim(n), filtT[n][p], filtT[n][p + 1])
         grR = Subquotient(family.pair.field, ssR.total_h_dim(n + 1),
@@ -545,15 +536,6 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
     return rep
 
 
-def _h_resolution(ident: E2Identification, q):
-    """The tagged H-objects as an injective resolution of R^qF."""
-    entry = ident.h_complexes.get(q)
-    if entry is None:
-        return None
-    cplx, aug, base_h = entry
-    return homalg.Resolution(base_h.H, cplx, aug)
-
-
 # -- Leray specialization -----------------------------------------------------
 
 def leray_pair(f: MonotoneMap, field, flip=False) -> FunctorPair:
@@ -570,7 +552,7 @@ def leray_ss(f: MonotoneMap, sheaf, field=None, flip=False):
     for q in sorted(ident.vec_h):
         rq = homalg.cohomology(data.base_complex, q).H      # R^q f_* of the pushed resolution
         hp = sheaf_cohomology_dims(rq) if rq.total_dim else [0]
-        for p in range(data.ss.tower.D + 1):
+        for p in range(data.ss.D + 1):
             expected = hp[p] if p < len(hp) else 0
             comparisons[(p, q)] = (data.ss.entry(2, p, q).dim, expected)
     return data, ident, comparisons
@@ -596,8 +578,8 @@ def acyclic_middle_analysis(pair: FunctorPair, iota, pi) -> CheckReport:
     family = delta_morphism(pair, iota, pi)     # built only once B passes
     ssT, ssR = family.ssT, family.ssR
     # connecting maps: surjective at n = 0, isomorphisms for n >= 1
-    for n in range(ssT.tower.nmax + 1):
-        if n + 1 > ssR.tower.nmax:
+    for n in range(ssT.nmax + 1):
+        if n + 1 > ssR.nmax:
             break
         d = family.delta_tot(n)
         hT, hR = ssT.total_h_dim(n), ssR.total_h_dim(n + 1)
@@ -613,11 +595,11 @@ def acyclic_middle_analysis(pair: FunctorPair, iota, pi) -> CheckReport:
             raise PreconditionFailed("connecting map fails its rank condition at n=%d" % n)
     filtT, filtR = ssT.filtration(), ssR.filtration()
     # bullet a: filtration-level maps iso for p+q >= 1, surjective at p = q = 0
-    for n in range(ssT.tower.nmax + 1):
-        if n + 1 > ssR.tower.nmax:
+    for n in range(ssT.nmax + 1):
+        if n + 1 > ssR.nmax:
             break
         dmat = family.delta_tot(n)
-        for p in range(min(n, ssT.tower.D + 1) + 1):    # q = n - p must be >= 0
+        for p in range(min(n, ssT.D + 1) + 1):    # q = n - p must be >= 0
             src = filtT[n][p]
             tgt = filtR[n + 1][p]
             if src.dim == 0 and tgt.dim == 0:

@@ -45,10 +45,11 @@ class CheckReport:
 class DirectSum:
     """Direct sum of objs, each summand tagged by a key (its position by default).
 
-    A one-summand sum is its summand.  Injections, projections and the
-    structural maps to other sums are identity blocks at the summands'
-    offsets, made when first read and kept; maps into and out of the sum
-    are their parts placed at those offsets.
+    A one-summand sum is its summand.  Injections and projections are
+    identity blocks at the summands' offsets, made when first read and kept;
+    structural maps to other sums are identity blocks too, placed on each
+    call; maps into and out of the sum are their parts placed at those
+    offsets.
     """
 
     def __init__(self, ctx, objs, keys=None):
@@ -108,14 +109,11 @@ class DirectSum:
         """The unique key-matching map: the sum of inj.proj over shared keys.
 
         It is the identity from each shared key's place in self to its place
-        in other, and zero elsewhere; made once per other and kept.
+        in other, and zero elsewhere.
         """
-        f = self._maps.get(other)
-        if f is None:
-            blocks = [(other.offsets[other.index[k]], off, X)
-                      for k, off, X in zip(self.keys, self.offsets, self.objs) if k in other.index]
-            f = self._maps[other] = self.ctx.placed(self.obj, other.obj, blocks)
-        return f
+        blocks = [(other.offsets[other.index[k]], off, X)
+                  for k, off, X in zip(self.keys, self.offsets, self.objs) if k in other.index]
+        return self.ctx.placed(self.obj, other.obj, blocks)
 
 
 class CochainComplex:

@@ -261,10 +261,14 @@ class Instance:
                     if ref not in self.morphisms:
                         raise InstanceError("%s: unknown morphism %r" % (where, ref))
                     try:
-                        comps[int(qs)] = self.morphisms[ref]
+                        q = int(qs)
                     except ValueError:
                         raise InstanceError("%s: %s: degree %r is not an integer"
                                             % (where, tag, qs)) from None
+                    if qs != str(q):    # int() also reads '00', '+0', ' 0 ', '1_0', non-ASCII digits
+                        raise InstanceError("%s: %s: degree %r is not written as %r"
+                                            % (where, tag, qs, str(q)))
+                    comps[q] = self.morphisms[ref]
                 try:
                     return ChainMap(src, tgt, comps)
                 except (ValueError, IllFormedMorphism) as exc:

@@ -130,7 +130,9 @@ class Subquotient:
 
 
 class CoupleTower:
-    """Level-one exact couple of the column filtration, plus derived stages.
+    """The spectral sequence of the column filtration: the level-one exact
+    couple, its derived stages (the pages), the limit page r_inf and the
+    filtration on total cohomology.
 
     Tot^n lists its cells (p, n - p) by increasing p, so the filtration piece
     F^p Tot^n is the trailing block of Tot^n from `start(p, n)` on, and the
@@ -172,6 +174,9 @@ class CoupleTower:
                 self.E1[(p, q)] = Subquotient.cohomology(
                     self.field, dc.dim(p, q), dc.v(p, q), dc.v(p, q - 1) if q > 0 else None)
         self.couples = [ExactCouple(self, 1, dict(self.A1), dict(self.E1))]
+        self.r_inf = D + 2          # pages are derived when first read
+        self._filtration = None
+        self._graded_isos = {}
 
     def _total_diff(self, n) -> Matrix:
         """Tot^n -> Tot^{n+1}: d_h plus (-1)^p d_v."""
@@ -223,13 +228,88 @@ class CoupleTower:
         """The cell (p, q) part of F^p Tot^{p+q} columns: their first rows."""
         return m.rows_slice(range(self.dc.dim(p, q)))
 
+    # -- pages ----------------------------------------------------------------
+
     def page(self, r) -> "ExactCouple":
         while len(self.couples) < r:
             self.couples.append(self.couples[-1].derive())
         return self.couples[r - 1]
 
-    def r_infinity(self):
-        return self.D + 2
+    def page_dims(self, r):
+        couple = self.page(r)
+        return {(p, q): couple.e_sq(p, q).dim
+                for p in range(self.D + 1) for q in range(self.D + 1)
+                if couple.e_sq(p, q).dim}
+
+    def entry(self, r, p, q) -> Subquotient:
+        return self.page(r).e_sq(p, q)
+
+    def total_h_dim(self, n) -> int:
+        return self.A1[(0, n)].dim if (0, n) in self.A1 else 0
+
+    def page_table(self, r):
+        """Sorted (p, q, dim) rows for reporting."""
+        dims = self.page_dims(r)
+        return sorted((p, q, d) for (p, q), d in dims.items())
+
+    # -- filtration and convergence -------------------------------------------
+
+    def filtration(self):
+        """filt[n][p]: subspace of H^n(Tot) coords hit by H^n(F^p)."""
+        if self._filtration is not None:
+            return self._filtration
+        out = {}
+        for n in range(self.nmax + 1):
+            h = self.A1[(0, n)]
+            levels = []
+            for p in range(self.D + 2):
+                ap = self.A1.get((p, n - p))
+                if ap is None or ap.Z.dim == 0:
+                    levels.append(Subspace.zero(self.field, h.dim))
+                    continue
+                levels.append(Subspace.from_columns(h.project(self.include(ap.Z.basis, n, p, 0))))
+            out[n] = levels
+        self._filtration = out
+        return out
+
+    def graded_iso(self, p, q) -> Matrix:
+        """The stored isomorphism E_inf^{p,q} -> F^p H^{p+q} / F^{p+1} H^{p+q}."""
+        key = (p, q)
+        if key in self._graded_isos:
+            return self._graded_isos[key]
+        n = p + q
+        einf = self.entry(self.r_inf, p, q)
+        h = self.A1[(0, n)]
+        filt = self.filtration()[n]
+        grad = Subquotient(self.field, h.dim, filt[p], filt[p + 1])
+        if einf.dim == 0:
+            mat = Matrix.zeros(self.field, grad.dim, 0)
+            self._graded_isos[key] = mat
+            return mat
+        x = self.from_cell(einf.reps, p, q)
+        dx = self.restrict(self.fdiff[(p, n)] * x, n + 1, p, p + 1)   # D x lands in F^{p+1}
+        s = solve(self.fdiff[(p + 1, n)], dx)                          # s in F^{p+1} with D s = D x
+        vec = self.include(x - self.include(s, n, p + 1, p), n, p, 0)
+        mat = grad.project(h.project(vec))
+        self._graded_isos[key] = mat
+        return mat
+
+    def convergence_ok(self) -> bool:
+        """Sum of limit-page dimensions equals total cohomology, via stored isos."""
+        for n in range(self.nmax + 1):
+            total = self.total_h_dim(n)
+            s = 0
+            for p in range(self.D + 1):
+                q = n - p
+                if 0 <= q <= self.D:
+                    e = self.entry(self.r_inf, p, q)
+                    s += e.dim
+                    iso = self.graded_iso(p, q)
+                    if rank(iso) != e.dim:
+                        return False
+            if s != total:
+                return False
+        return True
 
 
 class ExactCouple:
@@ -335,105 +415,6 @@ class ExactCouple:
         return ExactCouple(t, r + 1, newA, newE)
 
 
-class SpectralSequence:
-    """Pages, differentials, the limit and the filtration on total cohomology."""
-
-    def __init__(self, dc: DoubleComplex):
-        self.dc = dc
-        self.tower = CoupleTower(dc)
-        self.field = dc.field
-        self.r_inf = self.tower.r_infinity()     # pages are derived when first read
-        self._filtration = None
-        self._graded_isos = None
-
-    # -- page access ---------------------------------------------------------
-
-    def page_dims(self, r):
-        D = self.tower.D
-        couple = self.tower.page(r)
-        return {(p, q): couple.e_sq(p, q).dim
-                for p in range(D + 1) for q in range(D + 1)
-                if couple.e_sq(p, q).dim}
-
-    def entry(self, r, p, q) -> Subquotient:
-        return self.tower.page(r).e_sq(p, q)
-
-    def differential(self, r, p, q) -> Matrix:
-        return self.tower.page(r).d_map(p, q)
-
-    def total_h_dim(self, n) -> int:
-        return self.tower.A1[(0, n)].dim if (0, n) in self.tower.A1 else 0
-
-    # -- filtration and convergence -------------------------------------------
-
-    def filtration(self):
-        """filt[n][p]: subspace of H^n(Tot) coords hit by H^n(F^p)."""
-        if self._filtration is not None:
-            return self._filtration
-        t = self.tower
-        out = {}
-        for n in range(t.nmax + 1):
-            h = t.A1[(0, n)]
-            levels = []
-            for p in range(t.D + 2):
-                ap = t.A1.get((p, n - p))
-                if ap is None or ap.Z.dim == 0:
-                    levels.append(Subspace.zero(self.field, h.dim))
-                    continue
-                levels.append(Subspace.from_columns(h.project(t.include(ap.Z.basis, n, p, 0))))
-            out[n] = levels
-        self._filtration = out
-        return out
-
-    def graded_iso(self, p, q) -> Matrix:
-        """The stored isomorphism E_inf^{p,q} -> F^p H^{p+q} / F^{p+1} H^{p+q}."""
-        if self._graded_isos is None:
-            self._graded_isos = {}
-        key = (p, q)
-        if key in self._graded_isos:
-            return self._graded_isos[key]
-        t = self.tower
-        n = p + q
-        einf = self.entry(self.r_inf, p, q)
-        h = t.A1[(0, n)]
-        filt = self.filtration()[n]
-        grad = Subquotient(self.field, h.dim, filt[p], filt[p + 1])
-        if einf.dim == 0:
-            mat = Matrix.zeros(self.field, grad.dim, 0)
-            self._graded_isos[key] = mat
-            return mat
-        x = t.from_cell(einf.reps, p, q)
-        dx = t.restrict(t.fdiff[(p, n)] * x, n + 1, p, p + 1)   # D x lands in F^{p+1}
-        s = solve(t.fdiff[(p + 1, n)], dx)                       # s in F^{p+1} with D s = D x
-        vec = t.include(x - t.include(s, n, p + 1, p), n, p, 0)
-        mat = grad.project(h.project(vec))
-        self._graded_isos[key] = mat
-        return mat
-
-    def convergence_ok(self) -> bool:
-        """Sum of limit-page dimensions equals total cohomology, via stored isos."""
-        t = self.tower
-        for n in range(t.nmax + 1):
-            total = self.total_h_dim(n)
-            s = 0
-            for p in range(t.D + 1):
-                q = n - p
-                if 0 <= q <= t.D:
-                    e = self.entry(self.r_inf, p, q)
-                    s += e.dim
-                    iso = self.graded_iso(p, q)
-                    if rank(iso) != e.dim:
-                        return False
-            if s != total:
-                return False
-        return True
-
-    def page_table(self, r):
-        """Sorted (p, q, dim) rows for reporting."""
-        dims = self.page_dims(r)
-        return sorted((p, q, d) for (p, q), d in dims.items())
-
-
 def global_sign(pairs):
     """(sign, ok): one sign s in {1, -1} with lhs = s * rhs for every pair.
 
@@ -479,7 +460,7 @@ class CoupleMorphism:
     global sign each, which is recorded, never assumed.
     """
 
-    def __init__(self, src: SpectralSequence, dst: SpectralSequence, bidegree,
+    def __init__(self, src: CoupleTower, dst: CoupleTower, bidegree,
                  a_maps, e_maps):
         self.src = src
         self.dst = dst
@@ -494,8 +475,8 @@ class CoupleMorphism:
         if m is None:
             dp, dq = self.bidegree
             m = Matrix.zeros(self.src.field,
-                             self.dst.tower.page(1).a_sq(p + dp, q + dq).dim,
-                             self.src.tower.page(1).a_sq(p, q).dim)
+                             self.dst.page(1).a_sq(p + dp, q + dq).dim,
+                             self.src.page(1).a_sq(p, q).dim)
         return m
 
     def e_map(self, p, q) -> Matrix:
@@ -503,12 +484,12 @@ class CoupleMorphism:
         if m is None:
             dp, dq = self.bidegree
             m = Matrix.zeros(self.src.field,
-                             self.dst.tower.page(1).e_sq(p + dp, q + dq).dim,
-                             self.src.tower.page(1).e_sq(p, q).dim)
+                             self.dst.page(1).e_sq(p + dp, q + dq).dim,
+                             self.src.page(1).e_sq(p, q).dim)
         return m
 
     def verify_intertwining(self):
-        s1, d1 = self.src.tower.page(1), self.dst.tower.page(1)
+        s1, d1 = self.src.page(1), self.dst.page(1)
         dp, dq = self.bidegree
         ipairs, jpairs, kpairs = [], [], []
         for (p, q) in s1.A:

@@ -27,7 +27,7 @@ from possheaf.sheafcat import (
     gamma_map,
     gamma_of_complex,
 )
-from possheaf.specseq import CoupleMorphism, ExactCouple, SpectralSequence, tot_block_map
+from possheaf.specseq import CoupleMorphism, CoupleTower, ExactCouple, tot_block_map
 
 # -- exactla and homalg -------------------------------------------------------
 
@@ -254,10 +254,10 @@ def check_exact(couple: ExactCouple) -> bool:
     return True
 
 
-def stabilization_ok(ss: SpectralSequence) -> bool:
+def stabilization_ok(ss: CoupleTower) -> bool:
     """E_r^{p,q} constant for r > max(p, q+1) + 1."""
-    for p in range(ss.tower.D + 1):
-        for q in range(ss.tower.D + 1):
+    for p in range(ss.D + 1):
+        for q in range(ss.D + 1):
             start = max(p, q + 1) + 2
             dims = {r: ss.entry(r, p, q).dim
                     for r in range(min(start, ss.r_inf), ss.r_inf + 1)}
@@ -266,23 +266,21 @@ def stabilization_ok(ss: SpectralSequence) -> bool:
     return True
 
 
-def map_of_spectral_sequences(src: SpectralSequence, dst: SpectralSequence,
-                              entry_maps) -> CoupleMorphism:
+def map_of_spectral_sequences(src: CoupleTower, dst: CoupleTower, entry_maps) -> CoupleMorphism:
     """Couple morphism induced by entrywise maps R^{p,q} -> R'^{p,q}.
 
     The entry maps must commute with both differentials up to one global
     sign (checked); A-level maps are induced on filtration cohomology.
     """
-    t_src, t_dst = src.tower, dst.tower
     a_maps, e_maps = {}, {}
-    for (p, q), asq in t_src.A1.items():
+    for (p, q), asq in src.A1.items():
         n = p + q
-        tgt = t_dst.A1.get((p, q))
+        tgt = dst.A1.get((p, q))
         if tgt is None or asq.dim == 0:
             continue
-        a_maps[(p, q)] = asq.induced_map(tgt, tot_block_map(t_src, t_dst, entry_maps, n, p))
-    for (p, q), esq in t_src.E1.items():
-        tgt = t_dst.E1.get((p, q))
+        a_maps[(p, q)] = asq.induced_map(tgt, tot_block_map(src, dst, entry_maps, n, p))
+    for (p, q), esq in src.E1.items():
+        tgt = dst.E1.get((p, q))
         if tgt is None or esq.dim == 0:
             continue
         m = entry_maps.get((p, q))

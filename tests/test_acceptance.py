@@ -30,7 +30,7 @@ from possheaf.gross import (
 )
 from possheaf.poset import Poset
 from possheaf.sheafcat import SheafContext
-from possheaf.specseq import DoubleComplex, SpectralSequence
+from possheaf.specseq import CoupleTower, DoubleComplex
 
 X4 = fence_x4()
 THETA = Poset(["a", "b", "c", "d", "e"],
@@ -199,8 +199,8 @@ def test_criterion_8_convergence(leray_batch, delta_batch, torus_data, torus_fam
     horiz[0][1] = one
     vert[1][0] = one
     horiz[1][0] = one
-    ss = SpectralSequence(DoubleComplex(QQ, 2, dims, horiz, vert))
-    ok = ok and rank(ss.differential(2, 0, 1)) == 1
+    ss = CoupleTower(DoubleComplex(QQ, 2, dims, horiz, vert))
+    ok = ok and rank(ss.page(2).d_map(0, 1)) == 1
     ok = ok and ss.page_dims(3) == {}
     ok = ok and ss.convergence_ok()
     _announce(8, ok, "sum of E_inf dims equals total cohomology; staircase d_2 != 0")

@@ -201,7 +201,7 @@ def test_corrupted_double_is_located():
     corrupt = AugmentedDouble(ctx, double.base, double.rows,
                               [ChainMap(bad_dh[0].source, bad_dh[0].target, bad_comps,
                                         validate=False)] + bad_dh[1:],
-                              double.augmentation, double.tag_rows)
+                              double.augmentation, double.columns, double.triples)
     rep = verify_ce(corrupt)
     assert not rep.ok
     assert rep.failures()
@@ -229,7 +229,8 @@ def _double_text(double):
     the degree range, summands and differentials, the ZI/HI tag sums; then
     the horizontal maps and the augmentation."""
     out = []
-    for p, (row, ((_, ztag, htag), triple)) in enumerate(zip(double.rows, double.tag_rows)):
+    _, ztag, htag = double.columns
+    for p, (row, triple) in enumerate(zip(double.rows, double.triples)):
         out.append(("row", p, row.lo, row.hi))
         for q in row.degrees():
             out.append(("obj", p, q, row.obj(q).summands, _map_text(row.diff(q))))
@@ -272,7 +273,7 @@ def test_single_complex_matches_the_full_triple(field, seeds):
             oracle = build_ce_triple(_identity_ses_oracle(X)).doubles["A"]
             assert _double_text(double) == _double_text(oracle), (field, seed, name)
             assert verify_ce(double).ok, (field, seed, name)
-            assert all(set(t.cplx) == {"I"} for _, t in double.tag_rows)   # no J, K built
+            assert all(set(t.cplx) == {"I"} for t in double.triples)   # no J, K built
 
 
 # forged CE triples against a recording; seeds 0, 1 and 5 take

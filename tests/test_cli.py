@@ -376,9 +376,23 @@ def test_objects_on_the_wrong_poset_are_an_input_error(tmp_path, capsys, change,
     (_set(("sequences", "S", "iota"), {"x": "m0"}),
      "sequence 'S': iota: degree 'x' is not an integer"),
     (_set(("sequences", "S", "pi"), ["e0"]), "sequences.S.pi: expected an object, got an array"),
+    # int() reads each of these keys, but a degree key is str(q) of its integer q
+    (_set(("sequences", "S", "iota"), {"0": "m0", "00": "m0"}),
+     "sequence 'S': iota: degree '00' is not written as '0'"),
+    (_set(("sequences", "S", "iota"), {"+0": "m0"}),
+     "sequence 'S': iota: degree '+0' is not written as '0'"),
+    (_set(("sequences", "S", "iota"), {" 0 ": "m0"}),
+     "sequence 'S': iota: degree ' 0 ' is not written as '0'"),
+    (_set(("sequences", "S", "iota"), {"0_0": "m0"}),
+     "sequence 'S': iota: degree '0_0' is not written as '0'"),
+    (_set(("sequences", "S", "pi"), {"\u0660": "e0"}),
+     "sequence 'S': pi: degree '\u0660' is not written as '0'"),
+    (_set(("sequences", "S", "iota"), {"1_0": "m0"}),
+     "sequence 'S': iota: degree '1_0' is not written as '10'"),
 ])
 def test_bad_chain_map_of_a_sequence_is_an_input_error(tmp_path, capsys, change, message):
-    # the first ended in a ValueError, the second in an AttributeError
+    # the first ended in a ValueError, the second in an AttributeError, and
+    # each of the rest loaded as a degree (the later of two keys for one won)
     doc = _complex_sequence_doc()
     change(doc)
     path = tmp_path / "ce.json"

@@ -3,7 +3,9 @@
 The goldens in tests/golden/ pin every PASS/FAIL line, table, recorded
 sign and --format report document of the pseudocircle and torus commands
 below, so a refactor that changes any of them fails here.  The torus runs
-are the ones whose filtration pieces span more than two columns.  Each file is the stdout
+are the ones whose filtration pieces span more than two columns.  The
+`selftest` case pins the forged Cartan-Eilenberg triples' checks as the CLI
+reports them.  Each file is the stdout
 of `possheaf <argv>`; no output names the instance file's path.  The `forge`
 cases pin the generators' sheaves and morphisms; `forge` writes the same
 document in either format, so they are recorded once, as text.
@@ -35,8 +37,10 @@ COMMANDS = {
                        "--map", "collapse", "--sequence", "S"],
     "verify-cz": ["verify-cz", PSEUDOCIRCLE, "--map", "collapse", "--sequence", "S"],
     "torus-leray": ["leray", TORUS, "--map", "pr1", "--sheaf", "k"],
+    "torus-gss": ["gss", TORUS, "--map", "pr1", "--sheaf", "k"],
     "torus-verify-main-fp": ["--field", "fp:32003", "verify-main", TORUS,
                              "--map", "pr1", "--sequence", "S"],
+    "selftest": ["selftest", "--seed", "3", "--count", "10"],
 }
 FORGE = {
     "forge-ses": ["forge", "--seed", "3", "--kind", "ses"],

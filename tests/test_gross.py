@@ -283,10 +283,10 @@ def test_delta_tot_matches_derived_functor_les():
         if hP.H == 0 and hM1.H == 0:
             continue
         delta_gf = connecting(ses_vec, n)
-        uT = augmentation_into_tot(pair, family.ce.doubles["C"], family.ssT.tower, basesP, n)
-        uR = augmentation_into_tot(pair, family.ce.doubles["A"], family.ssR.tower, basesM, n + 1)
-        phiT = family.ssT.tower.A1[(0, n)].project(uT * h_reps(hP))
-        phiR = family.ssR.tower.A1[(0, n + 1)].project(uR * h_reps(hM1))
+        uT = augmentation_into_tot(pair, family.ce.doubles["C"], family.ssT, basesP, n)
+        uR = augmentation_into_tot(pair, family.ce.doubles["A"], family.ssR, basesM, n + 1)
+        phiT = family.ssT.A1[(0, n)].project(uT * h_reps(hP))
+        phiR = family.ssR.A1[(0, n + 1)].project(uR * h_reps(hM1))
         lhs = family.delta_tot(n) * phiT
         rhs = phiR * delta_gf
         assert lhs == rhs or lhs == -rhs

@@ -1,4 +1,4 @@
-"""Six layout rules of src/possheaf.
+"""Seven layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -43,6 +43,12 @@ A map into or out of a direct sum is placed, never computed: no call of
 `.proj(`.  Its components go to `DirectSum.into` or `DirectSum.out_of`,
 which copy each one in at its summand's offset, instead of being composed
 with injections or projections and added up.
+
+A double complex has one spectral-sequence object, `specseq.CoupleTower`:
+its pages, limit, filtration and graded isomorphisms are read off the
+tower itself.  No module but specseq (where each `ExactCouple` keeps its
+tower) reads an attribute named `tower`, so no caller reaches through a
+wrapper to the tower behind it.
 
 Every function the benchmark's tracer wraps (`perfbench/tracer.py`,
 `TARGETS`) exists under the name it is wrapped by, so a refactor that drops
@@ -216,6 +222,17 @@ def summed_placement_sites():
 
 def test_maps_into_and_out_of_sums_are_placed_not_added():
     assert summed_placement_sites() == []
+
+
+def tower_hops():
+    """`module:line` of each `.tower` read outside specseq."""
+    return ["%s:%d" % (module, node.lineno) for module, tree in _trees().items()
+            if module != "specseq" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "tower"]
+
+
+def test_spectral_sequences_are_read_off_the_tower():
+    assert tower_hops() == []
 
 
 def test_every_traced_name_resolves():
