@@ -182,7 +182,7 @@ class Matrix:
     row, or the row list, that a matrix holds.
     """
 
-    __slots__ = ("field", "rows", "cols", "_nz", "_rank")
+    __slots__ = ("field", "rows", "cols", "_nz", "_rank", "_hash")
 
     def __init__(self, field, rows: int, cols: int, nz):
         self.field = field
@@ -190,6 +190,7 @@ class Matrix:
         self.cols = cols
         self._nz = nz  # list of {column: nonzero entry} dicts, one per row
         self._rank = None
+        self._hash = None
 
     @classmethod
     def from_rows(cls, field, rows, cols=None):
@@ -246,6 +247,16 @@ class Matrix:
             and self.cols == other.cols
             and self._nz == other._nz
         )
+
+    def __hash__(self):
+        """The shape and the number of entries in each row, kept once made.
+
+        Equal matrices hash equal, so matrices of one field can key a dict.
+        The hash is cheap and coarse: a lookup settles a clash with ==.
+        """
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, *map(len, self._nz)))
+        return self._hash
 
     def __neg__(self):
         return self.scale(self.field.from_int(-1))

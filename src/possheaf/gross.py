@@ -19,6 +19,8 @@ globally per statement.
 
 from __future__ import annotations
 
+import functools
+
 from . import homalg
 from .ceres import build_ce_triple, ce_resolution_of_complex
 from .exactla import Matrix, NoSolution, place_blocks, rank, solve
@@ -357,15 +359,26 @@ class E2Identification:
 # -- the coboundary family ----------------------------------------------------
 
 class DeltaFamily:
-    """Page maps delta_r: E_r^{p,q}(C) -> E_r^{p,q+1}(A) with all witnesses."""
+    """Page maps delta_r: E_r^{p,q}(C) -> E_r^{p,q+1}(A) with all witnesses.
 
-    def __init__(self, pair, F_ses, ce, ssR, ssS, ssT, mor, idR, idT):
+    The E2 identifications of R and T are built when first read: only
+    `verify_main_theorem` reads them.
+    """
+
+    def __init__(self, pair, F_ses, ce, ssR, ssT, mor):
         self.pair = pair
         self.F_ses = F_ses
         self.ce = ce
-        self.ssR, self.ssS, self.ssT = ssR, ssS, ssT
+        self.ssR, self.ssT = ssR, ssT
         self.mor = mor              # couple morphism T -> R of bidegree (0, 1)
-        self.idR, self.idT = idR, idT
+
+    @functools.cached_property
+    def idR(self):
+        return E2Identification(self.pair, self.ce.doubles["A"], self.ssR)
+
+    @functools.cached_property
+    def idT(self):
+        return E2Identification(self.pair, self.ce.doubles["C"], self.ssT)
 
     @property
     def r_inf(self):
@@ -438,9 +451,7 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
             moved = -moved
         e_maps[(p, q)] = tgt.project(solve(iota_e[(p, q + 1)], moved))
     mor = CoupleMorphism(tT, tR, (0, 1), a_maps, e_maps)
-    idR = E2Identification(pair, ce.doubles["A"], tR)
-    idT = E2Identification(pair, ce.doubles["C"], tT)
-    return DeltaFamily(pair, F_ses, ce, tR, tS, tT, mor, idR, idT)
+    return DeltaFamily(pair, F_ses, ce, tR, tT, mor)
 
 
 def verify_main_theorem(family: DeltaFamily) -> CheckReport:

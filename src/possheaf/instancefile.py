@@ -70,6 +70,37 @@ def _expect(value, shape, path):
             _expect(item, items, ("%s.%s" if kind is dict else "%s[%d]") % (path, key))
 
 
+class _Repeated(dict):
+    """A JSON object that names a key twice; `key` is the first key named again."""
+
+
+def _no_repeats(pairs, repeated):
+    """json's object hook: the object of pairs, or, if a key repeats, a
+    `_Repeated` one, also added to the list repeated (json itself keeps the
+    last value without a word)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        obj = _Repeated(obj)
+        obj.key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        repeated.append(obj)
+    return obj
+
+
+def _repeated_key(value, path=""):
+    """The path of the first key that an object in value names twice, or None;
+    a walk of the whole document, so it runs only once a repeat is seen."""
+    if isinstance(value, _Repeated):
+        return "%s.%s" % (path, value.key) if path else value.key
+    if isinstance(value, dict):
+        items = [("%s.%s" % (path, k) if path else k, v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [("%s[%d]" % (path, i), v) for i, v in enumerate(value)]
+    else:
+        return None
+    return next((found for at, v in items if (found := _repeated_key(v, at)) is not None), None)
+
+
 def _check_shape(doc):
     """The document is an object, and each section present an object of named
     objects of the section's shape."""
@@ -95,13 +126,16 @@ class Instance:
     @classmethod
     def load(cls, path, field=None):
         try:
+            repeated = []
             with open(path) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=lambda pairs: _no_repeats(pairs, repeated))
         except OSError as exc:
             raise InstanceError("%s: cannot read: %s" % (path, exc.strerror or exc)) from exc
         except json.JSONDecodeError as exc:
             raise InstanceError("%s: line %d column %d: %s"
                                 % (path, exc.lineno, exc.colno, exc.msg)) from exc
+        if repeated:
+            raise InstanceError("%s: duplicate key %s" % (path, _repeated_key(doc)))
         return cls.from_dict(doc, field=field)
 
     @classmethod

@@ -66,6 +66,54 @@ def _extend_matrix(m: Matrix, f: Matrix, flip: bool) -> Matrix:
     return gt.rows_slice([at.get(i, len(piv)) for i in range(m.rows)]).transpose()
 
 
+def _stalkwise(fn, *comps):
+    """[fn(*ops) for ops in zip(*comps)], running fn once per distinct ops.
+
+    Stalks whose operands are equal share one result.  That is exact, as
+    every exactla kernel is a function of its operands' values, and safe,
+    as no result is changed once made.  The memo lives for this call only.
+    """
+    memo, out = {}, []
+    for ops in zip(*comps):
+        r = memo.get(ops)
+        if r is None:
+            r = memo[ops] = fn(*ops)
+        out.append(r)
+    return out
+
+
+def _no_descent(column, where=""):
+    """NoSolution for a map that does not descend along an epi, at `where`;
+    column is the first row of the map with no preimage, when one is known."""
+    msg = "map does not descend along the epimorphism" + where
+    if column is not None:
+        msg += ": no preimage for row %d of the map" % column
+    return NoSolution(msg, column)
+
+
+def _descend(e: Matrix, f: Matrix) -> Matrix:
+    """g with g*e = f, for e an epi; NoSolution when f does not descend."""
+    try:
+        g = solve(e.transpose(), f.transpose()).transpose()
+    except NoSolution as exc:
+        raise _no_descent(exc.column) from None
+    if not (g * e == f):
+        raise _no_descent(None)
+    return g
+
+
+def _exact_at(f: Matrix, g: Matrix, mid: int) -> bool:
+    """g*f = 0 and rank f + rank g = mid: f then g is exact at a space of dimension mid."""
+    return (g * f).is_zero() and rank(f) + rank(g) == mid
+
+
+def _image(m: Matrix):
+    """im(m)'s canonical basis, and m into it: the basis is the identity on
+    its pivot rows, and m lies in its span."""
+    img = image_basis(m)
+    return img, m.rows_slice(img.pivots)
+
+
 class VectorContext:
     """Finite-dimensional vector spaces; objects are dimensions, maps matrices."""
 
@@ -127,9 +175,8 @@ class VectorContext:
         return reps.cols, proj
 
     def image(self, f):
-        # the basis is the identity on its pivot rows, and f lies in its span
-        img = image_basis(f)
-        return img.dim, img.basis, f.rows_slice(img.pivots)
+        img, epi = _image(f)
+        return img.dim, img.basis, epi
 
     def is_mono(self, f):
         return rank(f) == f.cols
@@ -141,14 +188,7 @@ class VectorContext:
         return solve(m, f)
 
     def descend_along_epi(self, e, f):
-        try:
-            g = solve(e.transpose(), f.transpose()).transpose()
-        except NoSolution as exc:
-            raise NoSolution("map does not descend along the epimorphism: "
-                             "no preimage for row %d of the map" % exc.column, exc.column) from None
-        if not (g * e == f):
-            raise NoSolution("map does not descend along the epimorphism")
-        return g
+        return _descend(e, f)
 
     def sum_offsets(self, Xs):
         """Where each summand of the direct sum of Xs begins."""
@@ -178,9 +218,7 @@ class VectorContext:
         return _extend_matrix(m, f, self.flip)
 
     def is_exact_pair(self, f, g, mid):
-        if not (g * f).is_zero():
-            return False
-        return rank(f) + rank(g) == mid
+        return _exact_at(f, g, mid)
 
     def is_injective_object(self, X):
         return True
@@ -403,8 +441,8 @@ class SheafContext:
     def compose(self, f, g):
         if g.target.dims != f.source.dims:
             raise IllFormedMorphism("composition shape mismatch")
-        return SheafMorphism(g.source, f.target,
-                             [a * b for a, b in zip(f.comps, g.comps)], validate=False)
+        return SheafMorphism(g.source, f.target, _stalkwise(Matrix.__mul__, f.comps, g.comps),
+                             validate=False)
 
     def add(self, f, g):
         return SheafMorphism(f.source, f.target,
@@ -414,7 +452,7 @@ class SheafContext:
         return SheafMorphism(f.source, f.target, [-a for a in f.comps], validate=False)
 
     def map_eq(self, f, g):
-        return all(a == b for a, b in zip(f.comps, g.comps))
+        return all(a == b for a, b in set(zip(f.comps, g.comps)))
 
     def is_zero_map(self, f):
         return f.is_zero()
@@ -431,49 +469,45 @@ class SheafContext:
 
     # abelian structure ---------------------------------------------------
     def kernel(self, f):
-        kers = [kernel_basis(m) for m in f.comps]
+        kers = _stalkwise(kernel_basis, f.comps)
         K = subspace_sheaf(self.poset, self.field, kers, f.source.restriction)
         return K, SheafMorphism(K, f.source, [k.basis for k in kers], validate=False)
 
     def cokernel(self, f):
-        cok = [cokernel_basis(m) for m in f.comps]    # (reps, proj) per stalk
+        cok = _stalkwise(cokernel_basis, f.comps)    # (reps, proj) per stalk
         rho = {(i, j): cok[j][1] * (f.target.restriction(i, j) * cok[i][0])
                for (i, j) in self.poset.covers}
         Q = Sheaf(self.poset, self.field, [r.cols for r, _ in cok], rho, validate=False)
         return Q, SheafMorphism(f.target, Q, [p for _, p in cok], validate=False)
 
     def image(self, f):
-        imgs = [image_basis(m) for m in f.comps]
-        I = subspace_sheaf(self.poset, self.field, imgs, f.target.restriction)
-        mono = SheafMorphism(I, f.target, [s.basis for s in imgs], validate=False)
-        epi_comps = [f.comps[i].rows_slice(s.pivots) for i, s in enumerate(imgs)]
-        epi = SheafMorphism(f.source, I, epi_comps, validate=False)
+        parts = _stalkwise(_image, f.comps)    # (image, f into it) per stalk
+        I = subspace_sheaf(self.poset, self.field, [s for s, _ in parts], f.target.restriction)
+        mono = SheafMorphism(I, f.target, [s.basis for s, _ in parts], validate=False)
+        epi = SheafMorphism(f.source, I, [e for _, e in parts], validate=False)
         return I, mono, epi
 
     def is_mono(self, f):
-        return all(rank(m) == m.cols for m in f.comps)
+        return all(rank(m) == m.cols for m in set(f.comps))
 
     def is_epi(self, f):
-        return all(rank(m) == m.rows for m in f.comps)
+        return all(rank(m) == m.rows for m in set(f.comps))
 
     def lift_through_mono(self, f, m):
-        comps = [solve(m.comps[i], f.comps[i]) for i in range(len(self.poset))]
-        return SheafMorphism(f.source, m.source, comps, validate=False)
+        return SheafMorphism(f.source, m.source, _stalkwise(solve, m.comps, f.comps),
+                             validate=False)
 
     def descend_along_epi(self, e, f):
-        comps = []
-        for i in range(len(self.poset)):
+        def descend(ei, fi):
             try:
-                g = solve(e.comps[i].transpose(), f.comps[i].transpose()).transpose()
+                return _descend(ei, fi)
             except NoSolution as exc:
-                raise NoSolution("map does not descend along the epimorphism at %s: "
-                                 "no preimage for row %d of the map"
-                                 % (self.poset.elements[i], exc.column), exc.column) from None
-            if not (g * e.comps[i] == f.comps[i]):
-                raise NoSolution("map does not descend along the epimorphism at %s"
-                                 % self.poset.elements[i])
-            comps.append(g)
-        return SheafMorphism(e.target, f.target, comps, validate=False)
+                # _stalkwise runs this at the first stalk that holds ei and fi: name it
+                at = next(x for x, ops in zip(self.poset.elements, zip(e.comps, f.comps))
+                          if ops == (ei, fi))
+                raise _no_descent(exc.column, " at %s" % at) from None
+        return SheafMorphism(e.target, f.target, _stalkwise(descend, e.comps, f.comps),
+                             validate=False)
 
     def direct_sum(self, Xs):
         if all(isinstance(X, InjectiveSheaf) for X in Xs):
@@ -530,8 +564,10 @@ class SheafContext:
     def extend_along_mono(self, m, f):
         """g: B -> I with g.m = f, for I a realized coinduced sum.
 
-        Works one summand [x]_V at a time through Hom(F, [x]_V) = Hom(F_x, V):
-        solve at the peak stalk, extend by zero on a complement of im(m_x).
+        Works through Hom(F, [x]_V) = Hom(F_x, V): solve at the peak stalk,
+        extend by zero on a complement of im(m_x).  The extension works row by
+        row, so f's stalk at each peak is extended once, and each summand
+        peaked there takes its own rows.
         """
         I = f.target
         if not isinstance(I, InjectiveSheaf):
@@ -539,11 +575,11 @@ class SheafContext:
         if not self.is_mono(m):
             raise NotMono("extension base is not a monomorphism")
         B = m.target
-        peaks = []
-        for j, (x, v) in enumerate(I.summands):
-            off = I.slot[x][j]
-            fj = f.comps[x].rows_slice(range(off, off + v))
-            peaks.append(_extend_matrix(m.comps[x], fj, self.flip))
+        pts = list(dict.fromkeys(x for x, _ in I.summands))
+        exts = dict(zip(pts, _stalkwise(lambda mx, fx: _extend_matrix(mx, fx, self.flip),
+                                        [m.comps[x] for x in pts], [f.comps[x] for x in pts])))
+        peaks = [exts[x].rows_slice(range(I.slot[x][j], I.slot[x][j] + v))
+                 for j, (x, v) in enumerate(I.summands)]
         comps = []
         for y in range(len(self.poset)):
             blocks = [peaks[j] * B.restriction(y, I.summands[j][0]) for j in I.present[y]]
@@ -554,12 +590,7 @@ class SheafContext:
         return SheafMorphism(B, I, comps, validate=False)
 
     def is_exact_pair(self, f, g, mid):
-        for i in range(len(self.poset)):
-            if not (g.comps[i] * f.comps[i]).is_zero():
-                return False
-            if rank(f.comps[i]) + rank(g.comps[i]) != mid.dims[i]:
-                return False
-        return True
+        return all(_exact_at(*ops) for ops in set(zip(f.comps, g.comps, mid.dims)))
 
     def is_injective_object(self, X):
         return isinstance(X, InjectiveSheaf)

@@ -9,23 +9,41 @@ reduced echelon form reached by elimination, the pivot-rule complement of a
 subspace and the extension of a map along a mono that vanishes on it, the
 structured section basis of a coinduced sheaf, the cohomology of a sheaf
 on an open from its own restricted resolution, every composite
-restriction of a sheaf composed eagerly along every path, and a direct
-sum with all its injections and projections built at once.  The command line
-reaches none of them, so they live with the tests.
+restriction of a sheaf composed eagerly along every path, a direct
+sum with all its injections and projections built at once, and the sheaf
+operations computed stalk by stalk, with no stalk sharing another's result.
+The command line reaches none of them, so they live with the tests.
 """
 
 from possheaf import homalg
-from possheaf.exactla import Matrix, Subspace, _eliminate, hstack, image_basis, kernel_basis, rank, solve
+from possheaf.exactla import (
+    Matrix,
+    NoSolution,
+    Subspace,
+    _eliminate,
+    cokernel_basis,
+    hstack,
+    image_basis,
+    kernel_basis,
+    rank,
+    solve,
+    vstack,
+)
 from possheaf.gross import FunctorPair, _gamma_base, _linked_resolutions
 from possheaf.homalg import ChainMap, CheckReport, SESOfComplexes
 from possheaf.poset import Poset
 from possheaf.sheafcat import (
     InjectiveSheaf,
+    NotCoinduced,
+    NotMono,
     Sheaf,
     SheafContext,
+    SheafMorphism,
     VectorContext,
+    _extend_matrix,
     gamma_map,
     gamma_of_complex,
+    subspace_sheaf,
 )
 from possheaf.specseq import CoupleMorphism, CoupleTower, ExactCouple, tot_block_map
 
@@ -179,6 +197,89 @@ def composites(F: Sheaf) -> dict:
             fi[j] = cands[0]
         out.update(((i, j), m) for j, m in fi.items())
     return out
+
+
+class EagerSheafContext(SheafContext):
+    """`SheafContext` with every operation that shares equal stalks' results
+    computed stalk by stalk instead, as the engine did before: each stalk
+    runs its own kernel, product or solve, and `extend_along_mono` extends
+    one summand at a time.  A failure is raised at the first stalk that
+    fails, and `descend_along_epi` names it."""
+
+    def compose(self, f, g):
+        return SheafMorphism(g.source, f.target, [a * b for a, b in zip(f.comps, g.comps)],
+                             validate=False)
+
+    def map_eq(self, f, g):
+        return all(a == b for a, b in zip(f.comps, g.comps))
+
+    def kernel(self, f):
+        kers = [kernel_basis(m) for m in f.comps]
+        K = subspace_sheaf(self.poset, self.field, kers, f.source.restriction)
+        return K, SheafMorphism(K, f.source, [k.basis for k in kers], validate=False)
+
+    def cokernel(self, f):
+        cok = [cokernel_basis(m) for m in f.comps]
+        rho = {(i, j): cok[j][1] * (f.target.restriction(i, j) * cok[i][0])
+               for (i, j) in self.poset.covers}
+        Q = Sheaf(self.poset, self.field, [r.cols for r, _ in cok], rho, validate=False)
+        return Q, SheafMorphism(f.target, Q, [p for _, p in cok], validate=False)
+
+    def image(self, f):
+        imgs = [image_basis(m) for m in f.comps]
+        I = subspace_sheaf(self.poset, self.field, imgs, f.target.restriction)
+        mono = SheafMorphism(I, f.target, [s.basis for s in imgs], validate=False)
+        epi = SheafMorphism(f.source, I, [m.rows_slice(s.pivots) for m, s in zip(f.comps, imgs)],
+                            validate=False)
+        return I, mono, epi
+
+    def is_mono(self, f):
+        return all(rank(m) == m.cols for m in f.comps)
+
+    def is_epi(self, f):
+        return all(rank(m) == m.rows for m in f.comps)
+
+    def is_exact_pair(self, f, g, mid):
+        for a, b, d in zip(f.comps, g.comps, mid.dims):
+            if not (b * a).is_zero() or rank(a) + rank(b) != d:
+                return False
+        return True
+
+    def lift_through_mono(self, f, m):
+        return SheafMorphism(f.source, m.source, [solve(a, b) for a, b in zip(m.comps, f.comps)],
+                             validate=False)
+
+    def descend_along_epi(self, e, f):
+        comps = []
+        for x, a, b in zip(self.poset.elements, e.comps, f.comps):
+            try:
+                g = solve(a.transpose(), b.transpose()).transpose()
+            except NoSolution as exc:
+                raise NoSolution("map does not descend along the epimorphism at %s: "
+                                 "no preimage for row %d of the map" % (x, exc.column),
+                                 exc.column) from None
+            if not (g * a == b):
+                raise NoSolution("map does not descend along the epimorphism at %s" % x)
+            comps.append(g)
+        return SheafMorphism(e.target, f.target, comps, validate=False)
+
+    def extend_along_mono(self, m, f):
+        I = f.target
+        if not isinstance(I, InjectiveSheaf):
+            raise NotCoinduced("extension target must be a realized coinduced sum")
+        if not self.is_mono(m):
+            raise NotMono("extension base is not a monomorphism")
+        B = m.target
+        peaks = []
+        for j, (x, v) in enumerate(I.summands):
+            off = I.slot[x][j]
+            peaks.append(_extend_matrix(m.comps[x], f.comps[x].rows_slice(range(off, off + v)),
+                                        self.flip))
+        comps = []
+        for y in range(len(self.poset)):
+            blocks = [peaks[j] * B.restriction(y, I.summands[j][0]) for j in I.present[y]]
+            comps.append(vstack(blocks) if blocks else Matrix.zeros(self.field, 0, B.dims[y]))
+        return SheafMorphism(B, I, comps, validate=False)
 
 
 class NotOpen(Exception):

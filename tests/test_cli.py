@@ -676,3 +676,54 @@ def test_a_mutated_document_never_ends_in_a_traceback(mutation_file, data):
     if main(["validate", str(mutation_file)]) == 0:
         assert main(["cohomology", str(mutation_file), "--sheaf", "k"]) in (0, 1)
         assert main(["leray", str(mutation_file), "--map", "collapse", "--sheaf", "k"]) in (0, 1)
+
+
+def _repeat_before(text, anchor, repeated):
+    """text with `repeated` (a key and its value, then a comma) written just
+    before the first `anchor`; json.dumps cannot write a repeated key."""
+    at = text.index(anchor)
+    return text[:at] + repeated + text[at:]
+
+
+@pytest.mark.parametrize("command", [["validate"], ["cohomology", "--sheaf", "k"]])
+@pytest.mark.parametrize("anchor,repeated,key", [
+    ('"field"', '"field": "fp:2", ', "field"),
+    ('"a<c"', '"a<c": [["2"]], ', "sheaves.k.restrictions.a<c"),
+    ('"elements"', '"elements": ["a"], ', "posets.X.elements"),
+])
+def test_a_repeated_key_is_an_input_error(tmp_path, capsys, command, anchor, repeated, key):
+    # json keeps the last of two equal keys: before, `"field": "q", "field":
+    # "fp:2"` loaded silently and the run went on over GF(2)
+    with open(PSEUDOCIRCLE) as fh:
+        text = _repeat_before(fh.read().replace("\n", " "), anchor, repeated)
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main(command + [str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "%s: duplicate key %s" % (path, key) in out
+    if command != ["validate"]:
+        assert out.startswith("input error")
+
+
+def test_a_repeated_key_in_an_array_item_is_named_by_its_index(tmp_path, capsys):
+    text = json.dumps(_complex_sequence_doc())
+    path = tmp_path / "repeated.json"
+    path.write_text(_repeat_before(text, '"object": "A0"', '"object": "B0", '))
+    assert main(["ce", str(path), "--sequence", "S"]) == 1
+    assert "duplicate key complexes.A.terms[0].object" in capsys.readouterr().out
+
+
+def test_documents_the_writers_emit_still_load(tmp_path, capsys):
+    # equal keys in different objects are no repeat: each forged document
+    # names "poset" in every sheaf, "source" in every morphism
+    path = tmp_path / "doc.json"
+    for seed in range(4):
+        assert main(["forge", "--seed", str(seed), "--kind", "ses"]) == 0
+        path.write_text(capsys.readouterr().out)
+        Instance.load(str(path))
+    with open(os.path.join(HERE, "..", "perfbench", "reference", "forged-ce-q.json")) as fh:
+        pool = json.load(fh)["pool"]
+    assert len(pool) == 200
+    for entry in pool:
+        path.write_text(json.dumps(entry["doc"], indent=1))
+        Instance.load(str(path))

@@ -20,6 +20,7 @@ from possheaf.gross import (
     E2Identification,
     FunctorPair,
     PreconditionFailed,
+    _gamma_double,
     acyclic_middle_analysis,
     delta_morphism,
     first_ss_check,
@@ -330,8 +331,10 @@ def test_prime_field_drop_in():
 def test_inclusion_induces_page_maps():
     # the entrywise inclusion R -> S of a coboundary family's grids is a
     # couple morphism with trivial signs, and composing with the projection
-    # S -> T kills every page map (functoriality echo of row exactness)
+    # S -> T kills every page map (functoriality echo of row exactness); the
+    # family keeps no tower of S, so S's is built on the grid size of R's
     from possheaf.sheafcat import gamma_struct_map
+    from possheaf.specseq import CoupleTower
 
     ctx = SheafContext(X4, QQ)
     k, m, e = injective_middle(ctx)
@@ -345,8 +348,9 @@ def test_inclusion_induces_page_maps():
                                               trip.cplx["I"].obj(q), trip.cplx["J"].obj(q))
             pi_e[(p, q)] = gamma_struct_map(trip.pi.comp(q),
                                             trip.cplx["J"].obj(q), trip.cplx["K"].obj(q))
-    inc = map_of_spectral_sequences(family.ssR, family.ssS, iota_e)
-    prj = map_of_spectral_sequences(family.ssS, family.ssT, pi_e)
+    ssS = CoupleTower(_gamma_double(pair, family.ce.doubles["B"], family.ssR.D))
+    inc = map_of_spectral_sequences(family.ssR, ssS, iota_e)
+    prj = map_of_spectral_sequences(ssS, family.ssT, pi_e)
     assert all(s in (0, 1) for s in inc.signs.values())
     for r in (1, 2):
         for (p, q), d in family.ssR.page_dims(r).items():

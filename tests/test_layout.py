@@ -1,4 +1,4 @@
-"""Seven layout rules of src/possheaf.
+"""Eight layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -49,6 +49,13 @@ its pages, limit, filtration and graded isomorphisms are read off the
 tower itself.  No module but specseq (where each `ExactCouple` keeps its
 tower) reads an attribute named `tower`, so no caller reaches through a
 wrapper to the tower behind it.
+
+A sheaf operation has one stalk loop, `sheafcat._stalkwise`, which runs a
+stalk's linear algebra once per distinct tuple of operands and shares the
+result among the stalks that hold equal ones.  No loop in sheafcat that
+reads `.comps` calls `kernel_basis`, `cokernel_basis`, `image_basis`,
+`solve` or `_extend_matrix` itself, so no operation goes back to one
+elimination per stalk beside it.
 
 Every function the benchmark's tracer wraps (`perfbench/tracer.py`,
 `TARGETS`) exists under the name it is wrapped by, so a refactor that drops
@@ -233,6 +240,30 @@ def tower_hops():
 
 def test_spectral_sequences_are_read_off_the_tower():
     assert tower_hops() == []
+
+
+STALK_KERNELS = ("kernel_basis", "cokernel_basis", "image_basis", "solve", "_extend_matrix")
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def stalk_loop_sites(tree):
+    """`sheafcat:line name` of each call of a STALK_KERNELS function inside a
+    loop of tree that reads `.comps`, outside `_stalkwise`."""
+    inside = {n for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_stalkwise" for n in ast.walk(node)}
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, _LOOPS) or loop in inside:
+            continue
+        nodes = list(ast.walk(loop))
+        if any(isinstance(n, ast.Attribute) and n.attr == "comps" for n in nodes):
+            found.update("sheafcat:%d %s" % (n.lineno, _called_name(n)) for n in nodes
+                         if isinstance(n, ast.Call) and _called_name(n) in STALK_KERNELS)
+    return sorted(found)
+
+
+def test_stalk_linear_algebra_runs_once_per_distinct_stalk():
+    assert stalk_loop_sites(_trees()["sheafcat"]) == []
 
 
 def test_every_traced_name_resolves():
