@@ -63,12 +63,10 @@ class FunctorPair:
     def __init__(self, f: MonotoneMap | None, source_poset, field, flip=False):
         self.f = f
         self.field = field
-        self.flip = flip
         self.src_poset = source_poset
         self.tgt_poset = f.target if f is not None else source_poset
         self.src_ctx = SheafContext(self.src_poset, field, flip)
         self.tgt_ctx = SheafContext(self.tgt_poset, field, flip)
-        self.vctx = VectorContext(field, flip)
         self.push = Pushforward(f) if f is not None else None
 
     # -- F ---------------------------------------------------------------
@@ -179,7 +177,7 @@ def _gamma_base(pair: FunctorPair, cplx: CochainComplex):
     for q in cplx.degrees():
         if q + 1 in objs:
             diffs[q] = gamma_map(cplx.diff(q), bases[q].basis, bases[q + 1].basis)
-    return CochainComplex(pair.vctx, objs, diffs), bases
+    return CochainComplex(VectorContext(pair.field), objs, diffs), bases
 
 
 def grothendieck_ss(pair: FunctorPair, A) -> GrothendieckData:
@@ -308,7 +306,7 @@ class E2Identification:
             haug = homalg.induced_on_cohomology(double.augmentation, q)
             aug = ctx.lift_through_mono(haug, isos[0])
             self.resolutions[q] = homalg.Resolution(homalg.cohomology(double.base, q).H, cplx, aug)
-            self.vec_h[q] = gamma_of_complex(cplx, pair.vctx)
+            self.vec_h[q] = gamma_of_complex(cplx)
 
     def _tagged_to_computed(self, p, q, hsheaf):
         """Iso from the tagged H object to the computed cohomology of the row."""

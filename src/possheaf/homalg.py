@@ -2,8 +2,10 @@
 
 The context object supplies kernels, cokernels, images, direct sums,
 injective embeddings and the extension property; everything here is written
-against that interface so the same code runs for plain vector spaces and for
-sheaves on a finite poset.  Indexing is cohomological throughout.
+against that interface.  The engine's context is sheafcat.SheafContext,
+sheaves on a finite poset; a complex of their global sections lives in
+sheafcat.VectorContext, which supplies only what CochainComplex and
+ChainMap validation read.  Indexing is cohomological throughout.
 """
 
 from __future__ import annotations

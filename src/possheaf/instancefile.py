@@ -35,16 +35,19 @@ def _matrix_from_rows(field, rows, nrows, ncols, where):
 
 # the JSON shape of each section's objects, as read by the parsers below: a
 # JSON type, (list, k) for an array of k, (dict, k) for an object of named k,
-# or {field: k} for an object whose fields, where present, have shape k.  A
-# reference to another object is its name, so a string.
+# {field: k} for an object with only those fields, each, where present, of
+# shape k, or None for a field whose parser checks its shape.  A reference to
+# another object is its name, so a string.
 _SHAPES = {
     "posets": {"elements": (list, str), "covers": (list, (list, str))},
     "sheaves": {"poset": str, "stalks": dict, "restrictions": dict},
     "morphisms": {"source": str, "target": str, "components": dict},
-    "maps": {"source": str, "target": str},
-    "complexes": {"poset": str, "terms": (list, {"object": str, "differential": str})},
-    "sequences": {"kind": str, "A": str, "B": str, "C": str},
+    "maps": {"source": str, "target": str, "values": None},
+    "complexes": {"poset": str,
+                  "terms": (list, {"degree": None, "object": str, "differential": str})},
+    "sequences": {"kind": str, "A": str, "B": str, "C": str, "iota": None, "pi": None},
 }
+_DOCUMENT = {"field": None, **{section: (dict, shape) for section, shape in _SHAPES.items()}}
 
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a number",
                float: "a number", bool: "a boolean", type(None): "null"}
@@ -52,6 +55,8 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a num
 
 def _expect(value, shape, path):
     """Raise an InstanceError naming path unless value has the given shape."""
+    if shape is None:
+        return
     fields, items = {}, None
     if isinstance(shape, dict):
         kind, fields = dict, shape
@@ -62,9 +67,11 @@ def _expect(value, shape, path):
     if type(value) is not kind:
         got = _JSON_NAMES.get(type(value), type(value).__name__)
         raise InstanceError("%s: expected %s, got %s" % (path, _JSON_NAMES[kind], got))
-    for field, inner in fields.items():
-        if field in value:
-            _expect(value[field], inner, "%s.%s" % (path, field))
+    for field in value if fields else ():
+        at = "%s.%s" % (path, field) if path else field
+        if field not in fields:
+            raise InstanceError("unknown key %s" % at)
+        _expect(value[field], fields[field], at)
     if items is not None:
         for key, item in (value.items() if kind is dict else enumerate(value)):
             _expect(item, items, ("%s.%s" if kind is dict else "%s[%d]") % (path, key))
@@ -102,11 +109,10 @@ def _repeated_key(value, path=""):
 
 
 def _check_shape(doc):
-    """The document is an object, and each section present an object of named
-    objects of the section's shape."""
+    """The document is an object with only the keys of _DOCUMENT, and each
+    section present an object of named objects of the section's shape."""
     _expect(doc, dict, "document")
-    for section, shape in _SHAPES.items():
-        _expect(doc.get(section, {}), (dict, shape), section)
+    _expect(doc, _DOCUMENT, "")
 
 
 class Instance:
@@ -266,7 +272,10 @@ class Instance:
         where = "sequence %r" % name
         kind = spec.get("kind", "sheaves")
         morphism = str if kind == "sheaves" else (dict, str)   # or one per degree
-        _expect(spec, {"iota": morphism, "pi": morphism}, "sequences.%s" % name)
+        shape = {**_SHAPES["sequences"], "iota": morphism, "pi": morphism}
+        if kind == "sheaves":   # A, B and C name the complexes of a sequence of complexes
+            del shape["A"], shape["B"], shape["C"]
+        _expect(spec, shape, "sequences.%s" % name)
         if kind == "sheaves":
             for ref in (spec.get("iota"), spec.get("pi")):
                 if ref not in self.morphisms:

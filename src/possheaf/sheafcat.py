@@ -1,10 +1,12 @@
-"""The two concrete abelian categories with enough injectives.
+"""Sheaves on a finite poset: the abelian category with enough injectives.
 
-Plain finite-dimensional vector spaces, and sheaves of such on a finite
-poset (stalk at x = sections over the minimal open U_x, so a sheaf is a
-functor on <= with restriction maps F_x -> F_y for x <= y).  Both are
-wrapped in one context interface: kernels, cokernels, images, direct sums,
-injective embeddings and the extension property along monomorphisms.
+Sheaves of finite-dimensional vector spaces on a finite poset (stalk at x =
+sections over the minimal open U_x, so a sheaf is a functor on <= with
+restriction maps F_x -> F_y for x <= y), wrapped in the context interface
+homalg reads: kernels, cokernels, images, direct sums, injective embeddings
+and the extension property along monomorphisms.  Global sections turn a
+complex of them into a complex of matrices, whose context, VectorContext,
+holds only what validating such a complex reads.
 
 Injective sheaves are only ever represented as formal sums of coinduced
 summands [x]_V (stalk V at every y <= x, identity restrictions); the
@@ -115,39 +117,20 @@ def _image(m: Matrix):
 
 
 class VectorContext:
-    """Finite-dimensional vector spaces; objects are dimensions, maps matrices."""
+    """The context of a complex of Gamma values: objects are dimensions, maps
+    matrices.  It holds what validating a complex or chain map of them reads."""
 
-    LiftError = NoSolution
-
-    def __init__(self, field, flip=False):
+    def __init__(self, field):
         self.field = field
-        self.flip = flip
 
-    # objects -----------------------------------------------------------
     def zero_obj(self):
         return 0
-
-    def is_zero_obj(self, X):
-        return X == 0
-
-    def obj_dim(self, X):
-        return X
-
-    # maps ---------------------------------------------------------------
-    def identity(self, X):
-        return Matrix.identity(self.field, X)
 
     def zero_map(self, X, Y):
         return Matrix.zeros(self.field, Y, X)
 
     def compose(self, f, g):
         return f * g
-
-    def add(self, f, g):
-        return f + g
-
-    def neg(self, f):
-        return -f
 
     def map_eq(self, f, g):
         return f == g
@@ -159,13 +142,9 @@ class VectorContext:
         if f.cols != X or f.rows != Y:
             raise IllFormedMorphism("expected %dx%d map, got %dx%d" % (Y, X, f.rows, f.cols))
 
-    def map_source_obj(self, f):
-        return f.cols
-
-    def map_target_obj(self, f):
-        return f.rows
-
-    # abelian structure ---------------------------------------------------
+    # The benchmark's tracer wraps these four by name (perfbench/tracer.py,
+    # TARGETS), and test_layout pins every name it wraps; the command line
+    # never calls them on Gamma values.
     def kernel(self, f):
         ker = kernel_basis(f)
         return ker.dim, ker.basis
@@ -174,57 +153,11 @@ class VectorContext:
         reps, proj = cokernel_basis(f)
         return reps.cols, proj
 
-    def image(self, f):
-        img, epi = _image(f)
-        return img.dim, img.basis, epi
-
-    def is_mono(self, f):
-        return rank(f) == f.cols
-
-    def is_epi(self, f):
-        return rank(f) == f.rows
-
-    def lift_through_mono(self, f, m):
-        return solve(m, f)
-
-    def descend_along_epi(self, e, f):
-        return _descend(e, f)
-
-    def sum_offsets(self, Xs):
-        """Where each summand of the direct sum of Xs begins."""
-        offs, off = [], 0
-        for n in Xs:
-            offs.append(off)
-            off += n
-        return offs
-
-    def placed(self, X, Y, blocks):
-        """The map X -> Y that is zero but for the given blocks.
-
-        Each block (row offset, column offset, B) has its corner at those
-        offsets and is the identity of B for an object, or B for a map.
-        """
-        return place_blocks(self.field, Y, X, blocks)
-
     def direct_sum(self, Xs):
         return sum(Xs)
 
     def injective_embed(self, X):
         return X, Matrix.identity(self.field, X)
-
-    def extend_along_mono(self, m, f):
-        if not self.is_mono(m):
-            raise NotMono("extension base is not a monomorphism")
-        return _extend_matrix(m, f, self.flip)
-
-    def is_exact_pair(self, f, g, mid):
-        return _exact_at(f, g, mid)
-
-    def is_injective_object(self, X):
-        return True
-
-    def resolution_bound(self):
-        return 2
 
 
 class Sheaf:
@@ -661,7 +594,7 @@ def gamma_map(phi: SheafMorphism, src_basis: Matrix, tgt_basis: Matrix) -> Matri
     return solve(tgt_basis, moved)
 
 
-def gamma_of_complex(cplx: homalg.CochainComplex, vctx: VectorContext) -> homalg.CochainComplex:
+def gamma_of_complex(cplx: homalg.CochainComplex) -> homalg.CochainComplex:
     """Apply Gamma to a complex of realized injective sheaves (structured)."""
     objects, diffs = {}, {}
     for q in cplx.degrees():
@@ -669,7 +602,7 @@ def gamma_of_complex(cplx: homalg.CochainComplex, vctx: VectorContext) -> homalg
     for q in cplx.degrees():
         if q + 1 in objects:
             diffs[q] = gamma_struct_map(cplx.diff(q), cplx.obj(q), cplx.obj(q + 1))
-    return homalg.CochainComplex(vctx, objects, diffs)
+    return homalg.CochainComplex(VectorContext(cplx.ctx.field), objects, diffs)
 
 
 def cohomology_on_opens(F: Sheaf, opens, max_q=None) -> list:
@@ -684,7 +617,7 @@ def cohomology_on_opens(F: Sheaf, opens, max_q=None) -> list:
     summand peaked in U (0 if none), raised to max_q.
     """
     res = homalg.injective_resolution(SheafContext(F.poset, F.field), F)
-    vec = gamma_of_complex(res.complex, VectorContext(F.field))
+    vec = gamma_of_complex(res.complex)
     peaks = [[x for x, v in res.complex.obj(q).summands for _ in range(v)]
              for q in res.complex.degrees()]
     out = []
@@ -712,9 +645,6 @@ class AcyclicityReport:
         self.failing_open = failing_open
         self.opens_checked = opens_checked
         self.exhaustive = exhaustive
-
-    def __bool__(self):
-        return self.ok
 
 
 _OPEN_CAP = 600         # check every open when there are at most this many

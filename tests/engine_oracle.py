@@ -11,7 +11,8 @@ structured section basis of a coinduced sheaf, the cohomology of a sheaf
 on an open from its own restricted resolution, every composite
 restriction of a sheaf composed eagerly along every path, a direct
 sum with all its injections and projections built at once, and the sheaf
-operations computed stalk by stalk, with no stalk sharing another's result.
+operations computed stalk by stalk, with no stalk sharing another's result,
+and finite-dimensional vector spaces as a whole abelian category.
 The command line reaches none of them, so they live with the tests.
 """
 
@@ -25,6 +26,7 @@ from possheaf.exactla import (
     hstack,
     image_basis,
     kernel_basis,
+    place_blocks,
     rank,
     solve,
     vstack,
@@ -40,7 +42,10 @@ from possheaf.sheafcat import (
     SheafContext,
     SheafMorphism,
     VectorContext,
+    _descend,
+    _exact_at,
     _extend_matrix,
+    _image,
     gamma_map,
     gamma_of_complex,
     subspace_sheaf,
@@ -48,6 +53,87 @@ from possheaf.sheafcat import (
 from possheaf.specseq import CoupleMorphism, CoupleTower, ExactCouple, tot_block_map
 
 # -- exactla and homalg -------------------------------------------------------
+
+
+class VectorSpaces(VectorContext):
+    """Finite-dimensional vector spaces as an abelian category with enough
+    injectives: objects are dimensions, maps matrices.  `VectorContext` holds
+    only what a complex of Gamma values needs; this adds the rest of the
+    context interface, so homalg's cohomology, connecting maps, resolutions
+    and direct sums run over plain vector spaces too."""
+
+    LiftError = NoSolution
+
+    def is_zero_obj(self, X):
+        return X == 0
+
+    def obj_dim(self, X):
+        return X
+
+    def identity(self, X):
+        return Matrix.identity(self.field, X)
+
+    def add(self, f, g):
+        return f + g
+
+    def neg(self, f):
+        return -f
+
+    def map_source_obj(self, f):
+        return f.cols
+
+    def map_target_obj(self, f):
+        return f.rows
+
+    def image(self, f):
+        img, epi = _image(f)
+        return img.dim, img.basis, epi
+
+    def is_mono(self, f):
+        return rank(f) == f.cols
+
+    def is_epi(self, f):
+        return rank(f) == f.rows
+
+    def lift_through_mono(self, f, m):
+        return solve(m, f)
+
+    def descend_along_epi(self, e, f):
+        return _descend(e, f)
+
+    def sum_offsets(self, Xs):
+        """Where each summand of the direct sum of Xs begins."""
+        offs, off = [], 0
+        for n in Xs:
+            offs.append(off)
+            off += n
+        return offs
+
+    def placed(self, X, Y, blocks):
+        """The map X -> Y that is zero but for the given blocks, each (row
+        offset, column offset, B) and the identity of B for an object."""
+        return place_blocks(self.field, Y, X, blocks)
+
+    def extend_along_mono(self, m, f):
+        if not self.is_mono(m):
+            raise NotMono("extension base is not a monomorphism")
+        return _extend_matrix(m, f, False)
+
+    def is_exact_pair(self, f, g, mid):
+        return _exact_at(f, g, mid)
+
+    def is_injective_object(self, X):
+        return True
+
+    def resolution_bound(self):
+        return 2
+
+
+def on_vector_spaces(cplx: homalg.CochainComplex) -> homalg.CochainComplex:
+    """A complex of Gamma values, as the engine builds it, over `VectorSpaces`,
+    so homalg's cohomology and connecting maps run on it."""
+    return homalg.CochainComplex(VectorSpaces(cplx.ctx.field), cplx.objects, cplx.diffs,
+                                 validate=False)
 
 
 def intersect(s: Subspace, t: Subspace) -> Subspace:
@@ -163,7 +249,7 @@ def eager_direct_sum(ctx, objs):
     on first read.  Summand k sits at the sum of the sizes before it (per
     stalk, over a poset), and its maps are identity blocks placed there."""
     total = ctx.direct_sum(objs)
-    vector = isinstance(ctx, VectorContext)
+    vector = isinstance(ctx, VectorSpaces)
     off = zero = 0 if vector else [0] * len(ctx.poset)
     offs = []
     for X in objs:
@@ -310,7 +396,7 @@ def restrict_to_open(F: Sheaf, open_names):
 def resolved_cohomology_dims(F: Sheaf, max_q=None) -> list:
     """R^q Gamma(F) dims from q=0: cohomology of Gamma of F's own resolution."""
     res = homalg.injective_resolution(SheafContext(F.poset, F.field), F)
-    vec = gamma_of_complex(res.complex, VectorContext(F.field))
+    vec = on_vector_spaces(gamma_of_complex(res.complex))
     top = res.length() if max_q is None else max(res.length(), max_q)
     return [homalg.cohomology(vec, q).H for q in range(top + 1)]
 
@@ -397,7 +483,7 @@ def map_of_spectral_sequences(src: CoupleTower, dst: CoupleTower, entry_maps) ->
 def derived_functor_gf(pair: FunctorPair, A, q=None):
     """R^q(G.F)(A) dims (list from 0, or one value) via a fresh resolution."""
     res = homalg.injective_resolution(pair.src_ctx, A)
-    vec, _ = _gamma_base(pair, pair.F_complex(res.complex))
+    vec = on_vector_spaces(_gamma_base(pair, pair.F_complex(res.complex))[0])
     dims = [homalg.cohomology(vec, t).H for t in range(res.length() + 1)]
     return dims if q is None else (dims[q] if q < len(dims) else 0)
 
@@ -424,7 +510,7 @@ def derived_functor_map(pair: FunctorPair, phi, q) -> Matrix:
             continue
         Fl = pair.apply_F_map(lift.comp(t), F_src.obj(t), F_tgt.obj(t))
         comps[t] = gamma_map(Fl, bases_src[t].basis, bases_tgt[t].basis)
-    chain = ChainMap(vec_src, vec_tgt, comps)
+    chain = ChainMap(on_vector_spaces(vec_src), on_vector_spaces(vec_tgt), comps)
     return homalg.induced_on_cohomology(chain, q)
 
 

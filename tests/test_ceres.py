@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from engine_oracle import render
+from engine_oracle import VectorSpaces, render
 from fixtures import fence_x4, triple_ses
 from possheaf.ceres import (
     ES_LABELS,
@@ -24,7 +24,7 @@ from possheaf.homalg import (
     horseshoe,
     injective_resolution,
 )
-from possheaf.sheafcat import SheafContext, VectorContext
+from possheaf.sheafcat import SheafContext
 
 X4 = fence_x4()
 
@@ -52,7 +52,7 @@ def horseshoe_ses(ctx):
 
 
 def test_invariants_split_zero_differentials():
-    V = VectorContext(QQ)
+    V = VectorSpaces(QQ)
     A = CochainComplex(V, {0: 1, 1: 1}, {0: Matrix.zeros(QQ, 1, 1)})
     C = CochainComplex(V, {0: 2, 1: 2}, {0: Matrix.zeros(QQ, 2, 2)})
     B = CochainComplex(V, {0: 3, 1: 3}, {0: Matrix.zeros(QQ, 3, 3)})
@@ -70,7 +70,7 @@ def test_invariants_split_zero_differentials():
 
 def test_invariants_epi_onto_b():
     # A -> B iso in degree 0, C = 0: every C-side object vanishes
-    V = VectorContext(QQ)
+    V = VectorSpaces(QQ)
     A = CochainComplex(V, {0: 2}, {})
     B = CochainComplex(V, {0: 2}, {})
     C = CochainComplex(V, {0: 0}, {})
@@ -174,7 +174,7 @@ def test_both_iterations_stop_at_the_same_hard_cap(monkeypatch):
 
 
 def test_ce_on_vector_context_closes_immediately():
-    V = VectorContext(QQ)
+    V = VectorSpaces(QQ)
     A = CochainComplex(V, {0: 1, 1: 1}, {0: Matrix.from_rows(QQ, [[0]])})
     B = CochainComplex(V, {0: 2, 1: 2}, {0: Matrix.zeros(QQ, 2, 2)})
     C = CochainComplex(V, {0: 1, 1: 1}, {0: Matrix.zeros(QQ, 1, 1)})

@@ -1,5 +1,6 @@
-"""The CI workflow runs the Tier-1 command of ROADMAP.md, word for word, under a time
-limit, on the oldest Python that pyproject.toml allows and on 3.11, and then
+"""The CI workflow installs the `test` extra of pyproject.toml, package for package,
+and runs the Tier-1 command of ROADMAP.md, word for word, under a time limit, on the
+oldest Python that pyproject.toml allows and on 3.11, and then
 `selftest --seed 7 --count 25`, which exits 1 unless every generated instance passes.
 A second job runs one short traced benchmark run per workload of BENCHMARK.json, and
 of forged-ce-q, and fails unless the run's result line says it is correct.  forged-ce-q is not gated
@@ -25,6 +26,13 @@ def _workflow():
         return yaml.safe_load(fh)
 
 
+def _test_extra():
+    """The packages of pyproject.toml's `test` extra, in order.  A TOML array of
+    plain strings reads as JSON, and tomllib needs Python 3.11."""
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        return json.loads(re.search(r"^test = (\[.*\])$", fh.read(), re.M).group(1))
+
+
 def test_workflow_runs_the_tier1_command():
     with open(os.path.join(ROOT, "ROADMAP.md")) as fh:
         command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", fh.read(), re.M).group(1)
@@ -36,7 +44,7 @@ def test_workflow_runs_the_tier1_command():
     assert setup and setup[0]["with"]["python-version"] == "${{ matrix.python-version }}"
     runs = [s["run"] for s in steps if "run" in s]
     selftest = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m possheaf.cli selftest --seed 7 --count 25"
-    assert runs == ["pip install pytest hypothesis sympy pyyaml", command, selftest]
+    assert runs == ["pip install " + " ".join(_test_extra()), command, selftest]
 
 
 def test_tier1_runs_the_oldest_allowed_python_and_3_11():

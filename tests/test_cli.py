@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -657,25 +660,52 @@ def mutation_file(tmp_path_factory):
     return tmp_path_factory.mktemp("mutations") / "m.json"
 
 
-@settings(max_examples=300, deadline=None)
+def _rename_in_text(doc, path, new):
+    """json.dumps(doc) with the key at `path` renamed to new in the text, so
+    that new may repeat a sibling's key, which json.dumps cannot write.  The
+    text names its keys in the order `_value_paths` walks them."""
+    keyed = [p for p in _value_paths(doc) if isinstance(p[-1], str)]
+    text = json.dumps(doc)
+    at = list(re.finditer(r'"([^"\\]*)": ', text))[keyed.index(path)]
+    assert at.group(1) == path[-1]
+    return text[:at.start(1)] + new + text[at.end(1):]
+
+
+@settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_a_mutated_document_never_ends_in_a_traceback(mutation_file, data):
-    # one value of the pseudocircle replaced by junk, or one key deleted; a
-    # document that validates is also run through cohomology and leray
+    # one value of the pseudocircle replaced by junk, one key deleted, or one
+    # key renamed, to another key of the document (perhaps a sibling's) or
+    # with an "s" added; a document that validates is also run through
+    # cohomology and leray, and a renamed key that does not validate is an
+    # input error to every command
     with open(PSEUDOCIRCLE) as fh:
         doc = json.load(fh)
     path = data.draw(st.sampled_from(list(_value_paths(doc))))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if isinstance(parent, dict) and data.draw(st.booleans()):
-        del parent[path[-1]]
+    how = data.draw(st.sampled_from(["junk", "delete", "rename"])) if isinstance(parent, dict) else "junk"
+    if how == "rename":
+        names = sorted({p[-1] for p in _value_paths(doc) if isinstance(p[-1], str)} - {path[-1]})
+        text = _rename_in_text(doc, path, data.draw(st.sampled_from(names + [path[-1] + "s"])))
     else:
-        parent[path[-1]] = data.draw(_JUNK)
-    mutation_file.write_text(json.dumps(doc))
+        if how == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JUNK)
+        text = json.dumps(doc)
+    mutation_file.write_text(text)
     if main(["validate", str(mutation_file)]) == 0:
+        # an object's own name may change and still load, when nothing refers to it
+        assert how != "rename" or len(path) == 2
         assert main(["cohomology", str(mutation_file), "--sheaf", "k"]) in (0, 1)
         assert main(["leray", str(mutation_file), "--map", "collapse", "--sheaf", "k"]) in (0, 1)
+    elif how == "rename":
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["cohomology", str(mutation_file), "--sheaf", "k"]) == 1
+        assert out.getvalue().startswith("input error")
 
 
 def _repeat_before(text, anchor, repeated):
@@ -711,6 +741,46 @@ def test_a_repeated_key_in_an_array_item_is_named_by_its_index(tmp_path, capsys)
     path.write_text(_repeat_before(text, '"object": "A0"', '"object": "B0", '))
     assert main(["ce", str(path), "--sequence", "S"]) == 1
     assert "duplicate key complexes.A.terms[0].object" in capsys.readouterr().out
+
+
+def _rename(path, new):
+    """A change to a document: the key at `path` (a tuple of keys) renamed to new."""
+    def change(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[new] = doc.pop(path[-1])
+    return change
+
+
+@pytest.mark.parametrize("source,change,key,command", [
+    ("pseudocircle", _set(("fields",), "fp:2"), "fields", ["cohomology", "--sheaf", "k"]),
+    ("pseudocircle", _set(("sheaves", "k", "restriction"), {}), "sheaves.k.restriction",
+     ["cohomology", "--sheaf", "k"]),
+    ("pseudocircle", _set(("sequences", "S", "extra"), 1), "sequences.S.extra",
+     ["delta", "--sequence", "S", "--map", "collapse"]),
+    ("pseudocircle", _set(("sequences", "S", "A"), "k"), "sequences.S.A",
+     ["delta", "--sequence", "S", "--map", "collapse"]),
+    ("pseudocircle", _rename(("maps", "collapse", "values"), "valuez"), "maps.collapse.valuez",
+     ["leray", "--map", "collapse", "--sheaf", "k"]),
+    ("complexes", _set(("complexes", "A", "terms", 0, "diff"), "m0"), "complexes.A.terms[0].diff",
+     ["ce", "--sequence", "S"]),
+])
+def test_an_unknown_key_is_an_input_error(tmp_path, capsys, source, change, key, command):
+    # each of these loaded before: the unknown key was ignored, so a misspelt
+    # optional key fell back to its default, and `valuez` read as no values
+    if source == "pseudocircle":
+        with open(PSEUDOCIRCLE) as fh:
+            doc = json.load(fh)
+    else:
+        doc = _complex_sequence_doc()
+    change(doc)
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], command[:1] + [str(path)] + command[1:]):
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "unknown key %s" % key in out and "total" not in out
+    assert out.startswith("input error")
 
 
 def test_documents_the_writers_emit_still_load(tmp_path, capsys):

@@ -37,7 +37,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engine_oracle import composites, eager_direct_sum, injective_cover
+from engine_oracle import VectorSpaces, composites, eager_direct_sum, injective_cover
 from fixtures import chain, product
 from possheaf.ceres import build_ce_triple, verify_ce
 from possheaf.cli import main
@@ -51,7 +51,6 @@ from possheaf.sheafcat import (
     Sheaf,
     SheafContext,
     SheafMorphism,
-    VectorContext,
     hom_basis,
 )
 from test_exactla_oracle import ENTRIES, FIELDS, same
@@ -249,7 +248,7 @@ def test_into_and_out_of_place_the_eager_builders_maps(recorded):
 def _drawn_map(ctx, X, Y, draw):
     """A map X -> Y with drawn entries; over a poset, a drawn combination of
     a basis of the sheaf morphisms."""
-    if isinstance(ctx, VectorContext):
+    if isinstance(ctx, VectorSpaces):
         return Matrix.from_rows(ctx.field, [[draw(ENTRIES) for _ in range(X)] for _ in range(Y)], X)
     f = ctx.zero_map(X, Y)
     for h in hom_basis(X, Y):
@@ -263,7 +262,7 @@ def _drawn_map(ctx, X, Y, draw):
        st.data())
 def test_into_and_out_of_equal_the_sums_of_products(field, p, n, data):
     # over vector spaces when p is None, else over sheaves on p
-    ctx = VectorContext(field) if p is None else SheafContext(p, field)
+    ctx = VectorSpaces(field) if p is None else SheafContext(p, field)
 
     def drawn_obj():
         if p is None:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle as oracle
+from engine_oracle import VectorSpaces
 from possheaf.exactla import (
     QQ,
     ContainmentViolation,
@@ -32,7 +33,6 @@ from possheaf.exactla import (
     solve,
 )
 from possheaf.forge import GenConfig, gen_poset, gen_ses_sheaves
-from possheaf.sheafcat import VectorContext
 
 FIELDS = [QQ, PrimeField(32003), PrimeField(3), PrimeField(2)]
 ENTRIES = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, -2, 3, 5, 7])
@@ -204,7 +204,7 @@ def test_cokernel_basis_matches_oracle(fm):
 @given(field_and_matrix())
 def test_vector_image_epi_matches_oracle_solve(fm):
     field, f = fm
-    dim, basis, epi = VectorContext(field).image(f)
+    dim, basis, epi = VectorSpaces(field).image(f)
     obasis, _ = run(field, oracle.from_columns, f)
     assert dim == basis.cols and same(basis, obasis)
     assert same(epi, run(field, oracle.solve, basis, f))

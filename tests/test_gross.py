@@ -8,6 +8,7 @@ from engine_oracle import (
     derived_functor_map,
     higher_direct_image,
     map_of_spectral_sequences,
+    on_vector_spaces,
     render,
 )
 from fixtures import fence_x4, gen_leray_instance, product_projection, to_point
@@ -248,7 +249,7 @@ def test_delta_tot_matches_derived_functor_les():
     from possheaf import homalg
     from possheaf.gross import _gamma_base, augmentation_into_tot
     from possheaf.homalg import ChainMap, SESOfComplexes, cohomology, connecting
-    from possheaf.sheafcat import VectorContext, gamma_map, global_sections
+    from possheaf.sheafcat import gamma_map
     from possheaf.specseq import Subquotient
 
     ctx = SheafContext(X4, QQ)
@@ -259,6 +260,7 @@ def test_delta_tot_matches_derived_functor_les():
     vecM, basesM = _gamma_base(pair, FM)
     vecN, basesN = _gamma_base(pair, FN)
     vecP, basesP = _gamma_base(pair, FP)
+    vecM, vecN, vecP = map(on_vector_spaces, (vecM, vecN, vecP))
 
     def gmap(chain, src_cplx, src_bases, tgt_bases):
         comps = {}
@@ -270,8 +272,6 @@ def test_delta_tot_matches_derived_functor_les():
     ses_vec = SESOfComplexes(
         ChainMap(vecM, vecN, gmap(family.F_ses.iota, FM, basesM, basesN)),
         ChainMap(vecN, vecP, gmap(family.F_ses.pi, FN, basesN, basesP)))
-    vctx = VectorContext(QQ)
-
     def h_reps(h):
         # representatives of H in the ambient space: Z's basis times the
         # quotient representatives of B inside Z's coordinates

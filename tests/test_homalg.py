@@ -1,6 +1,6 @@
 import pytest
 
-from engine_oracle import les_is_exact, long_exact_sequence
+from engine_oracle import VectorSpaces, les_is_exact, long_exact_sequence, on_vector_spaces
 from fixtures import fence_x4, total_dim
 from possheaf.exactla import QQ, Matrix
 from possheaf.homalg import (
@@ -16,9 +16,9 @@ from possheaf.homalg import (
     injective_resolution,
     mapping_cone,
 )
-from possheaf.sheafcat import SheafContext, VectorContext
+from possheaf.sheafcat import SheafContext
 
-V = VectorContext(QQ)
+V = VectorSpaces(QQ)
 
 
 def M(rows, cols=None):
@@ -164,8 +164,8 @@ def test_comparison_lifts_agree_on_cohomology():
     res2 = injective_resolution(ctx_flip, k)
     l12 = comparison_lift(ctx, ctx.identity(k), res1, res2)
     l21 = comparison_lift(ctx, ctx.identity(k), res2, res1)
-    v1 = gamma_of_complex(res1.complex, V)
-    v2 = gamma_of_complex(res2.complex, V)
+    v1 = on_vector_spaces(gamma_of_complex(res1.complex))
+    v2 = on_vector_spaces(gamma_of_complex(res2.complex))
     from possheaf.sheafcat import gamma_struct_map
 
     for q in range(res1.length() + 1):

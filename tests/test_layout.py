@@ -1,4 +1,4 @@
-"""Eight layout rules of src/possheaf.
+"""Nine layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -62,6 +62,15 @@ Every function the benchmark's tracer wraps (`perfbench/tracer.py`,
 or renames one (`Matrix.identity`, say, or `Subspace.coords_of`) fails here
 rather than turning a traced benchmark run incorrect.  The tracer is only
 imported and asked to resolve each name.
+
+There is one abelian category in src/possheaf: sheaves on a finite poset.
+Once Gamma is applied, values are plain matrices, and `VectorContext` is
+only the context a complex of them is validated in.  It defines `__init__`,
+the six operations that validating a complex or a chain map reads, and the
+names the tracer wraps under `VectorContext`, and its instances hold only
+`field`.  The rule reads the tracer's `TARGETS`, so it tightens by itself
+when the tracer stops wrapping a name.  The full category of vector spaces
+is a test oracle (`engine_oracle.VectorSpaces`).
 """
 
 import ast
@@ -266,17 +275,52 @@ def test_stalk_linear_algebra_runs_once_per_distinct_stalk():
     assert stalk_loop_sites(_trees()["sheafcat"]) == []
 
 
-def test_every_traced_name_resolves():
+def _tracer():
+    """perfbench/tracer.py, imported without writing bytecode under perfbench/."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
-    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True   # read perfbench/, write nothing
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(tracer)
     finally:
         sys.dont_write_bytecode = keep
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    tracer = _tracer()
     missing = []
     for _, modname, paths, _ in tracer.TARGETS:
         importlib.import_module("possheaf." + modname)
         missing += ["%s.%s" % (modname, path) for path in paths
                     if tracer.resolve(modname, path) is None]
     assert missing == []
+
+
+GAMMA_COMPLEX_OPS = {"zero_obj", "zero_map", "compose", "map_eq", "is_zero_map", "check_map"}
+
+
+def vector_context_extras():
+    """Members of sheafcat's VectorContext, and attributes its methods set on
+    self, beyond `__init__`, GAMMA_COMPLEX_OPS, the names the tracer wraps
+    under `VectorContext` and the instance attribute `field`."""
+    traced = {path.split(".", 1)[1] for _, modname, paths, _ in _tracer().TARGETS
+              if modname == "sheafcat" for path in paths if path.startswith("VectorContext.")}
+    cls = next(node for node in _trees()["sheafcat"].body
+               if isinstance(node, ast.ClassDef) and node.name == "VectorContext")
+    members = set()
+    for item in cls.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members.add(item.name)
+        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+            members.update(t.id for t in targets if isinstance(t, ast.Name))
+        for sub in ast.walk(item):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                members.add("self." + sub.attr)
+    return sorted(members - GAMMA_COMPLEX_OPS - traced - {"__init__", "self.field"})
+
+
+def test_vector_context_is_the_context_of_gamma_complexes():
+    assert vector_context_extras() == []

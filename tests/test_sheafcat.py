@@ -3,7 +3,13 @@ import re
 
 import pytest
 
-from engine_oracle import NotOpen, gamma_struct_basis, restrict_to_open, restricted_cohomology_dims
+from engine_oracle import (
+    NotOpen,
+    VectorSpaces,
+    gamma_struct_basis,
+    restrict_to_open,
+    restricted_cohomology_dims,
+)
 from fixtures import fence_x4, identity_map, product, product_projection, to_point
 from oracle import order_complex_cohomology_dims
 from possheaf.exactla import QQ, Matrix, NoSolution, PrimeField, rank
@@ -19,7 +25,6 @@ from possheaf.sheafcat import (
     Sheaf,
     SheafContext,
     SheafMorphism,
-    VectorContext,
     cohomology_on_opens,
     gamma_map,
     gamma_of_complex,
@@ -156,7 +161,7 @@ def test_descend_along_epi_names_the_stalk_and_the_row():
 
 
 def test_vector_descend_along_epi_names_the_row():
-    vctx = VectorContext(QQ)
+    vctx = VectorSpaces(QQ)
     e = Matrix.from_rows(QQ, [[1, 0]])
     assert vctx.descend_along_epi(e, Matrix.from_rows(QQ, [[2, 0], [3, 0]])) == \
         Matrix.from_rows(QQ, [[2], [3]])
@@ -398,6 +403,6 @@ def test_stalkwise_exactness_checker():
 def test_gamma_of_complex_structured():
     ctx = ctx_x4()
     res = injective_resolution(ctx, ctx.constant_sheaf())
-    vec = gamma_of_complex(res.complex, VectorContext(QQ))
+    vec = gamma_of_complex(res.complex)
     assert vec.obj(0) == res.complex.obj(0).mult_total
     vec.validate()

@@ -1,6 +1,6 @@
 import pytest
 
-from engine_oracle import check_exact, map_of_spectral_sequences, stabilization_ok
+from engine_oracle import VectorSpaces, check_exact, map_of_spectral_sequences, stabilization_ok
 from fixtures import transpose
 from possheaf.exactla import QQ, Matrix, NoSolution, rank
 from possheaf.specseq import (
@@ -108,7 +108,6 @@ def test_couples_stay_exact():
 def test_two_column_reproduces_les():
     # columns p = 0, 1 with a horizontal map: pages encode the two-column LES
     from possheaf.homalg import ChainMap, CochainComplex, SESOfComplexes, connecting
-    from possheaf.sheafcat import VectorContext
 
     dims, horiz, vert = empty_grid(2)
     # column 0: k -> k^2 (injective-ish), column 1: k^2 -> k
@@ -189,11 +188,10 @@ def test_by_q_mode_runs_on_transpose():
 def test_total_complex_and_cohomology():
     # H^n(F^0) of the tower against plain cohomology of its total complex
     from possheaf.homalg import CochainComplex, cohomology
-    from possheaf.sheafcat import VectorContext
 
     for dc, dims in ((staircase(), [0, 0, 0, 0]), (one_entry(), [1, 0])):
         tower = CoupleTower(dc)
-        tot = CochainComplex(VectorContext(QQ),
+        tot = CochainComplex(VectorSpaces(QQ),
                              {n: tower.tot_dim[n] for n in range(tower.nmax + 1)},
                              {n: tower.tot_diff[n] for n in range(tower.nmax)})
         for n, d in enumerate(dims):
