@@ -263,9 +263,9 @@ _CONSTRUCTION_FAILURES = (InternalExactnessFailure, InternalCommutativityFailure
 
 
 def cmd_selftest(args, run):
-    passed = 0
+    passed, field = 0, field_from_name(args.field or "q")
     for k in range(args.count):
-        cfg = GenConfig("%d-%d" % (args.seed, k), max_elements=5, max_stalk_dim=2)
+        cfg = GenConfig("%d-%d" % (args.seed, k), max_elements=5, max_stalk_dim=2, field=field)
         try:
             ce = build_ce_triple(gen_ses_complexes(cfg))
             ok = all(verify_ce(ce.doubles[n]).ok for n in ("A", "B", "C"))
@@ -325,7 +325,7 @@ def build_parser():
     top = argparse.ArgumentParser(prog="possheaf",
                                   description="exact spectral sequences of sheaves on finite posets")
     top.add_argument("--field", type=_field_name,
-                     help="q or fp:<prime>; default: the instance file's field (forge: q)")
+                     help="q or fp:<prime>; default: the instance file's field (forge, selftest: q)")
     top.add_argument("--format", default="text", choices=["text", "report"])
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -277,7 +277,6 @@ class E2Identification:
         self.resolutions = {}    # q -> the tagged H objects, a homalg.Resolution of R^qF
         self.vec_h = {}          # q -> vector complex of Gamma(H)
         self._h = {}             # (p, q) -> H^p(vec_h[q]), as a Subquotient
-        self.matrices = {}       # (p, q) -> invertible Matrix
         self._build()
 
     def _build(self):
@@ -329,19 +328,13 @@ class E2Identification:
 
     def identification_matrix(self, p, q) -> Matrix:
         """E_2^{p,q} (page witnesses) -> H^p of the Gamma'd H-resolution."""
-        key = (p, q)
-        if key in self.matrices:
-            return self.matrices[key]
         e2 = self.ss.entry(2, p, q)
         if q not in self.vec_h or e2.dim == 0:
             hdim = self.cohomology(p, q).dim if q in self.vec_h else 0
-            mat = Matrix.zeros(self.pair.field, hdim, e2.dim)
-        else:
-            rows = _h_block_rows(self.double.triples[p], self.double.columns, q)
-            # block-read the H-part, in the subquotient coordinates of the H complex
-            mat = self.cohomology(p, q).project(e2.reps.rows_slice(rows))
-        self.matrices[key] = mat
-        return mat
+            return Matrix.zeros(self.pair.field, hdim, e2.dim)
+        rows = _h_block_rows(self.double.triples[p], self.double.columns, q)
+        # block-read the H-part, in the subquotient coordinates of the H complex
+        return self.cohomology(p, q).project(e2.reps.rows_slice(rows))
 
     def check(self) -> bool:
         for q in self.vec_h:

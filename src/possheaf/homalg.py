@@ -249,12 +249,20 @@ def cohomology(cplx: CochainComplex, q: int) -> HData:
     return data
 
 
-def induced_on_cohomology(f: ChainMap, q: int):
-    """H^q(f): the map induced on cohomology by a chain map."""
+def induced_maps(f: ChainMap, q: int, coboundaries=True):
+    """(Z^q(f), B^q(f), H^q(f)): the maps f induces on cocycles, coboundaries
+    (None unless asked for) and cohomology, H^q(f) descended from Z^q(f)."""
     ctx = f.source.ctx
     ha, hb = cohomology(f.source, q), cohomology(f.target, q)
     zmap = ctx.lift_through_mono(ctx.compose(f.comp(q), ha.z_mono), hb.z_mono)
-    return ctx.descend_along_epi(ha.proj, ctx.compose(hb.proj, zmap))
+    bmap = (ctx.lift_through_mono(ctx.compose(f.comp(q), ha.b_into_x), hb.b_into_x)
+            if coboundaries else None)
+    return zmap, bmap, ctx.descend_along_epi(ha.proj, ctx.compose(hb.proj, zmap))
+
+
+def induced_on_cohomology(f: ChainMap, q: int):
+    """H^q(f): the map induced on cohomology by a chain map."""
+    return induced_maps(f, q, coboundaries=False)[2]
 
 
 def connecting(ses: SESOfComplexes, q: int):

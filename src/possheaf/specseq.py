@@ -176,7 +176,6 @@ class CoupleTower:
         self.couples = [ExactCouple(self, 1, dict(self.A1), dict(self.E1))]
         self.r_inf = D + 2          # pages are derived when first read
         self._filtration = None
-        self._graded_isos = {}
 
     def _total_diff(self, n) -> Matrix:
         """Tot^n -> Tot^{n+1}: d_h plus (-1)^p d_v."""
@@ -273,29 +272,22 @@ class CoupleTower:
         return out
 
     def graded_iso(self, p, q) -> Matrix:
-        """The stored isomorphism E_inf^{p,q} -> F^p H^{p+q} / F^{p+1} H^{p+q}."""
-        key = (p, q)
-        if key in self._graded_isos:
-            return self._graded_isos[key]
+        """The isomorphism E_inf^{p,q} -> F^p H^{p+q} / F^{p+1} H^{p+q}."""
         n = p + q
         einf = self.entry(self.r_inf, p, q)
         h = self.A1[(0, n)]
         filt = self.filtration()[n]
         grad = Subquotient(self.field, h.dim, filt[p], filt[p + 1])
         if einf.dim == 0:
-            mat = Matrix.zeros(self.field, grad.dim, 0)
-            self._graded_isos[key] = mat
-            return mat
+            return Matrix.zeros(self.field, grad.dim, 0)
         x = self.from_cell(einf.reps, p, q)
         dx = self.restrict(self.fdiff[(p, n)] * x, n + 1, p, p + 1)   # D x lands in F^{p+1}
         s = solve(self.fdiff[(p + 1, n)], dx)                          # s in F^{p+1} with D s = D x
         vec = self.include(x - self.include(s, n, p + 1, p), n, p, 0)
-        mat = grad.project(h.project(vec))
-        self._graded_isos[key] = mat
-        return mat
+        return grad.project(h.project(vec))
 
     def convergence_ok(self) -> bool:
-        """Sum of limit-page dimensions equals total cohomology, via stored isos."""
+        """Sum of limit-page dimensions equals total cohomology, via the graded isos."""
         for n in range(self.nmax + 1):
             total = self.total_h_dim(n)
             s = 0

@@ -6,6 +6,7 @@ from engine_oracle import VectorSpaces, render
 from fixtures import fence_x4, triple_ses
 from possheaf.ceres import (
     ES_LABELS,
+    AugmentedDouble,
     InternalCommutativityFailure,
     InternalExactnessFailure,
     build_ce_triple,
@@ -196,8 +197,6 @@ def test_corrupted_double_is_located():
     q0 = 0
     bad_comps = dict(bad_dh[0].comps)
     bad_comps[q0] = ctx.zero_map(double.rows[0].obj(q0), double.rows[1].obj(q0))
-    from possheaf.ceres import AugmentedDouble
-
     corrupt = AugmentedDouble(ctx, double.base, double.rows,
                               [ChainMap(bad_dh[0].source, bad_dh[0].target, bad_comps,
                                         validate=False)] + bad_dh[1:],
@@ -205,6 +204,49 @@ def test_corrupted_double_is_located():
     rep = verify_ce(corrupt)
     assert not rep.ok
     assert rep.failures()
+
+
+# every horizontal component of the fence horseshoe triple and of six forged
+# triples over each field, zeroed and doubled, against the check names
+# verify_ce gave for each before its column checks read homalg.induced_maps
+CORRUPTED_CE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                            "verify-ce-corrupted.txt")
+
+
+def corrupted_ce_text():
+    """One line per corrupted double: the case, the double, the map, the
+    degree, zeroed or doubled, and the names of the failing checks."""
+    cases = [("fence", build_ce_triple(horseshoe_ses(fence_ctx())))]
+    for field in ("q", "fp:32003"):
+        for seed in range(6):
+            cfg = GenConfig("ce-golden-%d" % seed, max_elements=5, max_stalk_dim=2,
+                            field=field_from_name(field))
+            cases.append(("%s-%d" % (field, seed), build_ce_triple(gen_ses_complexes(cfg))))
+    out = []
+    for case, ce in cases:
+        for name in ("A", "B", "C"):
+            double = ce.doubles[name]
+            ctx = double.ctx
+            for p, f in enumerate(double.dh):
+                for q, c in sorted(f.comps.items()):
+                    if ctx.is_zero_map(c):
+                        continue
+                    for kind, bad in (("zeroed", ctx.zero_map(c.source, c.target)),
+                                      ("doubled", ctx.add(c, c))):
+                        dh = list(double.dh)
+                        dh[p] = ChainMap(f.source, f.target, {**f.comps, q: bad}, validate=False)
+                        corrupt = AugmentedDouble(ctx, double.base, double.rows, dh,
+                                                  double.augmentation, double.columns,
+                                                  double.triples)
+                        names = [n for n, _ in verify_ce(corrupt).failures()]
+                        out.append(repr((case, name, p, q, kind, names)) + "\n")
+    return "".join(out)
+
+
+def test_corrupted_doubles_fail_the_recorded_checks():
+    with open(CORRUPTED_CE) as fh:
+        recorded = fh.read()
+    assert corrupted_ce_text() == recorded
 
 
 def test_degree_bound_preserved():

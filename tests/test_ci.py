@@ -6,7 +6,10 @@ A second job runs one short traced benchmark run per workload of BENCHMARK.json,
 of forged-ce-q, and fails unless the run's result line says it is correct.  forged-ce-q is not gated
 by BENCHMARK.json, but it is the only workload that runs many ops in one worker, so
 state kept across ops is shared there, and its outputs are checked against recorded
-hashes."""
+hashes.
+
+pyproject.toml turns every warning into an error under pytest, so a warning
+fails Tier-1 instead of scrolling past."""
 
 import json
 import os
@@ -88,3 +91,11 @@ def test_benchmark_job_fails_unless_the_result_is_correct(tmp_path, last, fails)
     done = subprocess.run(["bash", "-eo", "pipefail", "-c", check.replace("python3 ", '"%s" ' % sys.executable)],
                           cwd=tmp_path)
     assert (done.returncode != 0) == fails
+
+
+def test_pytest_turns_warnings_into_errors(pytestconfig):
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        found = re.search(r"^\[tool\.pytest\.ini_options\]\nfilterwarnings = (\[.*\])$",
+                          fh.read(), re.M)
+    assert found and json.loads(found.group(1)) == ["error"]
+    assert pytestconfig.getini("filterwarnings") == ["error"]

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from possheaf.ceres import InternalCommutativityFailure, InternalExactnessFailure
 from possheaf.cli import main
-from possheaf.exactla import NoSolution
+from possheaf.exactla import NoSolution, field_from_name
+from possheaf.forge import gen_ses_complexes
 from possheaf.homalg import ExtensionFailure, TruncationInsufficient, ZigzagFailure
 from possheaf.instancefile import Instance, InstanceError, validate_instance
 
@@ -108,6 +109,23 @@ def test_selftest(capsys):
     assert main(["selftest", "--seed", "7", "--count", "3"]) == 0
     out = capsys.readouterr().out
     assert "3/3 PASS" in out
+
+
+@pytest.mark.parametrize("name", ["q", "fp:2", "fp:32003"])
+def test_selftest_forges_over_the_field_flag(monkeypatch, capsys, name):
+    import possheaf.cli as cli
+
+    fields = []
+
+    def spying(cfg):
+        ses = gen_ses_complexes(cfg)
+        fields.append(ses.ctx.field)
+        return ses
+
+    monkeypatch.setattr(cli, "gen_ses_complexes", spying)
+    assert main(["--field", name, "selftest", "--seed", "7", "--count", "2"]) == 0
+    assert fields == [field_from_name(name)] * 2
+    assert "2/2 PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("failure", [

@@ -12,6 +12,7 @@ from possheaf.homalg import (
     comparison_lift,
     connecting,
     horseshoe,
+    induced_maps,
     induced_on_cohomology,
     injective_resolution,
     mapping_cone,
@@ -69,6 +70,23 @@ def test_one_degree_iso_ses():
     assert les_is_exact(ses)
     f = induced_on_cohomology(ses.iota, 0)
     assert f == M([[1]])
+
+
+def test_induced_maps_commute_with_the_witnesses():
+    # k -> k^2 -> k, exact in the middle, mapped to k^2 -> k^2 -> k by the
+    # inclusion: H^0 and H^1 vanish in the source, while Z^1 and B^1 are k
+    A = CochainComplex(V, {0: 1, 1: 2, 2: 1}, {0: M([[1], [0]]), 1: M([[0, 1]])})
+    B = CochainComplex(V, {0: 2, 1: 2, 2: 1}, {0: M([[1, 0], [0, 0]]), 1: M([[0, 1]])})
+    f = ChainMap(A, B, {0: M([[1], [0]]), 1: M([[1, 0], [0, 1]]), 2: M([[1]])})
+    for q in (0, 1, 2):
+        ha, hb = cohomology(A, q), cohomology(B, q)
+        z, b, h = induced_maps(f, q)
+        assert hb.z_mono * z == f.comp(q) * ha.z_mono
+        assert hb.b_into_x * b == f.comp(q) * ha.b_into_x
+        assert h * ha.proj == hb.proj * z
+        assert h == induced_on_cohomology(f, q)
+        assert induced_maps(f, q, coboundaries=False) == (z, None, h)
+    assert induced_maps(f, 1)[1] == M([[1]])
 
 
 def test_cone_connecting_is_induced_map():
@@ -168,13 +186,11 @@ def test_comparison_lifts_agree_on_cohomology():
     v2 = on_vector_spaces(gamma_of_complex(res2.complex))
     from possheaf.sheafcat import gamma_struct_map
 
+    m12 = ChainMap(v1, v2, {t: gamma_struct_map(l12.comp(t), res1.complex.obj(t), res2.complex.obj(t))
+                            for t in v1.degrees()})
+    m21 = ChainMap(v2, v1, {t: gamma_struct_map(l21.comp(t), res2.complex.obj(t), res1.complex.obj(t))
+                            for t in v2.degrees()})
     for q in range(res1.length() + 1):
-        a = gamma_struct_map(l12.comp(q), res1.complex.obj(q), res2.complex.obj(q))
-        b = gamma_struct_map(l21.comp(q), res2.complex.obj(q), res1.complex.obj(q))
-        m12 = ChainMap(v1, v2, {t: gamma_struct_map(l12.comp(t), res1.complex.obj(t), res2.complex.obj(t))
-                                for t in v1.degrees()})
-        m21 = ChainMap(v2, v1, {t: gamma_struct_map(l21.comp(t), res2.complex.obj(t), res1.complex.obj(t))
-                                for t in v2.degrees()})
         h12 = induced_on_cohomology(m12, q)
         h21 = induced_on_cohomology(m21, q)
         hq = cohomology(v1, q).H

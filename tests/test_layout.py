@@ -1,4 +1,4 @@
-"""Nine layout rules of src/possheaf.
+"""Ten layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -62,6 +62,11 @@ Every function the benchmark's tracer wraps (`perfbench/tracer.py`,
 or renames one (`Matrix.identity`, say, or `Subspace.coords_of`) fails here
 rather than turning a traced benchmark run incorrect.  The tracer is only
 imported and asked to resolve each name.
+
+The maps a chain map induces on cocycles, coboundaries and cohomology are
+made by one routine, `homalg.induced_maps`.  In ceres, `verify_ce` and the
+`InjectiveTriple._verify_*` checks call neither `lift_through_mono` nor
+`descend_along_epi`, so no check writes out an induced map of its own.
 
 There is one abelian category in src/possheaf: sheaves on a finite poset.
 Once Gamma is applied, values are plain matrices, and `VectorContext` is
@@ -273,6 +278,28 @@ def stalk_loop_sites(tree):
 
 def test_stalk_linear_algebra_runs_once_per_distinct_stalk():
     assert stalk_loop_sites(_trees()["sheafcat"]) == []
+
+
+HAND_INDUCED = ("lift_through_mono", "descend_along_epi")
+
+
+def hand_induced_sites():
+    """`name:line call` of each HAND_INDUCED call in ceres's `verify_ce` or an
+    `InjectiveTriple._verify_*` method."""
+    tree = _trees()["ceres"]
+    checks = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "verify_ce"]
+    checks += [item for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "InjectiveTriple"
+               for item in node.body
+               if isinstance(item, ast.FunctionDef) and item.name.startswith("_verify_")]
+    return ["%s:%d %s" % (check.name, n.lineno, _called_name(n)) for check in checks
+            for n in ast.walk(check)
+            if isinstance(n, ast.Call) and _called_name(n) in HAND_INDUCED]
+
+
+def test_checks_read_induced_maps_from_homalg():
+    assert hand_induced_sites() == []
 
 
 def _tracer():

@@ -3,6 +3,7 @@ import pytest
 from engine_oracle import VectorSpaces, check_exact, map_of_spectral_sequences, stabilization_ok
 from fixtures import transpose
 from possheaf.exactla import QQ, Matrix, NoSolution, rank
+from possheaf.homalg import ChainMap, CochainComplex, cohomology, induced_on_cohomology
 from possheaf.specseq import (
     CoupleMorphism,
     CoupleTower,
@@ -105,28 +106,52 @@ def test_couples_stay_exact():
         assert check_exact(tower.page(r))
 
 
-def test_two_column_reproduces_les():
-    # columns p = 0, 1 with a horizontal map: pages encode the two-column LES
-    from possheaf.homalg import ChainMap, CochainComplex, SESOfComplexes, connecting
+def _two_term(V, d0):
+    """The complex 0 -> k^a -d0-> k^b -> 0 in degrees 0 and 1."""
+    return CochainComplex(V, {0: d0.cols, 1: d0.rows}, {0: d0})
 
-    dims, horiz, vert = empty_grid(2)
-    # column 0: k -> k^2 (injective-ish), column 1: k^2 -> k
-    dims[0][0], dims[0][1] = 1, 2
-    dims[1][0], dims[1][1] = 2, 1
-    vert[0][0] = Matrix.from_rows(QQ, [[1], [0]])
-    vert[1][0] = Matrix.from_rows(QQ, [[0, 1]])
-    horiz[0][0] = Matrix.from_rows(QQ, [[1], [0]])
-    horiz[0][1] = Matrix.from_rows(QQ, [[0, 1]])
-    # commuting square: h(0,1) v(0,0) = v(1,0) h(0,0)
-    dc = DoubleComplex(QQ, 2, dims, horiz, vert)
-    ss = CoupleTower(dc)
-    assert ss.convergence_ok()
-    # the d_1 differential on E_1 computes cohomology of the row maps
-    tot = sum(ss.total_h_dim(n) for n in range(5))
-    e2 = sum(d for (_, _), d in ss.page_dims(2).items())
-    einf = sum(d for (_, _), d in ss.page_dims(ss.r_inf).items())
-    assert tot == einf
-    assert e2 >= einf
+
+# (d_X, d_Y, h^0, h^1) for columns X and Y joined by a chain map h
+TWO_COLUMN_CASES = [
+    # k -> k^2 to k^2 -> k: H^0(h) is 0 -> k and H^1(h) is k -> 0
+    ([[1], [0]], [[0, 1]], [[1], [0]], [[0, 1]]),
+    # the identity of k -0-> k: H(h) is an iso, so Tot is acyclic
+    ([[0]], [[0]], [[1]], [[1]]),
+    # the zero map of k -0-> k: ker H(h) is H(X) and coker H(h) is H(Y)
+    ([[0]], [[0]], [[0]], [[0]]),
+]
+
+
+def test_two_column_reproduces_les():
+    # the long exact sequence
+    # ... -> H^{n-1}(X) -> H^{n-1}(Y) -> H^n(Tot) -> H^n(X) -> H^n(Y) -> ...
+    # makes E_2^{0,q} = ker H^q(h) and E_2^{1,q} = coker H^q(h), and no d_r
+    # with r >= 2 fits in two columns
+    for case in TWO_COLUMN_CASES:
+        _check_two_column_les(*case)
+
+
+def _check_two_column_les(d_x, d_y, h0, h1):
+    V = VectorSpaces(QQ)
+    X = _two_term(V, Matrix.from_rows(QQ, d_x))
+    Y = _two_term(V, Matrix.from_rows(QQ, d_y))
+    h = ChainMap(X, Y, {0: Matrix.from_rows(QQ, h0), 1: Matrix.from_rows(QQ, h1)})
+    dims, horiz, vert = empty_grid(1)
+    for p, C in enumerate((X, Y)):
+        dims[p] = [C.obj(0), C.obj(1)]
+        vert[p][0] = C.diff(0)
+    horiz[0] = [h.comp(0), h.comp(1)]
+    ss = CoupleTower(DoubleComplex(QQ, 1, dims, horiz, vert))
+    ker, coker = {}, {}
+    for q in (0, 1):
+        r = rank(induced_on_cohomology(h, q))
+        ker[q], coker[q] = cohomology(X, q).H - r, cohomology(Y, q).H - r
+    e2 = ss.page_dims(2)
+    assert [(e2.get((0, q), 0), e2.get((1, q), 0)) for q in (0, 1)] == \
+        [(ker[q], coker[q]) for q in (0, 1)]
+    assert ss.page_dims(ss.r_inf) == e2
+    for n in range(3):
+        assert ss.total_h_dim(n) == coker.get(n - 1, 0) + ker.get(n, 0)
 
 
 def test_filtration_is_decreasing_and_exhaustive():
