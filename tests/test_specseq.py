@@ -150,6 +150,7 @@ def _check_two_column_les(d_x, d_y, h0, h1):
     assert [(e2.get((0, q), 0), e2.get((1, q), 0)) for q in (0, 1)] == \
         [(ker[q], coker[q]) for q in (0, 1)]
     assert ss.page_dims(ss.r_inf) == e2
+    assert ss.convergence_ok()
     for n in range(3):
         assert ss.total_h_dim(n) == coker.get(n - 1, 0) + ker.get(n, 0)
 
