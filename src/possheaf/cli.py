@@ -201,7 +201,7 @@ def cmd_gss(args, run):
                                    for n in range(2 * data.ss.D + 1)])
     run.check("first spectral sequence checks", first_ss_check(data).ok)
     run.check("E2 identification invertible",
-              E2Identification(pair, data.double, data.ss).check())
+              E2Identification(data.double, data.ss).check())
     run.check("convergence: E_inf matches total cohomology", data.ss.convergence_ok())
 
 

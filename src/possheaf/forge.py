@@ -16,16 +16,18 @@ from .poset import Poset
 from .sheafcat import InjectiveSheaf, SheafContext, SheafMorphism, hom_basis
 
 
+MAX_DEGREE_SPAN = 3     # bounds a forged sequence's degrees: its chains have at most 2 covers
+
+
 class GenConfig:
     """Bounds and seed for one generated instance."""
 
-    def __init__(self, seed, max_elements=6, max_stalk_dim=3, max_degree_span=3, field=QQ):
-        if max_elements < 1 or max_stalk_dim < 1 or max_degree_span < 1:
+    def __init__(self, seed, max_elements=6, max_stalk_dim=3, field=QQ):
+        if max_elements < 1 or max_stalk_dim < 1:
             raise ValueError("generator bounds must be positive")
         self.seed = seed
         self.max_elements = max_elements
         self.max_stalk_dim = max_stalk_dim
-        self.max_degree_span = max_degree_span
         self.field = field
 
     def rng(self):
@@ -34,7 +36,7 @@ class GenConfig:
 
     def child(self, tag):
         return GenConfig(("%s/%s" % (self.seed, tag)), self.max_elements,
-                         self.max_stalk_dim, self.max_degree_span, self.field)
+                         self.max_stalk_dim, self.field)
 
 
 def _topology_pool(max_elements, max_chain):
@@ -162,7 +164,7 @@ def gen_ses_sheaves(cfg: GenConfig, poset: Poset):
 def gen_ses_complexes(cfg: GenConfig, poset: Poset = None) -> homalg.SESOfComplexes:
     """SES of complexes of sheaves: linked resolutions, or a mapping cone."""
     if poset is None:
-        poset = gen_poset(cfg.child("poset"), max_chain=cfg.max_degree_span - 1)
+        poset = gen_poset(cfg.child("poset"), max_chain=MAX_DEGREE_SPAN - 1)
     ctx, mono, epi = gen_ses_sheaves(cfg.child("ses"), poset)
     rng = cfg.rng()
     if rng.random() < 0.5:

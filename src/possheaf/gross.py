@@ -118,19 +118,6 @@ def _linked_resolutions(pair: FunctorPair, iota, pi) -> homalg.HorseshoeData:
     return homalg.horseshoe(ctx, iota, pi, res_a, res_c)
 
 
-def _h_block_rows(triple, tags, q):
-    """Structured-coordinate rows of the cohomology part of the row object."""
-    col, _, htag = tags
-    hkeys = set(triple.sums[htag][q].keys)
-    ts = triple.sum_at(col, q)
-    rows, off = [], 0
-    for key, obj in zip(ts.keys, ts.objs):
-        if key in hkeys:
-            rows.extend(range(off, off + obj.mult_total))
-        off += obj.mult_total
-    return rows
-
-
 class GrothendieckData:
     """One object's (or SES's) full pipeline output."""
 
@@ -142,19 +129,22 @@ class GrothendieckData:
         self.base_gamma = base_gamma  # (vector complex of G(F(M*)), bases)
 
 
+def _grid_size(double) -> int:
+    """The grid bound D of a CE column: past its last row and every row's top degree."""
+    return max(double.depth() - 1, max((r.hi for r in double.rows), default=0), 0) + 1
+
+
 def _gamma_double(pair: FunctorPair, double, size=None) -> DoubleComplex:
     """Gamma of a sheaf-level CE column, in structured coordinates.
 
     Each row is a complex of realized injectives, so each map of the grid is
     `gamma_struct_map` of a sheaf map, and `DoubleComplex.validate` checks
-    d.d = 0 and the squares; the grid bound D exceeds every row's top degree.
+    d.d = 0 and the squares; the grid bound D is `_grid_size` unless given.
     """
     depth = double.depth()
-    qlo = min((r.lo for r in double.rows), default=0)
-    qhi = max((r.hi for r in double.rows), default=0)
-    if qlo < 0:
+    if min((r.lo for r in double.rows), default=0) < 0:
         raise ValueError("first-quadrant grids only")
-    D = size if size is not None else max(depth - 1, qhi, 0) + 1
+    D = size if size is not None else _grid_size(double)
     dims = [[0] * (D + 1) for _ in range(D + 1)]
     horiz = [[None] * (D + 1) for _ in range(D + 1)]
     vert = [[None] * (D + 1) for _ in range(D + 1)]
@@ -163,10 +153,9 @@ def _gamma_double(pair: FunctorPair, double, size=None) -> DoubleComplex:
         for q in row.degrees():
             dims[p][q] = row.obj(q).mult_total
             if q + 1 in row.objects:
-                vert[p][q] = gamma_struct_map(row.diff(q), row.obj(q), row.obj(q + 1))
+                vert[p][q] = gamma_struct_map(row.diff(q))
             if p < depth - 1 and q <= double.rows[p + 1].hi:
-                horiz[p][q] = gamma_struct_map(double.dh[p].comp(q), row.obj(q),
-                                               double.rows[p + 1].obj(q))
+                horiz[p][q] = gamma_struct_map(double.dh[p].comp(q))
     return DoubleComplex(pair.field, D, dims, horiz, vert)
 
 
@@ -268,10 +257,13 @@ def augmentation_into_tot(pair, double, tower, bases, n) -> Matrix:
 # -- E2 identification -------------------------------------------------------
 
 class E2Identification:
-    """Explicit iso E_2^{p,q} -> H^p(G(H-resolution of R^qF)), per bidegree."""
+    """Explicit iso E_2^{p,q} -> H^p(G(H-resolution of R^qF)), per bidegree.
 
-    def __init__(self, pair, double, ss):
-        self.pair = pair
+    The H-resolution is each row's tagged H part, read by structural maps:
+    the row's differential has the tagged cocycles as kernel and the tagged
+    coboundaries as image."""
+
+    def __init__(self, double, ss):
         self.double = double
         self.ss = ss
         self.resolutions = {}    # q -> the tagged H objects, a homalg.Resolution of R^qF
@@ -279,46 +271,31 @@ class E2Identification:
         self._h = {}             # (p, q) -> H^p(vec_h[q]), as a Subquotient
         self._build()
 
-    def _build(self):
-        pair, double = self.pair, self.double
-        ctx = pair.tgt_ctx
-        depth = double.depth()
-        if depth == 0:
-            return
-        qlo, qhi = double.base.lo, double.base.hi
-        htag = double.columns[2]
-        for q in range(qlo, qhi + 1):
-            objs, diffs, isos = {}, {}, {}
-            for p, triple in enumerate(double.triples):
-                if q not in triple.sums[htag]:
-                    continue
-                hsheaf = triple.sum_at(htag, q).obj
-                objs[p] = hsheaf
-                isos[p] = self._tagged_to_computed(p, q, hsheaf)
-            for p in range(depth - 1):
-                if p in objs and p + 1 in objs:
-                    hd = homalg.induced_on_cohomology(double.dh[p], q)
-                    diffs[p] = ctx.lift_through_mono(ctx.compose(hd, isos[p]), isos[p + 1])
-            if not objs:
-                continue
-            cplx = CochainComplex(ctx, objs, diffs)
-            haug = homalg.induced_on_cohomology(double.augmentation, q)
-            aug = ctx.lift_through_mono(haug, isos[0])
-            self.resolutions[q] = homalg.Resolution(homalg.cohomology(double.base, q).H, cplx, aug)
-            self.vec_h[q] = gamma_of_complex(cplx)
+    def _parts(self, q):
+        """p -> (row object, its H part) at degree q, as keyed sums, for each row tagged there."""
+        col, _, htag = self.double.columns
+        return {p: (t.sum_at(col, q), t.sum_at(htag, q))
+                for p, t in enumerate(self.double.triples) if q in t.sums[htag]}
 
-    def _tagged_to_computed(self, p, q, hsheaf):
-        """Iso from the tagged H object to the computed cohomology of the row."""
-        ctx = self.pair.tgt_ctx
-        double = self.double
-        col, _, htag = double.columns
-        triple, row = double.triples[p], double.rows[p]
-        h = homalg.cohomology(row, q)
-        hts = triple.sum_at(htag, q)
-        incl = hts.structural_to(triple.sum_at(col, q))  # H-part into the row object
-        zlift = ctx.lift_through_mono(incl, h.z_mono)
-        iso = ctx.compose(h.proj, zlift)
-        return iso
+    def _build(self):
+        double, ctx = self.double, self.double.ctx
+        for q in range(double.base.lo, double.base.hi + 1):
+            parts = self._parts(q)
+            if not parts:
+                continue
+            diffs = {}
+            for p, (row, h) in parts.items():
+                if p + 1 in parts:
+                    row1, h1 = parts[p + 1]
+                    diffs[p] = ctx.compose(row1.structural_to(h1),
+                                           ctx.compose(double.dh[p].comp(q), h.structural_to(row)))
+            cplx = CochainComplex(ctx, {p: h.obj for p, (_, h) in parts.items()}, diffs)
+            base = homalg.cohomology(double.base, q)
+            row0, h0 = parts[0]
+            aug = ctx.descend_along_epi(base.proj, ctx.compose(
+                row0.structural_to(h0), ctx.compose(double.augmentation.comp(q), base.z_mono)))
+            self.resolutions[q] = homalg.Resolution(base.H, cplx, aug)
+            self.vec_h[q] = gamma_of_complex(cplx)
 
     def cohomology(self, p, q) -> Subquotient:
         """H^p of the Gamma'd H-resolution of R^qF, made on first read and kept."""
@@ -331,10 +308,10 @@ class E2Identification:
         e2 = self.ss.entry(2, p, q)
         if q not in self.vec_h or e2.dim == 0:
             hdim = self.cohomology(p, q).dim if q in self.vec_h else 0
-            return Matrix.zeros(self.pair.field, hdim, e2.dim)
-        rows = _h_block_rows(self.double.triples[p], self.double.columns, q)
-        # block-read the H-part, in the subquotient coordinates of the H complex
-        return self.cohomology(p, q).project(e2.reps.rows_slice(rows))
+            return Matrix.zeros(self.double.ctx.field, hdim, e2.dim)
+        row, h = self._parts(q)[p]
+        # Gamma of the projection onto the H part, in the subquotient coordinates of the H complex
+        return self.cohomology(p, q).project(gamma_struct_map(row.structural_to(h)) * e2.reps)
 
     def check(self) -> bool:
         for q in self.vec_h:
@@ -365,11 +342,11 @@ class DeltaFamily:
 
     @functools.cached_property
     def idR(self):
-        return E2Identification(self.pair, self.ce.doubles["A"], self.ssR)
+        return E2Identification(self.ce.doubles["A"], self.ssR)
 
     @functools.cached_property
     def idT(self):
-        return E2Identification(self.pair, self.ce.doubles["C"], self.ssT)
+        return E2Identification(self.ce.doubles["C"], self.ssT)
 
     @property
     def r_inf(self):
@@ -381,6 +358,11 @@ class DeltaFamily:
     def delta_tot(self, n) -> Matrix:
         """H^n(Tot T) -> H^{n+1}(Tot R), the total-degree connecting map."""
         return self.mor.a_map(0, n)
+
+
+def _connecting(pi, d, iota, src: Subquotient, tgt: Subquotient) -> Matrix:
+    """The zigzag iota^-1 . d . pi^-1 on src's representatives, read in tgt."""
+    return tgt.project(solve(iota, d * solve(pi, src.reps)))
 
 
 def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) -> DeltaFamily:
@@ -396,12 +378,7 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
         for t in FR.degrees():
             pair.check_acyclic(FR.obj(t), ("delta-res", name, t))
     ce = build_ce_triple(F_ses)
-    size = 0
-    for name in ("A", "B", "C"):
-        d = ce.doubles[name]
-        qhi = max((r.hi for r in d.rows), default=0)
-        size = max(size, d.depth() - 1, qhi)
-    size += 1
+    size = max(_grid_size(d) for d in ce.doubles.values())
     dcR = _gamma_double(pair, ce.doubles["A"], size)
     dcS = _gamma_double(pair, ce.doubles["B"], size)
     dcT = _gamma_double(pair, ce.doubles["C"], size)
@@ -411,10 +388,8 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
     for p in range(ce.depth()):
         trip = ce.triples[p]
         for q in trip.cplx["I"].degrees():
-            iota_e[(p, q)] = gamma_struct_map(trip.iota.comp(q),
-                                              trip.cplx["I"].obj(q), trip.cplx["J"].obj(q))
-            pi_e[(p, q)] = gamma_struct_map(trip.pi.comp(q),
-                                            trip.cplx["J"].obj(q), trip.cplx["K"].obj(q))
+            iota_e[(p, q)] = gamma_struct_map(trip.iota.comp(q))
+            pi_e[(p, q)] = gamma_struct_map(trip.pi.comp(q))
     # A-level: connecting maps of 0 -> F^p R -> F^p S -> F^p T -> 0
     a_maps = {}
     for (p, q), asq in tT.A1.items():
@@ -424,11 +399,9 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
         tgt = tR.A1.get((p, q + 1))
         if tgt is None:
             continue
-        pi_fp = tot_block_map(tS, tT, pi_e, n, p)
-        iota_fp1 = tot_block_map(tR, tS, iota_e, n + 1, p)
-        s = solve(pi_fp, asq.reps)
-        a_maps[(p, q)] = tgt.project(solve(iota_fp1, tS.fdiff[(p, n)] * s))
-    # E-level: connecting maps of the column SESs, with the (-1)^p sign
+        a_maps[(p, q)] = _connecting(tot_block_map(tS, tT, pi_e, n, p), tS.fdiff[(p, n)],
+                                     tot_block_map(tR, tS, iota_e, n + 1, p), asq, tgt)
+    # E-level: connecting maps of the column SESs, the differential signed (-1)^p
     e_maps = {}
     for (p, q), esq in tT.E1.items():
         if esq.dim == 0:
@@ -436,11 +409,9 @@ def delta_morphism(pair: FunctorPair, iota: SheafMorphism, pi: SheafMorphism) ->
         tgt = tR.E1.get((p, q + 1))
         if tgt is None:
             continue
-        s = solve(pi_e[(p, q)], esq.reps)
-        moved = dcS.v(p, q) * s
-        if p % 2:
-            moved = -moved
-        e_maps[(p, q)] = tgt.project(solve(iota_e[(p, q + 1)], moved))
+        v = dcS.v(p, q)
+        e_maps[(p, q)] = _connecting(pi_e[(p, q)], -v if p % 2 else v, iota_e[(p, q + 1)],
+                                     esq, tgt)
     mor = CoupleMorphism(tT, tR, (0, 1), a_maps, e_maps)
     return DeltaFamily(pair, F_ses, ce, tR, tT, mor)
 
@@ -480,9 +451,7 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
         lam = homalg.comparison_lift(tgt_ctx, gamma_q, resT, resR)
         vecT, vecR = family.idT.vec_h[q], family.idR.vec_h[q + 1]
         lam_vec = ChainMap(vecT, vecR,
-                           {p: gamma_struct_map(lam.comp(p), resT.complex.obj(p),
-                                                resR.complex.obj(p))
-                            for p in vecT.degrees()})
+                           {p: gamma_struct_map(lam.comp(p)) for p in vecT.degrees()})
         for p in vecT.degrees():
             e2T = ssT.entry(2, p, q)
             e2R = ssR.entry(2, p, q + 1)
@@ -549,7 +518,7 @@ def leray_ss(f: MonotoneMap, sheaf, field=None, flip=False):
     field = field if field is not None else sheaf.field
     pair = leray_pair(f, field, flip)
     data = grothendieck_ss(pair, sheaf)
-    ident = E2Identification(pair, data.double, data.ss)
+    ident = E2Identification(data.double, data.ss)
     comparisons = {}
     for q in sorted(ident.vec_h):
         rq = homalg.cohomology(data.base_complex, q).H      # R^q f_* of the pushed resolution

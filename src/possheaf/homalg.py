@@ -121,7 +121,7 @@ class DirectSum:
 class CochainComplex:
     """Bounded complex: objects X^q and differentials d^q for lo <= q <= hi."""
 
-    def __init__(self, ctx, objects, diffs, validate=True):
+    def __init__(self, ctx, objects, diffs):
         self.ctx = ctx
         self.objects = dict(objects)
         self.diffs = dict(diffs)
@@ -131,8 +131,7 @@ class CochainComplex:
         else:
             self.lo, self.hi = 0, -1
         self._hcache = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     def obj(self, q):
         return self.objects.get(q, self.ctx.zero_obj())
@@ -190,7 +189,7 @@ class ChainMap:
 class SESOfComplexes:
     """0 -> A* -> B* -> C* -> 0, exact in every degree."""
 
-    def __init__(self, iota: ChainMap, pi: ChainMap, validate=True):
+    def __init__(self, iota: ChainMap, pi: ChainMap):
         self.A = iota.source
         self.B = iota.target
         self.C = pi.target
@@ -198,8 +197,7 @@ class SESOfComplexes:
             raise ValueError("iota and pi must share the middle complex")
         self.iota = iota
         self.pi = pi
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def ctx(self):

@@ -557,10 +557,11 @@ def sections_over(F: Sheaf, open_idx) -> Subspace:
     return kernel_basis(vstack(rows))
 
 
-def gamma_struct_map(phi: SheafMorphism, srcI: InjectiveSheaf, tgtI: InjectiveSheaf) -> Matrix:
-    """Gamma(phi) in structured coordinates (one slot per coinduced summand)."""
-    field = phi.source.field
-    p = phi.source.poset
+def gamma_struct_map(phi: SheafMorphism) -> Matrix:
+    """Gamma(phi) in structured coordinates (one slot per coinduced summand),
+    read off phi's own endpoints, realized injectives."""
+    srcI, tgtI = phi.source, phi.target
+    p = srcI.poset
     blocks = []
     roff = 0
     for jt, (xt, vt) in enumerate(tgtI.summands):
@@ -573,7 +574,7 @@ def gamma_struct_map(phi: SheafMorphism, srcI: InjectiveSheaf, tgtI: InjectiveSh
                 blocks.append((roff, coff, rows.cols_slice(range(soff, soff + vs))))
             coff += vs
         roff += vt
-    return place_blocks(field, tgtI.mult_total, srcI.mult_total, blocks)
+    return place_blocks(srcI.field, tgtI.mult_total, srcI.mult_total, blocks)
 
 
 def gamma_read_struct(I: InjectiveSheaf, vecs: Matrix) -> Matrix:
@@ -601,7 +602,7 @@ def gamma_of_complex(cplx: homalg.CochainComplex) -> homalg.CochainComplex:
         objects[q] = cplx.obj(q).mult_total
     for q in cplx.degrees():
         if q + 1 in objects:
-            diffs[q] = gamma_struct_map(cplx.diff(q), cplx.obj(q), cplx.obj(q + 1))
+            diffs[q] = gamma_struct_map(cplx.diff(q))
     return homalg.CochainComplex(VectorContext(cplx.ctx.field), objects, diffs)
 
 

@@ -47,14 +47,13 @@ class NotACoupleMorphism(Exception):
 class DoubleComplex:
     """First-quadrant grid 0 <= p, q <= D with commuting squares."""
 
-    def __init__(self, field, size, dims, horiz, vert, validate=True):
+    def __init__(self, field, size, dims, horiz, vert):
         self.field = field
         self.size = size            # grid bound D; indices run 0..D
         self.dims = dims            # dims[p][q]
         self.horiz = horiz          # horiz[p][q]: R^{p,q} -> R^{p+1,q} (or None)
         self.vert = vert            # vert[p][q]: R^{p,q} -> R^{p,q+1} (or None)
-        if validate:
-            self.validate()
+        self.validate()
 
     def dim(self, p, q):
         if 0 <= p <= self.size and 0 <= q <= self.size:

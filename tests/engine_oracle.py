@@ -7,8 +7,9 @@ sequence, the exactness of a couple, page stabilization, the couple
 morphism induced by entrywise maps, the intersection of subspaces, the
 reduced echelon form reached by elimination, the pivot-rule complement of a
 subspace and the extension of a map along a mono that vanishes on it, the
-structured section basis of a coinduced sheaf, the cohomology of a sheaf
-on an open from its own restricted resolution, every composite
+structured section basis of a coinduced sheaf, the tagged H column of a
+Cartan-Eilenberg double lifted through its rows' computed cohomology, the
+cohomology of a sheaf on an open from its own restricted resolution, every composite
 restriction of a sheaf composed eagerly along every path, a direct
 sum with all its injections and projections built at once, and the sheaf
 operations computed stalk by stalk, with no stalk sharing another's result,
@@ -132,8 +133,7 @@ class VectorSpaces(VectorContext):
 def on_vector_spaces(cplx: homalg.CochainComplex) -> homalg.CochainComplex:
     """A complex of Gamma values, as the engine builds it, over `VectorSpaces`,
     so homalg's cohomology and connecting maps run on it."""
-    return homalg.CochainComplex(VectorSpaces(cplx.ctx.field), cplx.objects, cplx.diffs,
-                                 validate=False)
+    return homalg.CochainComplex(VectorSpaces(cplx.ctx.field), cplx.objects, cplx.diffs)
 
 
 def intersect(s: Subspace, t: Subspace) -> Subspace:
@@ -512,6 +512,45 @@ def derived_functor_map(pair: FunctorPair, phi, q) -> Matrix:
         comps[t] = gamma_map(Fl, bases_src[t].basis, bases_tgt[t].basis)
     chain = ChainMap(on_vector_spaces(vec_src), on_vector_spaces(vec_tgt), comps)
     return homalg.induced_on_cohomology(chain, q)
+
+
+def lifted_h_resolutions(double) -> dict:
+    """q -> the tagged H column of a CE double at degree q, as a Resolution
+    of H^q of its base, built by lifting through the rows' computed cohomology.
+
+    The tagged H part of row p goes to H^q of the row by its inclusion into
+    the row object, lifted to the cocycles and projected; each differential
+    and the augmentation are the maps induced on cohomology, lifted back
+    through those isos.
+    """
+    ctx = double.ctx
+    col, _, htag = double.columns
+    depth = double.depth()
+
+    def tagged_to_computed(p, q):
+        triple = double.triples[p]
+        h = homalg.cohomology(double.rows[p], q)
+        incl = triple.sum_at(htag, q).structural_to(triple.sum_at(col, q))
+        return ctx.compose(h.proj, ctx.lift_through_mono(incl, h.z_mono))
+
+    out = {}
+    for q in range(double.base.lo, double.base.hi + 1):
+        objs, diffs, isos = {}, {}, {}
+        for p, triple in enumerate(double.triples):
+            if q in triple.sums[htag]:
+                objs[p] = triple.sum_at(htag, q).obj
+                isos[p] = tagged_to_computed(p, q)
+        for p in range(depth - 1):
+            if p in objs and p + 1 in objs:
+                hd = homalg.induced_on_cohomology(double.dh[p], q)
+                diffs[p] = ctx.lift_through_mono(ctx.compose(hd, isos[p]), isos[p + 1])
+        if not objs:
+            continue
+        haug = homalg.induced_on_cohomology(double.augmentation, q)
+        out[q] = homalg.Resolution(homalg.cohomology(double.base, q).H,
+                                   homalg.CochainComplex(ctx, objs, diffs),
+                                   ctx.lift_through_mono(haug, isos[0]))
+    return out
 
 
 def connecting_derived(pair: FunctorPair, iota, pi, q, horseshoe_data=None):

@@ -49,8 +49,7 @@ def _announce(num, ok, detail):
 def ce_batch():
     out = []
     for seed in range(50):
-        cfg = GenConfig("acc1-%d" % seed, max_elements=6, max_stalk_dim=3,
-                        max_degree_span=3)
+        cfg = GenConfig("acc1-%d" % seed, max_elements=6, max_stalk_dim=3)
         ses = gen_ses_complexes(cfg)
         inv = compute_invariants(ses)
         ce = build_ce_triple(ses)

@@ -1,7 +1,8 @@
 """The CI workflow installs the `test` extra of pyproject.toml, package for package,
 and runs the Tier-1 command of ROADMAP.md, word for word, under a time limit, on the
 oldest Python that pyproject.toml allows and on 3.11, and then
-`selftest --seed 7 --count 25`, which exits 1 unless every generated instance passes.
+`selftest --seed 7 --count 25`, which exits 1 unless every generated instance passes,
+over the rationals and again over fp:32003.
 A second job runs one short traced benchmark run per workload of BENCHMARK.json, and
 of forged-ce-q, and fails unless the run's result line says it is correct.  forged-ce-q is not gated
 by BENCHMARK.json, but it is the only workload that runs many ops in one worker, so
@@ -46,8 +47,10 @@ def test_workflow_runs_the_tier1_command():
     setup = [s for s in steps if s.get("uses", "").startswith("actions/setup-python")]
     assert setup and setup[0]["with"]["python-version"] == "${{ matrix.python-version }}"
     runs = [s["run"] for s in steps if "run" in s]
-    selftest = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m possheaf.cli selftest --seed 7 --count 25"
-    assert runs == ["pip install " + " ".join(_test_extra()), command, selftest]
+    cli = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m possheaf.cli "
+    selftests = [cli + "selftest --seed 7 --count 25",
+                 cli + "--field fp:32003 selftest --seed 7 --count 25"]
+    assert runs == ["pip install " + " ".join(_test_extra()), command] + selftests
 
 
 def test_tier1_runs_the_oldest_allowed_python_and_3_11():

@@ -689,16 +689,10 @@ def _rename_in_text(doc, path, new):
     return text[:at.start(1)] + new + text[at.end(1):]
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_a_mutated_document_never_ends_in_a_traceback(mutation_file, data):
-    # one value of the pseudocircle replaced by junk, one key deleted, or one
-    # key renamed, to another key of the document (perhaps a sibling's) or
-    # with an "s" added; a document that validates is also run through
-    # cohomology and leray, and a renamed key that does not validate is an
-    # input error to every command
-    with open(PSEUDOCIRCLE) as fh:
-        doc = json.load(fh)
+def _mutated(doc, data):
+    """(text, how, path): doc as JSON text with the value at path replaced by
+    junk, its key deleted, or its key renamed, to another key of the document
+    (perhaps a sibling's) or with an "s" added."""
     path = data.draw(st.sampled_from(list(_value_paths(doc))))
     parent = doc
     for key in path[:-1]:
@@ -713,17 +707,49 @@ def test_a_mutated_document_never_ends_in_a_traceback(mutation_file, data):
         else:
             parent[path[-1]] = data.draw(_JUNK)
         text = json.dumps(doc)
+    return text, how, path
+
+
+_SEQUENCE_ARGS = ["--map", "collapse", "--sequence", "S"]
+_SHEAF_OR_SEQUENCE = [("gss", ["--sheaf", "k"]), ("resolve", ["--sheaf", "k"]),
+                      ("delta", _SEQUENCE_ARGS), ("verify-main", _SEQUENCE_ARGS),
+                      ("verify-cz", _SEQUENCE_ARGS)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_mutated_document_never_ends_in_a_traceback(mutation_file, data):
+    # one mutation of the pseudocircle; a document that validates is also run
+    # through cohomology, leray and one of gss, resolve, delta, verify-main
+    # and verify-cz, and a renamed key that does not validate is an input
+    # error to every command
+    with open(PSEUDOCIRCLE) as fh:
+        doc = json.load(fh)
+    text, how, path = _mutated(doc, data)
     mutation_file.write_text(text)
     if main(["validate", str(mutation_file)]) == 0:
         # an object's own name may change and still load, when nothing refers to it
         assert how != "rename" or len(path) == 2
         assert main(["cohomology", str(mutation_file), "--sheaf", "k"]) in (0, 1)
         assert main(["leray", str(mutation_file), "--map", "collapse", "--sheaf", "k"]) in (0, 1)
+        command, args = data.draw(st.sampled_from(_SHEAF_OR_SEQUENCE))
+        assert main([command, str(mutation_file)] + args) in (0, 1)
     elif how == "rename":
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["cohomology", str(mutation_file), "--sheaf", "k"]) == 1
         assert out.getvalue().startswith("input error")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_complex_sequence_never_ends_in_a_traceback(mutation_file, data):
+    # one mutation of the complexes-kind sequence document; one that validates
+    # is also run through ce
+    text, _, _ = _mutated(_complex_sequence_doc(), data)
+    mutation_file.write_text(text)
+    if main(["validate", str(mutation_file)]) == 0:
+        assert main(["ce", str(mutation_file), "--sequence", "S"]) in (0, 1)
 
 
 def _repeat_before(text, anchor, repeated):

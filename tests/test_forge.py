@@ -2,6 +2,7 @@ from fixtures import gen_injective_middle_ses, gen_leray_instance, gen_monotone_
 from possheaf.ceres import compute_invariants
 from possheaf.exactla import QQ
 from possheaf.forge import (
+    MAX_DEGREE_SPAN,
     GenConfig,
     gen_poset,
     gen_ses_complexes,
@@ -64,10 +65,10 @@ def test_ses_complexes_validator_clean():
 
 def test_degree_span_respected():
     for seed in range(6):
-        cfg = GenConfig(seed, max_elements=6, max_stalk_dim=2, max_degree_span=3)
+        cfg = GenConfig(seed, max_elements=6, max_stalk_dim=2)
         ses = gen_ses_complexes(cfg)
         span = ses.B.hi - ses.B.lo + 1
-        assert span <= cfg.max_degree_span + 1
+        assert span <= MAX_DEGREE_SPAN + 1
 
 
 def test_monotone_map_is_monotone():

@@ -7,6 +7,7 @@ from engine_oracle import (
     derived_functor_gf,
     derived_functor_map,
     higher_direct_image,
+    lifted_h_resolutions,
     map_of_spectral_sequences,
     on_vector_spaces,
     render,
@@ -15,7 +16,7 @@ from fixtures import fence_x4, gen_leray_instance, product_projection, to_point
 from oracle import order_complex_cohomology_dims
 from possheaf import homalg
 from possheaf.forge import GenConfig
-from possheaf.exactla import QQ, Matrix, rank
+from possheaf.exactla import QQ, Matrix, field_from_name, rank
 from possheaf.gross import (
     AcyclicityViolation,
     E2Identification,
@@ -78,7 +79,7 @@ def test_gss_to_point_degenerates():
     assert data.ss.page_dims(2) == {(0, 0): 1, (0, 1): 1}
     assert data.ss.page_dims(data.ss.r_inf) == {(0, 0): 1, (0, 1): 1}
     assert first_ss_check(data).ok
-    assert E2Identification(pair, data.double, data.ss).check()
+    assert E2Identification(data.double, data.ss).check()
 
 
 def test_higher_direct_image_identity_vanishes():
@@ -344,10 +345,8 @@ def test_inclusion_induces_page_maps():
     for p in range(family.ce.depth()):
         trip = family.ce.triples[p]
         for q in trip.cplx["I"].degrees():
-            iota_e[(p, q)] = gamma_struct_map(trip.iota.comp(q),
-                                              trip.cplx["I"].obj(q), trip.cplx["J"].obj(q))
-            pi_e[(p, q)] = gamma_struct_map(trip.pi.comp(q),
-                                            trip.cplx["J"].obj(q), trip.cplx["K"].obj(q))
+            iota_e[(p, q)] = gamma_struct_map(trip.iota.comp(q))
+            pi_e[(p, q)] = gamma_struct_map(trip.pi.comp(q))
     ssS = CoupleTower(_gamma_double(pair, family.ce.doubles["B"], family.ssR.D))
     inc = map_of_spectral_sequences(family.ssR, ssS, iota_e)
     prj = map_of_spectral_sequences(ssS, family.ssT, pi_e)
@@ -389,3 +388,45 @@ def test_leray_comparisons_match_higher_direct_image_forged():
         _, _, comparisons = leray_ss(f, sheaf)
         oracle = _leray_oracle(f, sheaf, comparisons)
         assert {key: exp for key, (_, exp) in comparisons.items()} == oracle, seed
+
+
+# -- the H column, read by structural maps, against the lifted oracle ------------
+
+def _h_column_nonzero_diffs(ident):
+    """Check that ident's H column is the lifted oracle's, object for object and
+    map for map, augmentations included; the number of nonzero differentials."""
+    ctx = ident.double.ctx
+    oracle = lifted_h_resolutions(ident.double)
+    assert sorted(ident.resolutions) == sorted(oracle)
+    nonzero = 0
+    for q, res in ident.resolutions.items():
+        ref = oracle[q]
+        assert res.target is ref.target and res.complex.objects == ref.complex.objects, q
+        for p in res.complex.degrees():
+            assert ctx.map_eq(res.complex.diff(p), ref.complex.diff(p)), (q, p)
+            nonzero += not res.complex.diff(p).is_zero()
+        assert ctx.map_eq(res.augmentation, ref.augmentation), q
+    return nonzero
+
+
+@pytest.mark.parametrize("field", ["q", "fp:32003"])
+@pytest.mark.parametrize("name,mapname,nonzero", [("pseudocircle", "collapse", [0, 0, 0]),
+                                                  ("torus", "pr1", [2, 2, 1])])
+def test_h_column_matches_the_lifted_oracle(name, mapname, nonzero, field):
+    # the Leray identification, then idR and idT of the verify-main family;
+    # the torus columns have nonzero differentials, so a wrong one shows
+    inst = Instance.load(os.path.join(INSTANCES, name + ".json"), field=field_from_name(field))
+    f = inst.maps[mapname]
+    _, ident, _ = leray_ss(f, inst.sheaves["k"])
+    _, iota, pi = inst.sequences["S"]
+    family = delta_morphism(FunctorPair(f, f.source, inst.field), iota, pi)
+    assert [_h_column_nonzero_diffs(i) for i in (ident, family.idR, family.idT)] == nonzero
+
+
+def test_h_column_matches_the_lifted_oracle_forged():
+    nonzero = 0
+    for seed in range(5):
+        f, sheaf = gen_leray_instance(GenConfig("h-column-%d" % seed, max_elements=5,
+                                                max_stalk_dim=2))
+        nonzero += _h_column_nonzero_diffs(leray_ss(f, sheaf)[1])
+    assert nonzero

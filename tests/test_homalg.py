@@ -186,10 +186,8 @@ def test_comparison_lifts_agree_on_cohomology():
     v2 = on_vector_spaces(gamma_of_complex(res2.complex))
     from possheaf.sheafcat import gamma_struct_map
 
-    m12 = ChainMap(v1, v2, {t: gamma_struct_map(l12.comp(t), res1.complex.obj(t), res2.complex.obj(t))
-                            for t in v1.degrees()})
-    m21 = ChainMap(v2, v1, {t: gamma_struct_map(l21.comp(t), res2.complex.obj(t), res1.complex.obj(t))
-                            for t in v2.degrees()})
+    m12 = ChainMap(v1, v2, {t: gamma_struct_map(l12.comp(t)) for t in v1.degrees()})
+    m21 = ChainMap(v2, v1, {t: gamma_struct_map(l21.comp(t)) for t in v2.degrees()})
     for q in range(res1.length() + 1):
         h12 = induced_on_cohomology(m12, q)
         h21 = induced_on_cohomology(m21, q)

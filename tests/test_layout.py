@@ -1,4 +1,4 @@
-"""Ten layout rules of src/possheaf.
+"""Eleven layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -67,6 +67,11 @@ The maps a chain map induces on cocycles, coboundaries and cohomology are
 made by one routine, `homalg.induced_maps`.  In ceres, `verify_ce` and the
 `InjectiveTriple._verify_*` checks call neither `lift_through_mono` nor
 `descend_along_epi`, so no check writes out an induced map of its own.
+
+The E2 identification reads the tagged cohomology column of a
+Cartan-Eilenberg double by structural maps: no method of
+`gross.E2Identification` calls `lift_through_mono`, so none lifts through
+row cohomology computed afresh.
 
 There is one abelian category in src/possheaf: sheaves on a finite poset.
 Once Gamma is applied, values are plain matrices, and `VectorContext` is
@@ -300,6 +305,19 @@ def hand_induced_sites():
 
 def test_checks_read_induced_maps_from_homalg():
     assert hand_induced_sites() == []
+
+
+def e2_lift_sites():
+    """`method:line` of each `lift_through_mono` call in gross's E2Identification."""
+    cls = next(node for node in _trees()["gross"].body
+               if isinstance(node, ast.ClassDef) and node.name == "E2Identification")
+    return ["%s:%d" % (item.name, n.lineno) for item in cls.body
+            if isinstance(item, ast.FunctionDef) for n in ast.walk(item)
+            if isinstance(n, ast.Call) and _called_name(n) == "lift_through_mono"]
+
+
+def test_e2_identification_reads_the_h_column_by_structural_maps():
+    assert e2_lift_sites() == []
 
 
 def _tracer():
