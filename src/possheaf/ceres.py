@@ -566,12 +566,10 @@ class AugmentedDouble:
 class CETriple:
     """Three linked Cartan-Eilenberg resolutions with exact rows."""
 
-    def __init__(self, ses, triples, doubles, row_iotas, row_pis):
+    def __init__(self, ses, triples, doubles):
         self.ses = ses
         self.triples = triples        # list of InjectiveTriple, index p
         self.doubles = doubles        # {"A": AugmentedDouble, "B": ..., "C": ...}
-        self.row_iotas = row_iotas    # per p: ChainMap I-row -> J-row
-        self.row_pis = row_pis
 
     def depth(self):
         return len(self.triples)
@@ -601,16 +599,16 @@ def _cokernel_complex(ctx, aug: ChainMap):
     return cplx, epis
 
 
-def _resolve_rows(ses: SESOfComplexes, full, depth, next_ses):
+def _resolve_rows(ses: SESOfComplexes, full, depth):
     """Build rows on cokernels until the sequence vanishes; one double per
     resolved complex, A, B and C, or A alone when full is False.
 
     Row p is build_injective_triple(compute_invariants(..., full)) of the
-    p-th sequence.
-    next_ses(triple, coks) makes the next sequence from the row's cokernels
-    {name: (complex, epis)}.  The row count is capped at four past the larger
-    of depth and the context's resolution bound; a sequence still alive
-    there raises TruncationInsufficient.
+    p-th sequence.  The next sequence is the row's cokernel SES when full
+    is True, and the A column's cokernel as X -> X -> 0 otherwise.  The row
+    count is capped at four past the larger of depth and the context's
+    resolution bound; a sequence still alive there raises
+    TruncationInsufficient.
     """
     ctx = ses.ctx
     names = tuple(COLUMNS) if full else ("A",)
@@ -633,7 +631,8 @@ def _resolve_rows(ses: SESOfComplexes, full, depth, next_ses):
         triples.append(triple)
         coks = {name: _cokernel_complex(ctx, triple.aug[name]) for name in names}
         try:
-            cur = next_ses(triple, coks)
+            cur = _cokernel_ses(triple, coks) if full else _identity_ses(
+                coks["A"][0], CochainComplex(ctx, {triple.inv.qlo: ctx.zero_obj()}, {}))
         except ValueError as exc:
             raise InternalExactnessFailure(
                 "cokernel SES after row %d: %s" % (len(triples) - 1, exc)) from exc
@@ -666,9 +665,7 @@ def build_ce_triple(ses: SESOfComplexes, depth=None) -> CETriple:
     The rows are capped at four past the larger of depth and the context's
     resolution bound; hitting the cap raises TruncationInsufficient.
     """
-    triples, doubles = _resolve_rows(ses, True, depth, _cokernel_ses)
-    return CETriple(ses, triples, doubles,
-                    [t.iota for t in triples], [t.pi for t in triples])
+    return CETriple(ses, *_resolve_rows(ses, True, depth))
 
 
 def _identity_ses(cplx: CochainComplex, zero: CochainComplex) -> SESOfComplexes:
@@ -696,13 +693,8 @@ def ce_resolution_of_complex(cplx: CochainComplex) -> AugmentedDouble:
     the full iteration's degree range.
     """
     ctx = cplx.ctx
-
-    def next_ses(triple, coks):
-        return _identity_ses(coks["A"][0],
-                             CochainComplex(ctx, {triple.inv.qlo: ctx.zero_obj()}, {}))
-
     zero = CochainComplex(ctx, {q: ctx.zero_obj() for q in cplx.degrees()}, {})
-    return _resolve_rows(_identity_ses(cplx, zero), False, None, next_ses)[1]["A"]
+    return _resolve_rows(_identity_ses(cplx, zero), False, None)[1]["A"]
 
 
 def _validates(x) -> bool:

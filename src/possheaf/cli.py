@@ -158,11 +158,9 @@ def cmd_ce(args, run):
         run.check("Cartan-Eilenberg property for %s" % name, rep.ok,
                   "" if rep.ok else rep.failures()[0][0])
     ok_rows = True
-    for p in range(ce.depth()):
-        t = ce.triples[p]
+    for t in ce.triples:
         for q in t.inv.main_degrees():
-            if not ses.ctx.is_exact_pair(ce.row_iotas[p].comp(q), ce.row_pis[p].comp(q),
-                                         t.cplx["J"].obj(q)):
+            if not ses.ctx.is_exact_pair(t.iota.comp(q), t.pi.comp(q), t.cplx["J"].obj(q)):
                 ok_rows = False
     run.check("rows exact in every bidegree", ok_rows)
 
@@ -209,7 +207,7 @@ def cmd_leray(args, run):
     inst = _load(args)
     F = _get(inst.sheaves, args.sheaf, "sheaf")
     f = _map_from(args, inst, F.poset, "sheaf %r" % args.sheaf)
-    data, ident, comparisons = leray_ss(f, F, field=inst.field)
+    data, ident, comparisons = leray_ss(f, F)
     run.table("E2 page (p, q, dim)", data.ss.page_table(2))
     run.table("total cohomology", [(n, data.ss.total_h_dim(n))
                                    for n in range(2 * data.ss.D + 1)])

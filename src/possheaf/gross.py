@@ -60,13 +60,13 @@ class PreconditionFailed(Exception):
 class FunctorPair:
     """F = pushforward along a monotone map (or identity), G = global sections."""
 
-    def __init__(self, f: MonotoneMap | None, source_poset, field, flip=False):
+    def __init__(self, f: MonotoneMap | None, source_poset, field):
         self.f = f
         self.field = field
         self.src_poset = source_poset
         self.tgt_poset = f.target if f is not None else source_poset
-        self.src_ctx = SheafContext(self.src_poset, field, flip)
-        self.tgt_ctx = SheafContext(self.tgt_poset, field, flip)
+        self.src_ctx = SheafContext(self.src_poset, field)
+        self.tgt_ctx = SheafContext(self.tgt_poset, field)
         self.push = Pushforward(f) if f is not None else None
 
     # -- F ---------------------------------------------------------------
@@ -509,14 +509,13 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
 
 # -- Leray specialization -----------------------------------------------------
 
-def leray_pair(f: MonotoneMap, field, flip=False) -> FunctorPair:
-    return FunctorPair(f, f.source, field, flip)
+def leray_pair(f: MonotoneMap, field) -> FunctorPair:
+    return FunctorPair(f, f.source, field)
 
 
-def leray_ss(f: MonotoneMap, sheaf, field=None, flip=False):
+def leray_ss(f: MonotoneMap, sheaf):
     """Leray data plus the independent E2 = H^p(Y, R^q f_*) dimension check."""
-    field = field if field is not None else sheaf.field
-    pair = leray_pair(f, field, flip)
+    pair = leray_pair(f, sheaf.field)
     data = grothendieck_ss(pair, sheaf)
     ident = E2Identification(data.double, data.ss)
     comparisons = {}
@@ -575,11 +574,14 @@ def acyclic_middle_analysis(pair: FunctorPair, iota, pi) -> CheckReport:
             tgt = filtR[n + 1][p]
             if src.dim == 0 and tgt.dim == 0:
                 continue
-            if src.dim and not tgt.contains_matrix(dmat * src.basis):
-                rep.add("filtration map defined at (p=%d,n=%d)" % (p, n), False)
-                continue
-            restricted = tgt.coords_of(dmat * src.basis) if src.dim else \
-                Matrix.zeros(family.pair.field, tgt.dim, 0)
+            if src.dim:
+                try:
+                    restricted = tgt.coords_of(dmat * src.basis)
+                except NoSolution:
+                    rep.add("filtration map defined at (p=%d,n=%d)" % (p, n), False)
+                    continue
+            else:
+                restricted = Matrix.zeros(family.pair.field, tgt.dim, 0)
             if n >= 1:
                 ok = src.dim == tgt.dim and rank(restricted) == src.dim
                 rep.add("filtration iso at (p=%d, n=%d)" % (p, n), ok)

@@ -161,12 +161,11 @@ class CochainComplex:
 class ChainMap:
     """Degree-wise map of complexes commuting with the differentials."""
 
-    def __init__(self, source: CochainComplex, target: CochainComplex, comps, validate=True):
+    def __init__(self, source: CochainComplex, target: CochainComplex, comps):
         self.source = source
         self.target = target
         self.comps = dict(comps)
-        if validate:
-            self.validate()
+        self.validate()
 
     def comp(self, q):
         c = self.comps.get(q)

@@ -47,20 +47,14 @@ class NotCoinduced(Exception):
     pass
 
 
-def _extend_matrix(m: Matrix, f: Matrix, flip: bool) -> Matrix:
+def _extend_matrix(m: Matrix, f: Matrix) -> Matrix:
     """g with g*m = f, for m a mono, and g = 0 on a complement of im(m).
 
     The complement is spanned by the standard vectors off the pivots P of
     im(m)'s canonical basis.  That basis is the identity on P, so m is it
     times C, m's rows at P, which is invertible as m is a mono.  So g is
     f*C^-1 on the columns P and zero elsewhere, from one solve of C's size.
-    With flip=True the pivot rule runs on reversed coordinates, a second
-    deterministic (and generally different) choice: g is the extension of
-    m with its rows reversed, with its own columns reversed back.
     """
-    if flip:
-        rev = range(m.rows - 1, -1, -1)
-        return _extend_matrix(m.rows_slice(rev), f, False).cols_slice(rev)
     piv = image_basis(m).pivots
     # g^T's rows at P, then one zero row that every other row of g^T shares
     gt = vstack([solve(m.rows_slice(piv).transpose(), f.transpose()), Matrix.zeros(f.field, 1, f.rows)])
@@ -340,10 +334,9 @@ class SheafContext:
 
     LiftError = NoSolution
 
-    def __init__(self, poset: Poset, field, flip=False):
+    def __init__(self, poset: Poset, field):
         self.poset = poset
         self.field = field
-        self.flip = flip
         self._zero = InjectiveSheaf(poset, field, [])
 
     # objects -----------------------------------------------------------
@@ -479,10 +472,7 @@ class SheafContext:
         """Canonical coinduced embedding; identity when X is already realized."""
         if isinstance(X, InjectiveSheaf):
             return X, self.identity(X)
-        order = range(len(self.poset))
-        if self.flip:
-            order = range(len(self.poset) - 1, -1, -1)
-        summands = [(x, X.dims[x]) for x in order if X.dims[x] > 0]
+        summands = [(x, X.dims[x]) for x in range(len(self.poset)) if X.dims[x] > 0]
         I = InjectiveSheaf(self.poset, self.field, summands)
         comps = []
         for y in range(len(self.poset)):
@@ -509,8 +499,8 @@ class SheafContext:
             raise NotMono("extension base is not a monomorphism")
         B = m.target
         pts = list(dict.fromkeys(x for x, _ in I.summands))
-        exts = dict(zip(pts, _stalkwise(lambda mx, fx: _extend_matrix(mx, fx, self.flip),
-                                        [m.comps[x] for x in pts], [f.comps[x] for x in pts])))
+        exts = dict(zip(pts, _stalkwise(_extend_matrix, [m.comps[x] for x in pts],
+                                        [f.comps[x] for x in pts])))
         peaks = [exts[x].rows_slice(range(I.slot[x][j], I.slot[x][j] + v))
                  for j, (x, v) in enumerate(I.summands)]
         comps = []
@@ -633,9 +623,9 @@ def cohomology_on_opens(F: Sheaf, opens, max_q=None) -> list:
     return out
 
 
-def sheaf_cohomology_dims(F: Sheaf, max_q=None) -> list:
+def sheaf_cohomology_dims(F: Sheaf) -> list:
     """R^q Gamma via the canonical coinduced resolution; list of dims from q=0."""
-    return cohomology_on_opens(F, [range(len(F.poset))], max_q)[0]
+    return cohomology_on_opens(F, [range(len(F.poset))])[0]
 
 
 # opens and acyclicity -------------------------------------------------------

@@ -19,6 +19,7 @@ filtration piece F^p.
 from __future__ import annotations
 
 from .exactla import (
+    ContainmentViolation,
     Matrix,
     NoSolution,
     Subspace,
@@ -92,13 +93,14 @@ class Subquotient:
     """Z/B inside a fixed coordinate space, with canonical representatives."""
 
     def __init__(self, field, ambient_dim, Z: Subspace, B: Subspace):
-        if not Z.contains(B):
-            raise ValueError("B not contained in Z")
+        try:
+            self.reps, self.proj = quotient_basis(Z, B)
+        except ContainmentViolation:
+            raise ValueError("B not contained in Z") from None
         self.field = field
         self.ambient_dim = ambient_dim
         self.Z = Z
         self.B = B
-        self.reps, self.proj = quotient_basis(Z, B)
         self.dim = self.reps.cols
 
     @classmethod
@@ -513,10 +515,11 @@ class CoupleMorphism:
             return Matrix.zeros(self.src.field, ed.dim, es.dim)
         m1 = self.e_map(p, q)
         w = e1d.reps * (m1 * e1s.project(es.reps))   # representatives; B_1 <= Z_r
-        if not ed.Z.contains_matrix(w):
+        try:
+            out = ed.project(w)
+        except NoSolution:
             raise NotACoupleMorphism(
-                "page %d map misses the page witnesses at (%d,%d)" % (r, p, q))
-        out = ed.project(w)
+                "page %d map misses the page witnesses at (%d,%d)" % (r, p, q)) from None
         # boundary witnesses must be respected as well
         if es.B.dim:
             wb = e1d.reps * (m1 * e1s.project(es.B.basis))
@@ -534,7 +537,8 @@ class CoupleMorphism:
             return Matrix.zeros(self.src.field, ed.dim, es.dim)
         mr = self.page_map(r, p, q)
         w = ed1.reps * (mr * es1.project(es.reps))   # B_r(dst) <= Z_{r+1}(dst)
-        if not ed.Z.contains_matrix(w):
+        try:
+            return ed.project(w)
+        except NoSolution:
             raise NotACoupleMorphism(
-                "page %d map does not induce one at stage %d" % (r, r + 1))
-        return ed.project(w)
+                "page %d map does not induce one at stage %d" % (r, r + 1)) from None

@@ -11,9 +11,11 @@ structured section basis of a coinduced sheaf, the tagged H column of a
 Cartan-Eilenberg double lifted through its rows' computed cohomology, the
 cohomology of a sheaf on an open from its own restricted resolution, every composite
 restriction of a sheaf composed eagerly along every path, a direct
-sum with all its injections and projections built at once, and the sheaf
+sum with all its injections and projections built at once, the sheaf
 operations computed stalk by stalk, with no stalk sharing another's result,
-and finite-dimensional vector spaces as a whole abelian category.
+a second set of choices of injective embeddings and extensions (the
+flipped `EagerSheafContext` and `flipped_pair`), and finite-dimensional
+vector spaces as a whole abelian category.
 The command line reaches none of them, so they live with the tests.
 """
 
@@ -118,7 +120,7 @@ class VectorSpaces(VectorContext):
     def extend_along_mono(self, m, f):
         if not self.is_mono(m):
             raise NotMono("extension base is not a monomorphism")
-        return _extend_matrix(m, f, False)
+        return _extend_matrix(m, f)
 
     def is_exact_pair(self, f, g, mid):
         return _exact_at(f, g, mid)
@@ -290,7 +292,27 @@ class EagerSheafContext(SheafContext):
     computed stalk by stalk instead, as the engine did before: each stalk
     runs its own kernel, product or solve, and `extend_along_mono` extends
     one summand at a time.  A failure is raised at the first stalk that
-    fails, and `descend_along_epi` names it."""
+    fails, and `descend_along_epi` names it.
+
+    With flip=True it makes the second set of choices that the tests check
+    the engine's results do not depend on: `injective_embed` lists the
+    summands in reverse element order, and `extend_along_mono` extends by
+    the frame solve on reversed coordinates, `extend_matrix(m, f, True)`."""
+
+    def __init__(self, poset: Poset, field, flip=False):
+        super().__init__(poset, field)
+        self.flip = flip
+
+    def injective_embed(self, X):
+        if not self.flip or isinstance(X, InjectiveSheaf):
+            return super().injective_embed(X)
+        order = range(len(self.poset) - 1, -1, -1)
+        I = InjectiveSheaf(self.poset, self.field, [(x, X.dims[x]) for x in order if X.dims[x] > 0])
+        comps = []
+        for y in range(len(self.poset)):
+            blocks = [X.restriction(y, I.summands[j][0]) for j in I.present[y]]
+            comps.append(vstack(blocks) if blocks else Matrix.zeros(self.field, 0, X.dims[y]))
+        return I, SheafMorphism(X, I, comps, validate=False)
 
     def compose(self, f, g):
         return SheafMorphism(g.source, f.target, [a * b for a, b in zip(f.comps, g.comps)],
@@ -359,13 +381,22 @@ class EagerSheafContext(SheafContext):
         peaks = []
         for j, (x, v) in enumerate(I.summands):
             off = I.slot[x][j]
-            peaks.append(_extend_matrix(m.comps[x], f.comps[x].rows_slice(range(off, off + v)),
-                                        self.flip))
+            mx, fx = m.comps[x], f.comps[x].rows_slice(range(off, off + v))
+            peaks.append(extend_matrix(mx, fx, True) if self.flip else _extend_matrix(mx, fx))
         comps = []
         for y in range(len(self.poset)):
             blocks = [peaks[j] * B.restriction(y, I.summands[j][0]) for j in I.present[y]]
             comps.append(vstack(blocks) if blocks else Matrix.zeros(self.field, 0, B.dims[y]))
         return SheafMorphism(B, I, comps, validate=False)
+
+
+def flipped_pair(f, source_poset, field) -> FunctorPair:
+    """`FunctorPair(f, source_poset, field)` on the second set of choices:
+    both of its contexts are flipped `EagerSheafContext`s."""
+    pair = FunctorPair(f, source_poset, field)
+    pair.src_ctx = EagerSheafContext(pair.src_poset, field, flip=True)
+    pair.tgt_ctx = EagerSheafContext(pair.tgt_poset, field, flip=True)
+    return pair
 
 
 class NotOpen(Exception):

@@ -6,6 +6,7 @@ Each test prints one PASS line when its criterion holds.
 
 import pytest
 
+from engine_oracle import flipped_pair
 from fixtures import (
     fence_x4,
     gen_leray_instance,
@@ -115,11 +116,9 @@ def test_criterion_1_ce_triple_validity(ce_batch):
     passed = 0
     for ses, inv, ce in ce_batch:
         ok = all(verify_ce(ce.doubles[name]).ok for name in ("A", "B", "C"))
-        for p in range(ce.depth()):
-            t = ce.triples[p]
+        for t in ce.triples:
             for q in t.inv.main_degrees():
-                if not ses.ctx.is_exact_pair(ce.row_iotas[p].comp(q), ce.row_pis[p].comp(q),
-                                             t.cplx["J"].obj(q)):
+                if not ses.ctx.is_exact_pair(t.iota.comp(q), t.pi.comp(q), t.cplx["J"].obj(q)):
                     ok = False
         passed += ok
     _announce(1, passed == 50, "%d/50 CE triples verified" % passed)
@@ -211,7 +210,7 @@ def test_criterion_9_choice_independence():
         cfg = GenConfig("acc9-%d" % seed, max_elements=5, max_stalk_dim=2)
         f, sheaf = gen_leray_instance(cfg)
         d1 = grothendieck_ss(leray_pair(f, QQ), sheaf)
-        d2 = grothendieck_ss(leray_pair(f, QQ, flip=True), sheaf)
+        d2 = grothendieck_ss(flipped_pair(f, f.source, QQ), sheaf)
         for r in range(2, min(d1.ss.r_inf, d2.ss.r_inf) + 1):
             if d1.ss.page_dims(r) != d2.ss.page_dims(r):
                 ok = False

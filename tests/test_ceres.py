@@ -1,3 +1,4 @@
+import copy
 import os
 
 import pytest
@@ -143,11 +144,9 @@ def test_ce_triple_verifies_on_fence():
         rep = verify_ce(ce.doubles[name])
         assert rep.ok, render(rep)
     # row exactness in every bidegree
-    for p in range(ce.depth()):
-        for q in ce.triples[p].inv.main_degrees():
-            i = ce.row_iotas[p].comp(q)
-            pi = ce.row_pis[p].comp(q)
-            assert ctx.is_exact_pair(i, pi, ce.triples[p].cplx["J"].obj(q))
+    for t in ce.triples:
+        for q in t.inv.main_degrees():
+            assert ctx.is_exact_pair(t.iota.comp(q), t.pi.comp(q), t.cplx["J"].obj(q))
 
 
 def test_ce_of_single_complex():
@@ -188,6 +187,14 @@ def test_ce_on_vector_context_closes_immediately():
         assert verify_ce(ce.doubles[name]).ok
 
 
+def with_comp(f: ChainMap, q, c) -> ChainMap:
+    """A copy of the validated chain map f whose component at q is c, left
+    unchecked, as `ChainMap` validates every map it makes."""
+    g = copy.copy(f)
+    g.comps = {**f.comps, q: c}
+    return g
+
+
 def test_corrupted_double_is_located():
     ctx = fence_ctx()
     ce = build_ce_triple(injective_middle_ses(ctx))
@@ -195,11 +202,9 @@ def test_corrupted_double_is_located():
     # corrupt the first horizontal map by zeroing it
     bad_dh = list(double.dh)
     q0 = 0
-    bad_comps = dict(bad_dh[0].comps)
-    bad_comps[q0] = ctx.zero_map(double.rows[0].obj(q0), double.rows[1].obj(q0))
-    corrupt = AugmentedDouble(ctx, double.base, double.rows,
-                              [ChainMap(bad_dh[0].source, bad_dh[0].target, bad_comps,
-                                        validate=False)] + bad_dh[1:],
+    bad_dh[0] = with_comp(bad_dh[0], q0,
+                          ctx.zero_map(double.rows[0].obj(q0), double.rows[1].obj(q0)))
+    corrupt = AugmentedDouble(ctx, double.base, double.rows, bad_dh,
                               double.augmentation, double.columns, double.triples)
     rep = verify_ce(corrupt)
     assert not rep.ok
@@ -234,7 +239,7 @@ def corrupted_ce_text():
                     for kind, bad in (("zeroed", ctx.zero_map(c.source, c.target)),
                                       ("doubled", ctx.add(c, c))):
                         dh = list(double.dh)
-                        dh[p] = ChainMap(f.source, f.target, {**f.comps, q: bad}, validate=False)
+                        dh[p] = with_comp(f, q, bad)
                         corrupt = AugmentedDouble(ctx, double.base, double.rows, dh,
                                                   double.augmentation, double.columns,
                                                   double.triples)
@@ -333,11 +338,11 @@ def forged_ce_text(field, seed):
     out = [("case", field, seed)]
     for name in ("A", "B", "C"):
         out += [(name,) + item for item in _double_text(ce.doubles[name])]
-    for p, (iota, pi) in enumerate(zip(ce.row_iotas, ce.row_pis)):
-        for q in iota.source.degrees():
-            out.append(("iota", p, q, _map_text(iota.comp(q))))
-        for q in pi.source.degrees():
-            out.append(("pi", p, q, _map_text(pi.comp(q))))
+    for p, t in enumerate(ce.triples):
+        for q in t.iota.source.degrees():
+            out.append(("iota", p, q, _map_text(t.iota.comp(q))))
+        for q in t.pi.source.degrees():
+            out.append(("pi", p, q, _map_text(t.pi.comp(q))))
     return "".join(repr(item) + "\n" for item in out)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -689,10 +690,52 @@ def _rename_in_text(doc, path, new):
     return text[:at.start(1)] + new + text[at.end(1):]
 
 
+def _matrices(doc):
+    """(path, matrix) of every nonempty restriction or component matrix in doc."""
+    for path in _value_paths(doc):
+        m = doc
+        for key in path:
+            m = m[key]
+        if len(path) > 1 and path[-2] in ("restrictions", "components") and m and m[0]:
+            yield path, m
+
+
+def _changed_matrix(doc, data):
+    """(text, how, path): doc as JSON text changed at path so that it still
+    loads: one matrix with one entry replaced by another scalar ("entry") or
+    two unequal rows swapped ("rows"), or one morphism with every component
+    multiplied by one rational other than 0 and 1 ("scale"), which keeps it
+    a morphism and keeps every sequence through it exact."""
+    found = list(_matrices(doc))
+    swappable = [(path, m) for path, m in found if any(row != m[0] for row in m)]
+    how = data.draw(st.sampled_from(["rows"] * bool(swappable) + ["scale", "entry"]))
+    if how == "scale":
+        path = ("morphisms", data.draw(st.sampled_from(sorted(doc["morphisms"]))))
+        c = data.draw(st.fractions(-9, 9, max_denominator=9).filter(lambda c: c not in (0, 1)))
+        for m in doc["morphisms"][path[1]]["components"].values():
+            m[:] = [[str(Fraction(x) * c) for x in row] for row in m]
+        return json.dumps(doc), how, path
+    path, m = data.draw(st.sampled_from(swappable if how == "rows" else found))
+    if how == "entry":
+        i = data.draw(st.integers(0, len(m) - 1))
+        j = data.draw(st.integers(0, len(m[i]) - 1))
+        m[i][j] = data.draw(st.sampled_from([x for x in ["0", "1", "-1", "2", "1/2"] if x != m[i][j]]))
+    else:
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(len(m)) for j in range(i)
+                                          if m[i] != m[j]]))
+        m[i], m[j] = m[j], m[i]
+    return json.dumps(doc), how, path
+
+
 def _mutated(doc, data):
-    """(text, how, path): doc as JSON text with the value at path replaced by
-    junk, its key deleted, or its key renamed, to another key of the document
-    (perhaps a sibling's) or with an "s" added."""
+    """(text, how, path): doc as JSON text changed at path.
+
+    One draw in four changes a matrix or morphism so that the document
+    still loads (`_changed_matrix`).  The others replace the value at path
+    by junk, delete its key, or rename its key, to another key of the
+    document (perhaps a sibling's) or with an "s" added."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return _changed_matrix(doc, data)
     path = data.draw(st.sampled_from(list(_value_paths(doc))))
     parent = doc
     for key in path[:-1]:

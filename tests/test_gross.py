@@ -6,6 +6,7 @@ from engine_oracle import (
     connecting_derived,
     derived_functor_gf,
     derived_functor_map,
+    flipped_pair,
     higher_direct_image,
     lifted_h_resolutions,
     map_of_spectral_sequences,
@@ -203,7 +204,7 @@ def test_dimension_independence_of_choices():
     k, m, e = injective_middle(ctx)
     f = to_point(X4)
     fam1 = delta_morphism(leray_pair(f, QQ), m, e)
-    fam2 = delta_morphism(leray_pair(f, QQ, flip=True), m, e)
+    fam2 = delta_morphism(flipped_pair(f, X4, QQ), m, e)
     for r in range(2, fam1.r_inf + 1):
         assert fam1.ssT.page_dims(r) == fam2.ssT.page_dims(r)
         assert fam1.ssR.page_dims(r) == fam2.ssR.page_dims(r)
@@ -225,7 +226,7 @@ def test_derived_functor_resolution_independence():
     # two independent resolutions give the same dimensions, and the lifted
     # identity induces an invertible comparison
     pair = FunctorPair(to_point(X4), X4, QQ)
-    pair_flip = FunctorPair(to_point(X4), X4, QQ, flip=True)
+    pair_flip = flipped_pair(to_point(X4), X4, QQ)
     ctx = SheafContext(X4, QQ)
     k = ctx.constant_sheaf()
     assert derived_functor_gf(pair, k) == derived_functor_gf(pair_flip, k)

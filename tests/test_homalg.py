@@ -1,6 +1,12 @@
 import pytest
 
-from engine_oracle import VectorSpaces, les_is_exact, long_exact_sequence, on_vector_spaces
+from engine_oracle import (
+    EagerSheafContext,
+    VectorSpaces,
+    les_is_exact,
+    long_exact_sequence,
+    on_vector_spaces,
+)
 from fixtures import fence_x4, total_dim
 from possheaf.exactla import QQ, Matrix
 from possheaf.homalg import (
@@ -176,7 +182,7 @@ def test_comparison_lifts_agree_on_cohomology():
 
     x4 = fence_x4()
     ctx = SheafContext(x4, QQ)
-    ctx_flip = SheafContext(x4, QQ, flip=True)
+    ctx_flip = EagerSheafContext(x4, QQ, flip=True)
     k = ctx.constant_sheaf()
     res1 = injective_resolution(ctx, k)
     res2 = injective_resolution(ctx_flip, k)

@@ -1,4 +1,4 @@
-"""Eleven layout rules of src/possheaf.
+"""Twelve layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -81,6 +81,13 @@ names the tracer wraps under `VectorContext`, and its instances hold only
 `field`.  The rule reads the tracer's `TARGETS`, so it tightens by itself
 when the tracer stops wrapping a name.  The full category of vector spaces
 is a test oracle (`engine_oracle.VectorSpaces`).
+
+The engine makes one set of choices.  The coboundary morphism and its
+filtrations do not depend on the chosen resolutions, and the tests check
+that against a second set (`engine_oracle.EagerSheafContext` with
+`flip=True`), so no name `flip` appears in src/possheaf: no parameter,
+attribute or variable selects between choices.  Nor does `ChainMap.__init__`
+take `validate`: every chain map is checked when it is made.
 """
 
 import ast
@@ -318,6 +325,31 @@ def e2_lift_sites():
 
 def test_e2_identification_reads_the_h_column_by_structural_maps():
     assert e2_lift_sites() == []
+
+
+def choice_sites():
+    """`module.function(arg)` of each function of src/possheaf with a `flip`
+    argument, `module:line flip` of each other name or attribute `flip`, and
+    `homalg.ChainMap.__init__(validate)` if it takes `validate`."""
+    found = set()
+    for module, tree in _trees().items():
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                qualname = fn.name if fn is node else "%s.%s" % (node.name, fn.name)
+                found.update("%s.%s(%s)" % (module, qualname, a.arg) for a in fn.args.args
+                             if a.arg == "flip"
+                             or (qualname, a.arg) == ("ChainMap.__init__", "validate"))
+        found.update("%s:%d flip" % (module, n.lineno) for n in ast.walk(tree)
+                     if isinstance(n, ast.Name) and n.id == "flip"
+                     or isinstance(n, ast.Attribute) and n.attr == "flip"
+                     or isinstance(n, ast.keyword) and n.arg == "flip")
+    return sorted(found)
+
+
+def test_the_engine_makes_one_set_of_choices():
+    assert choice_sites() == []
 
 
 def _tracer():

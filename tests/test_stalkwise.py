@@ -13,14 +13,17 @@ operations stalk by stalk.
 
 Each operation must agree with the reference, down to the printed entries
 and the message of a failure, on:
-- every call the fixture commands make, and a Leray run with the flipped
-  pivot rule; the torus's stalks repeat, as its 16 points map onto two
-  symmetric pairs;
+- every call the fixture commands make; the torus's stalks repeat, as its
+  16 points map onto two symmetric pairs;
 - drawn morphisms whose stalks repeat on purpose, on an antichain and on
   the pseudocircle, over QQ and GF(32003).  Over QQ, some of the equal
   stalks hold ints and others the same values as `Fraction(n, 1)`;
 - maps into injective sums with several summands peaked at one point,
   interleaved with summands peaked elsewhere.
+
+The reference's second set of choices, `EagerSheafContext(flip=True)`, has
+no engine path to agree with, so it is checked directly: its extensions
+extend, and its embeddings are monos onto summands in reverse element order.
 """
 
 import contextlib
@@ -35,9 +38,7 @@ from engine_oracle import EagerSheafContext
 from fixtures import fence_x4
 from possheaf.cli import main
 from possheaf.exactla import QQ, Matrix, NoSolution, PrimeField, block_diag, vstack
-from possheaf.forge import GenConfig, gen_sheaf
-from possheaf.gross import leray_ss
-from possheaf.instancefile import Instance
+from possheaf.forge import GenConfig, gen_poset, gen_sheaf
 from possheaf.poset import Poset
 from possheaf.sheafcat import InjectiveSheaf, Sheaf, SheafContext, SheafMorphism
 from test_exactla_oracle import matrices, same
@@ -93,7 +94,7 @@ def agree(a, b) -> bool:
 
 
 def check_against_eager(ctx, name, *args):
-    eager = EagerSheafContext(ctx.poset, ctx.field, ctx.flip)
+    eager = EagerSheafContext(ctx.poset, ctx.field)
     got, want = outcome(getattr(ctx, name), *args), outcome(getattr(eager, name), *args)
     assert agree(got, want), (name, got, want)
     return got
@@ -127,8 +128,7 @@ def test_equal_drawn_matrices_hash_equal(data):
 @pytest.fixture(scope="module")
 def recorded():
     """(method name, context, arguments, outcome) of every call of a METHODS
-    method of `SheafContext` while the COMMANDS run and a flipped Leray run
-    of the pseudocircle."""
+    method of `SheafContext` while the COMMANDS run."""
     calls = []
     originals = {name: getattr(SheafContext, name) for name in METHODS}
 
@@ -149,8 +149,6 @@ def recorded():
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in COMMANDS:
                 assert main(argv) == 0
-            inst = Instance.load(PSEUDOCIRCLE)
-            leray_ss(inst.maps["collapse"], inst.sheaves["k"], flip=True)
     finally:
         for name, method in originals.items():
             setattr(SheafContext, name, method)
@@ -159,7 +157,6 @@ def recorded():
 
 def test_the_fixture_runs_reach_every_operation_on_repeated_stalks(recorded):
     assert {name for name, *_ in recorded} == set(METHODS)
-    assert any(ctx.flip for _, ctx, _, _ in recorded)
     repeats = sum(len(args[0].comps) - len(set(zip(args[0].comps, args[1].comps)))
                   for name, _, args, _ in recorded if name == "compose")
     assert repeats > 1000
@@ -170,7 +167,7 @@ def test_every_recorded_call_matches_the_eager_oracle(recorded, name):
     eager = {}
     for _, ctx, args, got in (call for call in recorded if call[0] == name):
         if id(ctx) not in eager:
-            eager[id(ctx)] = EagerSheafContext(ctx.poset, ctx.field, ctx.flip)
+            eager[id(ctx)] = EagerSheafContext(ctx.poset, ctx.field)
         want = outcome(getattr(eager[id(ctx)], name), *args)
         assert agree(got, want), (name, got, want)
 
@@ -280,7 +277,7 @@ def extensions(draw):
     summands peaked at one point, interleaved with others, and repeated
     peak matrices, some written with Fraction entries over QQ."""
     field = draw(st.sampled_from(FIELDS))
-    ctx = SheafContext(X4, field, flip=draw(st.booleans()))
+    ctx = SheafContext(X4, field)
     if draw(st.booleans()):
         A = gen_sheaf(GenConfig("stalkwise/%d" % draw(st.integers(0, 40)), max_stalk_dim=2,
                                 field=field), X4)
@@ -329,3 +326,41 @@ def test_extension_peaks_are_sliced_per_summand():
     g = check_against_eager(ctx, "extend_along_mono", m, f)
     assert ctx.map_eq(ctx.compose(g, m), f)
 
+
+@settings(max_examples=120, deadline=None)
+@given(extensions())
+def test_flipped_extension_extends(case):
+    ctx, m, f = case
+    g = EagerSheafContext(ctx.poset, ctx.field, flip=True).extend_along_mono(m, f)
+    g.validate()
+    assert g.source is m.target and g.target is f.target
+    assert ctx.map_eq(ctx.compose(g, m), f)
+
+
+def test_flipped_extension_is_a_second_choice():
+    # m = (1, 1)^T: the engine's extension vanishes on e_2, the flipped
+    # reference's on e_1
+    point = Poset(["p"], [])
+    A, B = Sheaf(point, QQ, [1], {}), Sheaf(point, QQ, [2], {})
+    m = SheafMorphism(A, B, [Matrix.from_rows(QQ, [[1], [1]])])
+    I = InjectiveSheaf(point, QQ, [(0, 1)])
+    f = SheafMorphism(A, I, [Matrix.from_rows(QQ, [[1]])])
+    g = SheafContext(point, QQ).extend_along_mono(m, f)
+    h = EagerSheafContext(point, QQ, flip=True).extend_along_mono(m, f)
+    assert g.comps == [Matrix.from_rows(QQ, [[1, 0]])]
+    assert h.comps == [Matrix.from_rows(QQ, [[0, 1]])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(min_value=0, max_value=10**6))
+def test_flipped_embedding_is_a_mono_onto_reversed_summands(field, seed):
+    cfg = GenConfig("flipped/%d" % seed, max_elements=6, max_stalk_dim=2, field=field)
+    p = gen_poset(cfg.child("poset"))
+    F = gen_sheaf(cfg, p)
+    ctx = SheafContext(p, field)
+    I, mono = EagerSheafContext(p, field, flip=True).injective_embed(F)
+    mono.validate()
+    assert mono.source is F and mono.target is I and ctx.is_mono(mono)
+    peaks = [x for x, _ in I.summands]
+    assert peaks == sorted(peaks, reverse=True) and len(set(peaks)) == len(peaks)
+    assert I.summands == [(x, F.dims[x]) for x in peaks] == ctx.injective_embed(F)[0].summands[::-1]
