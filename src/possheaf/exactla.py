@@ -18,6 +18,14 @@ build matrices through the constructors, slices, block builders and
 operators here.
 Subspaces are kept in a canonical column-reduced form so that every
 basis-dependent choice made downstream is deterministic.
+
+`rank`, `kernel_basis`, `image_basis` and `cokernel_basis` keep each result
+in a memo on the field object, keyed by the operand's value, so equal
+operands are reduced once.  Each command computes over a field of its own
+(`field_from_name` makes a new one), so the memo lasts one command; `QQ`,
+the field library callers share, keeps its memo as long as the process.
+A result is shared safely because no code changes a matrix once made, and
+each call hands out a `Subspace` with a pivot list of the caller's own.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ class RationalField:
 
     def __init__(self):
         self._empties = {}   # (rows, cols) -> the shared empty Matrix; see _empty
+        self._memo = {}      # (kernel name, Matrix) -> its result; see the module docstring
 
     def zero(self):
         return 0
@@ -119,6 +128,7 @@ class PrimeField:
         self.p = p
         self.name = "fp:%d" % p
         self._empties = {}
+        self._memo = {}
 
     def zero(self):
         return 0
@@ -153,9 +163,9 @@ QQ = RationalField()
 
 
 def field_from_name(name: str):
-    """Map a CLI field spec ("q" or "fp:<prime>") to a field object."""
+    """A new field object, with an empty memo, for a CLI field spec ("q" or "fp:<prime>")."""
     if name == "q":
-        return QQ
+        return RationalField()
     if isinstance(name, str) and name.startswith("fp:"):
         return PrimeField(int(name[3:]))
     raise ValueError("unknown field %r" % (name,))
@@ -343,8 +353,11 @@ class Matrix:
         idx = list(idx)
         if not (self.rows and idx):
             return _empty(self.field, self.rows, len(idx))
+        at = {}     # column -> its places in idx, so a row reads only its own entries
+        for c, j in enumerate(idx):
+            at.setdefault(j, []).append(c)
         return Matrix(self.field, self.rows, len(idx),
-                      [{c: r[j] for c, j in enumerate(idx) if j in r} for r in self._nz])
+                      [{c: x for j, x in r.items() if j in at for c in at[j]} for r in self._nz])
 
     def rows_slice(self, idx) -> "Matrix":
         """The rows at idx, in that order; an empty result is the shared one."""
@@ -556,8 +569,13 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
+    """The rank of m, kept on m and in its field's memo, keyed by m's value."""
     if m._rank is None:
-        m._rank = len(rref(m)[1])
+        memo, key = m.field._memo, ("rank", m)
+        r = memo.get(key)
+        if r is None:
+            r = memo[key] = len(rref(m)[1])
+        m._rank = r
     return m._rank
 
 
@@ -700,23 +718,33 @@ def kernel_basis(m: Matrix) -> Subspace:
     order.  So each vector's first nonzero is a one at its own free
     column, where every other vector is zero: the vectors, in the order
     of their free columns, already are the canonical (column-reduced)
-    basis, with the free columns as its pivots.
+    basis, with the free columns as its pivots.  The basis and the free
+    columns are kept in the field's memo, keyed by m's value.
     """
     field, n, p = m.field, m.cols, m.field.p
-    red, pivots = rref(_matrix(field, m.rows, n, [{n - 1 - j: x for j, x in r.items()} for r in m._nz]))
-    pset = {n - 1 - pc for pc in pivots}
-    free = [j for j in range(n) if j not in pset]
-    col_of = {j: a for a, j in enumerate(free)}
-    one = field.one()
-    basis = [{col_of[j]: one} if j in col_of else None for j in range(n)]
-    for pc, row in zip(pivots, red._nz):
-        basis[n - 1 - pc] = {col_of[n - 1 - c]: -x % p if p else -x for c, x in row.items() if c != pc}
-    return Subspace(field, n, _matrix(field, n, len(free), basis), free)
+    memo, key = field._memo, ("kernel", m)
+    hit = memo.get(key)
+    if hit is None:
+        red, pivots = rref(_matrix(field, m.rows, n, [{n - 1 - j: x for j, x in r.items()} for r in m._nz]))
+        pset = {n - 1 - pc for pc in pivots}
+        free = [j for j in range(n) if j not in pset]
+        col_of = {j: a for a, j in enumerate(free)}
+        one = field.one()
+        basis = [{col_of[j]: one} if j in col_of else None for j in range(n)]
+        for pc, row in zip(pivots, red._nz):
+            basis[n - 1 - pc] = {col_of[n - 1 - c]: -x % p if p else -x for c, x in row.items() if c != pc}
+        hit = memo[key] = (_matrix(field, n, len(free), basis), free)
+    basis, free = hit
+    return Subspace(field, n, basis, list(free))
 
 
 def image_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the column span of m."""
-    return Subspace.from_columns(m)
+    """Canonical basis of the column span of m, kept in the field's memo."""
+    memo, key = m.field._memo, ("image", m)
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = Subspace.from_columns(m)
+    return Subspace(s.field, s.ambient_dim, s.basis, list(s.pivots))
 
 
 def _quotient(m: Matrix, at, n: int):
@@ -761,7 +789,12 @@ def quotient_basis(s: Subspace, t: Subspace):
 
 
 def cokernel_basis(m: Matrix):
-    """quotient_basis of the full space k^m.rows by the column span of m."""
-    sel, proj = _quotient(m, range(m.rows), m.rows)
-    one = m.field.one()
-    return _matrix(m.field, len(sel), m.rows, [{j: one} for j in sel]).transpose(), proj
+    """quotient_basis of the full space k^m.rows by the column span of m,
+    kept in the field's memo."""
+    memo, key = m.field._memo, ("cokernel", m)
+    out = memo.get(key)
+    if out is None:
+        sel, proj = _quotient(m, range(m.rows), m.rows)
+        one = m.field.one()
+        out = memo[key] = (_matrix(m.field, len(sel), m.rows, [{j: one} for j in sel]).transpose(), proj)
+    return out

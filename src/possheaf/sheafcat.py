@@ -68,6 +68,9 @@ def _stalkwise(fn, *comps):
     Stalks whose operands are equal share one result.  That is exact, as
     every exactla kernel is a function of its operands' values, and safe,
     as no result is changed once made.  The memo lives for this call only.
+    The field's memo already keeps each kernel, cokernel and image for the
+    whole command; calling them here as well spares a repeated stalk that
+    memo's lookup and a new Subspace, which measured faster on the torus.
     """
     memo, out = {}, []
     for ops in zip(*comps):

@@ -18,6 +18,8 @@ filtration piece F^p.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .exactla import (
     ContainmentViolation,
     Matrix,
@@ -140,6 +142,12 @@ class CoupleTower:
     cell (p, q) is the head of F^p Tot^{p+q}.  Every filtration map is an
     offset: an inclusion F^p -> F^p' (p >= p') puts zero rows on top, and a
     cell is read off the first rows of its filtration piece.
+
+    The tower makes Tot and fdiff at once, and A1, E1 and each couple when
+    first read, so a tower read only for Tot makes no subquotient.  Such a
+    tower checks B in Z on no filtration piece, and needs not: the double
+    complex's validate checked d_h^2 = 0, d_v^2 = 0 and every square, which
+    give it.
     """
 
     def __init__(self, dc: DoubleComplex):
@@ -161,22 +169,33 @@ class CoupleTower:
             self.tot_dim[n] = off
         self.tot_diff = {n: self._total_diff(n) for n in range(self.nmax + 1)}
         self.fdiff = {}     # (p, n): the differential F^p Tot^n -> F^p Tot^{n+1}
-        self.A1 = {}
         for p in range(D + 2):
             for n in range(self.nmax + 1):
                 self.fdiff[(p, n)] = (
                     self.tot_diff[n].rows_slice(range(self.start(p, n + 1), self.tot_dim[n + 1]))
                     .cols_slice(range(self.start(p, n), self.tot_dim[n])))
-                self.A1[(p, n - p)] = Subquotient.cohomology(
-                    self.field, self.filt_dim(p, n), self.fdiff[(p, n)], self.fdiff.get((p, n - 1)))
-        self.E1 = {}
-        for p in range(D + 1):
-            for q in range(D + 1):
-                self.E1[(p, q)] = Subquotient.cohomology(
-                    self.field, dc.dim(p, q), dc.v(p, q), dc.v(p, q - 1) if q > 0 else None)
-        self.couples = [ExactCouple(self, 1, dict(self.A1), dict(self.E1))]
-        self.r_inf = D + 2          # pages are derived when first read
+        self.r_inf = D + 2          # A1, E1 and the pages are made when first read
         self._filtration = None
+
+    @cached_property
+    def A1(self):
+        """(p, q) -> H^{p+q}(F^p Tot) as a subquotient of F^p Tot^{p+q}."""
+        return {(p, n - p): Subquotient.cohomology(self.field, self.filt_dim(p, n),
+                                                   self.fdiff[(p, n)], self.fdiff.get((p, n - 1)))
+                for p in range(self.D + 2) for n in range(self.nmax + 1)}
+
+    @cached_property
+    def E1(self):
+        """(p, q) -> the vertical cohomology of column p at q."""
+        dc = self.dc
+        return {(p, q): Subquotient.cohomology(self.field, dc.dim(p, q), dc.v(p, q),
+                                               dc.v(p, q - 1) if q > 0 else None)
+                for p in range(self.D + 1) for q in range(self.D + 1)}
+
+    @cached_property
+    def couples(self):
+        """The exact couples derived so far, from the level-one couple on."""
+        return [ExactCouple(self, 1, dict(self.A1), dict(self.E1))]
 
     def _total_diff(self, n) -> Matrix:
         """Tot^n -> Tot^{n+1}: d_h plus (-1)^p d_v."""

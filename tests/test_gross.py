@@ -330,6 +330,29 @@ def test_prime_field_drop_in():
     assert data.ss.convergence_ok()
 
 
+def test_the_middle_tower_makes_no_subquotient(monkeypatch):
+    # delta_morphism reads only Tot and fdiff of the tower of S, so that
+    # tower makes no A1, E1 or page, even once the theorem is verified
+    from possheaf import gross
+
+    towers = []
+
+    class Recorded(gross.CoupleTower):
+        def __init__(self, dc):
+            super().__init__(dc)
+            towers.append(self)
+
+    monkeypatch.setattr(gross, "CoupleTower", Recorded)
+    ctx = SheafContext(X4, QQ)
+    k, m, e = injective_middle(ctx)
+    family = delta_morphism(FunctorPair(to_point(X4), X4, QQ), m, e)
+    assert verify_main_theorem(family).ok
+    tR, tS, tT = towers
+    assert (tR, tT) == (family.ssR, family.ssT)
+    assert not {"A1", "E1", "couples"} & set(vars(tS))
+    assert {"A1", "E1", "couples"} <= set(vars(tR)) & set(vars(tT))
+
+
 def test_inclusion_induces_page_maps():
     # the entrywise inclusion R -> S of a coboundary family's grids is a
     # couple morphism with trivial signs, and composing with the projection

@@ -11,7 +11,7 @@ distinct columns, straight off.  Each is compared with the dense kernel in
 `dense_oracle.py` and with `rref` by elimination, frozen in
 `engine_oracle.py`, over QQ, GF(32003), GF(3) and GF(2).  Shared rows and
 matrices must stay as they were, so every operand is compared with a copy
-taken before, pivot lists belong to the caller, and after whole commands
+taken before, pivot lists belong to the caller (memo hits included), and after whole commands
 every cached empty matrix still holds no entry.
 """
 
@@ -28,6 +28,7 @@ from possheaf.exactla import (
     Matrix,
     Subspace,
     cokernel_basis,
+    image_basis,
     kernel_basis,
     place_blocks,
     quotient_basis,
@@ -177,6 +178,11 @@ def test_pivots_belong_to_the_caller(field, rows):
         s = Subspace.from_columns(m)
         s.pivots.append(99)
         assert Subspace.from_columns(m).pivots == engine_oracle.rref(m.transpose())[1]
+        for memoized in (kernel_basis, image_basis):     # the second call is a memo hit
+            s = memoized(m)
+            want = list(s.pivots)
+            s.pivots.append(99)
+            assert memoized(m).pivots == want
 
 
 def test_commands_leave_every_shared_empty_matrix_empty(monkeypatch, capsys):
@@ -194,8 +200,8 @@ def test_commands_leave_every_shared_empty_matrix_empty(monkeypatch, capsys):
         for field in ("q", "fp:32003"):
             assert cli.main(["--field", field, "verify-main", path, "--map", fmap, "--sequence", "S"]) == 0
     capsys.readouterr()
-    # the CLI makes a field to check --field, then the one it computes over
-    assert QQ._empties and any(f._empties for f in fields if f is not QQ)
+    # the CLI makes a field to check --field, then a new one it computes over
+    assert any(f._empties for f in fields[1:]) and all(f is not QQ for f in fields[1:])
     for f in fields:
         for (r, c), m in f._empties.items():
             assert not (r and c) and (m.field, m.rows, m.cols) == (f, r, c)

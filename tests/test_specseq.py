@@ -192,6 +192,27 @@ def test_pages_are_derived_when_first_read():
     assert len(ss.couples) == 3
 
 
+def test_tower_parts_are_made_when_first_read(monkeypatch):
+    made, init = [], Subquotient.__init__
+
+    def counting(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Subquotient, "__init__", counting)
+    ss = CoupleTower(staircase())
+    assert ss.tot_dim[1] == 2 and ss.fdiff[(0, 1)].cols == 2 and ss.filt_dim(1, 2) == 2
+    assert made == []
+    a1 = ss.A1
+    assert len(made) == len(a1) and ss.A1 is a1
+    e1 = ss.E1
+    assert len(made) == len(a1) + len(e1)
+    ss.page(1)
+    assert len(made) == len(a1) + len(e1)
+    CoupleTower(staircase()).page(1)        # a page read first makes A1 and E1
+    assert len(made) == 2 * (len(a1) + len(e1))
+
+
 def test_zero_couple_morphism():
     dc = staircase()
     ss1 = CoupleTower(dc)
