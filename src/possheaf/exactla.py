@@ -21,9 +21,10 @@ basis-dependent choice made downstream is deterministic.
 
 `rank`, `kernel_basis`, `image_basis` and `cokernel_basis` keep each result
 in a memo on the field object, keyed by the operand's value, so equal
-operands are reduced once.  Each command computes over a field of its own
-(`field_from_name` makes a new one), so the memo lasts one command; `QQ`,
-the field library callers share, keeps its memo as long as the process.
+operands are reduced once.  Only a field made by `field_from_name` keeps a
+memo, and each command computes over a new one, so the memo lasts one
+command.  A field made directly, `QQ` among them, keeps none, so no field
+that lives as long as the process holds results.
 A result is shared safely because no code changes a matrix once made, and
 each call hands out a `Subspace` with a pivot list of the caller's own.
 """
@@ -84,7 +85,7 @@ class RationalField:
 
     def __init__(self):
         self._empties = {}   # (rows, cols) -> the shared empty Matrix; see _empty
-        self._memo = {}      # (kernel name, Matrix) -> its result; see the module docstring
+        self._memo = None    # (kernel name, Matrix) -> its result; see field_from_name
 
     def zero(self):
         return 0
@@ -128,7 +129,7 @@ class PrimeField:
         self.p = p
         self.name = "fp:%d" % p
         self._empties = {}
-        self._memo = {}
+        self._memo = None
 
     def zero(self):
         return 0
@@ -165,10 +166,13 @@ QQ = RationalField()
 def field_from_name(name: str):
     """A new field object, with an empty memo, for a CLI field spec ("q" or "fp:<prime>")."""
     if name == "q":
-        return RationalField()
-    if isinstance(name, str) and name.startswith("fp:"):
-        return PrimeField(int(name[3:]))
-    raise ValueError("unknown field %r" % (name,))
+        field = RationalField()
+    elif isinstance(name, str) and name.startswith("fp:"):
+        field = PrimeField(int(name[3:]))
+    else:
+        raise ValueError("unknown field %r" % (name,))
+    field._memo = {}
+    return field
 
 
 def _reduced(row, p):
@@ -568,14 +572,23 @@ def rref(m: Matrix):
     return Matrix(field, m.rows, m.cols, a), pivots
 
 
+def _recall(kind, m: Matrix, make):
+    """make(m), kept in m's field's memo under (kind, m), so by m's value;
+    over a field that keeps no memo, make(m) itself."""
+    memo = m.field._memo
+    if memo is None:
+        return make(m)
+    key = (kind, m)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = make(m)
+    return out
+
+
 def rank(m: Matrix) -> int:
-    """The rank of m, kept on m and in its field's memo, keyed by m's value."""
+    """The rank of m, kept on m and in its field's memo."""
     if m._rank is None:
-        memo, key = m.field._memo, ("rank", m)
-        r = memo.get(key)
-        if r is None:
-            r = memo[key] = len(rref(m)[1])
-        m._rank = r
+        m._rank = _recall("rank", m, lambda m: len(rref(m)[1]))
     return m._rank
 
 
@@ -710,7 +723,13 @@ class Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the kernel of m, from one elimination.
+    """Canonical basis of the kernel of m, kept in the field's memo."""
+    basis, free = _recall("kernel", m, _kernel)
+    return Subspace(m.field, m.cols, basis, list(free))
+
+
+def _kernel(m: Matrix):
+    """kernel_basis's (basis, pivots), from one elimination.
 
     m is reduced with its columns read in reverse.  The kernel vector of
     each free column f is then e_f minus the pivot rows' entries in
@@ -718,32 +737,23 @@ def kernel_basis(m: Matrix) -> Subspace:
     order.  So each vector's first nonzero is a one at its own free
     column, where every other vector is zero: the vectors, in the order
     of their free columns, already are the canonical (column-reduced)
-    basis, with the free columns as its pivots.  The basis and the free
-    columns are kept in the field's memo, keyed by m's value.
+    basis, with the free columns as its pivots.
     """
     field, n, p = m.field, m.cols, m.field.p
-    memo, key = field._memo, ("kernel", m)
-    hit = memo.get(key)
-    if hit is None:
-        red, pivots = rref(_matrix(field, m.rows, n, [{n - 1 - j: x for j, x in r.items()} for r in m._nz]))
-        pset = {n - 1 - pc for pc in pivots}
-        free = [j for j in range(n) if j not in pset]
-        col_of = {j: a for a, j in enumerate(free)}
-        one = field.one()
-        basis = [{col_of[j]: one} if j in col_of else None for j in range(n)]
-        for pc, row in zip(pivots, red._nz):
-            basis[n - 1 - pc] = {col_of[n - 1 - c]: -x % p if p else -x for c, x in row.items() if c != pc}
-        hit = memo[key] = (_matrix(field, n, len(free), basis), free)
-    basis, free = hit
-    return Subspace(field, n, basis, list(free))
+    red, pivots = rref(_matrix(field, m.rows, n, [{n - 1 - j: x for j, x in r.items()} for r in m._nz]))
+    pset = {n - 1 - pc for pc in pivots}
+    free = [j for j in range(n) if j not in pset]
+    col_of = {j: a for a, j in enumerate(free)}
+    one = field.one()
+    basis = [{col_of[j]: one} if j in col_of else None for j in range(n)]
+    for pc, row in zip(pivots, red._nz):
+        basis[n - 1 - pc] = {col_of[n - 1 - c]: -x % p if p else -x for c, x in row.items() if c != pc}
+    return _matrix(field, n, len(free), basis), free
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Canonical basis of the column span of m, kept in the field's memo."""
-    memo, key = m.field._memo, ("image", m)
-    s = memo.get(key)
-    if s is None:
-        s = memo[key] = Subspace.from_columns(m)
+    s = _recall("image", m, Subspace.from_columns)
     return Subspace(s.field, s.ambient_dim, s.basis, list(s.pivots))
 
 
@@ -791,10 +801,10 @@ def quotient_basis(s: Subspace, t: Subspace):
 def cokernel_basis(m: Matrix):
     """quotient_basis of the full space k^m.rows by the column span of m,
     kept in the field's memo."""
-    memo, key = m.field._memo, ("cokernel", m)
-    out = memo.get(key)
-    if out is None:
-        sel, proj = _quotient(m, range(m.rows), m.rows)
-        one = m.field.one()
-        out = memo[key] = (_matrix(m.field, len(sel), m.rows, [{j: one} for j in sel]).transpose(), proj)
-    return out
+    return _recall("cokernel", m, _cokernel)
+
+
+def _cokernel(m: Matrix):
+    sel, proj = _quotient(m, range(m.rows), m.rows)
+    one = m.field.one()
+    return _matrix(m.field, len(sel), m.rows, [{j: one} for j in sel]).transpose(), proj

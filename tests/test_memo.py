@@ -7,7 +7,8 @@ over a field with an empty memo and compared with the dense oracle, then
 equal copies and other matrices of the same shape are reduced again over
 the same field, where the memo answers.  Equal operands over two field
 objects of one characteristic each get results over their own field.
-Pivot lists belong to the caller, and two commands never share a memo.
+Pivot lists belong to the caller, two commands never share a memo, and a
+field made directly, not by `field_from_name` (`QQ` among them), keeps none.
 """
 
 import os
@@ -18,10 +19,12 @@ import dense_oracle as oracle
 import possheaf.cli as cli
 import possheaf.instancefile as instancefile
 from possheaf.exactla import (
+    QQ,
     Matrix,
     PrimeField,
     RationalField,
     cokernel_basis,
+    field_from_name,
     image_basis,
     kernel_basis,
     rank,
@@ -34,7 +37,7 @@ CHARACTERISTICS = [0, 32003, 3, 2]
 
 def new_field(p):
     """A field object of characteristic p with an empty memo."""
-    return RationalField() if p == 0 else PrimeField(p)
+    return field_from_name("fp:%d" % p if p else "q")
 
 
 def copy_of(m, field=None):
@@ -121,10 +124,20 @@ def test_two_commands_never_share_a_memo(monkeypatch, capsys):
                  ["verify-main", path, "--map", "collapse", "--sequence", "S"]):
         start = len(made)
         assert cli.main(argv) == 0
-        runs.append([f for f in made[start:] if f._memo])
-        assert runs[-1], "a command computed over a field the CLI did not make"
+        fields = [f for f in made[start:] if f._memo]
+        assert fields, "a command computed over a field the CLI did not make"
+        runs.append([(f, len(f._memo)) for f in fields])
     capsys.readouterr()
-    sizes = [len(f._memo) for fields in runs for f in fields]
-    ids = [id(f._memo) for fields in runs for f in fields]
-    assert len(set(ids)) == len(ids)
-    assert [len(f._memo) for fields in runs for f in fields] == sizes   # later commands left them alone
+    memos = [id(f._memo) for fields in runs for f, _ in fields]
+    assert len(set(memos)) == len(memos)
+    for fields in runs[:-1]:        # later commands left earlier memos as they were
+        assert [len(f._memo) for f, _ in fields] == [size for _, size in fields]
+
+
+def test_fields_made_directly_keep_no_memo():
+    """QQ lives as long as the process, so it and every field made directly keep nothing."""
+    for field in (QQ, RationalField(), PrimeField(7)):
+        m = Matrix.from_rows(field, [[1, 2, 3], [2, 4, 6]])
+        assert same_kernels(kernels(m), kernels(copy_of(m, new_field(field.p))))
+        assert same_kernels(kernels(copy_of(m)), kernels(m))
+        assert field._memo is None

@@ -28,6 +28,7 @@ from possheaf.exactla import (
     Matrix,
     Subspace,
     cokernel_basis,
+    field_from_name,
     image_basis,
     kernel_basis,
     place_blocks,
@@ -178,11 +179,13 @@ def test_pivots_belong_to_the_caller(field, rows):
         s = Subspace.from_columns(m)
         s.pivots.append(99)
         assert Subspace.from_columns(m).pivots == engine_oracle.rref(m.transpose())[1]
-        for memoized in (kernel_basis, image_basis):     # the second call is a memo hit
-            s = memoized(m)
-            want = list(s.pivots)
-            s.pivots.append(99)
-            assert memoized(m).pivots == want
+    for f in (field, field_from_name(field.name)):      # no memo, then one with hits
+        for m in (Matrix.from_rows(f, rows), Matrix.zeros(f, 0, 3), Matrix.zeros(f, 3, 0)):
+            for memoized in (kernel_basis, image_basis):
+                s = memoized(m)
+                want = list(s.pivots)
+                s.pivots.append(99)
+                assert memoized(m).pivots == want
 
 
 def test_commands_leave_every_shared_empty_matrix_empty(monkeypatch, capsys):

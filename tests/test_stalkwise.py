@@ -1,9 +1,11 @@
 """Differential tests of the sheaf operations that compute each distinct stalk once.
 
-`SheafContext.compose`, `kernel`, `cokernel`, `image`, `lift_through_mono`
-and `descend_along_epi` go through `sheafcat._stalkwise`: within one call it
-runs the stalk computation once per distinct tuple of stalk operands, and
-every stalk whose operands are equal shares that result.  `is_mono`,
+`SheafContext.compose`, `lift_through_mono` and `descend_along_epi` go
+through `sheafcat._stalkwise`: within one call it runs the stalk
+computation once per distinct tuple of stalk operands, and every stalk
+whose operands are equal shares that result.  `kernel`, `cokernel` and
+`image` call the kernels stalk by stalk, and the memo of a field made by
+`field_from_name` answers a repeated operand.  `is_mono`,
 `is_epi`, `is_exact_pair` and `map_eq` test each distinct tuple once, as a
 set.  `extend_along_mono` extends f's stalk at each peak once, and each
 summand peaked there takes its own rows.  Equal matrices are found by
