@@ -227,7 +227,9 @@ class InjectiveSheaf(Sheaf):
     """Realized formal sum of coinduced summands [x]_V.
 
     `present[y]` lists the summands whose peak lies above y, in order, and
-    `slot[y][s]` is where summand s begins in the stalk at y.  Every
+    `slot[y][s]` is where summand s begins in the stalk at y, and
+    `struct_off[s]` where it begins in structured coordinates, the basis of
+    Gamma with one slot per summand (`mult_total` in all).  Every
     restriction is known by construction, so none is given and none is
     composed along paths: `_compose` writes the restriction y -> x (y <= x),
     a cover or not, when it is first read, as the summands present at x,
@@ -253,13 +255,23 @@ class InjectiveSheaf(Sheaf):
                 off += self.summands[j][1]
         self.present = present
         self.slot = slot
-        self.mult_total = sum(v for (_, v) in self.summands)
+        self.struct_off, self.mult_total = [], 0
+        for _, v in self.summands:
+            self.struct_off.append(self.mult_total)
+            self.mult_total += v
         super().__init__(poset, field, dims, {}, validate=False)
 
     def _compose(self, y, x) -> Matrix:
         return place_blocks(self.field, self.dims[x], self.dims[y],
                             [(self.slot[x][s], self.slot[y][s], self.summands[s][1])
                              for s in self.present[x]])
+
+    def sections_at(self, x) -> Matrix:
+        """Gamma in structured coordinates -> the stalk at x: the identity from
+        each summand present at x, at its structured offset, to its slot there."""
+        return place_blocks(self.field, self.dims[x], self.mult_total,
+                            [(self.slot[x][j], self.struct_off[j], self.summands[j][1])
+                             for j in self.present[x]])
 
     def peak_rows(self, j):
         """Row indices (in total coordinates) of summand j at its peak point."""
@@ -330,6 +342,17 @@ def subspace_sheaf(poset: Poset, field, subs, restrict) -> Sheaf:
     rho = {(i, j): subs[j].coords_of(restrict(i, j) * subs[i].basis)
            for (i, j) in poset.covers if subs[i].dim and subs[j].dim}
     return Sheaf(poset, field, [s.dim for s in subs], rho, validate=False)
+
+
+def _into_coinduced(B: Sheaf, I: InjectiveSheaf, peaks) -> SheafMorphism:
+    """The map B -> I with rows peaks[j] at summand j's peak x_j, by
+    Hom(B, [x]_V) = Hom(B_x, V): its component at y stacks
+    peaks[j] * B.restriction(y, x_j) over the summands j present at y."""
+    comps = []
+    for y in range(len(B.poset)):
+        blocks = [peaks[j] * B.restriction(y, I.summands[j][0]) for j in I.present[y]]
+        comps.append(vstack(blocks) if blocks else Matrix.zeros(B.field, 0, B.dims[y]))
+    return SheafMorphism(B, I, comps, validate=False)
 
 
 class SheafContext:
@@ -477,15 +500,7 @@ class SheafContext:
             return X, self.identity(X)
         summands = [(x, X.dims[x]) for x in range(len(self.poset)) if X.dims[x] > 0]
         I = InjectiveSheaf(self.poset, self.field, summands)
-        comps = []
-        for y in range(len(self.poset)):
-            blocks = [X.restriction(y, I.summands[j][0]) for j in I.present[y]]
-            if blocks:
-                comps.append(vstack(blocks))
-            else:
-                comps.append(Matrix.zeros(self.field, 0, X.dims[y]))
-        mono = SheafMorphism(X, I, comps, validate=False)
-        return I, mono
+        return I, _into_coinduced(X, I, [Matrix.identity(self.field, v) for _, v in summands])
 
     def extend_along_mono(self, m, f):
         """g: B -> I with g.m = f, for I a realized coinduced sum.
@@ -500,20 +515,12 @@ class SheafContext:
             raise NotCoinduced("extension target must be a realized coinduced sum")
         if not self.is_mono(m):
             raise NotMono("extension base is not a monomorphism")
-        B = m.target
         pts = list(dict.fromkeys(x for x, _ in I.summands))
         exts = dict(zip(pts, _stalkwise(_extend_matrix, [m.comps[x] for x in pts],
                                         [f.comps[x] for x in pts])))
         peaks = [exts[x].rows_slice(range(I.slot[x][j], I.slot[x][j] + v))
                  for j, (x, v) in enumerate(I.summands)]
-        comps = []
-        for y in range(len(self.poset)):
-            blocks = [peaks[j] * B.restriction(y, I.summands[j][0]) for j in I.present[y]]
-            if blocks:
-                comps.append(vstack(blocks))
-            else:
-                comps.append(Matrix.zeros(self.field, 0, B.dims[y]))
-        return SheafMorphism(B, I, comps, validate=False)
+        return _into_coinduced(m.target, I, peaks)
 
     def is_exact_pair(self, f, g, mid):
         return all(_exact_at(*ops) for ops in set(zip(f.comps, g.comps, mid.dims)))
@@ -552,22 +559,15 @@ def sections_over(F: Sheaf, open_idx) -> Subspace:
 
 def gamma_struct_map(phi: SheafMorphism) -> Matrix:
     """Gamma(phi) in structured coordinates (one slot per coinduced summand),
-    read off phi's own endpoints, realized injectives."""
-    srcI, tgtI = phi.source, phi.target
-    p = srcI.poset
-    blocks = []
-    roff = 0
-    for jt, (xt, vt) in enumerate(tgtI.summands):
-        toff = tgtI.slot[xt][jt]
-        rows = phi.comps[xt].rows_slice(range(toff, toff + vt))
-        coff = 0
-        for js, (xs, vs) in enumerate(srcI.summands):
-            if xs in p.up[xt]:  # xt <= xs: source section present at xt
-                soff = srcI.slot[xt][js]
-                blocks.append((roff, coff, rows.cols_slice(range(soff, soff + vs))))
-            coff += vs
-        roff += vt
-    return place_blocks(srcI.field, tgtI.mult_total, srcI.mult_total, blocks)
+    read off phi's own endpoints, realized injectives.  A section's
+    coordinates on a target summand are its value at the summand's peak, so
+    the rows of summand j peaked at x are phi at x after Gamma(source) -> the
+    stalk at x, read once per distinct peak."""
+    src, tgt = phi.source, phi.target
+    at = {x: phi.comps[x] * src.sections_at(x) for x in dict.fromkeys(x for x, _ in tgt.summands)}
+    return place_blocks(src.field, tgt.mult_total, src.mult_total,
+                        [(tgt.struct_off[j], 0, at[x].rows_slice(range(tgt.slot[x][j], tgt.slot[x][j] + v)))
+                         for j, (x, v) in enumerate(tgt.summands)])
 
 
 def gamma_read_struct(I: InjectiveSheaf, vecs: Matrix) -> Matrix:
@@ -580,12 +580,7 @@ def gamma_read_struct(I: InjectiveSheaf, vecs: Matrix) -> Matrix:
 
 def gamma_map(phi: SheafMorphism, src_basis: Matrix, tgt_basis: Matrix) -> Matrix:
     """Gamma(phi) between explicit section bases in total coordinates."""
-    moved = phi.as_block_matrix() * src_basis
-    if tgt_basis.cols == 0:
-        if not moved.is_zero():
-            raise NoSolution("section image misses the target section space")
-        return Matrix.zeros(phi.source.field, 0, src_basis.cols)
-    return solve(tgt_basis, moved)
+    return solve(tgt_basis, phi.as_block_matrix() * src_basis)
 
 
 def gamma_of_complex(cplx: homalg.CochainComplex) -> homalg.CochainComplex:
@@ -717,14 +712,8 @@ class Pushforward:
         _, basesB = FB_pushed._push
         comps = []
         for q in range(len(self.f.target)):
-            o = opensA[q]
-            blocks = block_diag(phi.source.field, [phi.comps[x] for x in o]) if o else \
-                Matrix.zeros(phi.source.field, 0, 0)
-            moved = blocks * basesA[q].basis
-            if basesB[q].dim:
-                comps.append(basesB[q].coords_of(moved))
-            else:
-                comps.append(Matrix.zeros(phi.source.field, 0, basesA[q].dim))
+            moved = block_diag(phi.source.field, [phi.comps[x] for x in opensA[q]]) * basesA[q].basis
+            comps.append(basesB[q].coords_of(moved))
         return SheafMorphism(FA_pushed, FB_pushed, comps, validate=False)
 
 

@@ -18,7 +18,7 @@ filtration piece F^p.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 from .exactla import (
     ContainmentViolation,
@@ -525,39 +525,28 @@ class CoupleMorphism:
 
     def page_map(self, r, p, q) -> Matrix:
         """Induced map E_r^{p,q}(src) -> E_r^{p+dp,q+dq}(dst)."""
-        dp, dq = self.bidegree
-        es = self.src.entry(r, p, q)
-        ed = self.dst.entry(r, p + dp, q + dq)
-        e1s = self.src.entry(1, p, q)
-        e1d = self.dst.entry(1, p + dp, q + dq)
-        if es.dim == 0 or ed.ambient_dim == 0:
-            return Matrix.zeros(self.src.field, ed.dim, es.dim)
-        m1 = self.e_map(p, q)
-        w = e1d.reps * (m1 * e1s.project(es.reps))   # representatives; B_1 <= Z_r
-        try:
-            out = ed.project(w)
-        except NoSolution:
-            raise NotACoupleMorphism(
-                "page %d map misses the page witnesses at (%d,%d)" % (r, p, q)) from None
-        # boundary witnesses must be respected as well
-        if es.B.dim:
-            wb = e1d.reps * (m1 * e1s.project(es.B.basis))
-            if not ed.B.contains_matrix(wb):
-                raise NotACoupleMorphism(
-                    "page %d map breaks boundary witnesses at (%d,%d)" % (r, p, q))
-        return out
+        return self._induced(1, r, p, q, self.e_map)
 
     def induced_next_page(self, r, p, q) -> Matrix:
         """Transport the page-r map to page r+1 through the subquotients."""
+        return self._induced(r, r + 1, p, q, partial(self.page_map, r))
+
+    def _induced(self, r0, r, p, q, m) -> Matrix:
+        """The map E_r^{p,q}(src) -> E_r^{p+dp,q+dq}(dst) induced by m(p, q), a
+        map of the page-r0 entries (r0 <= r).
+
+        On the ambient spaces m reads as d0.reps * (m * s0.proj), for s0 and d0
+        the page-r0 entries: s0.proj takes Z_r, which lies in Z_r0, to its
+        classes.  Subquotient.induced_map checks that it keeps the Z and B
+        witnesses.  m is called only past the zero rule.
+        """
         dp, dq = self.bidegree
-        es, es1 = self.src.entry(r + 1, p, q), self.src.entry(r, p, q)
-        ed, ed1 = self.dst.entry(r + 1, p + dp, q + dq), self.dst.entry(r, p + dp, q + dq)
-        if es.dim == 0 or ed.dim == 0:
-            return Matrix.zeros(self.src.field, ed.dim, es.dim)
-        mr = self.page_map(r, p, q)
-        w = ed1.reps * (mr * es1.project(es.reps))   # B_r(dst) <= Z_{r+1}(dst)
+        s, d = self.src.entry(r, p, q), self.dst.entry(r, p + dp, q + dq)
+        if s.dim == 0 or d.ambient_dim == 0:
+            return Matrix.zeros(self.src.field, d.dim, s.dim)
+        s0, d0 = self.src.entry(r0, p, q), self.dst.entry(r0, p + dp, q + dq)
         try:
-            return ed.project(w)
-        except NoSolution:
-            raise NotACoupleMorphism(
-                "page %d map does not induce one at stage %d" % (r, r + 1)) from None
+            return s.induced_map(d, d0.reps * (m(p, q) * s0.proj))
+        except NoSolution as exc:
+            raise NotACoupleMorphism("page %d map does not induce one on page %d at (%d,%d): %s"
+                                     % (r0, r, p, q, exc)) from None

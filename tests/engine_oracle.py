@@ -7,8 +7,9 @@ sequence, the exactness of a couple, page stabilization, the couple
 morphism induced by entrywise maps, the intersection of subspaces, the
 reduced echelon form reached by elimination, the pivot-rule complement of a
 subspace and the extension of a map along a mono that vanishes on it, the
-structured section basis of a coinduced sheaf, the tagged H column of a
-Cartan-Eilenberg double lifted through its rows' computed cohomology, the
+structured section basis of a coinduced sheaf, Gamma of a map of coinduced
+sums sliced out one (target, source) summand pair at a time, the tagged H
+column of a Cartan-Eilenberg double lifted through its rows' computed cohomology, the
 cohomology of a sheaf on an open from its own restricted resolution, every composite
 restriction of a sheaf composed eagerly along every path, a direct
 sum with all its injections and projections built at once, the sheaf
@@ -232,6 +233,28 @@ def gamma_struct_basis(I: InjectiveSheaf) -> Matrix:
                 vec[I.offsets[y] + I.slot[y][j] + t] = field.one()
             cols.append(vec)
     return Matrix.from_rows(field, [[c[i] for c in cols] for i in range(I.total_dim)], len(cols))
+
+
+def gamma_struct_map_by_pairs(phi: SheafMorphism) -> Matrix:
+    """Gamma(phi) in structured coordinates, as `sheafcat.gamma_struct_map`
+    read it before it read each target peak once: for every target summand
+    and every source summand present at the target's peak, the block of
+    phi at that peak between the two summands' slots."""
+    srcI, tgtI = phi.source, phi.target
+    p = srcI.poset
+    blocks = []
+    roff = 0
+    for jt, (xt, vt) in enumerate(tgtI.summands):
+        toff = tgtI.slot[xt][jt]
+        rows = phi.comps[xt].rows_slice(range(toff, toff + vt))
+        coff = 0
+        for js, (xs, vs) in enumerate(srcI.summands):
+            if xs in p.up[xt]:  # xt <= xs: source section present at xt
+                soff = srcI.slot[xt][js]
+                blocks.append((roff, coff, rows.cols_slice(range(soff, soff + vs))))
+            coff += vs
+        roff += vt
+    return place_blocks(srcI.field, tgtI.mult_total, srcI.mult_total, blocks)
 
 
 def injective_cover(I: InjectiveSheaf, y, x) -> Matrix:

@@ -83,6 +83,17 @@ def product_projection(p: Poset, q: Poset, axis: int, sep: str = ".") -> Monoton
     return MonotoneMap(prod, tgt, values)
 
 
+def torus_power(k: int):
+    """(T^k, the projection T^k -> T^(k-1)) for k >= 2: T^k is the k-th power
+    of the pseudocircle as nested products, fibered over T^(k-1) by dropping
+    the last factor."""
+    base = fence_x4()
+    for _ in range(k - 2):
+        base = product(base, fence_x4())
+    proj = product_projection(base, fence_x4(), 0)
+    return proj.source, proj
+
+
 # -- seeded generators --------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Twelve layout rules of src/possheaf.
+"""Thirteen layout rules of src/possheaf.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -67,6 +67,11 @@ The maps a chain map induces on cocycles, coboundaries and cohomology are
 made by one routine, `homalg.induced_maps`.  In ceres, `verify_ce` and the
 `InjectiveTriple._verify_*` checks call neither `lift_through_mono` nor
 `descend_along_epi`, so no check writes out an induced map of its own.
+
+The maps a couple morphism induces on the pages are made by one routine,
+`Subquotient.induced_map`, which checks both witnesses: no method of
+`specseq.CoupleMorphism` calls `.project(`, so none transports a page map
+through coordinates of its own.
 
 The E2 identification reads the tagged cohomology column of a
 Cartan-Eilenberg double by structural maps: no method of
@@ -312,6 +317,20 @@ def hand_induced_sites():
 
 def test_checks_read_induced_maps_from_homalg():
     assert hand_induced_sites() == []
+
+
+def page_projection_sites():
+    """`method:line` of each `.project(` call in specseq's CoupleMorphism."""
+    cls = next(node for node in _trees()["specseq"].body
+               if isinstance(node, ast.ClassDef) and node.name == "CoupleMorphism")
+    return ["%s:%d" % (item.name, n.lineno) for item in cls.body
+            if isinstance(item, ast.FunctionDef) for n in ast.walk(item)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "project"]
+
+
+def test_page_maps_go_through_induced_map():
+    assert page_projection_sites() == []
 
 
 def e2_lift_sites():

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import random
 import re
 
 import pytest
@@ -7,13 +10,16 @@ from engine_oracle import (
     NotOpen,
     VectorSpaces,
     gamma_struct_basis,
+    gamma_struct_map_by_pairs,
     restrict_to_open,
     restricted_cohomology_dims,
 )
-from fixtures import fence_x4, identity_map, product, product_projection, to_point
+from fixtures import fence_x4, identity_map, product, product_projection, to_point, torus_power
 from oracle import order_complex_cohomology_dims
+from possheaf import gross, sheafcat
+from possheaf.cli import main
 from possheaf.exactla import QQ, Matrix, NoSolution, PrimeField, rank
-from possheaf.forge import GenConfig, gen_poset, gen_ses_sheaves, gen_sheaf
+from possheaf.forge import GenConfig, _random_coinduced_map, gen_poset, gen_ses_sheaves, gen_sheaf
 from possheaf.homalg import injective_resolution
 from possheaf.instancefile import Instance
 from possheaf.poset import Poset
@@ -28,12 +34,14 @@ from possheaf.sheafcat import (
     cohomology_on_opens,
     gamma_map,
     gamma_of_complex,
+    gamma_struct_map,
     global_sections,
     hom_basis,
     is_acyclic_on_all_opens,
     sections_over,
     sheaf_cohomology_dims,
 )
+from test_exactla_oracle import same
 
 X4 = fence_x4()
 
@@ -406,3 +414,76 @@ def test_gamma_of_complex_structured():
     vec = gamma_of_complex(res.complex)
     assert vec.obj(0) == res.complex.obj(0).mult_total
     vec.validate()
+
+
+# Gamma of a map between coinduced sums reads each target peak once; the
+# frozen reference slices out one (target, source) summand pair at a time.
+
+GAMMA_FIELDS = [QQ, PrimeField(32003)]
+PT = {x: X4.idx(x) for x in "abcd"}
+GAMMA_CASES = [
+    # several summands on c on both sides; the source summand on a is absent at c and d
+    ([(PT["a"], 1), (PT["c"], 2), (PT["c"], 1)], [(PT["c"], 1), (PT["a"], 2), (PT["c"], 2), (PT["d"], 1)]),
+    ([], [(PT["a"], 1), (PT["c"], 2)]),     # an empty source sum
+    ([(PT["b"], 2), (PT["d"], 1)], []),     # an empty target sum
+    ([], []),
+]
+
+
+@pytest.mark.parametrize("field", GAMMA_FIELDS)
+@pytest.mark.parametrize("seed", range(len(GAMMA_CASES) + 16))
+def test_gamma_struct_map_matches_the_pairwise_oracle(field, seed):
+    rng = random.Random("gamma/%d" % seed)
+    if seed < len(GAMMA_CASES):
+        sums = GAMMA_CASES[seed]
+    else:
+        sums = [[(rng.randrange(4), rng.randint(1, 2)) for _ in range(rng.randint(0, 5))]
+                for _ in range(2)]
+    ctx = SheafContext(X4, field)
+    src, tgt = (InjectiveSheaf(X4, field, s) for s in sums)
+    phi = _random_coinduced_map(rng, ctx, src, tgt)
+    assert same(gamma_struct_map(phi), gamma_struct_map_by_pairs(phi))
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TORUS = os.path.join(HERE, "..", "instances", "torus.json")
+PSEUDOCIRCLE = os.path.join(HERE, "..", "instances", "pseudocircle.json")
+GAMMA_COMMANDS = [
+    ["verify-main", TORUS, "--map", "pr1", "--sequence", "S"],
+    ["--field", "fp:32003", "verify-main", TORUS, "--map", "pr1", "--sequence", "S"],
+    ["leray", TORUS, "--map", "pr1", "--sheaf", "k"],
+    ["verify-main", PSEUDOCIRCLE, "--map", "collapse", "--sequence", "S"],
+    ["leray", PSEUDOCIRCLE, "--map", "collapse", "--sheaf", "k"],
+]
+
+
+def test_every_gamma_of_the_fixture_commands_matches_the_pairwise_oracle(monkeypatch):
+    calls = []
+
+    def recording(phi):
+        got = gamma_struct_map(phi)
+        calls.append((phi, got))
+        return got
+
+    monkeypatch.setattr(sheafcat, "gamma_struct_map", recording)
+    monkeypatch.setattr(gross, "gamma_struct_map", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in GAMMA_COMMANDS:
+            assert main(argv) == 0
+    assert len(calls) > 100
+    assert any(len(set(x for x, _ in phi.target.summands)) < len(phi.target.summands)
+               for phi, _ in calls)         # some target holds two summands on one peak
+    for phi, got in calls:
+        assert same(got, gamma_struct_map_by_pairs(phi))
+
+
+def test_three_torus_cohomology_matches_the_order_complex():
+    T3, proj = torus_power(3)
+    assert (len(T3), len(proj.target)) == (64, 16)
+    k = SheafContext(T3, QQ).constant_sheaf()
+    # the whole space, and the preimage of each minimal open of T^2: a circle,
+    # whose list runs on in zeros to the last degree with a summand peaked in it
+    fibers = [sorted(proj.preimage_idx(proj.target.up[y])) for y in range(len(proj.target))]
+    whole, *over = cohomology_on_opens(k, [range(len(T3))] + fibers)
+    assert whole == order_complex_cohomology_dims(T3, QQ) == [1, 3, 3, 1]
+    assert all(dims[:2] == [1, 1] and not any(dims[2:]) for dims in over)

@@ -2,7 +2,7 @@ import pytest
 
 from engine_oracle import VectorSpaces, check_exact, map_of_spectral_sequences, stabilization_ok
 from fixtures import transpose
-from possheaf.exactla import QQ, Matrix, NoSolution, rank
+from possheaf.exactla import QQ, Matrix, NoSolution, Subspace, rank
 from possheaf.homalg import ChainMap, CochainComplex, cohomology, induced_on_cohomology
 from possheaf.specseq import (
     CoupleMorphism,
@@ -268,6 +268,58 @@ def test_broken_e_map_is_not_a_couple_morphism():
     broken = {key: m.scale(QQ.from_int(2)) for key, m in mor.e_maps.items()}
     with pytest.raises(NotACoupleMorphism):
         CoupleMorphism(ss1, ss2, (0, 0), mor.a_maps, broken)
+
+
+def test_induced_map_checks_both_witnesses():
+    full, e1, e2 = (Subspace.from_columns(M(c)) for c in ([[1, 0], [0, 1]], [[1], [0]], [[0], [1]]))
+    swap = M([[0, 1], [1, 0]])
+    # Z = k^2 goes to Z, but the boundary e2 goes to e1, outside B
+    with_b = Subquotient(QQ, 2, full, e2)
+    with pytest.raises(NoSolution, match="boundary"):
+        with_b.induced_map(with_b, swap)
+    # the cocycle e1 goes to e2, outside Z
+    cocycles = Subquotient(QQ, 2, e1, Subspace.zero(QQ, 2))
+    with pytest.raises(NoSolution, match="cocycle"):
+        cocycles.induced_map(cocycles, swap)
+    assert with_b.induced_map(with_b, Matrix.identity(QQ, 2)) == Matrix.identity(QQ, 1)
+
+
+def two_columns(dims, horiz):
+    """Columns 0 and 1 of a D = 2 grid, rows q = 0, 1, joined by the horizontal maps horiz[q]."""
+    grid, h, v = empty_grid(2)
+    grid[0][:2], grid[1][:2] = dims
+    h[0][:2] = horiz
+    return DoubleComplex(QQ, 2, grid, h, v)
+
+
+# (source, target, bidegree, an E_1 entry and its new map, page r, witness): the
+# zero couple morphism is checked when made, and the map put in afterwards
+# breaks a page-r witness that page r - 1 does not hold
+BROKEN_PAGE_MAPS = [
+    # k -> k^2 into E_1^{1,0} makes B_2^{1,0} = <e1>, which [1 0] sends outside
+    # B_2^{2,0} = 0 of the staircase
+    (lambda: two_columns([[1, 0], [2, 0]], [M([[1], [0]]), None]), staircase, (1, 0),
+     ((1, 0), M([[1, 0]])), 2, "boundary"),
+    # E_3^{0,1} = k of a lone entry goes to the staircase's Z_3^{0,1} = 0
+    (lambda: two_columns([[0, 1], [0, 0]], [None, None]), staircase, (0, 0),
+     ((0, 1), M([[1]])), 3, "cocycle"),
+]
+
+
+@pytest.mark.parametrize("src,dst,bidegree,entry,r,witness", BROKEN_PAGE_MAPS,
+                         ids=[case[-1] for case in BROKEN_PAGE_MAPS])
+def test_a_map_that_breaks_a_page_witness_is_not_a_couple_morphism(src, dst, bidegree, entry,
+                                                                   r, witness):
+    mor = CoupleMorphism(CoupleTower(src()), CoupleTower(dst()), bidegree, {}, {})
+    (p, q), m = entry
+    assert mor.page_map(r, p, q).is_zero() and mor.induced_next_page(r - 1, p, q).is_zero()
+    mor.e_maps[(p, q)] = m
+    assert mor.src.entry(r, p, q).dim == 1
+    mor.page_map(r - 1, p, q)       # the page before still holds
+    with pytest.raises(NotACoupleMorphism, match=witness):
+        mor.page_map(r, p, q)
+    with pytest.raises(NotACoupleMorphism, match=witness):
+        mor.induced_next_page(r - 1, p, q)
 
 
 def test_graded_iso_invertible_on_nontrivial_total():
