@@ -228,7 +228,7 @@ class InjectiveTriple:
     def __init__(self, inv: SESInvariants):
         self.inv = inv
         self.ctx = inv.ctx
-        self.fam, self.fam_emb, self.one = {}, {}, {}
+        self.fam, self.fam_emb = {}, {}
         self.sums, self.cplx, self.maps, self.aug = {}, {}, {}, {}
         self._zext = {}
         self._build_i()
@@ -252,10 +252,6 @@ class InjectiveTriple:
                 self.fam[(fam, col, q)], self.fam_emb[(fam, col, q)] = I, m
             z = ctx.zero_obj()
             self.fam[(fam, col, pad)], self.fam_emb[(fam, col, pad)] = z, ctx.zero_map(z, z)
-        # singleton views of the bare families, for the ladder checks
-        for key, obj in self.fam.items():
-            if key not in self.one:
-                self.one[key] = DirectSum(ctx, [obj], [key])
         for name in sums:
             self.sums[name] = {q: DirectSum(ctx, [self.fam[k] for k in _LAYOUT[name](q)],
                                             _LAYOUT[name](q))
@@ -268,17 +264,11 @@ class InjectiveTriple:
 
     def _build_i(self):
         """The I column under A: families, sums, hA, xA, zA and the augmentation."""
-        ctx, inv = self.ctx, self.inv
+        inv = self.inv
         self._add_parts(_I_FAMILIES, _I_SUMS, ("I",))
-        emb, s = self.fam_emb, inv.seqs
         hA, xA, zA, aA = {}, {}, {}, {}
         for q in inv.main_degrees():
-            hA[q] = self.sum_at("HI", q).into({
-                ("W", "I", q): ctx.extend_along_mono(inv.A.w_mono[q], emb[("W", "I", q)]),
-                ("W", "J", q): ctx.compose(emb[("W", "J", q)], s["es1"][q].g)})
-            xA[q] = self.sum_at("XI", q).into({
-                ("B", "I", q): ctx.extend_along_mono(s["es10"][q].f, emb[("B", "I", q)]),
-                ("W", "I", q): ctx.compose(emb[("W", "I", q)], s["es10"][q].g)})
+            hA[q], xA[q] = self._bare_ended("es1", q), self._bare_ended("es10", q)
             zA[q] = self._z_outer(q, "ZI", "HI", "XI", inv.A, hA[q], xA[q], ("B", "I", q))
             aA[q] = self._augment_outer(q, "I", "ZI", inv.A, zA[q], ("B", "I", q + 1), "es13")
         self.maps.update(hA=hA, xA=xA, zA=zA)
@@ -306,15 +296,7 @@ class InjectiveTriple:
         emb, s = self.fam_emb, inv.seqs
         hB, hC, xC, bB, zC, xB, zB, aB, aC = {}, {}, {}, {}, {}, {}, {}, {}, {}
         for q in qs_main:
-            hB[q] = self.sum_at("HJ", q).into({
-                ("W", "J", q): ctx.extend_along_mono(inv.B.w_mono[q], emb[("W", "J", q)]),
-                ("W", "K", q): ctx.compose(emb[("W", "K", q)], s["es2"][q].g)})
-            hC[q] = self.sum_at("HK", q).into({
-                ("W", "K", q): ctx.extend_along_mono(inv.C.w_mono[q], emb[("W", "K", q)]),
-                ("W", "I", q + 1): ctx.compose(emb[("W", "I", q + 1)], s["es3"][q].g)})
-            xC[q] = self.sum_at("XK", q).into({
-                ("B", "K", q): ctx.extend_along_mono(s["es12"][q].f, emb[("B", "K", q)]),
-                ("W", "K", q): ctx.compose(emb[("W", "K", q)], s["es12"][q].g)})
+            hB[q], hC[q], xC[q] = (self._bare_ended(label, q) for label in ("es2", "es3", "es12"))
         self._ext16 = {}
         for q in qs_main:
             # B^q(B) -> B^q(J): extend the X-level map, quotient part forced
@@ -344,6 +326,16 @@ class InjectiveTriple:
         self._verify_monos("B", "C")
 
     # -- helpers -----------------------------------------------------------
+
+    def _bare_ended(self, label, q):
+        """The comparison map at the middle of `label`@q, whose two ends are
+        bare chosen injectives: the left one's embedding extended along the
+        sequence's mono, and the right one's after the sequence's epi."""
+        ctx, es = self.ctx, self.inv.seqs[label][q]
+        lk, mk, rk = self._LADDER_NODES[label]
+        (lkey, lemb), (rkey, remb) = self._node(lk, q), self._node(rk, q)
+        return self.sum_at(mk[0] + COLUMNS[mk[1]][0], q).into(
+            {lkey: ctx.extend_along_mono(es.f, lemb), rkey: ctx.compose(remb, es.g)})
 
     def _z_outer(self, q, zname, hname, xname, cd, h_q, x_q, bkey):
         """Z-level map for an outer complex: H-part forced, B-part extended."""
@@ -482,7 +474,8 @@ class InjectiveTriple:
 
     def _node(self, kind, q):
         """Comparison map at one node of the sequences: a family W, B, H, X or
-        Z of A, B or C, or the complex itself; a trailing + means degree q+1."""
+        Z of A, B or C, or the complex itself; a trailing + means degree q+1.
+        With it, the node's sum, or a bare chosen injective's family key."""
         if kind.endswith("+"):
             kind, q = kind[:-1], q + 1
         col = COLUMNS[kind[-1]][0]
@@ -490,10 +483,12 @@ class InjectiveTriple:
             return self.sum_at(col, q), self.aug[kind].comp(q)
         if kind in ("WA", "WB", "WC", "BA", "BC"):      # bare chosen injectives
             key = (kind[0], col, q)
-            return self.one[key], self.fam_emb[key]
+            return key, self.fam_emb[key]
         return self.sum_at(kind[0] + col, q), self.maps[kind[0].lower() + kind[1]][q]
 
     def _verify_ladders(self, labels):
+        """Both squares of each sequence's ladder.  A bare end is a summand of
+        the middle sum, so its side map is that sum's injection or projection."""
         ctx, inv = self.ctx, self.inv
         for label in labels:
             lk, mk, rk = self._LADDER_NODES[label]
@@ -501,8 +496,8 @@ class InjectiveTriple:
                 lts, lv = self._node(lk, q)
                 mts, mv = self._node(mk, q)
                 rts, rv = self._node(rk, q)
-                fI = lts.structural_to(mts)
-                gI = mts.structural_to(rts)
+                fI = mts.inj(lts) if isinstance(lts, tuple) else lts.structural_to(mts)
+                gI = mts.proj(rts) if isinstance(rts, tuple) else mts.structural_to(rts)
                 if not ctx.map_eq(ctx.compose(mv, es.f), ctx.compose(fI, lv)):
                     raise InternalCommutativityFailure(
                         "ladder %s@%d: left square" % (label, q))

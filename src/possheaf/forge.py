@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 
 from . import homalg
-from .exactla import QQ, Matrix, place_blocks
+from .exactla import QQ, Matrix, hstack
 from .poset import Poset
-from .sheafcat import InjectiveSheaf, SheafContext, SheafMorphism, hom_basis
+from .sheafcat import InjectiveSheaf, SheafContext, SheafMorphism, _into_coinduced, hom_basis
 
 
 MAX_DEGREE_SPAN = 3     # bounds a forged sequence's degrees: its chains have at most 2 covers
@@ -102,20 +102,18 @@ def _random_coinduced(rng, ctx: SheafContext, max_summands, max_mult):
 
 
 def _random_coinduced_map(rng, ctx, src: InjectiveSheaf, tgt: InjectiveSheaf):
-    """Random morphism of coinduced sums via the Hom correspondence."""
+    """Random morphism of coinduced sums via the Hom correspondence: at its peak
+    y, a target summand takes a random block out of each source summand above y."""
     field = ctx.field
-    blocks = {}
-    for jt, (yt, vt) in enumerate(tgt.summands):
-        for js, (xs, vs) in enumerate(src.summands):
-            if xs in ctx.poset.up[yt]:           # y <= x: Hom([x]_U, [y]_V) = Hom(U, V)
-                blocks[(jt, js)] = Matrix.from_rows(
-                    field, [[rng.randint(-2, 2) for _ in range(vs)] for _ in range(vt)],
-                    cols=vs)
-    comps = [place_blocks(field, tgt.dims[z], src.dims[z],
-                          [(tgt.slot[z][jt], src.slot[z][js], blocks[(jt, js)])
-                           for jt in tgt.present[z] for js in src.present[z] if (jt, js) in blocks])
-             for z in range(len(ctx.poset))]
-    return SheafMorphism(src, tgt, comps)
+    peaks = []
+    for y, vt in tgt.summands:
+        blocks = [Matrix.from_rows(field, [[rng.randint(-2, 2) for _ in range(vs)]
+                                           for _ in range(vt)], cols=vs)
+                  for x, vs in src.summands if x in ctx.poset.up[y]]
+        peaks.append(hstack(blocks) if blocks else Matrix.zeros(field, vt, 0))
+    phi = _into_coinduced(src, tgt, peaks)
+    phi.validate()
+    return phi
 
 
 def gen_sheaf(cfg: GenConfig, poset: Poset):

@@ -47,11 +47,10 @@ class CheckReport:
 class DirectSum:
     """Direct sum of objs, each summand tagged by a key (its position by default).
 
-    A one-summand sum is its summand.  Injections and projections are
-    identity blocks at the summands' offsets, made when first read and kept;
-    structural maps to other sums are identity blocks too, placed on each
-    call; maps into and out of the sum are their parts placed at those
-    offsets.
+    Injections and projections are identity blocks at the summands'
+    offsets, made when first read and kept; structural maps to other sums
+    are identity blocks too, placed on each call; maps into and out of the
+    sum are their parts placed at those offsets.
     """
 
     def __init__(self, ctx, objs, keys=None):
@@ -61,7 +60,7 @@ class DirectSum:
         self.index = {k: i for i, k in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
             raise ValueError("duplicate keys in a direct sum")
-        self.obj = self.objs[0] if len(self.objs) == 1 else ctx.direct_sum(self.objs)
+        self.obj = ctx.direct_sum(self.objs)
         self.offsets = ctx.sum_offsets(self.objs)   # where each summand sits in obj
         self._maps = {}
 

@@ -7,7 +7,8 @@ sequence, the exactness of a couple, page stabilization, the couple
 morphism induced by entrywise maps, the intersection of subspaces, the
 reduced echelon form reached by elimination, the pivot-rule complement of a
 subspace and the extension of a map along a mono that vanishes on it, the
-structured section basis of a coinduced sheaf, Gamma of a map of coinduced
+structured section basis of a coinduced sheaf, the forge's random map of
+coinduced sums placed slot by slot, Gamma of a map of coinduced
 sums sliced out one (target, source) summand pair at a time, the tagged H
 column of a Cartan-Eilenberg double lifted through its rows' computed cohomology, the
 cohomology of a sheaf on an open from its own restricted resolution, every composite
@@ -255,6 +256,26 @@ def gamma_struct_map_by_pairs(phi: SheafMorphism) -> Matrix:
             coff += vs
         roff += vt
     return place_blocks(srcI.field, tgtI.mult_total, srcI.mult_total, blocks)
+
+
+def random_coinduced_map_by_slots(rng, ctx, src: InjectiveSheaf, tgt: InjectiveSheaf):
+    """The forge's random morphism of coinduced sums as it was first written:
+    one random block per (target, source) summand pair with the source's peak
+    above the target's, drawn in that order, and each component placed
+    directly at both summands' slots in the stalk."""
+    field = ctx.field
+    blocks = {}
+    for jt, (yt, vt) in enumerate(tgt.summands):
+        for js, (xs, vs) in enumerate(src.summands):
+            if xs in ctx.poset.up[yt]:           # y <= x: Hom([x]_U, [y]_V) = Hom(U, V)
+                blocks[(jt, js)] = Matrix.from_rows(
+                    field, [[rng.randint(-2, 2) for _ in range(vs)] for _ in range(vt)],
+                    cols=vs)
+    comps = [place_blocks(field, tgt.dims[z], src.dims[z],
+                          [(tgt.slot[z][jt], src.slot[z][js], blocks[(jt, js)])
+                           for jt in tgt.present[z] for js in src.present[z] if (jt, js) in blocks])
+             for z in range(len(ctx.poset))]
+    return SheafMorphism(src, tgt, comps)
 
 
 def injective_cover(I: InjectiveSheaf, y, x) -> Matrix:

@@ -90,6 +90,32 @@ def test_leray_torus_degenerates(capsys):
     assert "degenerates at E2" in out
 
 
+def test_leray_on_the_three_torus(tmp_path):
+    """The graded-size path: T^3 (64 elements, 512 as the sum of its
+    injective's stalk dimensions), fibered over T^2."""
+    from fixtures import torus_power
+    from possheaf.exactla import QQ
+    from possheaf.instancefile import poset_to_dict, sheaf_to_dict
+    from possheaf.sheafcat import SheafContext
+
+    T3, proj = torus_power(3)
+    doc = {"posets": {"T3": poset_to_dict(T3), "T2": poset_to_dict(proj.target)},
+           "sheaves": {"k": sheaf_to_dict(SheafContext(T3, QQ).constant_sheaf(), "T3")},
+           "maps": {"pr1": {"source": "T3", "target": "T2",
+                            "values": {x: proj.target.elements[proj.values[i]]
+                                       for i, x in enumerate(T3.elements)}}}}
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(doc))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["--format", "report", "leray", str(path), "--map", "pr1",
+                     "--sheaf", "k"]) == 0
+    report = json.loads(buf.getvalue())
+    assert report["checks"] and all(check["ok"] for check in report["checks"])
+    dims = [d for _, d in report["tables"]["total cohomology"]]
+    assert dims[:4] == [1, 3, 3, 1] and not any(dims[4:]) and len(dims) > 4
+
+
 def test_verify_main_pseudocircle(capsys):
     assert main(["verify-main", PSEUDOCIRCLE, "--map", "collapse", "--sequence", "S"]) == 0
     out = capsys.readouterr().out

@@ -1,16 +1,23 @@
-from fixtures import gen_injective_middle_ses, gen_leray_instance, gen_monotone_map
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from engine_oracle import random_coinduced_map_by_slots
+from fixtures import chain, gen_injective_middle_ses, gen_leray_instance, gen_monotone_map
 from possheaf.ceres import compute_invariants
-from possheaf.exactla import QQ
+from possheaf.exactla import QQ, PrimeField
 from possheaf.forge import (
     MAX_DEGREE_SPAN,
     GenConfig,
+    _random_coinduced_map,
     gen_poset,
     gen_ses_complexes,
     gen_ses_sheaves,
     gen_sheaf,
 )
 from possheaf.poset import Poset
-from possheaf.sheafcat import SheafContext
+from possheaf.sheafcat import InjectiveSheaf, SheafContext
 
 
 def test_determinism_poset():
@@ -88,3 +95,38 @@ def test_injective_middle_is_ses():
     ctx, mono, epi = gen_injective_middle_ses(GenConfig(11), p)
     assert ctx.is_mono(mono) and ctx.is_epi(epi)
     assert ctx.is_exact_pair(mono, epi, mono.target)
+
+
+def _both_builders(field, poset, src, tgt, seed):
+    """The forge's random map between the coinduced sums src and tgt (lists of
+    (element index, multiplicity)), and the frozen slot-by-slot builder's, each
+    from its own generator seeded alike."""
+    ctx = SheafContext(poset, field)
+    S, T = InjectiveSheaf(poset, field, src), InjectiveSheaf(poset, field, tgt)
+    return (_random_coinduced_map(random.Random(seed), ctx, S, T),
+            random_coinduced_map_by_slots(random.Random(seed), ctx, S, T))
+
+
+FORGE_FIELDS = [QQ, PrimeField(32003)]
+
+
+# on the chain 0 < 1: empty sums, and a target summand peaked at 1 with the
+# only source summand peaked below it, beside one peaked at 0 that has one
+@pytest.mark.parametrize("field", FORGE_FIELDS, ids=["q", "fp32003"])
+@pytest.mark.parametrize("src,tgt", [([], []), ([(0, 2)], []), ([], [(1, 2)]),
+                                     ([(0, 2)], [(1, 2), (0, 1)])])
+def test_random_coinduced_map_matches_the_frozen_builder_on_edge_sums(field, src, tgt):
+    new, old = _both_builders(field, chain(2), src, tgt, "edge")
+    assert new.comps == old.comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FORGE_FIELDS), st.integers(0, 40),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), max_size=4),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), max_size=4),
+       st.integers(0, 10**6))
+def test_random_coinduced_map_matches_the_frozen_builder(field, pseed, src, tgt, seed):
+    p = gen_poset(GenConfig(pseed))
+    new, old = _both_builders(field, p, [(x % len(p), v) for x, v in src],
+                              [(x % len(p), v) for x, v in tgt], seed)
+    assert new.comps == old.comps

@@ -5,10 +5,13 @@ sign and --format report document of the pseudocircle and torus commands
 below, so a refactor that changes any of them fails here.  The torus runs
 are the ones whose filtration pieces span more than two columns.  The
 `selftest` case pins the forged Cartan-Eilenberg triples' checks as the CLI
-reports them.  Each file is the stdout
-of `possheaf <argv>`; no output names the instance file's path.  The `forge`
-cases pin the generators' sheaves and morphisms; `forge` writes the same
-document in either format, so they are recorded once, as text.
+reports them, and the `ce` cases the Cartan-Eilenberg triple of a
+sequence of complexes and of a zero one, which has no rows, both read from
+the frozen document `ce-sequences.input.json`, the one input file here.
+Every other file is the stdout of `possheaf <argv>`; no output names the
+instance file's path.  The `forge` cases pin the generators' sheaves and
+morphisms; `forge` writes the same document in either format, so they are
+recorded once, as text.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 PSEUDOCIRCLE = os.path.join(HERE, "..", "instances", "pseudocircle.json")
 TORUS = os.path.join(HERE, "..", "instances", "torus.json")
+CE_SEQUENCES = os.path.join(GOLDEN, "ce-sequences.input.json")
 
 COMMANDS = {
     "cohomology": ["cohomology", PSEUDOCIRCLE, "--sheaf", "k"],
@@ -41,6 +45,8 @@ COMMANDS = {
     "torus-verify-main-fp": ["--field", "fp:32003", "verify-main", TORUS,
                              "--map", "pr1", "--sequence", "S"],
     "selftest": ["selftest", "--seed", "3", "--count", "10"],
+    "ce": ["ce", CE_SEQUENCES, "--sequence", "S"],
+    "ce-zero": ["ce", CE_SEQUENCES, "--sequence", "O"],
 }
 FORGE = {
     "forge-ses": ["forge", "--seed", "3", "--kind", "ses"],

@@ -1,4 +1,4 @@
-"""Thirteen layout rules of src/possheaf.
+"""Fifteen layout rules of src/possheaf, and its tracked size.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -93,13 +93,31 @@ that against a second set (`engine_oracle.EagerSheafContext` with
 `flip=True`), so no name `flip` appears in src/possheaf: no parameter,
 attribute or variable selects between choices.  Nor does `ChainMap.__init__`
 take `validate`: every chain map is checked when it is made.
+
+A map into a realized coinduced sum is built from its rows at the
+summands' peaks, by `sheafcat._into_coinduced`, so only sheafcat knows
+where a summand sits in a stalk: no other module reads an attribute named
+`slot` or `present`, the `InjectiveSheaf` fields that say so.
+
+A Cartan-Eilenberg row has no one-object direct sum: a bare chosen
+injective at the end of a ladder is a summand of the sum in the middle, and
+the ladder checks read its side map as that sum's own injection or
+projection.  Each `DirectSum` call in ceres takes a list display of two or
+more objects or a comprehension over a `_LAYOUT` entry, and every
+`_LAYOUT` entry has two or more keys.
+
+The size of src/possheaf is tracked in ROADMAP.md ("The `src/` line count
+(N now)"), and N is the newline count of src/possheaf/*.py, as `wc -l`
+gives it, so a change that grows or shrinks the package updates the figure.
 """
 
 import ast
 import collections
+import glob
 import importlib
 import importlib.util
 import os
+import re
 import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -420,3 +438,54 @@ def vector_context_extras():
 
 def test_vector_context_is_the_context_of_gamma_complexes():
     assert vector_context_extras() == []
+
+
+def slot_readers():
+    """`module:line attr` of each `.slot` or `.present` read outside sheafcat."""
+    return ["%s:%d %s" % (module, node.lineno, node.attr) for module, tree in _trees().items()
+            if module != "sheafcat" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("slot", "present")]
+
+
+def test_only_sheafcat_reads_where_a_coinduced_summand_sits():
+    assert slot_readers() == []
+
+
+def _over_layout(arg):
+    """Whether arg is a comprehension whose one generator runs over `_LAYOUT[...](...)`."""
+    if not isinstance(arg, ast.ListComp) or len(arg.generators) != 1:
+        return False
+    it = arg.generators[0].iter
+    return (isinstance(it, ast.Call) and isinstance(it.func, ast.Subscript)
+            and isinstance(it.func.value, ast.Name) and it.func.value.id == "_LAYOUT")
+
+
+def one_object_sum_sites():
+    """`ceres:line` of each DirectSum call whose objects are neither a list or
+    tuple display of two or more nor a comprehension over a `_LAYOUT` entry,
+    and `_LAYOUT[name]` of each entry with fewer than two keys."""
+    from possheaf import ceres
+
+    found = []
+    for node in ast.walk(_trees()["ceres"]):
+        if isinstance(node, ast.Call) and _called_name(node) == "DirectSum":
+            objs = node.args[1] if len(node.args) > 1 else None
+            if not (isinstance(objs, (ast.List, ast.Tuple)) and len(objs.elts) >= 2
+                    or _over_layout(objs)):
+                found.append("ceres:%d" % node.lineno)
+    found += ["_LAYOUT[%r]" % name for name, keys in ceres._LAYOUT.items() if len(keys(0)) < 2]
+    return found
+
+
+def test_ceres_builds_no_one_object_sum():
+    assert one_object_sum_sites() == []
+
+
+def test_roadmap_tracks_the_src_line_count():
+    with open(os.path.join(ROOT, "ROADMAP.md")) as fh:
+        tracked = re.search(r"The `src/` line count \(([0-9,]+) now\)", fh.read()).group(1)
+    lines = 0
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, "rb") as fh:
+            lines += fh.read().count(b"\n")
+    assert int(tracked.replace(",", "")) == lines
