@@ -216,6 +216,12 @@ _I_LADDERS = _ROWS[0][-1]       # A's five sequences
 COLUMNS = {"A": ("I", "ZI", "HI"), "B": ("J", "ZJ", "HJ"), "C": ("K", "ZK", "HK")}
 
 
+def _sum_name(kind):
+    """The sum at a ladder node: a complex's column, or a family's sum in it."""
+    col = COLUMNS[kind[-1]][0]
+    return col if len(kind) == 1 else kind[0] + col
+
+
 class InjectiveTriple:
     """One row: 0 -> I* -> J* -> K* -> 0 of injectives under the input SES.
 
@@ -333,8 +339,8 @@ class InjectiveTriple:
         sequence's mono, and the right one's after the sequence's epi."""
         ctx, es = self.ctx, self.inv.seqs[label][q]
         lk, mk, rk = self._LADDER_NODES[label]
-        (lkey, lemb), (rkey, remb) = self._node(lk, q), self._node(rk, q)
-        return self.sum_at(mk[0] + COLUMNS[mk[1]][0], q).into(
+        (_, lkey, lemb), (_, rkey, remb) = self._node(lk, q), self._node(rk, q)
+        return self.sum_at(_sum_name(mk), q).into(
             {lkey: ctx.extend_along_mono(es.f, lemb), rkey: ctx.compose(remb, es.g)})
 
     def _z_outer(self, q, zname, hname, xname, cd, h_q, x_q, bkey):
@@ -475,16 +481,17 @@ class InjectiveTriple:
     def _node(self, kind, q):
         """Comparison map at one node of the sequences: a family W, B, H, X or
         Z of A, B or C, or the complex itself; a trailing + means degree q+1.
-        With it, the node's sum, or a bare chosen injective's family key."""
+        Returned as (sum, key, map): the node's sum and a None key, or, at a
+        bare chosen injective, no sum and its family key."""
         if kind.endswith("+"):
             kind, q = kind[:-1], q + 1
-        col = COLUMNS[kind[-1]][0]
+        if kind in ("WA", "WB", "WC", "BA", "BC"):
+            key = (kind[0], COLUMNS[kind[1]][0], q)
+            return None, key, self.fam_emb[key]
+        ts = self.sum_at(_sum_name(kind), q)
         if len(kind) == 1:
-            return self.sum_at(col, q), self.aug[kind].comp(q)
-        if kind in ("WA", "WB", "WC", "BA", "BC"):      # bare chosen injectives
-            key = (kind[0], col, q)
-            return key, self.fam_emb[key]
-        return self.sum_at(kind[0] + col, q), self.maps[kind[0].lower() + kind[1]][q]
+            return ts, None, self.aug[kind].comp(q)
+        return ts, None, self.maps[kind[0].lower() + kind[1]][q]
 
     def _verify_ladders(self, labels):
         """Both squares of each sequence's ladder.  A bare end is a summand of
@@ -493,11 +500,11 @@ class InjectiveTriple:
         for label in labels:
             lk, mk, rk = self._LADDER_NODES[label]
             for q, es in inv.seqs[label].items():
-                lts, lv = self._node(lk, q)
-                mts, mv = self._node(mk, q)
-                rts, rv = self._node(rk, q)
-                fI = mts.inj(lts) if isinstance(lts, tuple) else lts.structural_to(mts)
-                gI = mts.proj(rts) if isinstance(rts, tuple) else mts.structural_to(rts)
+                lts, lkey, lv = self._node(lk, q)
+                mts, _, mv = self._node(mk, q)
+                rts, rkey, rv = self._node(rk, q)
+                fI = lts.structural_to(mts) if lkey is None else mts.inj(lkey)
+                gI = mts.structural_to(rts) if rkey is None else mts.proj(rkey)
                 if not ctx.map_eq(ctx.compose(mv, es.f), ctx.compose(fI, lv)):
                     raise InternalCommutativityFailure(
                         "ladder %s@%d: left square" % (label, q))

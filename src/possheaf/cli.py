@@ -148,11 +148,10 @@ def cmd_ce(args, run):
     if args.max_degree is not None and args.max_degree < ses.ctx.resolution_bound():
         run.say("warning: --max-degree %d is below the safe bound %d"
                 % (args.max_degree, ses.ctx.resolution_bound()))
-    ce = build_ce_triple(ses, depth=args.max_degree)
-    # row 0 is built on the invariants of ses; a zero ses has no rows
-    inv = ce.triples[0].inv if ce.triples else compute_invariants(ses)
+    inv = compute_invariants(ses)
     run.check("nineteen derived sequences exact", True,
               "%d labels" % sum(inv.label_counts().values()))
+    ce = build_ce_triple(ses, depth=args.max_degree)
     run.say("depth: %d rows" % ce.depth())
     for name in ("A", "B", "C"):
         rep = verify_ce(ce.doubles[name])
