@@ -310,8 +310,7 @@ class InjectiveTriple:
             ext = ctx.extend_along_mono(s["es16"][q].f, self.maps["xA"][q])
             self._ext16[q] = ext
             bkpart = ctx.compose(emb[("B", "K", q)], s["es16"][q].g)
-            bB[q] = ctx.add(ctx.compose(xi.structural_to(bj), ext),
-                            bj.into({("B", "K", q): bkpart}))
+            bB[q] = bj.into({xi: ext, ("B", "K", q): bkpart})
         for q in qs_main:
             zC[q] = self._z_outer(q, "ZK", "HK", "XK", inv.C, hC[q], xC[q], ("B", "K", q))
         for q in qs_main:
@@ -347,9 +346,8 @@ class InjectiveTriple:
         """Z-level map for an outer complex: H-part forced, B-part extended."""
         ctx = self.ctx
         zs, hs, xs = self.sum_at(zname, q), self.sum_at(hname, q), self.sum_at(xname, q)
-        hpart = ctx.compose(hs.structural_to(zs), ctx.compose(h_q, cd.h_proj[q]))
         bcomp = ctx.extend_along_mono(cd.x_mono[q], ctx.compose(xs.proj(bkey), x_q))
-        return ctx.add(hpart, zs.into({bkey: bcomp}))
+        return zs.into({hs: ctx.compose(h_q, cd.h_proj[q]), bkey: bcomp})
 
     def _x_middle(self, q, zA_q, bB_q):
         """X^q(B) -> X^q(J): the cokernel factorization step."""
@@ -357,8 +355,8 @@ class InjectiveTriple:
         s = inv.seqs
         xj, xi = self.sum_at("XJ", q), self.sum_at("XI", q)
         es11, es16, es18 = s["es11"][q], s["es16"][q], s["es18"][q]
-        a = ctx.compose(self.sum_at("ZI", q).structural_to(xi), zA_q)   # Z^q(A) -> XI
-        b = ctx.compose(self.sum_at("BJ", q).structural_to(xi), bB_q)   # B^q(B) -> XI
+        a = xi.into({self.sum_at("ZI", q): zA_q})   # Z^q(A) -> XI
+        b = xi.into({self.sum_at("BJ", q): bB_q})   # B^q(B) -> XI
         S = DirectSum(ctx, [inv.A.Z[q], inv.B.B[q]])
         Q, qepi = ctx.cokernel(S.into({0: inv.A.x_mono[q], 1: ctx.neg(es16.f)}))  # antidiagonal
         try:
@@ -369,25 +367,21 @@ class InjectiveTriple:
         if not ctx.is_mono(qmono):
             raise InternalCommutativityFailure("Q@%d does not inject into X^q(B)" % q)
         xicomp = ctx.extend_along_mono(qmono, qab)
-        return ctx.add(ctx.compose(xi.structural_to(xj), xicomp),
-                       xj.into({("W", "J", q): ctx.compose(self.fam_emb[("W", "J", q)], es11.g),
-                                ("B", "K", q): ctx.compose(self.fam_emb[("B", "K", q)], es18.g)}))
+        return xj.into({xi: xicomp,
+                        ("W", "J", q): ctx.compose(self.fam_emb[("W", "J", q)], es11.g),
+                        ("B", "K", q): ctx.compose(self.fam_emb[("B", "K", q)], es18.g)})
 
     def _z_middle(self, q, hB_q, xB_q, xC_q):
         """Z^q(B) -> Z^q(J): H-part forced, X^q(I)-part extended, BK forced."""
         ctx, inv = self.ctx, self.inv
         s = inv.seqs
         zj = self.sum_at("ZJ", q)
-        hpart = ctx.compose(self.sum_at("HJ", q).structural_to(zj),
-                            ctx.compose(hB_q, inv.B.h_proj[q]))
         bkcomp = ctx.compose(ctx.compose(self.sum_at("XK", q).proj(("B", "K", q)), xC_q),
                              s["es17"][q].g)
         xipart = ctx.extend_along_mono(
-            inv.B.x_mono[q],
-            ctx.compose(self.sum_at("XJ", q).structural_to(self.sum_at("XI", q)), xB_q))
-        return ctx.add(hpart,
-                       ctx.add(ctx.compose(self.sum_at("XI", q).structural_to(zj), xipart),
-                               zj.into({("B", "K", q): bkcomp})))
+            inv.B.x_mono[q], self.sum_at("XI", q).into({self.sum_at("XJ", q): xB_q}))
+        return zj.into({self.sum_at("HJ", q): ctx.compose(hB_q, inv.B.h_proj[q]),
+                        self.sum_at("XI", q): xipart, ("B", "K", q): bkcomp})
 
     def _augment_outer(self, q, name, zname, cd, z_q, bkey, es_label):
         ctx, inv = self.ctx, self.inv
@@ -395,8 +389,7 @@ class InjectiveTriple:
         es = inv.seqs[es_label][q]
         zpart = ctx.extend_along_mono(cd.z_mono[q], z_q)
         self._zext[(name, q)] = zpart
-        return ctx.add(ctx.compose(self.sum_at(zname, q).structural_to(ts), zpart),
-                       ts.into({bkey: ctx.compose(self.fam_emb[bkey], es.g)}))
+        return ts.into({self.sum_at(zname, q): zpart, bkey: ctx.compose(self.fam_emb[bkey], es.g)})
 
     def _forced_wi_next(self, q):
         """The W^{q+1}(I)-component of the C-augmentation, forced through pi.
@@ -435,9 +428,8 @@ class InjectiveTriple:
             raise InternalCommutativityFailure(
                 "forced C-augmentation no longer extends Z^%d(C)" % q)
         self._zext[("K", q)] = zpart
-        return ctx.add(ctx.compose(zk.structural_to(ts), zpart),
-                       ts.into({("B", "K", q + 1): ctx.compose(self.fam_emb[("B", "K", q + 1)],
-                                                               es15.g)}))
+        return ts.into({zk: zpart,
+                        ("B", "K", q + 1): ctx.compose(self.fam_emb[("B", "K", q + 1)], es15.g)})
 
     def _augment_middle(self, q, zB_q, bB):
         """B^q -> J^q: joint extension over Z^q(B) + iota(A^q), K-part forced."""
@@ -447,12 +439,11 @@ class InjectiveTriple:
         zi = self.sum_at("ZI", q)
         es14 = inv.seqs["es14"][q]
         bnext = ctx.compose(bB[q + 1], es14.g)
-        bpart = ctx.compose(self.sum_at("BJ", q + 1).structural_to(jq), bnext)
         zpartA = self._zext[("I", q)]                 # A^q -> ZI
         S = DirectSum(ctx, [inv.B.Z[q], ses.A.obj(q)])
         Im, im_mono, im_epi = ctx.image(S.out_of({0: inv.B.z_mono[q], 1: ses.iota.comp(q)}))
         # extend only the ZI-tagged components; the K-side ones are forced below
-        t = S.out_of({0: ctx.compose(zj.structural_to(zi), zB_q), 1: zpartA})
+        t = S.out_of({0: zi.into({zj: zB_q}), 1: zpartA})
         try:
             tbar = ctx.descend_along_epi(im_epi, t)
         except ctx.LiftError as exc:
@@ -461,10 +452,10 @@ class InjectiveTriple:
         zi_part = ctx.extend_along_mono(im_mono, tbar)   # B^q -> ZI
         zpartC = self._zext[("K", q)]                    # C^q -> ZK
         forced_k = ctx.compose(zpartC, ses.pi.comp(q))   # B^q -> ZK
-        # forced_k's W^q(K) and B^q(K) components, the keys ZK shares with ZJ
-        zpart = ctx.add(ctx.compose(zi.structural_to(zj), zi_part),
-                        ctx.compose(self.sum_at("ZK", q).structural_to(zj), forced_k))
-        return ctx.add(ctx.compose(zj.structural_to(jq), zpart), bpart)
+        # ZJ takes forced_k's W^q(K) and B^q(K) components, the keys ZK shares
+        # with it; J holds ZK's W^{q+1}(I) key under BJ^{q+1}, whose part is bnext
+        zpart = zj.into({zi: zi_part, self.sum_at("ZK", q): forced_k})
+        return jq.into({zj: zpart, self.sum_at("BJ", q + 1): bnext})
 
     # -- verification -------------------------------------------------------
 

@@ -32,6 +32,7 @@ each call hands out a `Subspace` with a pivot list of the caller's own.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 # The rational type keeps this name because perfbench/run.py's header()
 # reports `exactla._mpq` as the rational backend of every benchmark run.
@@ -419,14 +420,8 @@ def hstack(mats) -> Matrix:
     rows, field = mats[0].rows, mats[0].field
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
-    out = [{} for _ in range(rows)]
-    off = 0
-    for m in mats:
-        for row, r in zip(out, m._nz):
-            for j, x in r.items():
-                row[off + j] = x
-        off += m.cols
-    return Matrix(field, rows, off, out)
+    offs = list(accumulate((m.cols for m in mats), initial=0))
+    return place_blocks(field, rows, offs[-1], [(0, off, m) for off, m in zip(offs, mats)])
 
 
 def vstack(mats) -> Matrix:

@@ -85,14 +85,27 @@ class DirectSum:
     def into(self, parts):
         """The map into obj from one common source whose component at each
         key of parts is parts[key], a map into that key's summand; zero at
-        the keys not given.  A part of the wrong shape is IllFormedMorphism."""
-        X = self.ctx.map_source_obj(next(iter(parts.values())))
-        blocks = []
+        the keys not given.  A part f keyed by another DirectSum S is a map
+        into S.obj, whose component S.proj(k) . f at each key k that S shares
+        with this sum is placed at k; S's other keys drop, as in structural_to.
+        A part of the wrong shape is IllFormedMorphism, two at one key ValueError."""
+        ctx = self.ctx
+        X = ctx.map_source_obj(next(iter(parts.values())))
+        flat = []
         for key, f in parts.items():
+            if isinstance(key, DirectSum):
+                ctx.check_map(f, X, key.obj)
+                flat += [(k, ctx.compose(key.proj(k), f)) for k in key.keys if k in self.index]
+            else:
+                flat.append((key, f))
+        if len({k for k, _ in flat}) != len(flat):
+            raise ValueError("two parts at one key of a direct sum")
+        blocks = []
+        for key, f in flat:
             i = self.index[key]
-            self.ctx.check_map(f, X, self.objs[i])
+            ctx.check_map(f, X, self.objs[i])
             blocks.append((self.offsets[i], self.offsets[0], f))
-        return self.ctx.placed(X, self.obj, blocks)
+        return ctx.placed(X, self.obj, blocks)
 
     def out_of(self, parts):
         """The map out of obj to one common target that is parts[key], a map

@@ -13,13 +13,16 @@ sums sliced out one (target, source) summand pair at a time, the tagged H
 column of a Cartan-Eilenberg double lifted through its rows' computed cohomology, the
 cohomology of a sheaf on an open from its own restricted resolution, every composite
 restriction of a sheaf composed eagerly along every path, a direct
-sum with all its injections and projections built at once, the sheaf
+sum with all its injections and projections built at once, a map into a
+sum with parts on other sums added up through structural maps, the sheaf
 operations computed stalk by stalk, with no stalk sharing another's result,
 a second set of choices of injective embeddings and extensions (the
 flipped `EagerSheafContext` and `flipped_pair`), and finite-dimensional
 vector spaces as a whole abelian category.
 The command line reaches none of them, so they live with the tests.
 """
+
+import functools
 
 from possheaf import homalg
 from possheaf.exactla import (
@@ -304,6 +307,15 @@ def eager_direct_sum(ctx, objs):
     injs = [ctx.placed(X, total, [(o, zero, X)]) for o, X in zip(offs, objs)]
     projs = [ctx.placed(total, X, [(zero, o, X)]) for o, X in zip(offs, objs)]
     return total, injs, projs
+
+
+def into_by_structural_sums(ctx, T, subs, rest):
+    """A map into the sum T with parts on other sums, as ceres once built its
+    comparison maps: each part f into a sum S (subs, S -> f) composed after
+    S.structural_to(T), added to one another and to T.into(rest), the parts
+    at T's own keys."""
+    maps = [ctx.compose(S.structural_to(T), f) for S, f in subs.items()]
+    return functools.reduce(ctx.add, maps + ([T.into(rest)] if rest else []))
 
 
 def composites(F: Sheaf) -> dict:

@@ -25,7 +25,9 @@ each of the five functions that make one, is checked against
 injections and projections, and `into` and `out_of` of a summand's
 identity, must be the oracle's.  Maps placed by `into` and `out_of` from
 drawn parts must equal the sums of products with injections and
-projections that they replace.
+projections that they replace, and a map placed by `into` from parts keyed
+by other sums must equal `engine_oracle.into_by_structural_sums`, the sum
+of products with structural maps that ceres once built its row maps by.
 """
 
 import contextlib
@@ -37,7 +39,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engine_oracle import VectorSpaces, composites, eager_direct_sum, injective_cover
+from engine_oracle import (
+    VectorSpaces,
+    composites,
+    eager_direct_sum,
+    injective_cover,
+    into_by_structural_sums,
+)
 from fixtures import chain, product
 from possheaf.ceres import build_ce_triple, verify_ce
 from possheaf.cli import main
@@ -283,3 +291,47 @@ def test_into_and_out_of_equal_the_sums_of_products(field, p, n, data):
         S.into({**ins, k: ctx.zero_map(E, Z)})
     with pytest.raises(IllFormedMorphism):
         S.out_of({**outs, k: ctx.zero_map(Z, E)})
+
+
+# T's keys are k0, k1, k2.  Each case lists its sub-sums, each by its keys in
+# its own order (a k-key is one T shares, an x-key one T drops), and the keys
+# of T given parts of their own.
+SUB_SUM_CASES = {
+    "shares-all": ([("k0", "k1", "k2")], ()),
+    "shares-some": ([("x0", "k0", "k2")], ()),
+    "shares-none": ([("x0", "x1")], ()),
+    "reordered": ([("k2", "k0", "k1")], ()),
+    "mixed": ([("k2", "x0"), ("k0",)], ("k1",)),
+    "mixed-none-shared": ([("x0",)], ("k0", "k2")),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("case", sorted(SUB_SUM_CASES))
+@pytest.mark.parametrize("field", FIELDS[:2], ids=["q", "fp32003"])
+@given(st.sampled_from([chain(2), SQUARE]), st.data())
+def test_into_places_sub_sum_parts_as_the_structural_sum(case, field, p, data):
+    ctx = SheafContext(p, field)
+
+    def drawn_obj():
+        seed = data.draw(st.integers(0, 10**6))
+        return gen_sheaf(GenConfig("sub-%d" % seed, max_stalk_dim=2, field=field), p)
+
+    subs_keys, direct = SUB_SUM_CASES[case]
+    obj = {k: drawn_obj() for k in ("k0", "k1", "k2", "x0", "x1")}
+    T = DirectSum(ctx, [obj[k] for k in ("k0", "k1", "k2")], ["k0", "k1", "k2"])
+    E = drawn_obj()
+    subs = {}
+    for keys in subs_keys:
+        S = DirectSum(ctx, [obj[k] for k in keys], list(keys))
+        subs[S] = S.into({k: _drawn_map(ctx, E, obj[k], data.draw) for k in keys})
+    rest = {k: _drawn_map(ctx, E, obj[k], data.draw) for k in direct}
+    assert _same_map(T.into({**subs, **rest}), into_by_structural_sums(ctx, T, subs, rest))
+    # a sub-sum part of the wrong shape, and a second part at a key a sub-sum fills
+    S, f = next(iter(subs.items()))
+    with pytest.raises(IllFormedMorphism):
+        T.into({S: ctx.zero_map(E, ctx.direct_sum([S.obj, ctx.constant_sheaf()]))})
+    shared = [k for k in S.keys if k in T.index]
+    if shared:
+        with pytest.raises(ValueError):
+            T.into({S: f, shared[0]: _drawn_map(ctx, E, obj[shared[0]], data.draw)})

@@ -1,4 +1,4 @@
-"""Fifteen layout rules of src/possheaf, and its tracked size.
+"""Sixteen layout rules of src/possheaf, and its tracked size.
 
 Every definition shipped in src/possheaf is reached from src/possheaf.
 Code that only tests use belongs under tests/ (dense_oracle.py,
@@ -39,10 +39,13 @@ summand sits, and how its injection, projection and the structural maps
 between sums are made, is decided in one class.
 
 A map into or out of a direct sum is placed, never computed: no call of
-`add` or `sub` in src/possheaf has an argument that calls `.inj(` or
-`.proj(`.  Its components go to `DirectSum.into` or `DirectSum.out_of`,
-which copy each one in at its summand's offset, instead of being composed
-with injections or projections and added up.
+`add` or `sub` in src/possheaf has an argument that calls `.inj(`,
+`.proj(` or `.structural_to(`.  Its components go to `DirectSum.into` or
+`DirectSum.out_of`, which copy each one in at its summand's offset, instead
+of being composed with injections, projections or structural maps and
+added up.  A part that is a map into another sum goes to `into` too, keyed
+by that sum, so no code in ceres calls a context's `add`: each comparison
+map of a Cartan-Eilenberg row is one `into` of its parts.
 
 A double complex has one spectral-sequence object, `specseq.CoupleTower`:
 its pages, limit, filtration and graded isomorphisms are read off the
@@ -263,13 +266,13 @@ def test_only_direct_sum_places_summands():
 
 def summed_placement_sites():
     """`module:line name` of each `add` or `sub` call with an argument that calls
-    `.inj(` or `.proj(`."""
+    `.inj(`, `.proj(` or `.structural_to(`."""
     found = []
     for module, tree in _trees().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _called_name(node) in ("add", "sub"):
                 if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
-                       and sub.func.attr in ("inj", "proj")
+                       and sub.func.attr in ("inj", "proj", "structural_to")
                        for arg in node.args + [kw.value for kw in node.keywords]
                        for sub in ast.walk(arg)):
                     found.append("%s:%d %s" % (module, node.lineno, _called_name(node)))
@@ -278,6 +281,19 @@ def summed_placement_sites():
 
 def test_maps_into_and_out_of_sums_are_placed_not_added():
     assert summed_placement_sites() == []
+
+
+def ceres_add_sites():
+    """`ceres:line` of each call of a context's `add` in ceres: `ctx.add(` or
+    `<x>.ctx.add(`, not a check report's `add`."""
+    return ["ceres:%d" % node.lineno for node in ast.walk(_trees()["ceres"])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add"
+            and "ctx" in (getattr(node.func.value, "id", None), getattr(node.func.value, "attr", None))]
+
+
+def test_ceres_places_each_row_map_in_one_into():
+    assert ceres_add_sites() == []
 
 
 def tower_hops():
