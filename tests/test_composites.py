@@ -309,11 +309,14 @@ SUB_SUM_CASES = {
 @settings(max_examples=15, deadline=None)
 @pytest.mark.parametrize("case", sorted(SUB_SUM_CASES))
 @pytest.mark.parametrize("field", FIELDS[:2], ids=["q", "fp32003"])
-@given(st.sampled_from([chain(2), SQUARE]), st.data())
+@given(st.sampled_from([None, chain(2), SQUARE]), st.data())
 def test_into_places_sub_sum_parts_as_the_structural_sum(case, field, p, data):
-    ctx = SheafContext(p, field)
+    # over vector spaces when p is None, else over sheaves on p
+    ctx = VectorSpaces(field) if p is None else SheafContext(p, field)
 
     def drawn_obj():
+        if p is None:
+            return data.draw(st.integers(0, 3))
         seed = data.draw(st.integers(0, 10**6))
         return gen_sheaf(GenConfig("sub-%d" % seed, max_stalk_dim=2, field=field), p)
 
@@ -329,8 +332,9 @@ def test_into_places_sub_sum_parts_as_the_structural_sum(case, field, p, data):
     assert _same_map(T.into({**subs, **rest}), into_by_structural_sums(ctx, T, subs, rest))
     # a sub-sum part of the wrong shape, and a second part at a key a sub-sum fills
     S, f = next(iter(subs.items()))
+    Z = S.obj + 1 if p is None else ctx.direct_sum([S.obj, ctx.constant_sheaf()])
     with pytest.raises(IllFormedMorphism):
-        T.into({S: ctx.zero_map(E, ctx.direct_sum([S.obj, ctx.constant_sheaf()]))})
+        T.into({S: ctx.zero_map(E, Z)})
     shared = [k for k in S.keys if k in T.index]
     if shared:
         with pytest.raises(ValueError):
