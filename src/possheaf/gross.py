@@ -472,7 +472,7 @@ def verify_main_theorem(family: DeltaFamily) -> CheckReport:
     rep.add("bullet2: delta_2 is the derived-functor boundary", ok2 and id_ok,
             "sign=%+d (after the (-1)^p transport factor)" % sign2 if sign2 else "")
     # bullet 3: the total connecting map respects filtrations; graded = delta_inf
-    filtT, filtR = ssT.filtration(), ssR.filtration()
+    filtT, filtR = ssT.filtration, ssR.filtration
     cert_ok = True
     for n in range(ssT.nmax + 1):
         if n + 1 > ssR.nmax:
@@ -563,7 +563,7 @@ def acyclic_middle_analysis(pair: FunctorPair, iota, pi) -> CheckReport:
             continue
         if not rep.items[-1][1]:
             raise PreconditionFailed("connecting map fails its rank condition at n=%d" % n)
-    filtT, filtR = ssT.filtration(), ssR.filtration()
+    filtT, filtR = ssT.filtration, ssR.filtration
     # bullet a: filtration-level maps iso for p+q >= 1, surjective at p = q = 0
     for n in range(ssT.nmax + 1):
         if n + 1 > ssR.nmax:

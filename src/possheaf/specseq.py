@@ -13,7 +13,7 @@ degree p.  Tot^n lists its cells by increasing p, so F^p Tot^n is the
 trailing block of Tot^n and the cell (p, n - p) is its head: filtration
 inclusions and cell projections are offsets, not eliminations.  E_1^{p,q} is
 the vertical cohomology of column p, A_1^{p,q} the total cohomology of the
-filtration piece F^p.
+filtration piece F^p; only the level-one couple has an A side.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class Subquotient:
         self.dim = self.reps.cols
 
     @classmethod
-    def zero(cls, field, ambient_dim=0):
+    def zero(cls, field, ambient_dim):
         z = Subspace.zero(field, ambient_dim)
         return cls(field, ambient_dim, z, z)
 
@@ -134,8 +134,9 @@ class Subquotient:
 
 class CoupleTower:
     """The spectral sequence of the column filtration: the level-one exact
-    couple, its derived stages (the pages), the limit page r_inf and the
-    filtration on total cohomology.
+    couple (A1, E1 and the maps i, j, k), the pages E_r with their
+    differentials, the limit page r_inf and the filtration on total
+    cohomology.
 
     Tot^n lists its cells (p, n - p) by increasing p, so the filtration piece
     F^p Tot^n is the trailing block of Tot^n from `start(p, n)` on, and the
@@ -143,11 +144,11 @@ class CoupleTower:
     offset: an inclusion F^p -> F^p' (p >= p') puts zero rows on top, and a
     cell is read off the first rows of its filtration piece.
 
-    The tower makes Tot and fdiff at once, and A1, E1 and each couple when
-    first read, so a tower read only for Tot makes no subquotient.  Such a
-    tower checks B in Z on no filtration piece, and needs not: the double
-    complex's validate checked d_h^2 = 0, d_v^2 = 0 and every square, which
-    give it.
+    The tower makes Tot and fdiff at once, and A1, E1, each page and the
+    filtration when first read, so a tower read only for Tot makes no
+    subquotient.  Such a tower checks B in Z on no filtration piece, and
+    needs not: the double complex's validate checked d_h^2 = 0, d_v^2 = 0
+    and every square, which give it.
     """
 
     def __init__(self, dc: DoubleComplex):
@@ -174,8 +175,7 @@ class CoupleTower:
                 self.fdiff[(p, n)] = (
                     self.tot_diff[n].rows_slice(range(self.start(p, n + 1), self.tot_dim[n + 1]))
                     .cols_slice(range(self.start(p, n), self.tot_dim[n])))
-        self.r_inf = D + 2          # A1, E1 and the pages are made when first read
-        self._filtration = None
+        self.r_inf = D + 2
 
     @cached_property
     def A1(self):
@@ -194,8 +194,8 @@ class CoupleTower:
 
     @cached_property
     def couples(self):
-        """The exact couples derived so far, from the level-one couple on."""
-        return [ExactCouple(self, 1, dict(self.A1), dict(self.E1))]
+        """The pages derived so far, from E_1 on."""
+        return [ExactCouple(self, 1, self.E1)]
 
     def _total_diff(self, n) -> Matrix:
         """Tot^n -> Tot^{n+1}: d_h plus (-1)^p d_v."""
@@ -247,6 +247,36 @@ class CoupleTower:
         """The cell (p, q) part of F^p Tot^{p+q} columns: their first rows."""
         return m.rows_slice(range(self.dc.dim(p, q)))
 
+    # -- the level-one couple -------------------------------------------------
+
+    def a_sq(self, p, q) -> Subquotient:
+        sq = self.A1.get((p, q))
+        return sq if sq is not None else Subquotient.zero(self.field, self.filt_dim(p, p + q))
+
+    def i_map(self, p, q) -> Matrix:
+        """i: A1^{p,q} -> A1^{p-1,q+1}, induced by the inclusion F^p -> F^{p-1}."""
+        src, tgt = self.a_sq(p, q), self.a_sq(p - 1, q + 1)
+        if src.dim == 0 or tgt.dim == 0:
+            return Matrix.zeros(self.field, tgt.dim, src.dim)
+        incl = self.include(Matrix.identity(self.field, src.ambient_dim), p + q, p, p - 1)
+        return src.induced_map(tgt, incl)
+
+    def j_map(self, p, q) -> Matrix:
+        """j: A1^{p,q} -> E1^{p,q}, the class of a cocycle's cell (p, q) part."""
+        src, tgt = self.a_sq(p, q), self.entry(1, p, q)
+        if src.dim == 0 or tgt.dim == 0:
+            return Matrix.zeros(self.field, tgt.dim, src.dim)
+        return tgt.project(self.to_cell(src.reps, p, q))
+
+    def k_map(self, p, q) -> Matrix:
+        """k: E1^{p,q} -> A1^{p+1,q}, the class of D x, which lies in F^{p+1}."""
+        src, tgt = self.entry(1, p, q), self.a_sq(p + 1, q)
+        if src.dim == 0 or tgt.dim == 0:
+            return Matrix.zeros(self.field, tgt.dim, src.dim)
+        n = p + q
+        dx = self.fdiff[(p, n)] * self.from_cell(src.reps, p, q)
+        return tgt.project(self.restrict(dx, n + 1, p, p + 1))
+
     # -- pages ----------------------------------------------------------------
 
     def page(self, r) -> "ExactCouple":
@@ -273,10 +303,9 @@ class CoupleTower:
 
     # -- filtration and convergence -------------------------------------------
 
+    @cached_property
     def filtration(self):
         """filt[n][p]: subspace of H^n(Tot) coords hit by H^n(F^p)."""
-        if self._filtration is not None:
-            return self._filtration
         out = {}
         for n in range(self.nmax + 1):
             h = self.A1[(0, n)]
@@ -288,7 +317,6 @@ class CoupleTower:
                     continue
                 levels.append(Subspace.from_columns(h.project(self.include(ap.Z.basis, n, p, 0))))
             out[n] = levels
-        self._filtration = out
         return out
 
     def graded_iso(self, p, q) -> Matrix:
@@ -296,7 +324,7 @@ class CoupleTower:
         n = p + q
         einf = self.entry(self.r_inf, p, q)
         h = self.A1[(0, n)]
-        filt = self.filtration()[n]
+        filt = self.filtration[n]
         grad = Subquotient(self.field, h.dim, filt[p], filt[p + 1])
         if einf.dim == 0:
             return Matrix.zeros(self.field, grad.dim, 0)
@@ -325,90 +353,53 @@ class CoupleTower:
 
 
 class ExactCouple:
-    """One stage: bigraded A, E with maps i, j, k exact in a triangle.
+    """Page r of a tower: the entries E_r^{p,q} and the differentials d_r.
 
-    Maps at level r: i: A^{p,q} -> A^{p-1,q+1}; j: A^{p,q} -> E^{p+r-1,q-r+1};
-    k: E^{p,q} -> A^{p+1,q}.  The E-differential is d = j.k.
+    A page holds no A side.  d_r, the j.k of the r-th derived couple, is
+    read off level-one data: for x a representative of E_r^{p,q}, D x lies
+    in F^{p+1} and is a cocycle z of F^{p+r} plus a boundary of F^{p+1},
+    and d_r [x] is the class of z's cell (p + r, q - r + 1) part.  Another
+    such z differs by a cocycle of F^{p+r} that bounds in F^{p+1}, whose
+    cell part lies in B_r, so the class does not depend on the one found.
     """
 
-    def __init__(self, tower: CoupleTower, level: int, A, E):
+    def __init__(self, tower: CoupleTower, level: int, E):
         self.tower = tower
         self.level = level
-        self.A = A
         self.E = E
         self._d = {}        # (p, q) -> d_r, computed once
 
-    def a_sq(self, p, q) -> Subquotient:
-        sq = self.A.get((p, q))
-        if sq is None:
-            sq = Subquotient.zero(self.tower.field, self.tower.filt_dim(p, p + q))
-        return sq
-
     def e_sq(self, p, q) -> Subquotient:
         sq = self.E.get((p, q))
-        if sq is None:
-            sq = Subquotient.zero(self.tower.field, self.tower.dc.dim(p, q)
-                                  if 0 <= p <= self.tower.D and 0 <= q <= self.tower.D else 0)
-        return sq
-
-    def i_map(self, p, q) -> Matrix:
-        t = self.tower
-        src, tgt = self.a_sq(p, q), self.a_sq(p - 1, q + 1)
-        if src.dim == 0 or tgt.dim == 0:
-            return Matrix.zeros(t.field, tgt.dim, src.dim)
-        incl = t.include(Matrix.identity(t.field, src.ambient_dim), p + q, p, p - 1)
-        return src.induced_map(tgt, incl)
-
-    def j_map(self, p, q) -> Matrix:
-        t, r = self.tower, self.level
-        src = self.a_sq(p, q)
-        p2, q2 = p + r - 1, q - r + 1
-        tgt = self.e_sq(p2, q2)
-        if src.dim == 0 or tgt.dim == 0:
-            return Matrix.zeros(t.field, tgt.dim, src.dim)
-        n = p + q
-        z1 = t.A1.get((p2, q2))
-        if z1 is None or z1.Z.dim == 0:
-            return Matrix.zeros(t.field, tgt.dim, src.dim)
-        z1_in = t.include(z1.Z.basis, n, p2, p)
-        base1 = t.A1[(p, q)]
-        frame = hstack([z1_in, base1.B.basis]) if base1.B.dim else z1_in
-        sol = solve(frame, src.reps)
-        a = z1.Z.basis * sol.rows_slice(range(z1.Z.dim))
-        return tgt.project(t.to_cell(a, p2, q2))
-
-    def k_map(self, p, q) -> Matrix:
-        t = self.tower
-        src, tgt = self.e_sq(p, q), self.a_sq(p + 1, q)
-        if src.dim == 0 or tgt.dim == 0:
-            return Matrix.zeros(t.field, tgt.dim, src.dim)
-        n = p + q
-        dx = t.fdiff[(p, n)] * t.from_cell(src.reps, p, q)     # lies in F^{p+1}
-        return tgt.project(t.restrict(dx, n + 1, p, p + 1))
+        return sq if sq is not None else Subquotient.zero(self.tower.field, self.tower.dc.dim(p, q))
 
     def d_map(self, p, q) -> Matrix:
-        """d_r = j . k, of bidegree (r, 1-r)."""
+        """d_r: E_r^{p,q} -> E_r^{p+r,q-r+1}, one solve of D x against the
+        cocycles of F^{p+r} and the boundaries of F^{p+1}."""
         d = self._d.get((p, q))
-        if d is None:
-            d = self._d[(p, q)] = self.j_map(p + 1, q) * self.k_map(p, q)
+        if d is not None:
+            return d
+        t, r = self.tower, self.level
+        p2, q2 = p + r, q - r + 1
+        src, tgt = self.e_sq(p, q), self.e_sq(p2, q2)
+        z = t.A1[(p2, q2)].Z if src.dim and tgt.dim else None
+        if z is None or z.dim == 0:
+            d = Matrix.zeros(t.field, tgt.dim, src.dim)
+        else:
+            n = p + q
+            dx = t.restrict(t.fdiff[(p, n)] * t.from_cell(src.reps, p, q), n + 1, p, p + 1)
+            b = t.A1[(p + 1, q)].B
+            z_in = t.include(z.basis, n + 1, p2, p + 1)
+            sol = solve(hstack([z_in, b.basis]) if b.dim else z_in, dx)
+            d = tgt.project(t.to_cell(z.basis * sol.rows_slice(range(z.dim)), p2, q2))
+        self._d[(p, q)] = d
         return d
 
     def derive(self) -> "ExactCouple":
-        """The next couple.  An entry that nothing can change is carried over
-        as it is: a zero entry, or an E entry whose d_r in and out are zero."""
+        """The next page.  An entry that nothing can change is carried over
+        as it is: a zero entry, or one whose d_r in and out are zero."""
         t, r = self.tower, self.level
-        newA, newE = {}, {}
-        for (p, q), sq in self.A.items():
-            if sq.dim == 0:
-                newA[(p, q)] = sq
-                continue
-            src = self.a_sq(p + 1, q - 1)
-            if src.dim:
-                incl = t.include(src.reps, p + q, p + 1, p)
-                Z = sq.B.sum(Subspace.from_columns(incl))
-            else:
-                Z = sq.B
-            newA[(p, q)] = Subquotient(t.field, sq.ambient_dim, Z, sq.B)
+        newE = {}
         for (p, q), sq in self.E.items():
             if sq.dim == 0:
                 newE[(p, q)] = sq
@@ -424,7 +415,7 @@ class ExactCouple:
             if not Z.contains(B):
                 raise ExactnessLost("derived boundaries escape cocycles at (%d,%d)" % (p, q))
             newE[(p, q)] = Subquotient(t.field, sq.ambient_dim, Z, B)
-        return ExactCouple(t, r + 1, newA, newE)
+        return ExactCouple(t, r + 1, newE)
 
 
 def global_sign(pairs):
@@ -486,36 +477,34 @@ class CoupleMorphism:
         m = self.a_maps.get((p, q))
         if m is None:
             dp, dq = self.bidegree
-            m = Matrix.zeros(self.src.field,
-                             self.dst.page(1).a_sq(p + dp, q + dq).dim,
-                             self.src.page(1).a_sq(p, q).dim)
+            m = Matrix.zeros(self.src.field, self.dst.a_sq(p + dp, q + dq).dim,
+                             self.src.a_sq(p, q).dim)
         return m
 
     def e_map(self, p, q) -> Matrix:
         m = self.e_maps.get((p, q))
         if m is None:
             dp, dq = self.bidegree
-            m = Matrix.zeros(self.src.field,
-                             self.dst.page(1).e_sq(p + dp, q + dq).dim,
-                             self.src.page(1).e_sq(p, q).dim)
+            m = Matrix.zeros(self.src.field, self.dst.entry(1, p + dp, q + dq).dim,
+                             self.src.entry(1, p, q).dim)
         return m
 
     def verify_intertwining(self):
-        s1, d1 = self.src.page(1), self.dst.page(1)
+        s, d = self.src, self.dst
         dp, dq = self.bidegree
         ipairs, jpairs, kpairs = [], [], []
-        for (p, q) in s1.A:
-            if s1.a_sq(p, q).dim == 0:
+        for (p, q), sq in s.A1.items():
+            if sq.dim == 0:
                 continue
-            ipairs.append((self.a_map(p - 1, q + 1) * s1.i_map(p, q),
-                           d1.i_map(p + dp, q + dq) * self.a_map(p, q)))
-            jpairs.append((self.e_map(p, q) * s1.j_map(p, q),
-                           d1.j_map(p + dp, q + dq) * self.a_map(p, q)))
-        for (p, q) in s1.E:
-            if s1.e_sq(p, q).dim == 0:
+            ipairs.append((self.a_map(p - 1, q + 1) * s.i_map(p, q),
+                           d.i_map(p + dp, q + dq) * self.a_map(p, q)))
+            jpairs.append((self.e_map(p, q) * s.j_map(p, q),
+                           d.j_map(p + dp, q + dq) * self.a_map(p, q)))
+        for (p, q), sq in s.E1.items():
+            if sq.dim == 0:
                 continue
-            kpairs.append((self.a_map(p + 1, q) * s1.k_map(p, q),
-                           d1.k_map(p + dp, q + dq) * self.e_map(p, q)))
+            kpairs.append((self.a_map(p + 1, q) * s.k_map(p, q),
+                           d.k_map(p + dp, q + dq) * self.e_map(p, q)))
         for name, pairs in (("i", ipairs), ("j", jpairs), ("k", kpairs)):
             sign, ok = global_sign(pairs)
             if not ok:

@@ -58,7 +58,7 @@ from possheaf.sheafcat import (
     gamma_of_complex,
     subspace_sheaf,
 )
-from possheaf.specseq import CoupleMorphism, CoupleTower, ExactCouple, tot_block_map
+from possheaf.specseq import CoupleMorphism, CoupleTower, tot_block_map
 
 # -- exactla and homalg -------------------------------------------------------
 
@@ -505,25 +505,19 @@ def _exact_pair(f: Matrix, g: Matrix, mid: int) -> bool:
     return rank(f) + rank(g) == mid
 
 
-def check_exact(couple: ExactCouple) -> bool:
-    """Triangle exactness at every populated node of the couple."""
-    r = couple.level
-    for (p, q) in couple.E:
+def check_exact(r, A, E, i_map, j_map, k_map) -> bool:
+    """Triangle exactness at every populated node of a level-r couple with
+    entries A and E (dicts of subquotients) and maps i, j and k."""
+    for (p, q), sq in E.items():
         # at E^{p,q}: im(j from A^{p-r+1,q+r-1}) = ker(k to A^{p+1,q})
-        jm = couple.j_map(p - r + 1, q + r - 1)
-        km = couple.k_map(p, q)
-        if not _exact_pair(jm, km, couple.e_sq(p, q).dim):
+        if not _exact_pair(j_map(p - r + 1, q + r - 1), k_map(p, q), sq.dim):
             return False
-    for (p, q) in couple.A:
+    for (p, q), sq in A.items():
         # at A^{p,q}: im(i from A^{p+1,q-1}) = ker(j)
-        im = couple.i_map(p + 1, q - 1)
-        jm = couple.j_map(p, q)
-        if not _exact_pair(im, jm, couple.a_sq(p, q).dim):
+        if not _exact_pair(i_map(p + 1, q - 1), j_map(p, q), sq.dim):
             return False
         # at A^{p,q}: im(k from E^{p-1,q}) = ker(i to A^{p-1,q+1})
-        km = couple.k_map(p - 1, q)
-        im2 = couple.i_map(p, q)
-        if not _exact_pair(km, im2, couple.a_sq(p, q).dim):
+        if not _exact_pair(k_map(p - 1, q), i_map(p, q), sq.dim):
             return False
     return True
 

@@ -534,6 +534,19 @@ def test_max_degree_reaches_the_commands_that_read_it(capsys):
     assert "resolution exact" in capsys.readouterr().out
 
 
+def test_ce_max_degree_below_the_bound_only_warns(capsys):
+    # ce caps its rows at max(N, bound) + 4, so an N below the bound changes
+    # the run in nothing: the text gains the warning line, which a report drops
+    golden = os.path.join(HERE, "golden")
+    argv = ["ce", os.path.join(golden, "ce-sequences.input.json"), "--sequence", "S",
+            "--max-degree", "0"]
+    for fmt, name, head in (([], "ce.txt", "warning: --max-degree 0 is below the safe bound 3\n"),
+                            (["--format", "report"], "ce.json", "")):
+        assert main(fmt + argv) == 0
+        with open(os.path.join(golden, name)) as fh:
+            assert capsys.readouterr().out == head + fh.read()
+
+
 def _collapsed_forge(tmp_path, capsys):
     """Forge seed 2 plus a map collapsing its poset to a point, as a file."""
     assert main(["forge", "--seed", "2"]) == 0

@@ -1,5 +1,6 @@
 import pytest
 
+import specseq_oracle as oracle
 from engine_oracle import VectorSpaces, check_exact, map_of_spectral_sequences, stabilization_ok
 from fixtures import transpose
 from possheaf.exactla import QQ, Matrix, NoSolution, Subspace, rank
@@ -101,9 +102,13 @@ def test_restrict_drops_the_top_rows():
 
 
 def test_couples_stay_exact():
+    # the engine keeps the level-one couple only; the oracle derives each couple
     tower = CoupleTower(staircase())
+    assert check_exact(1, tower.A1, tower.E1, tower.i_map, tower.j_map, tower.k_map)
+    old = oracle.CoupleTower(staircase())
     for r in range(1, tower.r_inf + 1):
-        assert check_exact(tower.page(r))
+        c = old.page(r)
+        assert check_exact(r, c.A, c.E, c.i_map, c.j_map, c.k_map)
 
 
 def _two_term(V, d0):
@@ -157,7 +162,7 @@ def _check_two_column_les(d_x, d_y, h0, h1):
 
 def test_filtration_is_decreasing_and_exhaustive():
     ss = CoupleTower(staircase())
-    filt = ss.filtration()
+    filt = ss.filtration
     for n, levels in filt.items():
         total = ss.total_h_dim(n)
         assert levels[0].dim == total
@@ -186,7 +191,7 @@ def test_pages_are_derived_when_first_read():
     ss = CoupleTower(staircase())
     assert len(ss.couples) == 1
     ss.total_h_dim(1)
-    ss.filtration()         # level one only
+    ss.filtration           # level one only
     assert len(ss.couples) == 1
     ss.page_dims(3)
     assert len(ss.couples) == 3
@@ -209,8 +214,17 @@ def test_tower_parts_are_made_when_first_read(monkeypatch):
     assert len(made) == len(a1) + len(e1)
     ss.page(1)
     assert len(made) == len(a1) + len(e1)
-    CoupleTower(staircase()).page(1)        # a page read first makes A1 and E1
-    assert len(made) == 2 * (len(a1) + len(e1))
+    fresh = CoupleTower(staircase())
+    fresh.page(1)                           # a page read first makes E1 alone
+    assert len(made) == len(a1) + 2 * len(e1) and "A1" not in vars(fresh)
+    # deriving a page makes one subquotient per E entry it changes and no A
+    # side; the others are the empty stand-ins e_sq reads off the grid
+    for r, moved in ((2, []), (3, [(0, 1), (2, 0)])):
+        before, prev = len(made), ss.page(r - 1)
+        new = ss.page(r)
+        changed = [key for key, sq in new.E.items() if sq is not prev.E[key]]
+        assert changed == moved
+        assert [sq for sq in made[before:] if sq.ambient_dim] == [new.E[key] for key in changed]
 
 
 def test_zero_couple_morphism():
